@@ -25,7 +25,7 @@ from .core import (
     rho_t4,
     sp5_plus,
     sp9_plus,
-    switch,
+    switch,  # unused here; perfbench/tracing.py patches signedgrids.cli.switch
 )
 from .graphio import graph_from_dict, graph_to_dict, graph_to_dot, hom_from_dict, hom_to_dict
 from .grids import GridSpec, all_c4_unbalanced_grid, make_grid, random_signature, unbalanced_c6, unbalanced_wheel7
@@ -39,6 +39,7 @@ from .hom import (
     find_signed_hom,
     signed_chromatic_number,
     verify_ec,
+    verify_signed,
 )
 from .props import (
     automorphisms,
@@ -110,7 +111,12 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-_TARGET_NAMES = {"hex": "T4", "tri": "SP9+"}
+# grid kind -> (target name, base target, its antitwin doubling, colorer giving
+# a witness into the doubling); lambdas look the colorers up at call time
+_GRID_KINDS = {
+    "hex": ("T4", build_T4, rho_t4, lambda g: color_hex(g)),
+    "tri": ("SP9+", sp9_plus, rho_sp9_plus, lambda g: color_tri(g)[0]),
+}
 
 
 def cmd_color(args) -> int:
@@ -118,23 +124,17 @@ def cmd_color(args) -> int:
     if not isinstance(g.grid, GridSpec):
         print("color: input file carries no grid metadata", file=sys.stderr)
         return EXIT_USAGE
-    kind = g.grid.kind
-    if kind == "hex":
-        ec_hom = color_hex(g)
-        base = build_T4()
-        rho = rho_t4()
-    else:
-        ec_hom, _trace = color_tri(g)
-        base = sp9_plus()
-        rho = rho_sp9_plus()
-    if not verify_ec(g, rho.graph, ec_hom.mapping):
+    target_name, base_target, doubled_target, colorer = _GRID_KINDS[g.grid.kind]
+    ec_hom = colorer(g)
+    base = base_target()
+    if not verify_ec(g, doubled_target().graph, ec_hom.mapping):
         print("color: certificate failed independent verification", file=sys.stderr)
         return EXIT_VERIFY
     signed = ec_to_signed(ec_hom, base.n)
     identities = len(set(signed.mapping))
     config = {"input": args.input}
     payload = {
-        "target_name": _TARGET_NAMES[kind],
+        "target_name": target_name,
         "identities_used": identities,
         "certificate": hom_to_dict(signed, base),
     }
@@ -153,10 +153,9 @@ def cmd_verify(args) -> int:
     with open(args.certificate) as fh:
         cert = json.load(fh)
     hom, target = hom_from_dict(cert["certificate"] if "certificate" in cert else cert)
-    if hom.kind == "signed":
-        ok = verify_ec(switch(g, hom.switch_set), target, hom.mapping)
-    else:
-        ok = verify_ec(g, target, hom.mapping)
+    # a grid's certificate must embed the target of that grid kind, not any graph
+    pinned = not isinstance(g.grid, GridSpec) or target == _GRID_KINDS[g.grid.kind][1]()
+    ok = pinned and verify_signed(g, target, hom)
     print("certificate OK" if ok else "certificate REJECTED")
     return EXIT_OK if ok else EXIT_VERIFY
 
@@ -172,41 +171,40 @@ def _report_to_dict(report) -> dict:
     }
 
 
+def _rho_t4_suite():
+    atg = rho_t4()
+    return [check_pkn(atg.graph, 1, 3), check_pstar21(atg)], None
+
+
+def _rho_sp9_plus_suite():
+    g = rho_sp9_plus().graph
+    autos = list(automorphisms(g))
+    reports = [
+        check_pkn(g, 1, 9),
+        check_pkn(g, 2, 4),
+        check_pkn(g, 3, 1),
+        check_transitivity(g, 1, autos=autos),
+        check_transitivity(g, 2, autos=autos),
+    ]
+    return reports, g
+
+
+# --target -> (property reports, graph to test for an antiautomorphism or None)
+_PROPS = {
+    "rhoT4": _rho_t4_suite,
+    "rhoSP9plus": _rho_sp9_plus_suite,
+    "SP9": lambda: ([], build_SP9()),
+}
+
+
 def cmd_props(args) -> int:
-    if args.target == "rhoT4":
-        atg = rho_t4()
-        g = atg.graph
-        reports = [check_pkn(g, 1, 3), check_pstar21(atg)]
-    elif args.target == "rhoSP9plus":
-        g = rho_sp9_plus().graph
-        autos = list(automorphisms(g))
-        reports = [
-            check_pkn(g, 1, 9),
-            check_pkn(g, 2, 4),
-            check_pkn(g, 3, 1),
-            check_transitivity(g, 1, autos=autos),
-            check_transitivity(g, 2, autos=autos),
-        ]
-        anti = check_antiautomorphic(g)
-        payload = {
-            "reports": [_report_to_dict(r) for r in reports],
-            "antiautomorphic": anti is not None,
-            "all_hold": all(r.holds for r in reports) and anti is not None,
-        }
-        _emit(args.output, payload, "props", {"target": args.target})
-        return EXIT_OK
-    elif args.target == "SP9":
-        anti = check_antiautomorphic(build_SP9())
-        payload = {"reports": [], "antiautomorphic": anti is not None, "all_hold": anti is not None}
-        _emit(args.output, payload, "props", {"target": args.target})
-        return EXIT_OK
-    else:
-        print(f"props: unknown target {args.target}", file=sys.stderr)
-        return EXIT_USAGE
-    payload = {
-        "reports": [_report_to_dict(r) for r in reports],
-        "all_hold": all(r.holds for r in reports),
-    }
+    reports, anti_graph = _PROPS[args.target]()
+    payload = {"reports": [_report_to_dict(r) for r in reports]}
+    holds = all(r.holds for r in reports)
+    if anti_graph is not None:
+        payload["antiautomorphic"] = check_antiautomorphic(anti_graph) is not None
+        holds = holds and payload["antiautomorphic"]
+    payload["all_hold"] = holds
     _emit(args.output, payload, "props", {"target": args.target})
     return EXIT_OK
 
@@ -330,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("props", help="run the target property suites")
-    p.add_argument("--target", choices=("rhoT4", "rhoSP9plus", "SP9"), required=True)
+    p.add_argument("--target", choices=tuple(_PROPS), required=True)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_props)
 

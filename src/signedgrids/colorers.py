@@ -170,7 +170,7 @@ def color_hex(g: SignedGraph) -> Homomorphism:
     """Color a signed hexagonal grid into the doubled T4 target.
 
     Returns an exact sign-preserving homomorphism of the *original* graph
-    (kind ``"ec"``, target :func:`signedgrids.core.rho_t4`).  Raises
+    (empty switch set, target :func:`signedgrids.core.rho_t4`).  Raises
     :class:`ColoringInvariantError` only on an internal bug; every grid is
     colorable.
     """
@@ -178,7 +178,7 @@ def color_hex(g: SignedGraph) -> Homomorphism:
     if spec.mask is not None:
         full, restrict = _fill_bounding(g)
         inner = color_hex(full)
-        return Homomorphism(tuple(inner.mapping[k] for k in restrict), kind="ec")
+        return Homomorphism(tuple(inner.mapping[k] for k in restrict))
 
     rows, cols = spec.rows, spec.cols
     vid = lambda i, j: (i - 1) * cols + (j - 1)
@@ -246,7 +246,7 @@ def color_hex(g: SignedGraph) -> Homomorphism:
 
     # undo the normalization: switched vertices take their antitwin image
     final = [rho.twin(c) if v in switched else c for v, c in enumerate(phi)]
-    return Homomorphism(tuple(final), kind="ec")
+    return Homomorphism(tuple(final))
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +262,7 @@ def color_tri(g: SignedGraph) -> tuple[Homomorphism, CandidateTrace]:
     in the row above and reachable from some candidate of its left neighbor
     across the row edge.  Every such set provably has at least 2 elements
     (checked, never expected to fail).  The backward pass then fixes the row
-    right to left.  Returns the homomorphism (kind ``"ec"``, target
+    right to left.  Returns the homomorphism (empty switch set, target
     :func:`signedgrids.core.rho_sp9_plus`) and the trace of candidate sets.
     """
     spec = _require_grid(g, "tri")
@@ -270,7 +270,7 @@ def color_tri(g: SignedGraph) -> tuple[Homomorphism, CandidateTrace]:
         full, restrict = _fill_bounding(g)
         inner, trace = color_tri(full)
         mapping = tuple(inner.mapping[k] for k in restrict)
-        return Homomorphism(mapping, kind="ec"), trace
+        return Homomorphism(mapping), trace
 
     rows, cols = spec.rows, spec.cols
     vid = lambda r, c: (r - 1) * cols + (c - 1)
@@ -319,4 +319,4 @@ def color_tri(g: SignedGraph) -> tuple[Homomorphism, CandidateTrace]:
         for c in range(1, cols + 1):
             phi[vid(r, c)] = choice[c - 1]
 
-    return Homomorphism(tuple(phi), kind="ec"), CandidateTrace(tuple(trace_rows))
+    return Homomorphism(tuple(phi)), CandidateTrace(tuple(trace_rows))

@@ -262,9 +262,6 @@ class AntitwinnedGraph:
         """Canonical id of the antitwin pair containing ``v``."""
         return min(v, self.antitwin[v])
 
-    def identity_count(self) -> int:
-        return self.graph.n // 2
-
 
 def antitwin_double(g: SignedGraph) -> AntitwinnedGraph:
     """Double ``g`` into its antitwinned extension.

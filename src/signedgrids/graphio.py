@@ -3,8 +3,12 @@
 The JSON graph object is ``{"n": int, "edges": [[u, v, s], ...]}`` with
 optional ``"labels"`` (list of strings) and ``"grid"`` metadata
 (``{"kind": "hex"|"tri", "rows": R, "cols": C}`` plus an optional ``"mask"``
-list of ``[i, j]`` cells).  Homomorphism witnesses serialize as
-``{"mapping": [...], "switch": [...], "target": {graph}}``.
+list of ``[i, j]`` cells).  A :class:`~signedgrids.hom.Homomorphism` witness
+``(mapping, switch_set)`` serializes as ``{"kind": "signed", "mapping": [...],
+"switch": [...], "target": {graph}}``.  ``"kind"`` exists only in the file
+format: ``"signed"`` (the default when absent) reads the switch list, ``"ec"``
+means an empty switch set and ignores any ``"switch"`` list, and any other
+kind is rejected with ``ValueError``.
 
 DOT output renders positive edges solid and negative edges dashed.
 """
@@ -50,19 +54,22 @@ def graph_from_dict(d: Mapping) -> SignedGraph:
 
 def hom_to_dict(hom: Homomorphism, target: SignedGraph) -> dict:
     return {
-        "kind": hom.kind,
+        "kind": "signed",
         "mapping": list(hom.mapping),
-        "switch": sorted(hom.switch_set) if hom.switch_set is not None else [],
+        "switch": sorted(hom.switch_set),
         "target": graph_to_dict(target),
     }
 
 
 def hom_from_dict(d: Mapping) -> tuple[Homomorphism, SignedGraph]:
     target = graph_from_dict(d["target"])
+    mapping = tuple(int(m) for m in d["mapping"])
     kind = d.get("kind", "signed")
-    switch_set = frozenset(int(v) for v in d.get("switch", [])) if kind == "signed" else None
-    hom = Homomorphism(tuple(int(m) for m in d["mapping"]), kind=kind, switch_set=switch_set)
-    return hom, target
+    if kind == "ec":
+        return Homomorphism(mapping), target
+    if kind != "signed":
+        raise ValueError(f"unknown certificate kind {kind!r}")
+    return Homomorphism(mapping, frozenset(int(v) for v in d.get("switch", []))), target
 
 
 def graph_to_dot(

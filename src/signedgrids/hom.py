@@ -9,6 +9,9 @@ Two notions of mapping are handled:
   homomorphism to the antitwin doubling of the target, and that is exactly
   how :func:`find_signed_hom` computes one.
 
+Both are witnessed by one :class:`Homomorphism` type, a mapping plus a switch
+set; an ec witness has an empty switch set.
+
 The chromatic number of a signed graph is the order of its smallest target;
 :func:`signed_chromatic_number` computes it exactly on small instances by
 sweeping all complete signed targets of increasing order (restricting to
@@ -35,7 +38,6 @@ __all__ = [
     "find_ec_hom",
     "find_signed_hom",
     "ec_to_signed",
-    "signed_to_ec",
     "verify_signed_with_mapping",
     "signed_chromatic_number",
     "complete_signed_graph",
@@ -67,30 +69,26 @@ class SearchBudget:
 
 @dataclass(frozen=True)
 class Homomorphism:
-    """A vertex mapping witness.
+    """A vertex mapping witness: switching the source at ``switch_set`` makes
+    ``mapping`` send every source edge to a target edge of equal sign.
 
-    ``kind == "ec"``: ``mapping`` sends every source edge to a target edge of
-    equal sign.  ``kind == "signed"``: the same holds after switching the
-    source at ``switch_set``.
+    An exact (ec) homomorphism is the case of an empty switch set.
     """
 
     mapping: tuple[int, ...]
-    kind: str = "ec"
-    switch_set: frozenset[int] | None = None
+    switch_set: frozenset[int] = frozenset()
 
-    def __post_init__(self):
-        if self.kind not in ("ec", "signed"):
-            raise ValueError(f"unknown homomorphism kind {self.kind!r}")
-        if self.kind == "signed" and self.switch_set is None:
-            object.__setattr__(self, "switch_set", frozenset())
+
+def _require_total(g: SignedGraph, mapping: Sequence[int]) -> None:
+    if len(mapping) != g.n:
+        raise ValueError("mapping must be total on the source vertices")
 
 
 def first_ec_violation(
     g: SignedGraph, h: SignedGraph, mapping: Sequence[int]
 ) -> tuple[int, int] | None:
     """First source edge not carried to an equal-sign target edge, else None."""
-    if len(mapping) != g.n:
-        raise ValueError("mapping must be total on the source vertices")
+    _require_total(g, mapping)
     for u, v, s in g.edges:
         if h.status(mapping[u], mapping[v]) != s:
             return (u, v)
@@ -98,15 +96,28 @@ def first_ec_violation(
 
 
 def verify_ec(g: SignedGraph, h: SignedGraph, mapping: Sequence[int]) -> bool:
-    """True iff ``mapping`` is an ec homomorphism from ``g`` to ``h``."""
+    """True iff ``mapping`` is an ec homomorphism from ``g`` to ``h``.
+
+    An entry outside ``range(h.n)`` gives False instead of aliasing a target
+    vertex.
+    """
+    if mapping and (min(mapping) < 0 or max(mapping) >= h.n):
+        _require_total(g, mapping)  # a mapping of the wrong length still raises
+        return False
     return first_ec_violation(g, h, mapping) is None
 
 
 def verify_signed(g: SignedGraph, h: SignedGraph, hom: Homomorphism) -> bool:
-    """Check a witness of either kind against ``g -> h``."""
-    if hom.kind == "ec":
-        return verify_ec(g, h, hom.mapping)
-    return verify_ec(switch(g, hom.switch_set), h, hom.mapping)
+    """True iff ``hom`` is a signed homomorphism from ``g`` to ``h``.
+
+    A switch entry outside ``range(g.n)`` gives False, as a mapping entry
+    outside ``range(h.n)`` does in :func:`verify_ec`.
+    """
+    try:
+        switched = switch(g, hom.switch_set)
+    except ValueError:  # a switch entry outside range(g.n)
+        return False
+    return verify_ec(switched, h, hom.mapping)
 
 
 def _search_order(g: SignedGraph) -> list[int]:
@@ -201,35 +212,18 @@ def find_ec_hom(
         return False
 
     if extend(0):
-        return Homomorphism(tuple(assignment), kind="ec")
+        return Homomorphism(tuple(assignment))
     return None
 
 
-def _project_signed(rho_mapping: Sequence[int], base_n: int) -> Homomorphism:
-    mapping = tuple(m % base_n for m in rho_mapping)
-    switched = frozenset(v for v, m in enumerate(rho_mapping) if m >= base_n)
-    return Homomorphism(mapping, kind="signed", switch_set=switched)
-
-
 def ec_to_signed(hom: Homomorphism, base_n: int) -> Homomorphism:
-    """Project an ec witness into a doubled target down to a signed witness.
+    """Project a witness into a doubled target down to one into its base.
 
-    Vertices mapped into the minus copy (ids >= ``base_n``) form the switch
+    Vertices mapped into the minus copy (ids >= ``base_n``) join the switch
     set; images collapse to their identity in the base target.
     """
-    if hom.kind != "ec":
-        raise ValueError("expected an ec homomorphism into a doubled target")
-    return _project_signed(hom.mapping, base_n)
-
-
-def signed_to_ec(hom: Homomorphism, base_n: int) -> Homomorphism:
-    """Lift a signed witness to an ec witness into the doubled target."""
-    if hom.kind != "signed":
-        raise ValueError("expected a signed homomorphism")
-    mapping = tuple(
-        m + base_n if v in hom.switch_set else m for v, m in enumerate(hom.mapping)
-    )
-    return Homomorphism(mapping, kind="ec")
+    minus = frozenset(v for v, m in enumerate(hom.mapping) if m >= base_n)
+    return Homomorphism(tuple(m % base_n for m in hom.mapping), hom.switch_set ^ minus)
 
 
 def find_signed_hom(
@@ -245,7 +239,7 @@ def find_signed_hom(
     found = find_ec_hom(g, rho.graph, budget=budget)
     if found is None:
         return None
-    return _project_signed(found.mapping, h.n)
+    return ec_to_signed(found, h.n)
 
 
 def verify_signed_with_mapping(
@@ -260,14 +254,13 @@ def verify_signed_with_mapping(
     copies of its prescribed target vertex in the antitwin doubling of ``h``,
     so only the switch choice is searched.
     """
-    if len(mapping) != g.n:
-        raise ValueError("mapping must be total on the source vertices")
+    _require_total(g, mapping)
     rho = antitwin_double(h)
     domains = [(m, m + h.n) for m in mapping]
     found = find_ec_hom(g, rho.graph, domains=domains, budget=budget)
     if found is None:
         return None
-    return _project_signed(found.mapping, h.n).switch_set
+    return ec_to_signed(found, h.n).switch_set
 
 
 # ---------------------------------------------------------------------------
@@ -369,8 +362,7 @@ def induced_target(g: SignedGraph, mapping: Sequence[int], size: int) -> SignedG
     Raises ``ValueError`` if two source edges force the same color pair to
     carry both signs, or if an edge joins equal colors.
     """
-    if len(mapping) != g.n:
-        raise ValueError("mapping must be total on the source vertices")
+    _require_total(g, mapping)
     signs: dict[tuple[int, int], int] = {}
     for u, v, s in g.edges:
         a, b = mapping[u], mapping[v]

@@ -1,10 +1,13 @@
 """Command-line interface: artifacts, exit codes, determinism."""
 
+import hashlib
 import json
 
 import pytest
 
+from signedgrids import build_T4
 from signedgrids.cli import EXIT_OK, EXIT_UNKNOWN, EXIT_USAGE, EXIT_VERIFY, main
+from signedgrids.graphio import graph_to_dict
 
 
 def run(*argv):
@@ -14,6 +17,10 @@ def run(*argv):
 def read(path):
     with open(path) as fh:
         return json.load(fh)
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 @pytest.fixture
@@ -103,6 +110,29 @@ class TestColorAndVerify:
         bad.write_text(json.dumps(data))
         assert run("verify", "-i", str(hex_graph), "-c", str(bad)) == EXIT_VERIFY
 
+    @pytest.mark.parametrize(
+        "forgery",
+        [
+            {"mapping": [0, 1], "target": {"n": 2, "edges": [[0, 1, 1]]}},  # the grid itself
+            {"mapping": [-1, 1]},  # -1 would alias vertex 3 of T4
+            {"mapping": [99, 1]},
+            {"switch": [99]},
+        ],
+        ids=["grid_as_target", "mapping_-1", "mapping_99", "switch_99"],
+    )
+    def test_forged_certificate_rejected(self, tmp_path, capsys, forgery):
+        # a single positive edge; mapping [3, 1] into T4 is an honest certificate
+        graph, cert = tmp_path / "edge.json", tmp_path / "cert.json"
+        run("gen", "--kind", "hex", "--rows", "1", "--cols", "2", "--p-neg", "0", "-o", str(graph))
+        witness = {"kind": "signed", "mapping": [3, 1], "switch": [], "target": graph_to_dict(build_T4())}
+        cert.write_text(json.dumps({"certificate": witness}))
+        assert run("verify", "-i", str(graph), "-c", str(cert)) == EXIT_OK
+        witness.update(forgery)
+        cert.write_text(json.dumps({"certificate": witness}))
+        capsys.readouterr()
+        assert run("verify", "-i", str(graph), "-c", str(cert)) == EXIT_VERIFY
+        assert capsys.readouterr() == ("certificate REJECTED\n", "")
+
     def test_color_without_grid_metadata(self, tmp_path):
         path = tmp_path / "plain.json"
         path.write_text(json.dumps({"n": 2, "edges": [[0, 1, 1]]}))
@@ -118,6 +148,7 @@ class TestReports:
     def test_props_rho_sp9_plus(self, tmp_path):
         out = tmp_path / "props.json"
         assert run("props", "--target", "rhoSP9plus", "-o", str(out)) == EXIT_OK
+        assert sha256(out) == "2790febd00adf709a82625c12bad27b960af7d13e73a94468a6b70fbe9d2850a"
         data = read(out)
         assert data["all_hold"] is True
         assert data["antiautomorphic"] is True
@@ -126,6 +157,7 @@ class TestReports:
     def test_lowerbounds_wheel7(self, tmp_path, capsys):
         out = tmp_path / "lb.json"
         assert run("lowerbounds", "--instance", "wheel7", "-o", str(out)) == EXIT_OK
+        assert sha256(out) == "418b69981b88808f02b0bfefdcf3a4ff9b4696c770abbd2922bf6473b53fff9f"
         data = read(out)
         assert data["order5_admitting_count"] == 0
         assert data["order6_witness_mask"] is not None
@@ -166,3 +198,50 @@ class TestReports:
 
     def test_missing_input_file(self, tmp_path):
         assert run("color", "-i", str(tmp_path / "nope.json")) == EXIT_USAGE
+
+
+# sha256 of every artifact of a small run of each command; identical
+# invocations must keep writing identical bytes
+GOLDEN = {
+    "chromatic-found.json": "eb945bf9860cdeb97499c487e4c0acbf8ddb8b96192c007395b31c08133205e7",
+    "chromatic-unknown.json": "76b67c10a6f85e93c1d3da8692f35484342ad20deb12698642630aba32524478",
+    "hex-cert.json": "ff276e1b75851cddb48efd6a78aab8b88e80f6a6ab4dde36c2a082973f27ee26",
+    "hex.dot": "56adf4c4c4deddc5003315a95d66b3ae5ae966e8c6e859386caf66d120916eeb",
+    "hex.json": "90c87955835ccbd8a40f433c7ac6bf859521fa74cb43607cbaf364aeaa276d73",
+    "lowerbounds-c6.json": "b80db301cb0b2aa67d74e22a908b9857ba3ba5849113f22bc19cac05ca00c4c3",
+    "motif.dot": "5d28f342b24ff4eb0bdb34d05ea72df7272e887632d9c20964da07630d0dbcdc",
+    "motif.json": "05408e35c8d21d33b5f48d39c3ab0c82c38f8b870a1110d6e929cf2b34450887",
+    "props-SP9.json": "5d4dbb73d5b5358be0cea4cfe6c1fe6cb4cff214e6de4624f019cb2408734131",
+    "props-rhoT4.json": "e6a9caa3b9b954306d3685df97d2c4b22861e372a208264d08b9a2af3268d32e",
+    "tri-cert.json": "b6e69d3ea2870ac8036356dcf616972669367fdf12a4c4f57e15b26f45bb7fc7",
+    "tri.dot": "8111123f64f1a18b9d8879037064569d86b6efb589041a54b0f2b6107df6bec2",
+    "tri.json": "7b45bb31fd49d472ab27f5026c3d4847e73425196bb1fe2cec6267c309497d0d",
+    "tri3.json": "2b102a98114b9f201e04d80839b87bc20dfd84e917286bf0a1db6c609c0970b6",
+}
+
+
+def test_artifacts_are_byte_identical(tmp_path, monkeypatch, capsys):
+    # color and chromatic embed the input path in their config
+    monkeypatch.chdir(tmp_path)
+    steps = [
+        ("gen", "--kind", "hex", "--rows", "4", "--cols", "4", "--seed", "7", "-o", "hex.json"),
+        ("gen", "--kind", "tri", "--rows", "5", "--cols", "4", "--seed", "3", "-o", "tri.json"),
+        ("gen", "--kind", "tri", "--rows", "3", "--cols", "3", "--seed", "1", "-o", "tri3.json"),
+        ("color", "-i", "hex.json", "-o", "hex-cert.json", "--dot", "hex.dot"),
+        ("color", "-i", "tri.json", "-o", "tri-cert.json", "--dot", "tri.dot"),
+        ("verify", "-i", "hex.json", "-c", "hex-cert.json"),
+        ("verify", "-i", "tri.json", "-c", "tri-cert.json"),
+        ("chromatic", "-i", "tri3.json", "-o", "chromatic-found.json"),
+        ("chromatic", "-i", "hex.json", "--max-order", "4", "--budget", "3", "-o", "chromatic-unknown.json"),
+        ("props", "--target", "rhoT4", "-o", "props-rhoT4.json"),
+        ("props", "--target", "SP9", "-o", "props-SP9.json"),
+        ("lowerbounds", "--instance", "c6", "-o", "lowerbounds-c6.json"),
+        ("motif", "--rows", "5", "--cols", "5", "-o", "motif.json", "--dot", "motif.dot"),
+    ]
+    codes = [run(*argv) for argv in steps]
+    assert codes == [EXIT_OK] * 8 + [EXIT_UNKNOWN] + [EXIT_OK] * 4
+    assert capsys.readouterr().out == (
+        "certificate OK\ncertificate OK\n"
+        "no target of order 3; order-4 witness T4 => chromatic number = 4\n"
+    )
+    assert {p.name: sha256(p) for p in tmp_path.iterdir()} == GOLDEN

@@ -3,7 +3,7 @@
 import json
 import random
 
-from signedgrids import GridSpec, build_T4, find_signed_hom, make_grid, random_signature, unbalanced_c6
+from signedgrids import GridSpec, Homomorphism, build_T4, find_signed_hom, make_grid, random_signature, unbalanced_c6
 from signedgrids.graphio import (
     graph_from_dict,
     graph_to_dict,
@@ -50,3 +50,10 @@ def test_dot_styles():
     assert dot.count("dashed") == 1 and dot.count("solid") == 5
     annotated = graph_to_dot(g, annotations=[f"c{v}" for v in range(6)])
     assert 'label="c3"' in annotated
+
+
+def test_ec_certificate_has_no_switch_set():
+    encoded = hom_to_dict(Homomorphism((0, 1)), build_T4())
+    assert encoded["kind"] == "signed" and encoded["switch"] == []
+    encoded.update(kind="ec", switch=[1])  # an ec certificate ignores any switch list
+    assert hom_from_dict(encoded)[0] == Homomorphism((0, 1))

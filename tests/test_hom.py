@@ -28,12 +28,12 @@ from signedgrids import (
     verify_signed,
     verify_signed_with_mapping,
 )
+from signedgrids.graphio import hom_from_dict
 from signedgrids.hom import (
     Homomorphism,
     all_complete_targets,
     ec_to_signed,
     first_ec_violation,
-    signed_to_ec,
 )
 
 from helpers import ec_hom_exists_brute, random_signed_graph, signed_hom_exists_brute
@@ -71,6 +71,19 @@ class TestVerifyEc:
         g = SignedGraph(2, [(0, 1, POS)])
         with pytest.raises(ValueError):
             verify_ec(g, g, [0])
+
+    def test_out_of_range_entries_fail(self):
+        path = SignedGraph(2, [(0, 1, POS)])
+        t4 = build_T4()
+        # -1 would otherwise alias the last target vertex
+        assert verify_ec(path, t4, (3, 1)) and not verify_ec(path, t4, (-1, 1))
+        assert not verify_ec(path, t4, (0, 99))
+
+    def test_out_of_range_switch_entry_fails(self):
+        path = SignedGraph(2, [(0, 1, POS)])
+        t4 = build_T4()
+        assert verify_signed(path, t4, Homomorphism((0, 3), frozenset({1})))
+        assert not verify_signed(path, t4, Homomorphism((0, 3), frozenset({1, 99})))
 
 
 class TestFindEcHom:
@@ -127,7 +140,7 @@ class TestFindEcHom:
 class TestFindSignedHom:
     def test_c6_into_t4(self):
         found = find_signed_hom(unbalanced_c6(), build_T4())
-        assert found is not None and found.kind == "signed"
+        assert found is not None and isinstance(found.switch_set, frozenset)
         assert verify_signed(unbalanced_c6(), build_T4(), found)
 
     def test_c6_has_no_order3_target(self):
@@ -163,7 +176,9 @@ class TestFindSignedHom:
     def test_projection_roundtrip(self):
         g = unbalanced_c6()
         signed = find_signed_hom(g, build_T4())
-        lifted = signed_to_ec(signed, 4)
+        lifted = Homomorphism(
+            tuple(m + 4 if v in signed.switch_set else m for v, m in enumerate(signed.mapping))
+        )
         assert verify_ec(g, rho_t4().graph, lifted.mapping)
         assert ec_to_signed(lifted, 4) == signed
 
@@ -287,5 +302,6 @@ class TestInducedTarget:
 
 
 def test_homomorphism_kind_validation():
+    encoded = {"kind": "weird", "mapping": [0], "target": {"n": 1, "edges": []}}
     with pytest.raises(ValueError):
-        Homomorphism((0,), kind="weird")
+        hom_from_dict(encoded)
