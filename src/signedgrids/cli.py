@@ -152,7 +152,8 @@ def cmd_verify(args) -> int:
     g = _load_graph(args.input)
     with open(args.certificate) as fh:
         cert = json.load(fh)
-    hom, target = hom_from_dict(cert["certificate"] if "certificate" in cert else cert)
+    wrapped = isinstance(cert, dict) and "certificate" in cert
+    hom, target = hom_from_dict(cert["certificate"] if wrapped else cert)
     # a grid's certificate must embed the target of that grid kind, not any graph
     pinned = not isinstance(g.grid, GridSpec) or target == _GRID_KINDS[g.grid.kind][1]()
     ok = pinned and verify_signed(g, target, hom)

@@ -8,7 +8,9 @@ list of ``[i, j]`` cells).  A :class:`~signedgrids.hom.Homomorphism` witness
 "switch": [...], "target": {graph}}``.  ``"kind"`` exists only in the file
 format: ``"signed"`` (the default when absent) reads the switch list, ``"ec"``
 means an empty switch set and ignores any ``"switch"`` list, and any other
-kind is rejected with ``ValueError``.
+kind is rejected with ``ValueError``.  So are a certificate that is not an
+object, a ``"mapping"`` or ``"switch"`` that is not a list, and an entry in
+them that is not an integer (``null``, ``1.5``, ``true``).
 
 DOT output renders positive edges solid and negative edges dashed.
 """
@@ -61,15 +63,26 @@ def hom_to_dict(hom: Homomorphism, target: SignedGraph) -> dict:
     }
 
 
+def _int_list(entries, field: str) -> list[int]:
+    if not isinstance(entries, list):
+        raise ValueError(f"certificate {field!r} must be a list")
+    for x in entries:
+        if type(x) is not int:  # exact type: true is a bool, and int() would truncate 1.5
+            raise ValueError(f"certificate {field!r} entry {x!r} is not an integer")
+    return entries
+
+
 def hom_from_dict(d: Mapping) -> tuple[Homomorphism, SignedGraph]:
+    if not isinstance(d, Mapping):
+        raise ValueError("certificate must be a JSON object")
     target = graph_from_dict(d["target"])
-    mapping = tuple(int(m) for m in d["mapping"])
+    mapping = tuple(_int_list(d["mapping"], "mapping"))
     kind = d.get("kind", "signed")
     if kind == "ec":
         return Homomorphism(mapping), target
     if kind != "signed":
         raise ValueError(f"unknown certificate kind {kind!r}")
-    return Homomorphism(mapping, frozenset(int(v) for v in d.get("switch", []))), target
+    return Homomorphism(mapping, frozenset(_int_list(d.get("switch", []), "switch"))), target
 
 
 def graph_to_dot(

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import permutations
 
-from .core import NEG, POS, SignedGraph, antitwin_double, switch
+from .core import NEG, POS, SignedGraph, antitwin_double
+from .core import switch  # unused here; perfbench/tracing.py patches signedgrids.hom.switch
 
 __all__ = [
     "Homomorphism",
@@ -110,25 +111,39 @@ def verify_ec(g: SignedGraph, h: SignedGraph, mapping: Sequence[int]) -> bool:
 def verify_signed(g: SignedGraph, h: SignedGraph, hom: Homomorphism) -> bool:
     """True iff ``hom`` is a signed homomorphism from ``g`` to ``h``.
 
-    A switch entry outside ``range(g.n)`` gives False, as a mapping entry
-    outside ``range(h.n)`` does in :func:`verify_ec`.
+    Each source edge's sign, flipped when exactly one endpoint is in the
+    switch set, must be the sign of the image pair in ``h``; no switched copy
+    of ``g`` is built.  A switch entry outside ``range(g.n)`` gives False, as
+    a mapping entry outside ``range(h.n)`` does in :func:`verify_ec`.
     """
-    try:
-        switched = switch(g, hom.switch_set)
-    except ValueError:  # a switch entry outside range(g.n)
+    flipped = hom.switch_set
+    if flipped and (min(flipped) < 0 or max(flipped) >= g.n):
         return False
-    return verify_ec(switched, h, hom.mapping)
+    mapping = hom.mapping
+    _require_total(g, mapping)
+    if mapping and (min(mapping) < 0 or max(mapping) >= h.n):
+        return False
+    rows = [h.neighbors(a) for a in range(h.n)]
+    for u, v, s in g.edges:
+        if (u in flipped) != (v in flipped):
+            s = -s
+        if rows[mapping[u]].get(mapping[v], 0) != s:
+            return False
+    return True
 
 
-def _search_order(g: SignedGraph) -> list[int]:
-    # breadth-first from a maximum-degree root, per connected component
+def _search_order(g: SignedGraph) -> tuple[list[int], list[int]]:
+    # breadth-first from a maximum-degree root, per connected component;
+    # returns the order and the root of each component, which opens its block
     seen = [False] * g.n
     order: list[int] = []
+    roots: list[int] = []
     by_degree = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
     for root in by_degree:
         if seen[root]:
             continue
         seen[root] = True
+        roots.append(root)
         queue = [root]
         qi = 0
         while qi < len(queue):
@@ -139,7 +154,7 @@ def _search_order(g: SignedGraph) -> list[int]:
                     seen[w] = True
                     queue.append(w)
         order.extend(queue)
-    return order
+    return order, roots
 
 
 def find_ec_hom(
@@ -154,64 +169,78 @@ def find_ec_hom(
     ascending candidate order, and every assignment filters the candidate
     sets of the still-unassigned neighbors, so results are deterministic.
     ``domains`` optionally restricts the candidates of each source vertex.
-    Raises :class:`BudgetExceededError` if ``budget`` runs out.
+    Raises :class:`BudgetExceededError` if ``budget`` runs out; one node is
+    one candidate tried.
+
+    Candidate sets are int bitmasks over the target vertices.  Each target
+    vertex has one mask of its ``+`` neighbors and one of its ``-``
+    neighbors, built once per call, so filtering a neighbor's candidates is
+    one ``&``; each candidate narrows a copy of the list of bitmasks, so
+    backtracking has nothing to restore.  Candidates are tried lowest bit
+    first, which is the ascending order of a sorted candidate list, so
+    witnesses and node counts are those of a search on sorted lists.
     """
     n = g.n
     if domains is None:
-        doms: list[list[int]] = [list(range(h.n))] * n
+        current = [(1 << h.n) - 1] * n
     else:
         if len(domains) != n:
             raise ValueError("domains must list candidates for every vertex")
-        doms = []
+        current = []
         for cand in domains:
-            dom = sorted(set(cand))
-            if any(not 0 <= c < h.n for c in dom):
-                raise ValueError("candidate out of target range")
-            doms.append(dom)
+            bits = 0
+            for c in cand:
+                if not 0 <= c < h.n:
+                    raise ValueError("candidate out of target range")
+                bits |= 1 << c
+            current.append(bits)
 
-    order = _search_order(g)
+    # per target vertex and sign: the bitmask of its neighbors of that sign
+    masks = {POS: [0] * h.n, NEG: [0] * h.n}
+    for a in range(h.n):
+        for b, s in h.neighbors(a).items():
+            masks[s][a] |= 1 << b
+
+    order, _ = _search_order(g)
     position = [0] * n
     for k, v in enumerate(order):
         position[v] = k
-    # per search vertex: neighbors that come later in the order, with signs
-    later: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    # per search vertex: neighbors that come later in the order, with the
+    # masks of the sign of the joining edge
+    later: list[list[tuple[int, list[int]]]] = [[] for _ in range(n)]
     for v in range(n):
         for w, s in g.neighbors(v).items():
             if position[w] > position[v]:
-                later[v].append((w, s))
+                later[v].append((w, masks[s]))
 
-    hstat = [[h.status(a, b) for b in range(h.n)] for a in range(h.n)]
-    current: list[list[int]] = [list(d) for d in doms]
     assignment = [-1] * n
+    spend = budget.spend if budget is not None else None
 
-    def extend(k: int) -> bool:
+    def extend(k: int, current: list[int]) -> bool:
         if k == n:
             return True
         v = order[k]
-        for c in current[v]:
-            if budget is not None:
-                budget.spend()
-            assignment[v] = c
-            saved = []
-            ok = True
-            row = hstat[c]
-            for w, s in later[v]:
-                old = current[w]
-                new = [d for d in old if row[d] == s]
+        nbrs = later[v]
+        rest = current[v]
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            c = low.bit_length() - 1
+            if spend is not None:
+                spend()
+            narrowed = current[:]
+            for w, mask in nbrs:
+                new = narrowed[w] & mask[c]
                 if not new:
-                    ok = False
-                    saved.append((w, old))
                     break
-                saved.append((w, old))
-                current[w] = new
-            if ok and extend(k + 1):
-                return True
-            for w, old in saved:
-                current[w] = old
-            assignment[v] = -1
+                narrowed[w] = new
+            else:
+                assignment[v] = c
+                if extend(k + 1, narrowed):
+                    return True
         return False
 
-    if extend(0):
+    if extend(0, current):
         return Homomorphism(tuple(assignment))
     return None
 
@@ -234,9 +263,21 @@ def find_signed_hom(
     Runs the exact ec search into the antitwin doubling of ``h``; a source
     vertex mapped into the minus copy belongs to the switch witness, and its
     image projects to the corresponding vertex of ``h``.
+
+    The root of each connected component of ``g`` (the first vertex of its
+    block in the search order) may map only into the plus copy, ids below
+    ``h.n``.  Swapping the plus and minus copies of all images on one
+    component keeps every edge sign, so fixing roots loses no answer.  Each
+    component's block is searched with plus copies tried first, so the first
+    solution, the witness, already has plus roots and is unchanged; only the
+    subtrees under minus roots, about half of a "no" answer, are skipped.
+    Fixing any other vertex could change the witness.
     """
     rho = antitwin_double(h)
-    found = find_ec_hom(g, rho.graph, budget=budget)
+    domains = [range(rho.graph.n)] * g.n
+    for root in _search_order(g)[1]:
+        domains[root] = range(h.n)
+    found = find_ec_hom(g, rho.graph, domains=domains, budget=budget)
     if found is None:
         return None
     return ec_to_signed(found, h.n)

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from itertools import combinations, product
 
 from hypothesis import strategies as st
 
 from signedgrids import SignedGraph, switch, verify_ec
-from signedgrids.hom import find_ec_hom
+from signedgrids.hom import Homomorphism, SearchBudget, _search_order, find_ec_hom
 
 
 def random_signed_graph(rng: random.Random, n: int, p_edge: float = 0.4) -> SignedGraph:
@@ -71,3 +72,74 @@ def signed_hom_exists_brute(g: SignedGraph, h: SignedGraph) -> bool:
         if find_ec_hom(switch(g, subset), h) is not None:
             return True
     return False
+
+
+def find_ec_hom_reference(
+    g: SignedGraph,
+    h: SignedGraph,
+    domains: Sequence[Sequence[int]] | None = None,
+    budget: SearchBudget | None = None,
+) -> Homomorphism | None:
+    """Oracle: ``find_ec_hom`` on sorted candidate lists instead of bitmasks.
+
+    Same search order, candidate order and one budget node per candidate
+    tried, so it must return the same witness and spend the same budget.
+    """
+    n = g.n
+    if domains is None:
+        doms: list[list[int]] = [list(range(h.n))] * n
+    else:
+        if len(domains) != n:
+            raise ValueError("domains must list candidates for every vertex")
+        doms = []
+        for cand in domains:
+            dom = sorted(set(cand))
+            if any(not 0 <= c < h.n for c in dom):
+                raise ValueError("candidate out of target range")
+            doms.append(dom)
+
+    order, _ = _search_order(g)
+    position = [0] * n
+    for k, v in enumerate(order):
+        position[v] = k
+    # per search vertex: neighbors that come later in the order, with signs
+    later: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for v in range(n):
+        for w, s in g.neighbors(v).items():
+            if position[w] > position[v]:
+                later[v].append((w, s))
+
+    hstat = [[h.status(a, b) for b in range(h.n)] for a in range(h.n)]
+    current: list[list[int]] = [list(d) for d in doms]
+    assignment = [-1] * n
+
+    def extend(k: int) -> bool:
+        if k == n:
+            return True
+        v = order[k]
+        for c in current[v]:
+            if budget is not None:
+                budget.spend()
+            assignment[v] = c
+            saved = []
+            ok = True
+            row = hstat[c]
+            for w, s in later[v]:
+                old = current[w]
+                new = [d for d in old if row[d] == s]
+                if not new:
+                    ok = False
+                    saved.append((w, old))
+                    break
+                saved.append((w, old))
+                current[w] = new
+            if ok and extend(k + 1):
+                return True
+            for w, old in saved:
+                current[w] = old
+            assignment[v] = -1
+        return False
+
+    if extend(0):
+        return Homomorphism(tuple(assignment))
+    return None

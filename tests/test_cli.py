@@ -133,6 +133,31 @@ class TestColorAndVerify:
         assert run("verify", "-i", str(graph), "-c", str(cert)) == EXIT_VERIFY
         assert capsys.readouterr() == ("certificate REJECTED\n", "")
 
+    @pytest.mark.parametrize(
+        "forge",
+        [
+            lambda w: {"certificate": dict(w, mapping=31)},
+            lambda w: {"certificate": dict(w, switch=1)},
+            lambda w: {"certificate": dict(w, mapping=[None, 1])},
+            lambda w: {"certificate": dict(w, mapping=[1.5, 1])},
+            lambda w: {"certificate": dict(w, mapping=[True, 1])},
+            lambda w: {"certificate": dict(w, switch=[None])},
+            lambda w: [1, 2],
+            lambda w: {"certificate": [1, 2]},
+        ],
+        ids=["mapping_not_list", "switch_not_list", "mapping_null", "mapping_float",
+             "mapping_bool", "switch_null", "file_array", "certificate_array"],
+    )
+    def test_malformed_certificate_is_a_usage_error(self, tmp_path, capsys, forge):
+        graph, cert = tmp_path / "edge.json", tmp_path / "cert.json"
+        run("gen", "--kind", "hex", "--rows", "1", "--cols", "2", "--p-neg", "0", "-o", str(graph))
+        witness = {"kind": "signed", "mapping": [3, 1], "switch": [], "target": graph_to_dict(build_T4())}
+        cert.write_text(json.dumps(forge(witness)))
+        capsys.readouterr()
+        assert run("verify", "-i", str(graph), "-c", str(cert)) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("signedgrids: ") and "Traceback" not in err
+
     def test_color_without_grid_metadata(self, tmp_path):
         path = tmp_path / "plain.json"
         path.write_text(json.dumps({"n": 2, "edges": [[0, 1, 1]]}))

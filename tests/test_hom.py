@@ -11,6 +11,7 @@ from signedgrids import (
     BudgetExceededError,
     SearchBudget,
     SignedGraph,
+    antitwin_double,
     build_T4,
     build_SP9,
     canonical_complete_targets,
@@ -36,7 +37,12 @@ from signedgrids.hom import (
     first_ec_violation,
 )
 
-from helpers import ec_hom_exists_brute, random_signed_graph, signed_hom_exists_brute
+from helpers import (
+    ec_hom_exists_brute,
+    find_ec_hom_reference,
+    random_signed_graph,
+    signed_hom_exists_brute,
+)
 
 
 def all_positive_cycle(k):
@@ -181,6 +187,71 @@ class TestFindSignedHom:
         )
         assert verify_ec(g, rho_t4().graph, lifted.mapping)
         assert ec_to_signed(lifted, 4) == signed
+
+
+class TestAgainstListReference:
+    """The bitset engine against the list-domain search it replaced."""
+
+    @staticmethod
+    def spent(search, g, h, domains, limit):
+        budget = SearchBudget(limit)
+        try:
+            return search(g, h, domains=domains, budget=budget), limit - budget.remaining
+        except BudgetExceededError:
+            return "unknown", limit - budget.remaining
+
+    def test_same_witness_and_budget(self):
+        rng = random.Random(90210)
+        shuffled = exhausted = 0
+        for _ in range(240):
+            g = random_signed_graph(rng, rng.randint(0, 9), rng.choice((0.2, 0.4, 0.7)))
+            h = random_signed_graph(rng, rng.randint(1, 8), rng.choice((0.5, 0.8)))
+            domains = None
+            if rng.random() < 0.8:
+                domains = []
+                for _ in range(g.n):
+                    cand = rng.sample(range(h.n), rng.randint(1, h.n))
+                    cand += rng.choices(cand, k=rng.randint(0, 2))
+                    shuffled += cand != sorted(set(cand))
+                    domains.append(cand)
+            limit = rng.choice((5, 50, 10**6))
+            fast = self.spent(find_ec_hom, g, h, domains, limit)
+            assert fast == self.spent(find_ec_hom_reference, g, h, domains, limit)
+            exhausted += fast[0] == "unknown"
+        assert shuffled > 100 and exhausted > 10
+
+    def test_signed_witness_matches_projected_reference(self):
+        rng = random.Random(31337)
+        split = 0
+        for _ in range(120):
+            g = random_signed_graph(rng, rng.randint(1, 9), rng.choice((0.1, 0.25, 0.5)))
+            h = random_signed_graph(rng, rng.randint(1, 4), 0.8)
+            expected = find_ec_hom_reference(g, antitwin_double(h).graph)
+            if expected is not None:
+                expected = ec_to_signed(expected, h.n)
+            assert find_signed_hom(g, h) == expected
+            split += any(g.degree(v) == 0 for v in range(g.n)) and g.edge_count > 0
+        assert split > 20
+
+    def test_verify_signed_agrees_with_switched_verify_ec(self):
+        rng = random.Random(2718)
+        honest = 0
+        for _ in range(150):
+            g = random_signed_graph(rng, rng.randint(1, 8), 0.5)
+            h = random_signed_graph(rng, rng.randint(1, 4), 0.8)
+            found = find_signed_hom(g, h)
+            candidates = [] if found is None else [found]
+            honest += found is not None
+            for _ in range(4):
+                mapping = tuple(rng.randint(-1, h.n) for _ in range(g.n))
+                flipped = frozenset(v for v in range(g.n) if rng.random() < 0.5)
+                candidates.append(Homomorphism(mapping, flipped))
+                if found is not None:
+                    candidates.append(Homomorphism(found.mapping, flipped))
+            for hom in candidates:
+                expected = verify_ec(switch(g, hom.switch_set), h, hom.mapping)
+                assert verify_signed(g, h, hom) == expected
+        assert honest > 30
 
 
 class TestVerifySignedWithMapping:
