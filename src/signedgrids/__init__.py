@@ -29,6 +29,7 @@ from .core import (
     plus_universal,
     rho_sp9_plus,
     rho_t4,
+    sign_masks,
     sp5_plus,
     sp9_plus,
     switch,

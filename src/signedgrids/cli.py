@@ -93,7 +93,8 @@ def _emit(path: str | None, payload: dict, command: str, config: dict) -> None:
 def _load_graph(path: str) -> SignedGraph:
     with open(path) as fh:
         data = json.load(fh)
-    return graph_from_dict(data["graph"] if "graph" in data else data)
+    wrapped = isinstance(data, dict) and "graph" in data
+    return graph_from_dict(data["graph"] if wrapped else data)
 
 
 def cmd_gen(args) -> int:

@@ -20,20 +20,26 @@ verifier can check:
   within a row, a forward pass propagates per-vertex candidate color sets
   (each provably of size at least 2) and a backward pass commits choices.
 
-Both algorithms are deterministic: ties break toward the smallest target
-vertex id in the fixed target ordering.  On masked grids the full bounding
-grid is colored (absent edges filled positive) and the mapping restricted,
-which is valid because restricting a homomorphism to an induced subgraph
-keeps it a homomorphism.
+Candidate color sets are int bitmasks over the target vertices, ``&``-ed
+from the target's :func:`signedgrids.core.sign_masks` table.  Both
+algorithms are deterministic: ties break toward the smallest target vertex
+id (the lowest set bit) in the fixed target ordering.  Both color the
+bounding grid in place, on ids ``(i-1)*cols + (j-1)``, where a cell the mask
+drops reads as joined by ``+`` edges; the mapping is then restricted to the
+retained cells, which is valid because restricting a homomorphism to an
+induced subgraph keeps it a homomorphism.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
+from functools import cache
 
-from .core import NEG, POS, AntitwinnedGraph, SignedGraph, rho_sp9_plus, rho_t4, switch
-from .grids import GridSpec, make_grid
+from .core import NEG, POS, SignedGraph, rho_sp9_plus, rho_t4, sign_masks
+from .core import switch  # unused here; perfbench/tracing.py patches signedgrids.colorers.switch
+from .grids import GridSpec
+from .grids import make_grid  # unused here; perfbench/tracing.py patches signedgrids.colorers.make_grid
 from .hom import Homomorphism
 from .props import pstar21_excluded_pairs
 
@@ -57,12 +63,22 @@ class ColoringInvariantError(RuntimeError):
 
 @dataclass(frozen=True)
 class CandidateTrace:
-    """Per-row candidate color sets produced by the triangular forward pass."""
+    """Per-row candidate color sets produced by the triangular forward pass,
+    one int bitmask over the target vertices per cell of the bounding grid."""
 
-    rows: tuple[tuple[frozenset[int], ...], ...]
+    rows: tuple[tuple[int, ...], ...]
 
     def min_size(self) -> int:
-        return min(len(s) for row in self.rows for s in row)
+        return min(s.bit_count() for row in self.rows for s in row)
+
+
+def _members(colors: int) -> list[int]:
+    """The colors of a bitmask, ascending."""
+    return [c for c in range(colors.bit_length()) if colors >> c & 1]
+
+
+def _lowest(colors: int) -> int:
+    return (colors & -colors).bit_length() - 1
 
 
 def compatible_colors(
@@ -72,13 +88,11 @@ def compatible_colors(
 
     With no constraints every vertex of ``h`` qualifies.
     """
-    cands: frozenset[int] | None = None
+    masks = sign_masks(h)
+    cands = (1 << h.n) - 1
     for image, s in constraints:
-        nbrs = h.signed_neighbors(image, s)
-        cands = nbrs if cands is None else cands & nbrs
-    if cands is None:
-        return list(range(h.n))
-    return sorted(cands)
+        cands &= masks[s][image]
+    return _members(cands)
 
 
 def _require_grid(g: SignedGraph, kind: str) -> GridSpec:
@@ -88,23 +102,15 @@ def _require_grid(g: SignedGraph, kind: str) -> GridSpec:
     return spec
 
 
-def _fill_bounding(g: SignedGraph) -> tuple[SignedGraph, list[int]]:
-    """Extend a masked grid to its full bounding grid, filling with +1.
-
-    Returns the full grid and, per masked vertex, its id in the full grid.
-    """
-    spec: GridSpec = g.grid
-    full = spec.unmasked()
-    index = {c: k for k, c in enumerate(spec.cells())}
-    signature = {}
-    for a, b in full.edges():
-        if a in index and b in index:
-            signature[(a, b)] = g.sign(index[a], index[b])
-        else:
-            signature[(a, b)] = POS
-    full_g = make_grid(full, signature)
-    full_index = {c: k for k, c in enumerate(full.cells())}
-    return full_g, [full_index[c] for c in spec.cells()]
+def _sign_reader(g: SignedGraph, spec: GridSpec) -> Callable[[int, int], int]:
+    """Sign between two cells given by bounding-grid ids; ``+`` where the
+    mask drops a cell or the graph lacks the edge."""
+    vertex = [-1] * (spec.rows * spec.cols)
+    adj: list[dict[int, int]] = [{}] * (spec.rows * spec.cols)  # a dropped cell has no edges
+    for v, (i, j) in enumerate(spec.cells()):
+        vertex[(i - 1) * spec.cols + (j - 1)] = v
+        adj[(i - 1) * spec.cols + (j - 1)] = g.neighbors(v)
+    return lambda a, b: adj[a].get(vertex[b], POS)
 
 
 # ---------------------------------------------------------------------------
@@ -112,34 +118,37 @@ def _fill_bounding(g: SignedGraph) -> tuple[SignedGraph, list[int]]:
 # ---------------------------------------------------------------------------
 
 
-def normalize_hex(g: SignedGraph) -> tuple[SignedGraph, frozenset[int]]:
-    """Switch a full hexagonal grid so the coloring scaffold is all positive.
+def normalize_hex(g: SignedGraph) -> tuple[Callable[[int, int], int], frozenset[int]]:
+    """Switch a hexagonal grid so the coloring scaffold is all positive.
 
-    Scans positions ``(i, j)`` with ``i + j`` odd in row-major order, for
-    ``i`` from 2 to one row past the grid.  Each position looks at the sign
-    pair (vertical edge up to ``(i-1, j)``, horizontal edge ``(i-1, j)`` to
-    ``(i-1, j+1)``) and switches so both come out positive:
+    Works on the bounding grid (see the module docstring).  Scans positions
+    ``(i, j)`` with ``i + j`` odd in row-major order, for ``i`` from 2 to one
+    row past the grid.  Each position looks at the sign pair (vertical edge
+    up to ``(i-1, j)``, horizontal edge ``(i-1, j)`` to ``(i-1, j+1)``) and
+    switches so both come out positive:
 
     * ``(-,-)``: switch ``(i-1, j)``
     * ``(+,-)``: switch ``(i, j)`` and ``(i-1, j)``
     * ``(-,+)``: switch ``(i, j)``
 
-    A missing edge counts as positive and a missing vertex is never switched,
-    which covers the right boundary (no horizontal edge) and the virtual row
+    An edge leaving the bounding grid counts as positive and a vertex outside
+    it is never switched, which covers the right boundary (no horizontal edge) and the virtual row
     below the grid (no vertical edge; only the last row's horizontal edges
     remain to fix).  Later positions never disturb edges already processed.
-    Returns the switched grid and the switch set (double switches cancel).
+
+    Returns the switched grid's signs as a reader ``sign(a, b)`` over
+    bounding-grid ids, not as a switched copy, and the switch set (double
+    switches cancel) as bounding-grid ids, which are the vertex ids of an
+    unmasked grid.
     """
     spec = _require_grid(g, "hex")
-    if spec.mask is not None:
-        raise ValueError("normalize_hex expects a full grid; extend masks first")
     rows, cols = spec.rows, spec.cols
     vid = lambda i, j: (i - 1) * cols + (j - 1)
-    flip = [False] * g.n
+    sign = _sign_reader(g, spec)
+    flip = [POS] * (rows * cols)  # NEG at a switched vertex
 
     def live_sign(a: int, b: int) -> int:
-        s = g.sign(a, b)
-        return -s if flip[a] != flip[b] else s
+        return sign(a, b) * flip[a] * flip[b]
 
     for i in range(2, rows + 2):
         for j in range(1, cols + 1):
@@ -151,19 +160,15 @@ def normalize_hex(g: SignedGraph) -> tuple[SignedGraph, frozenset[int]]:
             sv = live_sign(cur, up) if cur is not None else POS
             sh = live_sign(up, upright) if upright is not None else POS
             if sv == NEG and sh == NEG:
-                flip[up] = not flip[up]
+                flip[up] = -flip[up]
             elif sv == POS and sh == NEG:
                 if cur is not None:
-                    flip[cur] = not flip[cur]
-                flip[up] = not flip[up]
+                    flip[cur] = -flip[cur]
+                flip[up] = -flip[up]
             elif sv == NEG and sh == POS:
-                flip[cur] = not flip[cur]
-    switched = frozenset(v for v in range(g.n) if flip[v])
-    return switch(g, switched), switched
-
-
-def _antitwin_free(rho: AntitwinnedGraph, colors: list[int]) -> bool:
-    return all(rho.twin(c) not in colors for c in colors)
+                flip[cur] = -flip[cur]
+    switched = frozenset(k for k, f in enumerate(flip) if f == NEG)
+    return live_sign, switched
 
 
 def color_hex(g: SignedGraph) -> Homomorphism:
@@ -175,19 +180,21 @@ def color_hex(g: SignedGraph) -> Homomorphism:
     colorable.
     """
     spec = _require_grid(g, "hex")
-    if spec.mask is not None:
-        full, restrict = _fill_bounding(g)
-        inner = color_hex(full)
-        return Homomorphism(tuple(inner.mapping[k] for k in restrict))
-
     rows, cols = spec.rows, spec.cols
     vid = lambda i, j: (i - 1) * cols + (j - 1)
-    normalized, switched = normalize_hex(g)
+    sign, switched = normalize_hex(g)
     rho = rho_t4()
-    target = rho.graph
+    masks = sign_masks(rho.graph)
+    everyone = (1 << rho.n) - 1
+    half = rho.n // 2  # the doubling puts the twin of c at (c + half) % rho.n
     excluded = pstar21_excluded_pairs(rho)
     group_of = {0: (0, 3), 3: (0, 3), 1: (1, 2), 2: (1, 2)}
-    phi = [-1] * g.n
+    # per color of the diagonal: the colors whose identity is outside its group
+    outside_group = [
+        sum(1 << c for c in range(rho.n) if rho.identity(c) not in group_of[rho.identity(d)])
+        for d in range(rho.n)
+    ]
+    phi = [-1] * (rows * cols)
 
     for i in range(1, rows + 1):
         for j in range(1, cols + 1):
@@ -195,58 +202,49 @@ def color_hex(g: SignedGraph) -> Homomorphism:
             if (i + j) % 2 == 0:
                 # one earlier neighbor at most: the vertex straight above
                 if i == 1:
-                    cands = list(range(target.n))
+                    cands = everyone
                 else:
                     up = vid(i - 1, j)
-                    cands = compatible_colors(
-                        target, [(phi[up], normalized.sign(up, cur))]
-                    )
-                    if len(cands) < 3 or not _antitwin_free(rho, cands):
+                    cands = masks[sign(up, cur)][phi[up]]
+                    twins = (cands >> half | cands << half) & everyone
+                    if cands.bit_count() < 3 or cands & twins:
                         raise ColoringInvariantError(
-                            f"single-constraint candidates degenerate at ({i},{j}): {cands}"
+                            f"single-constraint candidates degenerate at ({i},{j}): {_members(cands)}"
                         )
                 if i >= 2 and j < cols:
                     # keep this color's identity group disjoint from the
                     # diagonal's, so the vertex below-right of the diagonal
                     # later sees a pair with a common positive neighbor
-                    diag = phi[vid(i - 1, j + 1)]
-                    banned = group_of[rho.identity(diag)]
-                    cands = [c for c in cands if rho.identity(c) not in banned]
-                if not cands:
-                    raise ColoringInvariantError(f"no candidate at ({i},{j})")
-                phi[cur] = cands[0]
+                    cands &= outside_group[phi[vid(i - 1, j + 1)]]
             else:
-                constraints = []
+                cands = everyone
                 if i >= 2:
                     up = vid(i - 1, j)
-                    s = normalized.sign(up, cur)
-                    if s != POS:
+                    if sign(up, cur) != POS:
                         raise ColoringInvariantError(
                             f"vertical scaffold edge above ({i},{j}) not positive"
                         )
-                    constraints.append((phi[up], s))
+                    cands &= masks[POS][phi[up]]
                 if j >= 2:
                     left = vid(i, j - 1)
-                    s = normalized.sign(left, cur)
-                    if s != POS:
+                    if sign(left, cur) != POS:
                         raise ColoringInvariantError(
                             f"horizontal scaffold edge left of ({i},{j}) not positive"
                         )
-                    constraints.append((phi[left], s))
-                if len(constraints) == 2:
-                    a, b = constraints[0][0], constraints[1][0]
+                    cands &= masks[POS][phi[left]]
+                if i >= 2 and j >= 2:
+                    a, b = phi[up], phi[left]
                     if a == b or rho.twin(a) == b or frozenset({a, b}) in excluded:
                         raise ColoringInvariantError(
                             f"invalid color pair {a},{b} ahead of ({i},{j})"
                         )
-                cands = compatible_colors(target, constraints)
-                if not cands:
-                    raise ColoringInvariantError(f"no candidate at ({i},{j})")
-                phi[cur] = cands[0]
+            if not cands:
+                raise ColoringInvariantError(f"no candidate at ({i},{j})")
+            phi[cur] = _lowest(cands)
 
     # undo the normalization: switched vertices take their antitwin image
-    final = [rho.twin(c) if v in switched else c for v, c in enumerate(phi)]
-    return Homomorphism(tuple(final))
+    final = [rho.twin(c) if k in switched else c for k, c in enumerate(phi)]
+    return Homomorphism(tuple(final[vid(i, j)] for i, j in spec.cells()))
 
 
 # ---------------------------------------------------------------------------
@@ -260,63 +258,66 @@ def color_tri(g: SignedGraph) -> tuple[Homomorphism, CandidateTrace]:
     Row by row: the forward pass builds, for each vertex of the current row,
     the full set of target vertices compatible with its two colored neighbors
     in the row above and reachable from some candidate of its left neighbor
-    across the row edge.  Every such set provably has at least 2 elements
+    across the row edge (the OR of that edge's sign masks over the left
+    neighbor's set).  Every such set provably has at least 2 elements
     (checked, never expected to fail).  The backward pass then fixes the row
-    right to left.  Returns the homomorphism (empty switch set, target
-    :func:`signedgrids.core.rho_sp9_plus`) and the trace of candidate sets.
+    right to left, each vertex taking the lowest candidate compatible with
+    its right neighbor's choice.  Returns the homomorphism (empty switch set,
+    target :func:`signedgrids.core.rho_sp9_plus`) and the trace of candidate
+    sets.
     """
     spec = _require_grid(g, "tri")
-    if spec.mask is not None:
-        full, restrict = _fill_bounding(g)
-        inner, trace = color_tri(full)
-        mapping = tuple(inner.mapping[k] for k in restrict)
-        return Homomorphism(mapping), trace
-
     rows, cols = spec.rows, spec.cols
     vid = lambda r, c: (r - 1) * cols + (c - 1)
+    sign = _sign_reader(g, spec)
     target = rho_sp9_plus().graph
-    phi = [-1] * g.n
+    masks = sign_masks(target)
+    everyone = (1 << target.n) - 1
+
+    @cache
+    def reachable(colors: int, s: int) -> int:
+        """Colors joined by an ``s`` edge to some color of ``colors``."""
+        out = 0
+        for p in _members(colors):
+            out |= masks[s][p]
+        return out
+
+    phi = [-1] * (rows * cols)
     trace_rows = []
 
     for r in range(1, rows + 1):
-        sets: list[frozenset[int]] = []
+        sets: list[int] = []
         for c in range(1, cols + 1):
             cur = vid(r, c)
-            constraints = []
+            cands = everyone
             if r >= 2:
                 up = vid(r - 1, c)
-                constraints.append((phi[up], g.sign(up, cur)))
+                cands &= masks[sign(up, cur)][phi[up]]
                 if c < cols:
                     upright = vid(r - 1, c + 1)
-                    constraints.append((phi[upright], g.sign(upright, cur)))
-            cands = compatible_colors(target, constraints)
+                    cands &= masks[sign(upright, cur)][phi[upright]]
             if c >= 2:
-                left = vid(r, c - 1)
-                s_row = g.sign(left, cur)
-                prev = sets[-1]
-                cands = [
-                    t for t in cands if any(target.status(p, t) == s_row for p in prev)
-                ]
-            if len(cands) < 2:
+                cands &= reachable(sets[-1], sign(cur - 1, cur))
+            if cands.bit_count() < 2:
                 raise ColoringInvariantError(
-                    f"candidate set at ({r},{c}) has {len(cands)} < 2 colors"
+                    f"candidate set at ({r},{c}) has {cands.bit_count()} < 2 colors"
                 )
-            sets.append(frozenset(cands))
+            sets.append(cands)
         trace_rows.append(tuple(sets))
 
         # backward pass: commit the row right to left
         choice = [-1] * cols
-        choice[cols - 1] = min(sets[cols - 1])
+        choice[cols - 1] = _lowest(sets[cols - 1])
         for c in range(cols - 1, 0, -1):
-            s_row = g.sign(vid(r, c), vid(r, c + 1))
-            nxt = choice[c]
-            feasible = [p for p in sorted(sets[c - 1]) if target.status(p, nxt) == s_row]
+            s_row = sign(vid(r, c), vid(r, c + 1))
+            feasible = sets[c - 1] & masks[s_row][choice[c]]
             if not feasible:
                 raise ColoringInvariantError(
                     f"backward pass stuck at ({r},{c}); forward filter broken"
                 )
-            choice[c - 1] = feasible[0]
+            choice[c - 1] = _lowest(feasible)
         for c in range(1, cols + 1):
             phi[vid(r, c)] = choice[c - 1]
 
-    return Homomorphism(tuple(phi)), CandidateTrace(tuple(trace_rows))
+    mapping = tuple(phi[vid(r, c)] for r, c in spec.cells())
+    return Homomorphism(mapping), CandidateTrace(tuple(trace_rows))

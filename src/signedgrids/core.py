@@ -26,6 +26,7 @@ __all__ = [
     "NEG",
     "SignedGraph",
     "AntitwinnedGraph",
+    "sign_masks",
     "switch",
     "switching_equivalent",
     "negate",
@@ -122,17 +123,8 @@ class SignedGraph:
         """Mapping neighbor -> sign.  Treat as read-only."""
         return self._adj[v]
 
-    def signed_neighbors(self, v: int, s: int) -> frozenset[int]:
-        return frozenset(u for u, t in self._adj[v].items() if t == s)
-
     def degree(self, v: int) -> int:
         return len(self._adj[v])
-
-    def pos_degree(self, v: int) -> int:
-        return sum(1 for s in self._adj[v].values() if s == POS)
-
-    def neg_degree(self, v: int) -> int:
-        return sum(1 for s in self._adj[v].values() if s == NEG)
 
     def label(self, v: int) -> str:
         return self.labels[v] if self.labels is not None else str(v)
@@ -151,6 +143,18 @@ class SignedGraph:
 
     def __repr__(self) -> str:
         return f"SignedGraph(n={self.n}, edges={len(self._edges)})"
+
+
+def sign_masks(h: SignedGraph) -> dict[int, list[int]]:
+    """Bit ``b`` of ``sign_masks(h)[s][a]`` is set iff ``ab`` is an edge of sign ``s``.
+
+    Built per call; nothing is cached.
+    """
+    masks = {POS: [0] * h.n, NEG: [0] * h.n}
+    for a in range(h.n):
+        for b, s in h._adj[a].items():
+            masks[s][a] |= 1 << b
+    return masks
 
 
 def switch(g: SignedGraph, vertices: Iterable[int]) -> SignedGraph:

@@ -12,6 +12,14 @@ kind is rejected with ``ValueError``.  So are a certificate that is not an
 object, a ``"mapping"`` or ``"switch"`` that is not a list, and an entry in
 them that is not an integer (``null``, ``1.5``, ``true``).
 
+A graph object is rejected with ``ValueError`` too when it is not an object,
+its ``"n"`` is not an integer, its ``"edges"`` is not a list of ``[u, v, s]``
+integer triples, its ``"labels"`` is not a list of strings, or its
+``"grid"`` is not an object with integer ``"rows"``/``"cols"`` and a
+``"mask"`` list of ``[i, j]`` integer pairs.  With grid metadata the edges
+must be exactly the grid's: an edge between cells that are not grid
+neighbors, or a missing grid edge, is named in the error.
+
 DOT output renders positive edges solid and negative edges dashed.
 """
 
@@ -31,11 +39,31 @@ def grid_to_dict(spec: GridSpec) -> dict:
     return out
 
 
+def _int_list(entries, what: str) -> list[int]:
+    if not isinstance(entries, list):
+        raise ValueError(f"{what} must be a list")
+    for x in entries:
+        if type(x) is not int:  # exact type: true is a bool, and int() would truncate 1.5
+            raise ValueError(f"{what} entry {x!r} is not an integer")
+    return entries
+
+
 def grid_from_dict(d: Mapping) -> GridSpec:
+    if not isinstance(d, Mapping):
+        raise ValueError("grid metadata must be a JSON object")
+    rows, cols = d.get("rows"), d.get("cols")
+    if type(rows) is not int or type(cols) is not int:
+        raise ValueError(f"grid 'rows' {rows!r} and 'cols' {cols!r} must be integers")
     mask = None
     if "mask" in d:
-        mask = frozenset((int(i), int(j)) for i, j in d["mask"])
-    return GridSpec(d["kind"], int(d["rows"]), int(d["cols"]), mask)
+        cells = d["mask"]
+        if not isinstance(cells, list):
+            raise ValueError("grid 'mask' must be a list")
+        for cell in cells:
+            if len(_int_list(cell, "grid 'mask' cell")) != 2:
+                raise ValueError(f"grid 'mask' cell {cell!r} is not an [i, j] pair")
+        mask = frozenset((i, j) for i, j in cells)
+    return GridSpec(d.get("kind"), rows, cols, mask)
 
 
 def graph_to_dict(g: SignedGraph) -> dict:
@@ -47,11 +75,73 @@ def graph_to_dict(g: SignedGraph) -> dict:
     return out
 
 
+def _grid_edge_count(spec: GridSpec) -> int:
+    rows, cols = spec.rows, spec.cols
+    if spec.mask is not None:
+        return len(spec.edges())
+    if spec.kind == "hex":  # verticals, then the row edges (i, j)-(i, j+1) with i + j even
+        return (rows - 1) * cols + (rows + 1) // 2 * (cols // 2) + rows // 2 * ((cols - 1) // 2)
+    return rows * (cols - 1) + (rows - 1) * (2 * cols - 1)
+
+
 def graph_from_dict(d: Mapping) -> SignedGraph:
-    edges = [(int(u), int(v), int(s)) for u, v, s in d["edges"]]
+    """Read a graph object; raise ``ValueError`` on any malformed or inconsistent field.
+
+    With grid metadata, the edges must be exactly the grid's: each one is
+    checked to join two neighboring retained cells by coordinate arithmetic,
+    and, since the graph rejects duplicate edges, an edge count below the
+    grid's means a missing edge, which is then named.
+    """
+    if not isinstance(d, Mapping):
+        raise ValueError("graph must be a JSON object")
+    n = d.get("n")
+    if type(n) is not int:
+        raise ValueError(f"graph 'n' {n!r} is not an integer")
+    raw = d.get("edges")
+    if not isinstance(raw, list):
+        raise ValueError("graph 'edges' must be a list")
     labels = d.get("labels")
+    if "labels" in d and not (
+        isinstance(labels, list) and all(isinstance(x, str) for x in labels)
+    ):
+        raise ValueError("graph 'labels' must be a list of strings")
     grid = grid_from_dict(d["grid"]) if "grid" in d else None
-    return SignedGraph(int(d["n"]), edges, labels=labels, grid=grid)
+    if grid is not None:
+        cols, hex_grid = grid.cols, grid.kind == "hex"
+        size = grid.rows * cols if grid.mask is None else len(grid.mask)
+        if n != size:
+            raise ValueError(f"graph 'n' is {n}, but its grid has {size} cells")
+        cells = grid.cells()
+        # bounding-grid id (i-1)*cols + (j-1) of each vertex's cell
+        ids = [(i - 1) * cols + (j - 1) for i, j in cells]
+    for e in raw:
+        if type(e) is not list or len(e) != 3:
+            raise ValueError(f"edge {e!r} is not a [u, v, sign] triple")
+        u, v, s = e
+        if type(u) is not int or type(v) is not int or type(s) is not int:
+            raise ValueError(f"edge {e!r} has an entry that is not an integer")
+        if grid is not None:
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge {e!r} has an endpoint out of range [0,{n})")
+            a, b = ids[u], ids[v]
+            if a > b:
+                a, b = b, a
+            step, col = b - a, a % cols
+            if not (
+                step == cols
+                or (step == 1 and col != cols - 1 and (not hex_grid or (a // cols + col) % 2 == 0))
+                or (step == cols - 1 and col != 0 and not hex_grid)
+            ):
+                raise ValueError(f"edge {e!r} does not join neighboring cells of the {grid.kind} grid")
+    g = SignedGraph(n, raw, labels=labels, grid=grid)
+    if grid is not None and g.edge_count != _grid_edge_count(grid):
+        index = {c: k for k, c in enumerate(cells)}
+        for a, b in grid.edges():
+            if not g.has_edge(index[a], index[b]):
+                raise ValueError(
+                    f"grid edge {a}-{b} (vertices {index[a]}, {index[b]}) is missing"
+                )
+    return g
 
 
 def hom_to_dict(hom: Homomorphism, target: SignedGraph) -> dict:
@@ -63,26 +153,17 @@ def hom_to_dict(hom: Homomorphism, target: SignedGraph) -> dict:
     }
 
 
-def _int_list(entries, field: str) -> list[int]:
-    if not isinstance(entries, list):
-        raise ValueError(f"certificate {field!r} must be a list")
-    for x in entries:
-        if type(x) is not int:  # exact type: true is a bool, and int() would truncate 1.5
-            raise ValueError(f"certificate {field!r} entry {x!r} is not an integer")
-    return entries
-
-
 def hom_from_dict(d: Mapping) -> tuple[Homomorphism, SignedGraph]:
     if not isinstance(d, Mapping):
         raise ValueError("certificate must be a JSON object")
-    target = graph_from_dict(d["target"])
-    mapping = tuple(_int_list(d["mapping"], "mapping"))
+    target = graph_from_dict(d.get("target"))
+    mapping = tuple(_int_list(d.get("mapping"), "certificate 'mapping'"))
     kind = d.get("kind", "signed")
     if kind == "ec":
         return Homomorphism(mapping), target
     if kind != "signed":
         raise ValueError(f"unknown certificate kind {kind!r}")
-    return Homomorphism(mapping, frozenset(_int_list(d.get("switch", []), "switch"))), target
+    return Homomorphism(mapping, frozenset(_int_list(d.get("switch", []), "certificate 'switch'"))), target
 
 
 def graph_to_dot(

@@ -18,7 +18,7 @@ Adjacency:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations
 
 from .core import NEG, POS, SignedGraph
@@ -61,12 +61,11 @@ class GridSpec:
 
     def cells(self) -> tuple[Cell, ...]:
         """Retained cells in row-major order."""
-        all_cells = (
-            (i, j) for i in range(1, self.rows + 1) for j in range(1, self.cols + 1)
-        )
         if self.mask is None:
-            return tuple(all_cells)
-        return tuple(c for c in all_cells if c in self.mask)
+            return tuple(
+                (i, j) for i in range(1, self.rows + 1) for j in range(1, self.cols + 1)
+            )
+        return tuple(sorted(self.mask))
 
     def contains(self, cell: Cell) -> bool:
         i, j = cell
@@ -82,27 +81,21 @@ class GridSpec:
         that :func:`random_signature` consumes.
         """
         out: list[CellEdge] = []
-        for i in range(1, self.rows + 1):
-            for j in range(1, self.cols + 1):
-                a = (i, j)
-                if not self.contains(a):
-                    continue
-                if self.kind == "hex":
-                    if (i + j) % 2 == 0 and self.contains((i, j + 1)):
-                        out.append((a, (i, j + 1)))
-                    if self.contains((i + 1, j)):
-                        out.append((a, (i + 1, j)))
-                else:
-                    if self.contains((i, j + 1)):
-                        out.append((a, (i, j + 1)))
-                    if self.contains((i + 1, j - 1)):
-                        out.append((a, (i + 1, j - 1)))
-                    if self.contains((i + 1, j)):
-                        out.append((a, (i + 1, j)))
+        for a in self.cells():
+            i, j = a
+            if self.kind == "hex":
+                if (i + j) % 2 == 0 and self.contains((i, j + 1)):
+                    out.append((a, (i, j + 1)))
+                if self.contains((i + 1, j)):
+                    out.append((a, (i + 1, j)))
+            else:
+                if self.contains((i, j + 1)):
+                    out.append((a, (i, j + 1)))
+                if self.contains((i + 1, j - 1)):
+                    out.append((a, (i + 1, j - 1)))
+                if self.contains((i + 1, j)):
+                    out.append((a, (i + 1, j)))
         return tuple(out)
-
-    def unmasked(self) -> "GridSpec":
-        return replace(self, mask=None)
 
 
 def make_grid(spec: GridSpec, signature: dict[CellEdge, int]) -> SignedGraph:

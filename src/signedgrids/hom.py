@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import permutations
 
-from .core import NEG, POS, SignedGraph, antitwin_double
+from .core import NEG, POS, SignedGraph, antitwin_double, sign_masks
 from .core import switch  # unused here; perfbench/tracing.py patches signedgrids.hom.switch
 
 __all__ = [
@@ -172,13 +172,13 @@ def find_ec_hom(
     Raises :class:`BudgetExceededError` if ``budget`` runs out; one node is
     one candidate tried.
 
-    Candidate sets are int bitmasks over the target vertices.  Each target
-    vertex has one mask of its ``+`` neighbors and one of its ``-``
-    neighbors, built once per call, so filtering a neighbor's candidates is
-    one ``&``; each candidate narrows a copy of the list of bitmasks, so
-    backtracking has nothing to restore.  Candidates are tried lowest bit
-    first, which is the ascending order of a sorted candidate list, so
-    witnesses and node counts are those of a search on sorted lists.
+    Candidate sets are int bitmasks over the target vertices, so filtering a
+    neighbor's candidates is one ``&`` with an entry of the
+    :func:`signedgrids.core.sign_masks` table of ``h``; each candidate
+    narrows a copy of the list of bitmasks, so backtracking has nothing to
+    restore.  Candidates are tried lowest bit first, which is the ascending
+    order of a sorted candidate list, so witnesses and node counts are those
+    of a search on sorted lists.
     """
     n = g.n
     if domains is None:
@@ -195,12 +195,7 @@ def find_ec_hom(
                 bits |= 1 << c
             current.append(bits)
 
-    # per target vertex and sign: the bitmask of its neighbors of that sign
-    masks = {POS: [0] * h.n, NEG: [0] * h.n}
-    for a in range(h.n):
-        for b, s in h.neighbors(a).items():
-            masks[s][a] |= 1 << b
-
+    masks = sign_masks(h)
     order, _ = _search_order(g)
     position = [0] * n
     for k, v in enumerate(order):

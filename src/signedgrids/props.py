@@ -14,7 +14,7 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import product
 
-from .core import AntitwinnedGraph, NEG, POS, SignedGraph, negate, rho_t4
+from .core import AntitwinnedGraph, NEG, POS, SignedGraph, negate, rho_t4, sign_masks
 
 __all__ = [
     "PropertyReport",
@@ -72,18 +72,18 @@ def check_pkn(g: SignedGraph, k: int, n: int) -> PropertyReport:
     """
     if k < 1 or n < 1:
         raise ValueError("need k >= 1 and n >= 1")
-    pos_nbrs = [g.signed_neighbors(v, POS) for v in range(g.n)]
-    neg_nbrs = [g.signed_neighbors(v, NEG) for v in range(g.n)]
+    masks = sign_masks(g)
+    everyone = (1 << g.n) - 1
     bad = []
     for tup in _ordered_cliques(g, k):
         for alpha in product((POS, NEG), repeat=k):
-            witnesses = None
+            witnesses = everyone
             for v, a in zip(tup, alpha):
-                nbrs = pos_nbrs[v] if a == POS else neg_nbrs[v]
-                witnesses = nbrs if witnesses is None else witnesses & nbrs
+                witnesses &= masks[a][v]
                 if not witnesses:
                     break
-            count = len(witnesses - set(tup)) if witnesses else 0
+            # no vertex is its own neighbor, so the tuple is never among its witnesses
+            count = witnesses.bit_count()
             if count < n:
                 bad.append((tup, alpha, count))
     return PropertyReport(f"P({k},{n})", not bad, tuple(bad))
@@ -93,7 +93,9 @@ def common_positive_neighbors(g: SignedGraph, u: int, v: int) -> frozenset[int]:
     """Vertices positively adjacent to both ``u`` and ``v``."""
     if u == v:
         raise ValueError("need two distinct vertices")
-    return g.signed_neighbors(u, POS) & g.signed_neighbors(v, POS)
+    pos = sign_masks(g)[POS]
+    common = pos[u] & pos[v]
+    return frozenset(w for w in range(g.n) if common >> w & 1)
 
 
 def pstar21_excluded_pairs(atg: AntitwinnedGraph) -> frozenset[frozenset[int]]:
@@ -127,12 +129,13 @@ def check_pstar21(atg: AntitwinnedGraph) -> PropertyReport:
         raise TypeError("input must be an AntitwinnedGraph")
     g = atg.graph
     excluded = pstar21_excluded_pairs(atg)
+    pos = sign_masks(g)[POS]
     bad = []
     for u in range(g.n):
         for v in range(u + 1, g.n):
             if atg.twin(u) == v or frozenset({u, v}) in excluded:
                 continue
-            if not common_positive_neighbors(g, u, v):
+            if not pos[u] & pos[v]:
                 bad.append(((u, v), None, 0))
     return PropertyReport("P*(2,1)", not bad, tuple(bad))
 
@@ -146,10 +149,12 @@ def _refined_colors(graphs: Sequence[SignedGraph]) -> list[tuple[int, ...]]:
     """Iterated (positive-degree, negative-degree) refinement to a fixpoint.
 
     All graphs share one color dictionary so classes are comparable across
-    them (needed for isomorphism search).
+    them (needed for isomorphism search).  A signed degree is the popcount
+    of a :func:`signedgrids.core.sign_masks` entry.
     """
     colorings = [
-        tuple((g.pos_degree(v), g.neg_degree(v)) for v in range(g.n)) for g in graphs
+        tuple((m[POS][v].bit_count(), m[NEG][v].bit_count()) for v in range(g.n))
+        for g, m in zip(graphs, map(sign_masks, graphs))
     ]
     key_ids: dict = {}
     colorings = [

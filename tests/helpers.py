@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import random
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from itertools import combinations, product
 
 from hypothesis import strategies as st
 
-from signedgrids import SignedGraph, switch, verify_ec
+from signedgrids import NEG, POS, GridSpec, SignedGraph, make_grid, rho_sp9_plus, rho_t4, switch, verify_ec
+from signedgrids.colorers import ColoringInvariantError
 from signedgrids.hom import Homomorphism, SearchBudget, _search_order, find_ec_hom
+from signedgrids.props import pstar21_excluded_pairs
 
 
 def random_signed_graph(rng: random.Random, n: int, p_edge: float = 0.4) -> SignedGraph:
@@ -143,3 +145,219 @@ def find_ec_hom_reference(
     if extend(0):
         return Homomorphism(tuple(assignment))
     return None
+
+
+# ---------------------------------------------------------------------------
+# Oracle for the colorers: the SignedGraph versions, on sorted candidate lists
+# and frozensets, with masked grids colored through a rebuilt bounding grid.
+# ---------------------------------------------------------------------------
+
+
+def compatible_colors_reference(
+    h: SignedGraph, constraints: Iterable[tuple[int, int]]
+) -> list[int]:
+    """Target vertices adjacent to every ``(image, sign)`` constraint, ascending."""
+    cands: frozenset[int] | None = None
+    for image, s in constraints:
+        nbrs = frozenset(u for u, t in h.neighbors(image).items() if t == s)
+        cands = nbrs if cands is None else cands & nbrs
+    if cands is None:
+        return list(range(h.n))
+    return sorted(cands)
+
+
+def fill_bounding(g: SignedGraph) -> tuple[SignedGraph, list[int]]:
+    """Extend a masked grid to its full bounding grid, filling with +1.
+
+    Returns the full grid and, per masked vertex, its id in the full grid.
+    """
+    spec: GridSpec = g.grid
+    full = GridSpec(spec.kind, spec.rows, spec.cols)
+    index = {c: k for k, c in enumerate(spec.cells())}
+    signature = {}
+    for a, b in full.edges():
+        if a in index and b in index:
+            signature[(a, b)] = g.sign(index[a], index[b])
+        else:
+            signature[(a, b)] = POS
+    full_g = make_grid(full, signature)
+    full_index = {c: k for k, c in enumerate(full.cells())}
+    return full_g, [full_index[c] for c in spec.cells()]
+
+
+def normalize_hex_reference(g: SignedGraph) -> tuple[SignedGraph, frozenset[int]]:
+    """Switch a full hexagonal grid so the coloring scaffold is all positive.
+
+    Returns the switched grid and the switch set; rejects masked grids.
+    """
+    spec = g.grid
+    if not isinstance(spec, GridSpec) or spec.kind != "hex":
+        raise ValueError("input must carry hex grid metadata")
+    if spec.mask is not None:
+        raise ValueError("normalize_hex expects a full grid; extend masks first")
+    rows, cols = spec.rows, spec.cols
+    vid = lambda i, j: (i - 1) * cols + (j - 1)
+    flip = [False] * g.n
+
+    def live_sign(a: int, b: int) -> int:
+        s = g.sign(a, b)
+        return -s if flip[a] != flip[b] else s
+
+    for i in range(2, rows + 2):
+        for j in range(1, cols + 1):
+            if (i + j) % 2 == 0:
+                continue
+            cur = vid(i, j) if i <= rows else None
+            up = vid(i - 1, j)
+            upright = vid(i - 1, j + 1) if j < cols else None
+            sv = live_sign(cur, up) if cur is not None else POS
+            sh = live_sign(up, upright) if upright is not None else POS
+            if sv == NEG and sh == NEG:
+                flip[up] = not flip[up]
+            elif sv == POS and sh == NEG:
+                if cur is not None:
+                    flip[cur] = not flip[cur]
+                flip[up] = not flip[up]
+            elif sv == NEG and sh == POS:
+                flip[cur] = not flip[cur]
+    switched = frozenset(v for v in range(g.n) if flip[v])
+    return switch(g, switched), switched
+
+
+def color_hex_reference(g: SignedGraph) -> Homomorphism:
+    """Oracle for :func:`signedgrids.colorers.color_hex`."""
+    spec = g.grid
+    if spec.mask is not None:
+        full, restrict = fill_bounding(g)
+        inner = color_hex_reference(full)
+        return Homomorphism(tuple(inner.mapping[k] for k in restrict))
+
+    rows, cols = spec.rows, spec.cols
+    vid = lambda i, j: (i - 1) * cols + (j - 1)
+    normalized, switched = normalize_hex_reference(g)
+    rho = rho_t4()
+    target = rho.graph
+    excluded = pstar21_excluded_pairs(rho)
+    group_of = {0: (0, 3), 3: (0, 3), 1: (1, 2), 2: (1, 2)}
+    phi = [-1] * g.n
+
+    for i in range(1, rows + 1):
+        for j in range(1, cols + 1):
+            cur = vid(i, j)
+            if (i + j) % 2 == 0:
+                if i == 1:
+                    cands = list(range(target.n))
+                else:
+                    up = vid(i - 1, j)
+                    cands = compatible_colors_reference(
+                        target, [(phi[up], normalized.sign(up, cur))]
+                    )
+                    if len(cands) < 3 or any(rho.twin(c) in cands for c in cands):
+                        raise ColoringInvariantError(
+                            f"single-constraint candidates degenerate at ({i},{j}): {cands}"
+                        )
+                if i >= 2 and j < cols:
+                    diag = phi[vid(i - 1, j + 1)]
+                    banned = group_of[rho.identity(diag)]
+                    cands = [c for c in cands if rho.identity(c) not in banned]
+                if not cands:
+                    raise ColoringInvariantError(f"no candidate at ({i},{j})")
+                phi[cur] = cands[0]
+            else:
+                constraints = []
+                if i >= 2:
+                    up = vid(i - 1, j)
+                    s = normalized.sign(up, cur)
+                    if s != POS:
+                        raise ColoringInvariantError(
+                            f"vertical scaffold edge above ({i},{j}) not positive"
+                        )
+                    constraints.append((phi[up], s))
+                if j >= 2:
+                    left = vid(i, j - 1)
+                    s = normalized.sign(left, cur)
+                    if s != POS:
+                        raise ColoringInvariantError(
+                            f"horizontal scaffold edge left of ({i},{j}) not positive"
+                        )
+                    constraints.append((phi[left], s))
+                if len(constraints) == 2:
+                    a, b = constraints[0][0], constraints[1][0]
+                    if a == b or rho.twin(a) == b or frozenset({a, b}) in excluded:
+                        raise ColoringInvariantError(
+                            f"invalid color pair {a},{b} ahead of ({i},{j})"
+                        )
+                cands = compatible_colors_reference(target, constraints)
+                if not cands:
+                    raise ColoringInvariantError(f"no candidate at ({i},{j})")
+                phi[cur] = cands[0]
+
+    final = [rho.twin(c) if v in switched else c for v, c in enumerate(phi)]
+    return Homomorphism(tuple(final))
+
+
+def color_tri_reference(
+    g: SignedGraph,
+) -> tuple[Homomorphism, tuple[tuple[frozenset[int], ...], ...]]:
+    """Oracle for :func:`signedgrids.colorers.color_tri`.
+
+    Returns the homomorphism and the rows of candidate sets as frozensets.
+    """
+    spec = g.grid
+    if spec.mask is not None:
+        full, restrict = fill_bounding(g)
+        inner, trace = color_tri_reference(full)
+        return Homomorphism(tuple(inner.mapping[k] for k in restrict)), trace
+
+    rows, cols = spec.rows, spec.cols
+    vid = lambda r, c: (r - 1) * cols + (c - 1)
+    target = rho_sp9_plus().graph
+    phi = [-1] * g.n
+    trace_rows = []
+
+    for r in range(1, rows + 1):
+        sets: list[frozenset[int]] = []
+        for c in range(1, cols + 1):
+            cur = vid(r, c)
+            constraints = []
+            if r >= 2:
+                up = vid(r - 1, c)
+                constraints.append((phi[up], g.sign(up, cur)))
+                if c < cols:
+                    upright = vid(r - 1, c + 1)
+                    constraints.append((phi[upright], g.sign(upright, cur)))
+            cands = compatible_colors_reference(target, constraints)
+            if c >= 2:
+                left = vid(r, c - 1)
+                s_row = g.sign(left, cur)
+                prev = sets[-1]
+                cands = [
+                    t for t in cands if any(target.status(p, t) == s_row for p in prev)
+                ]
+            if len(cands) < 2:
+                raise ColoringInvariantError(
+                    f"candidate set at ({r},{c}) has {len(cands)} < 2 colors"
+                )
+            sets.append(frozenset(cands))
+        trace_rows.append(tuple(sets))
+
+        choice = [-1] * cols
+        choice[cols - 1] = min(sets[cols - 1])
+        for c in range(cols - 1, 0, -1):
+            s_row = g.sign(vid(r, c), vid(r, c + 1))
+            nxt = choice[c]
+            feasible = [p for p in sorted(sets[c - 1]) if target.status(p, nxt) == s_row]
+            if not feasible:
+                raise ColoringInvariantError(
+                    f"backward pass stuck at ({r},{c}); forward filter broken"
+                )
+            choice[c - 1] = feasible[0]
+        for c in range(1, cols + 1):
+            phi[vid(r, c)] = choice[c - 1]
+
+    return Homomorphism(tuple(phi)), tuple(trace_rows)
+
+
+def mask_members(mask: int) -> frozenset[int]:
+    """The set bits of an int bitmask, as vertex ids."""
+    return frozenset(b for b in range(mask.bit_length()) if mask >> b & 1)

@@ -32,6 +32,7 @@ from signedgrids import (
     random_signature,
     rho_sp9_plus,
     rho_t4,
+    sign_masks,
     signed_chromatic_number,
     sp5_plus,
     switch,
@@ -77,12 +78,12 @@ def test_criterion_01_weak_pair_property_of_doubled_t4():
             )
         # direct scan: adjacent pairs with no common positive neighbor
         g = atg.graph
+        pos = sign_masks(g)[POS]
         empty_pairs = {
             frozenset({u, v})
             for u in range(g.n)
             for v in range(u + 1, g.n)
-            if g.has_edge(u, v)
-            and not (g.signed_neighbors(u, POS) & g.signed_neighbors(v, POS))
+            if g.has_edge(u, v) and not pos[u] & pos[v]
         }
         expected = set(pstar21_excluded_pairs(atg))
         assert normalized == expected

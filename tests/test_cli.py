@@ -1,11 +1,14 @@
 """Command-line interface: artifacts, exit codes, determinism."""
 
+import copy
 import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from signedgrids import build_T4
+from signedgrids import GridSpec, build_T4, make_grid, random_signature
 from signedgrids.cli import EXIT_OK, EXIT_UNKNOWN, EXIT_USAGE, EXIT_VERIFY, main
 from signedgrids.graphio import graph_to_dict
 
@@ -163,6 +166,54 @@ class TestColorAndVerify:
         path.write_text(json.dumps({"n": 2, "edges": [[0, 1, 1]]}))
         assert run("color", "-i", str(path)) == EXIT_USAGE
 
+    @pytest.mark.parametrize("command", ["color", "verify"])
+    def test_malformed_graph_is_a_usage_error(self, tmp_path, capsys, command):
+        # color on a grid whose "edges" is 5; verify on a certificate whose target is [1, 2]
+        graph, cert = tmp_path / "grid.json", tmp_path / "cert.json"
+        run("gen", "--kind", "hex", "--rows", "2", "--cols", "2", "-o", str(graph))
+        run("color", "-i", str(graph), "-o", str(cert))
+        if command == "color":
+            data = read(graph)
+            data["graph"]["edges"] = 5
+            graph.write_text(json.dumps(data))
+            argv = ("color", "-i", str(graph))
+        else:
+            data = read(cert)
+            data["certificate"]["target"] = [1, 2]
+            cert.write_text(json.dumps(data))
+            argv = ("verify", "-i", str(graph), "-c", str(cert))
+        capsys.readouterr()
+        assert run(*argv) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("signedgrids: ") and "Traceback" not in err
+
+    def test_grid_with_a_dropped_edge_is_a_usage_error(self, tmp_path, capsys):
+        graph = tmp_path / "tri.json"
+        run("gen", "--kind", "tri", "--rows", "4", "--cols", "4", "--seed", "3", "-o", str(graph))
+        data = read(graph)
+        u, v, _ = data["graph"]["edges"].pop(4)
+        graph.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert run("color", "-i", str(graph)) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("signedgrids: grid edge ")
+        assert err.endswith(f"(vertices {u}, {v}) is missing\n")
+
+    def test_grid_with_an_extra_edge_is_a_usage_error(self, tmp_path, capsys):
+        graph, cert = tmp_path / "tri.json", tmp_path / "cert.json"
+        run("gen", "--kind", "tri", "--rows", "4", "--cols", "4", "--seed", "3", "-o", str(graph))
+        assert run("color", "-i", str(graph), "-o", str(cert)) == EXIT_OK
+        data = read(graph)
+        data["graph"]["edges"].append([0, 15, 1])  # cells (1, 1) and (4, 4)
+        graph.write_text(json.dumps(data))
+        for argv in (("color", "-i", str(graph)), ("verify", "-i", str(graph), "-c", str(cert))):
+            capsys.readouterr()
+            assert run(*argv) == EXIT_USAGE
+            out, err = capsys.readouterr()
+            assert out == "" and err == (
+                "signedgrids: edge [0, 15, 1] does not join neighboring cells of the tri grid\n"
+            )
+
 
 class TestReports:
     def test_props_rho_t4(self, tmp_path):
@@ -270,3 +321,78 @@ def test_artifacts_are_byte_identical(tmp_path, monkeypatch, capsys):
         "no target of order 3; order-4 witness T4 => chromatic number = 4\n"
     )
     assert {p.name: sha256(p) for p in tmp_path.iterdir()} == GOLDEN
+
+
+# ---------------------------------------------------------------------------
+# Loader fuzzing: mutated grid files and certificates end in an exit code.
+# ---------------------------------------------------------------------------
+
+REPLACEMENTS = (None, [], {}, "x", 1.5, True, -1, 0, 7)
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    """Per grid kind, a small grid file and its certificate, as JSON values;
+    plus one masked grid, built in the library since ``gen`` writes none."""
+    work = tmp_path_factory.mktemp("fuzz")
+    docs = {}
+    for kind in ("hex", "tri"):
+        graph, cert = work / f"{kind}.json", work / f"{kind}-cert.json"
+        run("gen", "--kind", kind, "--rows", "2", "--cols", "3", "--seed", "1", "-o", str(graph))
+        run("color", "-i", str(graph), "-o", str(cert))
+        docs[kind] = (read(graph), read(cert))
+    spec = GridSpec("tri", 3, 3, mask=frozenset({(1, 1), (1, 2), (2, 1), (3, 3)}))
+    masked = {"graph": graph_to_dict(make_grid(spec, random_signature(spec, 2, 0.5)))}
+    graph, cert = work / "masked.json", work / "masked-cert.json"
+    graph.write_text(json.dumps(masked))
+    run("color", "-i", str(graph), "-o", str(cert))
+    docs["masked"] = (masked, read(cert))
+    return work, docs
+
+
+def _positions(value, holder, key):
+    """Every (container, key) slot inside ``holder[key]``, itself included."""
+    yield holder, key
+    if isinstance(value, dict):
+        for k, v in value.items():
+            yield from _positions(v, value, k)
+    elif isinstance(value, list):
+        for k, v in enumerate(value):
+            yield from _positions(v, value, k)
+
+
+@st.composite
+def mutated(draw, doc):
+    """``doc`` with one to three slots dropped, duplicated or retyped."""
+    holder = {"root": copy.deepcopy(doc)}
+    for _ in range(draw(st.integers(1, 3))):
+        slots = list(_positions(holder["root"], holder, "root"))
+        container, key = draw(st.sampled_from(slots))
+        value = container[key]
+        op = draw(st.sampled_from(("drop", "duplicate", "retype", "listify")))
+        if op == "drop" and container is not holder:
+            del container[key]
+        elif op == "duplicate" and isinstance(container, list):
+            container.insert(key, copy.deepcopy(value))
+        elif op == "listify" and isinstance(value, dict):
+            container[key] = list(value.values())
+        else:
+            container[key] = copy.deepcopy(draw(st.sampled_from(REPLACEMENTS)))
+    return holder["root"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_mutated_loader_inputs_end_in_an_exit_code(valid_files, data):
+    work, docs = valid_files
+    grid_doc, cert_doc = docs[data.draw(st.sampled_from(sorted(docs)))]
+    which = data.draw(st.sampled_from(("grid", "certificate", "both")))
+    if which != "certificate":
+        grid_doc = data.draw(mutated(grid_doc))
+    if which != "grid":
+        cert_doc = data.draw(mutated(cert_doc))
+    graph, cert, out = work / "graph.json", work / "cert.json", work / "out.json"
+    graph.write_text(json.dumps(grid_doc))
+    cert.write_text(json.dumps(cert_doc))
+    assert run("color", "-i", str(graph), "-o", str(out)) in (EXIT_OK, EXIT_USAGE, EXIT_VERIFY)
+    assert run("verify", "-i", str(graph), "-c", str(cert)) in (EXIT_OK, EXIT_USAGE, EXIT_VERIFY)

@@ -29,6 +29,15 @@ from signedgrids import (
 )
 from signedgrids.hom import ec_to_signed
 
+from helpers import (
+    color_hex_reference,
+    color_tri_reference,
+    compatible_colors_reference,
+    fill_bounding,
+    mask_members,
+    normalize_hex_reference,
+)
+
 RHO_T4 = rho_t4()
 RHO_SP9P = rho_sp9_plus()
 
@@ -59,33 +68,38 @@ class TestNormalizeHex:
     def test_all_positive_grid_is_already_normal(self):
         spec = GridSpec("hex", 5, 6)
         g = make_grid(spec, {e: POS for e in spec.edges()})
-        normalized, switched = normalize_hex(g)
+        sign, switched = normalize_hex(g)
         assert switched == frozenset()
-        assert normalized == g
+        assert all(sign(u, v) == s for u, v, s in g.edges)
 
     def test_scaffold_positive_on_random_grids(self):
         for seed in range(40):
             spec = GridSpec("hex", 6, 6)
             g = make_grid(spec, random_signature(spec, seed, 0.5))
-            normalized, switched = normalize_hex(g)
-            assert switch(g, switched) == normalized
+            sign, switched = normalize_hex(g)
+            normalized = switch(g, switched)
+            assert all(sign(u, v) == s for u, v, s in normalized.edges)
             vid = lambda c: (c[0] - 1) * spec.cols + (c[1] - 1)
             for a, b in scaffold_edges(spec):
                 assert normalized.sign(vid(a), vid(b)) == POS
 
     def test_idempotent(self):
         g = random_grid("hex", 123)
-        normalized, _ = normalize_hex(g)
+        _, switched = normalize_hex(g)
+        normalized = switch(g, switched)
         again, switched = normalize_hex(normalized)
-        assert again == normalized and switched == frozenset()
+        assert switched == frozenset()
+        assert all(again(u, v) == s for u, v, s in normalized.edges)
 
-    def test_rejects_non_hex_and_masks(self):
+    def test_rejects_non_hex_and_normalizes_masks_on_the_bounding_grid(self):
         with pytest.raises(ValueError):
             normalize_hex(random_grid("tri", 5))
         spec = GridSpec("hex", 3, 3, mask=frozenset({(1, 1), (1, 2)}))
-        g = make_grid(spec, {e: POS for e in spec.edges()})
-        with pytest.raises(ValueError):
-            normalize_hex(g)
+        g = make_grid(spec, {e: NEG for e in spec.edges()})
+        sign, switched = normalize_hex(g)
+        normalized, expected = normalize_hex_reference(fill_bounding(g)[0])
+        assert switched == expected != frozenset()
+        assert all(sign(u, v) == s for u, v, s in normalized.edges)
 
 
 class TestColorHex:
@@ -222,6 +236,70 @@ class TestCandidateMachinery:
 
     def test_no_constraints_means_every_vertex(self):
         assert compatible_colors(RHO_SP9P.graph, []) == list(range(20))
+
+
+def masked_grid(kind, seed):
+    """A random grid of side 1 to 14; odd seeds get a random mask."""
+    rng = random.Random(seed)
+    rows, cols = rng.randint(1, 14), rng.randint(1, 14)
+    mask = None
+    if seed % 2:
+        keep = rng.choice((0.3, 0.7, 0.95))
+        mask = frozenset(c for c in GridSpec(kind, rows, cols).cells() if rng.random() < keep)
+    spec = GridSpec(kind, rows, cols, mask)
+    return make_grid(spec, random_signature(spec, seed, rng.choice((0.2, 0.5, 0.8))))
+
+
+def differential_grids(kind):
+    """300 random grids, plus one-row and one-column grids and single-row,
+    single-column, single-cell and empty masks."""
+    specs = [
+        GridSpec(kind, 1, 9),
+        GridSpec(kind, 9, 1),
+        GridSpec(kind, 1, 1),
+        GridSpec(kind, 6, 7, mask=frozenset((3, j) for j in range(1, 8))),
+        GridSpec(kind, 6, 7, mask=frozenset((i, 4) for i in range(1, 7))),
+        GridSpec(kind, 6, 7, mask=frozenset({(4, 5)})),
+        GridSpec(kind, 6, 7, mask=frozenset()),
+    ]
+    edge_cases = [make_grid(spec, random_signature(spec, k, 0.5)) for k, spec in enumerate(specs)]
+    return [masked_grid(kind, 40000 + seed) for seed in range(300)] + edge_cases
+
+
+class TestAgainstSignedGraphReference:
+    """The bitmask colorers against the SignedGraph versions in ``helpers``.
+
+    Same mapping, same switch set (on the bounding grid) and same tri
+    candidate sets, on 300 random grids of each kind, half of them masked.
+    """
+
+    def test_color_hex(self):
+        for g in differential_grids("hex"):
+            assert color_hex(g) == color_hex_reference(g)
+            bounding = g if g.grid.mask is None else fill_bounding(g)[0]
+            normalized, expected = normalize_hex_reference(bounding)
+            sign, switched = normalize_hex(g)
+            assert switched == expected
+            assert all(sign(u, v) == s for u, v, s in normalized.edges)
+
+    def test_color_tri(self):
+        for g in differential_grids("tri"):
+            hom, trace = color_tri(g)
+            expected_hom, expected_rows = color_tri_reference(g)
+            assert hom == expected_hom
+            assert tuple(tuple(map(mask_members, row)) for row in trace.rows) == expected_rows
+
+    def test_compatible_colors(self):
+        rng = random.Random(41)
+        for target in (RHO_T4.graph, RHO_SP9P.graph):
+            for _ in range(200):
+                constraints = [
+                    (rng.randrange(target.n), rng.choice((POS, NEG)))
+                    for _ in range(rng.randint(0, 3))
+                ]
+                assert compatible_colors(target, constraints) == compatible_colors_reference(
+                    target, constraints
+                )
 
 
 class TestPeriodicFixtureColoring:

@@ -21,6 +21,7 @@ from signedgrids import (
     negate,
     plus_universal,
     rho_t4,
+    sign_masks,
     sp5_plus,
     sp9_plus,
     switch,
@@ -28,7 +29,7 @@ from signedgrids import (
 )
 from signedgrids.core import F9Element, f9_elements
 
-from helpers import random_signed_graph, signed_graphs
+from helpers import mask_members, random_signed_graph, signed_graphs
 
 
 def all_positive_cycle(k):
@@ -148,11 +149,12 @@ class TestAntitwinDouble:
             g = random_signed_graph(random.Random(i), random.Random(i).randint(1, 8))
             atg = antitwin_double(g)
             d = atg.graph
+            masks = sign_masks(d)
             for v in range(d.n):
                 tw = atg.twin(v)
                 assert tw != v and atg.twin(tw) == v
                 assert not d.has_edge(v, tw)
-                assert d.signed_neighbors(v, POS) == d.signed_neighbors(tw, NEG)
+                assert masks[POS][v] == masks[NEG][tw]
 
     def test_rho_t4_positive_neighbors_of_first_vertex(self):
         # derive independently from the base edges: u^i v^j is positive iff
@@ -163,7 +165,7 @@ class TestAntitwinDouble:
             expected.add(v if s == POS else v + 4)
         d = rho_t4().graph
         assert d.n == 8
-        assert d.signed_neighbors(0, POS) == frozenset(expected) == frozenset({1, 2, 7})
+        assert mask_members(sign_masks(d)[POS][0]) == frozenset(expected) == frozenset({1, 2, 7})
         assert [d.label(v) for v in sorted(expected)] == ["2+", "3+", "4-"]
 
     @given(signed_graphs())
@@ -185,7 +187,8 @@ class TestPlusUniversal:
     def test_sp9_plus(self):
         g = sp9_plus()
         assert g.n == 10
-        assert g.pos_degree(9) == 9 and g.neg_degree(9) == 0
+        masks = sign_masks(g)
+        assert masks[POS][9].bit_count() == 9 and masks[NEG][9] == 0
         assert g.label(9) == "inf"
 
     def test_sp5_plus_is_complete_on_15_edges(self):
@@ -195,9 +198,10 @@ class TestPlusUniversal:
 class TestTargets:
     def test_t4(self):
         t4 = build_T4()
-        assert t4.signed_neighbors(0, POS) == frozenset({1, 2})
-        assert t4.signed_neighbors(0, NEG) == frozenset({3})
-        assert t4.signed_neighbors(3, POS) == frozenset({1, 2})
+        masks = sign_masks(t4)
+        assert mask_members(masks[POS][0]) == frozenset({1, 2})
+        assert mask_members(masks[NEG][0]) == frozenset({3})
+        assert mask_members(masks[POS][3]) == frozenset({1, 2})
         assert sum(1 for *_, s in t4.edges if s == NEG) == 1
 
     def test_f9_squares(self):
@@ -235,16 +239,18 @@ class TestTargets:
     def test_sp9_examples(self):
         sp9 = build_SP9()
         assert sp9.sign(0, 4) == NEG  # x+1 is off the square set
+        masks = sign_masks(sp9)
         for v in range(9):
-            assert sp9.pos_degree(v) == 4 and sp9.neg_degree(v) == 4
+            assert masks[POS][v].bit_count() == 4 and masks[NEG][v].bit_count() == 4
 
     def test_sp5(self):
         sp5 = build_SP5()
         positive_pairs = {(u, v) for u, v, s in sp5.edges if s == POS}
         assert positive_pairs == {(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)}
         assert sp5.sign(0, 2) == NEG
+        masks = sign_masks(sp5)
         for v in range(5):
-            assert sp5.pos_degree(v) == 2 and sp5.neg_degree(v) == 2
+            assert masks[POS][v].bit_count() == 2 and masks[NEG][v].bit_count() == 2
 
 
 class TestValidation:

@@ -3,6 +3,8 @@
 import json
 import random
 
+import pytest
+
 from signedgrids import GridSpec, Homomorphism, build_T4, find_signed_hom, make_grid, random_signature, unbalanced_c6
 from signedgrids.graphio import (
     graph_from_dict,
@@ -57,3 +59,26 @@ def test_ec_certificate_has_no_switch_set():
     assert encoded["kind"] == "signed" and encoded["switch"] == []
     encoded.update(kind="ec", switch=[1])  # an ec certificate ignores any switch list
     assert hom_from_dict(encoded)[0] == Homomorphism((0, 1))
+
+
+def test_grid_edges_must_match_the_grid_metadata():
+    # every dropped edge is named as missing and every added non-grid pair is
+    # rejected, on small grids with and without masks
+    rng = random.Random(17)
+    for seed in range(60):
+        kind, rows, cols = rng.choice(("hex", "tri")), rng.randint(1, 5), rng.randint(1, 5)
+        mask = None
+        if seed % 2:
+            mask = frozenset(c for c in GridSpec(kind, rows, cols).cells() if rng.random() < 0.7)
+        spec = GridSpec(kind, rows, cols, mask)
+        g = make_grid(spec, random_signature(spec, seed, 0.5))
+        d = graph_to_dict(g)
+        assert graph_from_dict(d) == g
+        for k, (u, v, _) in enumerate(d["edges"]):
+            with pytest.raises(ValueError, match=rf"\(vertices {u}, {v}\) is missing"):
+                graph_from_dict(dict(d, edges=d["edges"][:k] + d["edges"][k + 1 :]))
+        for u in range(g.n):
+            for v in range(u + 1, g.n):
+                if not g.has_edge(u, v):
+                    with pytest.raises(ValueError, match="does not join neighboring cells"):
+                        graph_from_dict(dict(d, edges=d["edges"] + [[v, u, 1]]))

@@ -22,6 +22,7 @@ from signedgrids import (
     negate,
     rho_sp9_plus,
     rho_t4,
+    sign_masks,
 )
 from signedgrids.core import F9Element, f9_elements, f9_squares
 from signedgrids.props import pstar21_excluded_pairs
@@ -87,7 +88,8 @@ class TestCommonPositiveNeighbors:
 
     def test_positive_neighborhood_of_zero_plus(self):
         g = rho_sp9_plus().graph
-        got = {g.label(v) for v in g.signed_neighbors(0, POS)}
+        pos = sign_masks(g)[POS][0]
+        got = {g.label(v) for v in range(g.n) if pos >> v & 1}
         assert got == {
             "1+",
             "2+",
