@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 
 from . import __version__
 from .colorers import color_hex, color_tri
@@ -27,7 +26,7 @@ from .core import (
     sp9_plus,
     switch,  # unused here; perfbench/tracing.py patches signedgrids.cli.switch
 )
-from .graphio import graph_from_dict, graph_to_dict, graph_to_dot, hom_from_dict, hom_to_dict
+from .graphio import ArtifactEncoder, graph_from_dict, graph_to_dict, graph_to_dot, hom_from_dict, hom_to_dict
 from .grids import GridSpec, all_c4_unbalanced_grid, make_grid, random_signature, unbalanced_c6, unbalanced_wheel7
 from .hom import (
     BudgetExceededError,
@@ -63,8 +62,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _write_atomic(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".signedgrids-")
+    # a fresh file created with mode 0o666 gets the umask, as with open();
+    # mkstemp would fix 0o600, which os.replace keeps
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".signedgrids-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
@@ -83,16 +84,23 @@ def _emit(path: str | None, payload: dict, command: str, config: dict) -> None:
         "config": config,
     }
     artifact.update(payload)
-    text = json.dumps(artifact, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(artifact, indent=2, sort_keys=True, cls=ArtifactEncoder) + "\n"
     if path is None:
         sys.stdout.write(text)
     else:
         _write_atomic(path, text)
 
 
-def _load_graph(path: str) -> SignedGraph:
+def _load_json(path: str):
     with open(path) as fh:
-        data = json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
+
+
+def _load_graph(path: str) -> SignedGraph:
+    data = _load_json(path)
     wrapped = isinstance(data, dict) and "graph" in data
     return graph_from_dict(data["graph"] if wrapped else data)
 
@@ -151,8 +159,7 @@ def cmd_color(args) -> int:
 
 def cmd_verify(args) -> int:
     g = _load_graph(args.input)
-    with open(args.certificate) as fh:
-        cert = json.load(fh)
+    cert = _load_json(args.certificate)
     wrapped = isinstance(cert, dict) and "certificate" in cert
     hom, target = hom_from_dict(cert["certificate"] if wrapped else cert)
     # a grid's certificate must embed the target of that grid kind, not any graph

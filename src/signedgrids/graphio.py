@@ -18,14 +18,24 @@ integer triples, its ``"labels"`` is not a list of strings, or its
 ``"grid"`` is not an object with integer ``"rows"``/``"cols"`` and a
 ``"mask"`` list of ``[i, j]`` integer pairs.  With grid metadata the edges
 must be exactly the grid's: an edge between cells that are not grid
-neighbors, or a missing grid edge, is named in the error.
+neighbors (by :meth:`~signedgrids.grids.GridSpec.joins`), or a missing grid
+edge (the count falls short of
+:meth:`~signedgrids.grids.GridSpec.edge_count`), is named in the error.
+
+Artifacts are written as ``json.dumps(value, indent=2, sort_keys=True,
+cls=ArtifactEncoder)``.  :class:`ArtifactEncoder` gives the same text as the
+standard encoder, byte for byte, but builds it with ``str.join`` and one
+%-format per list of int rows instead of the standard encoder's pure-Python
+generators, which CPython falls back to whenever an indent is set.
 
 DOT output renders positive edges solid and negative edges dashed.
 """
 
 from __future__ import annotations
 
+import json
 from collections.abc import Mapping, Sequence
+from itertools import chain
 
 from .core import SignedGraph
 from .grids import GridSpec
@@ -75,15 +85,6 @@ def graph_to_dict(g: SignedGraph) -> dict:
     return out
 
 
-def _grid_edge_count(spec: GridSpec) -> int:
-    rows, cols = spec.rows, spec.cols
-    if spec.mask is not None:
-        return len(spec.edges())
-    if spec.kind == "hex":  # verticals, then the row edges (i, j)-(i, j+1) with i + j even
-        return (rows - 1) * cols + (rows + 1) // 2 * (cols // 2) + rows // 2 * ((cols - 1) // 2)
-    return rows * (cols - 1) + (rows - 1) * (2 * cols - 1)
-
-
 def graph_from_dict(d: Mapping) -> SignedGraph:
     """Read a graph object; raise ``ValueError`` on any malformed or inconsistent field.
 
@@ -107,13 +108,10 @@ def graph_from_dict(d: Mapping) -> SignedGraph:
         raise ValueError("graph 'labels' must be a list of strings")
     grid = grid_from_dict(d["grid"]) if "grid" in d else None
     if grid is not None:
-        cols, hex_grid = grid.cols, grid.kind == "hex"
-        size = grid.rows * cols if grid.mask is None else len(grid.mask)
+        size = grid.rows * grid.cols if grid.mask is None else len(grid.mask)
         if n != size:
             raise ValueError(f"graph 'n' is {n}, but its grid has {size} cells")
-        cells = grid.cells()
-        # bounding-grid id (i-1)*cols + (j-1) of each vertex's cell
-        ids = [(i - 1) * cols + (j - 1) for i, j in cells]
+        cells, joins = grid.cells(), grid.joins
     for e in raw:
         if type(e) is not list or len(e) != 3:
             raise ValueError(f"edge {e!r} is not a [u, v, sign] triple")
@@ -123,18 +121,11 @@ def graph_from_dict(d: Mapping) -> SignedGraph:
         if grid is not None:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge {e!r} has an endpoint out of range [0,{n})")
-            a, b = ids[u], ids[v]
-            if a > b:
-                a, b = b, a
-            step, col = b - a, a % cols
-            if not (
-                step == cols
-                or (step == 1 and col != cols - 1 and (not hex_grid or (a // cols + col) % 2 == 0))
-                or (step == cols - 1 and col != 0 and not hex_grid)
-            ):
+            # vertex ids follow the row-major cell order, as edges() does
+            if not (joins(cells[u], cells[v]) if u < v else joins(cells[v], cells[u])):
                 raise ValueError(f"edge {e!r} does not join neighboring cells of the {grid.kind} grid")
     g = SignedGraph(n, raw, labels=labels, grid=grid)
-    if grid is not None and g.edge_count != _grid_edge_count(grid):
+    if grid is not None and g.edge_count != grid.edge_count():
         index = {c: k for k, c in enumerate(cells)}
         for a, b in grid.edges():
             if not g.has_edge(index[a], index[b]):
@@ -164,6 +155,83 @@ def hom_from_dict(d: Mapping) -> tuple[Homomorphism, SignedGraph]:
     if kind != "signed":
         raise ValueError(f"unknown certificate kind {kind!r}")
     return Homomorphism(mapping, frozenset(_int_list(d.get("switch", []), "certificate 'switch'"))), target
+
+
+class _Unsupported(Exception):
+    """A value outside the subset that :class:`ArtifactEncoder` renders itself."""
+
+
+class ArtifactEncoder(json.JSONEncoder):
+    """``json.JSONEncoder`` whose indented output is built with ``str.join``.
+
+    CPython's C encoder serves only ``indent=None``; with an indent every
+    value goes through the pure-Python generator encoder, one chunk per
+    token.  This class renders the same text directly: dicts with ``str``
+    keys, lists and tuples, with fast paths for a list of ints and a list
+    of non-empty int lists (a mapping, an edge list), and scalars as the
+    base class renders them.  It honours ``indent``, ``sort_keys``,
+    ``separators``, ``ensure_ascii`` and ``allow_nan``.  Any other value (a
+    non-``str`` key, a type needing ``default``) and a circular or deeply
+    nested value go through the base class, so the output always equals
+    ``json.dumps`` with the same arguments.
+    """
+
+    def encode(self, o) -> str:
+        if self.indent is None:
+            return super().encode(o)
+        step = self.indent if isinstance(self.indent, str) else " " * self.indent
+        string = json.encoder.encode_basestring_ascii if self.ensure_ascii else json.encoder.encode_basestring
+        comma, colon, sort_keys, scalar = self.item_separator, self.key_separator, self.sort_keys, super().encode
+
+        def int_rows(rows, inner: str) -> str | None:
+            # rows of ints, or None: one %-format over all the ints, with a
+            # template per row length
+            flat = tuple(chain.from_iterable(rows))
+            if set(map(type, flat)) != {int}:
+                return None
+            row = inner + step
+            head, sep, tail, joint = (
+                t.replace("%", "%%") for t in ("[" + row, comma + row, inner + "]", comma + inner)
+            )
+            templates = {n: head + sep.join(["%d"] * n) + tail for n in set(map(len, rows))}
+            return joint.join(map(templates.__getitem__, map(len, rows))) % flat
+
+        def render(o, nl: str) -> str:
+            # ``nl`` is a newline plus the indent of the line that holds ``o``
+            kind = type(o)
+            if kind is str:
+                return string(o)
+            if kind is int:
+                return str(o)
+            if kind is dict:
+                if not o:
+                    return "{}"
+                if set(map(type, o)) != {str}:
+                    raise _Unsupported
+                inner = nl + step
+                items = sorted(o.items()) if sort_keys else o.items()
+                body = (comma + inner).join([string(k) + colon + render(v, inner) for k, v in items])
+                return "{" + inner + body + nl + "}"
+            if kind is list or kind is tuple:
+                if not o:
+                    return "[]"
+                inner = nl + step
+                kinds, body = set(map(type, o)), None
+                if kinds == {int}:
+                    body = (comma + inner).join(map(str, o))
+                elif kinds <= {list, tuple} and all(o):
+                    body = int_rows(o, inner)
+                if body is None:
+                    body = (comma + inner).join([render(x, inner) for x in o])
+                return "[" + inner + body + nl + "]"
+            if o is None or kind is bool or kind is float:
+                return scalar(o)
+            raise _Unsupported
+
+        try:
+            return render(o, "\n")
+        except (_Unsupported, RecursionError):
+            return super().encode(o)
 
 
 def graph_to_dot(

@@ -73,6 +73,27 @@ class GridSpec:
             return False
         return self.mask is None or cell in self.mask
 
+    def joins(self, a: Cell, b: Cell) -> bool:
+        """True iff ``(a, b)`` is a grid step in :meth:`edges` orientation.
+
+        ``b`` must be the right, down-left (tri only) or down neighbor of
+        ``a``; on a hex grid a right step leaves only a cell with ``i + j``
+        even.  Whether the cells are retained is not checked.
+        """
+        (i, j), (k, l) = a, b
+        if k == i:
+            return l == j + 1 and (self.kind == "tri" or (i + j) % 2 == 0)
+        return k == i + 1 and (l == j or (l == j - 1 and self.kind == "tri"))
+
+    def edge_count(self) -> int:
+        """``len(self.edges())``, in closed form for an unmasked grid."""
+        rows, cols = self.rows, self.cols
+        if self.mask is not None:
+            return len(self.edges())
+        if self.kind == "hex":  # verticals, then the row edges (i, j)-(i, j+1) with i + j even
+            return (rows - 1) * cols + (rows + 1) // 2 * (cols // 2) + rows // 2 * ((cols - 1) // 2)
+        return rows * (cols - 1) + (rows - 1) * (2 * cols - 1)
+
     def edges(self) -> tuple[CellEdge, ...]:
         """Grid edges between retained cells, in a fixed row-major order.
 
@@ -104,17 +125,33 @@ def make_grid(spec: GridSpec, signature: dict[CellEdge, int]) -> SignedGraph:
     ``signature`` must assign a sign to exactly the edges of ``spec`` (keyed
     by cell pairs as produced by :meth:`GridSpec.edges`).  The returned graph
     carries ``spec`` as its ``grid`` metadata.
+
+    One pass over ``signature`` checks and converts every key: both cells
+    must be retained and :meth:`GridSpec.joins` must hold for the pair.
+    Distinct valid keys are distinct grid edges, so a key count equal to
+    :meth:`GridSpec.edge_count` means the keys are exactly the grid's edges.
+    Otherwise ``ValueError`` names how many edges are missing and extra.
+    The edges enter the graph in :meth:`GridSpec.edges` order whatever the
+    order of the keys, so the adjacency does not depend on it.
     """
-    cell_edges = spec.edges()
-    if set(signature) != set(cell_edges):
-        missing = set(cell_edges) - set(signature)
-        extra = set(signature) - set(cell_edges)
-        raise ValueError(
-            f"signature domain mismatch: {len(missing)} missing, {len(extra)} extra edges"
-        )
     cells = spec.cells()
     index = {c: k for k, c in enumerate(cells)}
-    edges = [(index[a], index[b], signature[(a, b)]) for a, b in cell_edges]
+    joins = spec.joins
+    edges = []
+    try:
+        for (a, b), s in signature.items():
+            if not joins(a, b):
+                break
+            edges.append((index[a], index[b], s))
+    except (KeyError, TypeError, ValueError):  # a cell off the grid, or a key that is no cell pair
+        pass
+    if len(edges) != len(signature) or len(edges) != spec.edge_count():
+        expected = set(spec.edges())
+        raise ValueError(
+            f"signature domain mismatch: {len(expected - set(signature))} missing, "
+            f"{len(set(signature) - expected)} extra edges"
+        )
+    edges.sort()  # sorted (u, v) is edges() order; already sorted for random_signature
     return SignedGraph(len(cells), edges, grid=spec)
 
 

@@ -210,34 +210,42 @@ def find_ec_hom(
 
     assignment = [-1] * n
     spend = budget.spend if budget is not None else None
-
-    def extend(k: int, current: list[int]) -> bool:
-        if k == n:
-            return True
-        v = order[k]
-        nbrs = later[v]
-        rest = current[v]
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            c = low.bit_length() - 1
-            if spend is not None:
-                spend()
-            narrowed = current[:]
-            for w, mask in nbrs:
-                new = narrowed[w] & mask[c]
-                if not new:
-                    break
-                narrowed[w] = new
-            else:
-                assignment[v] = c
-                if extend(k + 1, narrowed):
-                    return True
-        return False
-
-    if extend(0, current):
-        return Homomorphism(tuple(assignment))
-    return None
+    if n == 0:
+        return Homomorphism(())
+    # depth-first with an explicit stack, so deep sources cannot exhaust the
+    # interpreter's recursion limit; ``frames`` holds, per assigned search
+    # position, its candidate masks and its untried candidates
+    frames: list[tuple[list[int], int]] = []
+    k, v = 0, order[0]
+    nbrs, rest = later[v], current[v]
+    while True:
+        if not rest:
+            if not frames:
+                return None
+            current, rest = frames.pop()
+            k -= 1
+            v = order[k]
+            nbrs = later[v]
+            continue
+        low = rest & -rest
+        rest ^= low
+        c = low.bit_length() - 1
+        if spend is not None:
+            spend()
+        narrowed = current[:]
+        for w, mask in nbrs:
+            new = narrowed[w] & mask[c]
+            if not new:
+                break
+            narrowed[w] = new
+        else:
+            assignment[v] = c
+            k += 1
+            if k == n:
+                return Homomorphism(tuple(assignment))
+            frames.append((current, rest))
+            current, v = narrowed, order[k]
+            nbrs, rest = later[v], current[v]
 
 
 def ec_to_signed(hom: Homomorphism, base_n: int) -> Homomorphism:

@@ -166,6 +166,21 @@ def compatible_colors_reference(
     return sorted(cands)
 
 
+def make_grid_reference(spec: GridSpec, signature: dict) -> SignedGraph:
+    """Oracle for ``make_grid``: compare the key set with ``spec.edges()`` as sets."""
+    cell_edges = spec.edges()
+    if set(signature) != set(cell_edges):
+        missing = set(cell_edges) - set(signature)
+        extra = set(signature) - set(cell_edges)
+        raise ValueError(
+            f"signature domain mismatch: {len(missing)} missing, {len(extra)} extra edges"
+        )
+    cells = spec.cells()
+    index = {c: k for k, c in enumerate(cells)}
+    edges = [(index[a], index[b], signature[(a, b)]) for a, b in cell_edges]
+    return SignedGraph(len(cells), edges, grid=spec)
+
+
 def fill_bounding(g: SignedGraph) -> tuple[SignedGraph, list[int]]:
     """Extend a masked grid to its full bounding grid, filling with +1.
 

@@ -3,6 +3,8 @@
 import copy
 import hashlib
 import json
+import os
+import stat
 
 import pytest
 from hypothesis import given, settings
@@ -81,6 +83,16 @@ class TestGen:
 
     def test_usage_error(self):
         assert run("gen", "--kind", "square", "--rows", "2", "--cols", "2") == EXIT_USAGE
+
+    def test_output_mode_follows_the_umask(self, tmp_path):
+        out = tmp_path / "hex.json"
+        old = os.umask(0o022)
+        try:
+            assert run("gen", "--kind", "hex", "--rows", "2", "--cols", "2", "-o", str(out)) == EXIT_OK
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(out.stat().st_mode) == 0o644
+        assert [p.name for p in tmp_path.iterdir()] == ["hex.json"]
 
 
 class TestColorAndVerify:
@@ -187,6 +199,21 @@ class TestColorAndVerify:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("signedgrids: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("nested", ["graph", "certificate"])
+    def test_deeply_nested_json_is_a_usage_error(self, hex_graph, tmp_path, capsys, nested):
+        cert, deep = tmp_path / "cert.json", tmp_path / "deep.json"
+        assert run("color", "-i", str(hex_graph), "-o", str(cert)) == EXIT_OK
+        deep.write_text("[" * 100000)
+        graph, cert = (deep, cert) if nested == "graph" else (hex_graph, deep)
+        argvs = [("verify", "-i", str(graph), "-c", str(cert))]
+        if nested == "graph":
+            argvs.append(("color", "-i", str(graph)))
+        for argv in argvs:
+            capsys.readouterr()
+            assert run(*argv) == EXIT_USAGE
+            out, err = capsys.readouterr()
+            assert out == "" and err == f"signedgrids: {deep}: JSON nested too deeply\n"
+
     def test_grid_with_a_dropped_edge_is_a_usage_error(self, tmp_path, capsys):
         graph = tmp_path / "tri.json"
         run("gen", "--kind", "tri", "--rows", "4", "--cols", "4", "--seed", "3", "-o", str(graph))
@@ -249,6 +276,13 @@ class TestReports:
         assert run("chromatic", "-i", str(graph), "--max-order", "4", "-o", str(out)) == EXIT_OK
         result = read(out)
         assert result["status"] == "found" and result["order"] == 4
+
+    def test_chromatic_on_a_grid_deeper_than_the_recursion_limit(self, tmp_path):
+        graph, out = tmp_path / "hex40.json", tmp_path / "chrom.json"
+        assert run("gen", "--kind", "hex", "--rows", "40", "--cols", "40", "--seed", "1", "-o", str(graph)) == EXIT_OK
+        assert run("chromatic", "-i", str(graph), "--max-order", "4", "-o", str(out)) == EXIT_OK
+        result = read(out)
+        assert result["status"] == "found" and result["order"] <= 4
 
     def test_chromatic_budget_exhaustion(self, hex_graph, tmp_path):
         out = tmp_path / "chrom.json"

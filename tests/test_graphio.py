@@ -4,9 +4,12 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from signedgrids import GridSpec, Homomorphism, build_T4, find_signed_hom, make_grid, random_signature, unbalanced_c6
 from signedgrids.graphio import (
+    ArtifactEncoder,
     graph_from_dict,
     graph_to_dict,
     graph_to_dot,
@@ -82,3 +85,58 @@ def test_grid_edges_must_match_the_grid_metadata():
                 if not g.has_edge(u, v):
                     with pytest.raises(ValueError, match="does not join neighboring cells"):
                         graph_from_dict(dict(d, edges=d["edges"] + [[v, u, 1]]))
+
+
+# Values built from what artifacts hold, plus what the encoder's fast paths
+# must tell apart: bools among ints, empty rows, int rows of mixed lengths.
+ints = st.integers(-(2**70), 2**70)
+json_values = st.recursive(
+    st.none() | st.booleans() | ints | st.floats() | st.text(),
+    lambda children: (
+        st.lists(children)
+        | st.lists(children).map(tuple)
+        | st.dictionaries(st.text(), children)
+        | st.lists(ints)
+        | st.lists(st.lists(ints | st.booleans(), max_size=4))
+        | st.lists(st.tuples(ints, ints, ints))
+    ),
+    max_leaves=20,
+)
+
+
+@given(json_values)
+@settings(max_examples=200, deadline=None)
+def test_artifact_encoder_writes_the_standard_text(value):
+    assert json.dumps(value, indent=2, sort_keys=True, cls=ArtifactEncoder) == json.dumps(
+        value, indent=2, sort_keys=True
+    )
+
+
+@pytest.mark.parametrize(
+    "options",
+    [
+        {"indent": 0},
+        {"indent": 3, "sort_keys": False},
+        {"indent": "%\t", "separators": ("%,", ":"), "ensure_ascii": False},
+        {"indent": None},
+    ],
+    ids=["indent0", "unsorted", "odd_separators", "no_indent"],
+)
+def test_artifact_encoder_honours_the_encoder_options(options):
+    value = {"b": [[1, -2], [3]], "a": [0, True, None, 1.5, "é"], "c": {"z": [], "y": {}}, "d": (1, 2)}
+    assert json.dumps(value, cls=ArtifactEncoder, **options) == json.dumps(value, **options)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [{1: "int key"}, {"s": frozenset({2, 1})}, {"nan": float("nan")}],
+    ids=["int_key", "needs_default", "nan"],
+)
+def test_artifact_encoder_defers_other_values_to_the_base_class(value):
+    options = {"indent": 2, "sort_keys": True, "default": sorted}
+    assert json.dumps(value, cls=ArtifactEncoder, **options) == json.dumps(value, **options)
+
+
+def test_artifact_encoder_keeps_allow_nan():
+    with pytest.raises(ValueError):
+        json.dumps({"x": [float("inf")]}, indent=2, allow_nan=False, cls=ArtifactEncoder)

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from signedgrids import (
     NEG,
@@ -24,7 +26,7 @@ from signedgrids import (
 )
 from signedgrids.core import induced_subgraph
 
-from helpers import brute_c4_keys, cycle_edge_key, random_signed_graph
+from helpers import brute_c4_keys, cycle_edge_key, make_grid_reference, random_signed_graph
 
 
 def all_positive_grid(kind, rows, cols, mask=None):
@@ -101,6 +103,75 @@ class TestSignatures:
         sig.popitem()
         with pytest.raises(ValueError):
             make_grid(spec, sig)
+
+
+@st.composite
+def grid_signatures(draw):
+    """A random (masked) grid spec and its random signature, with at most one
+    key mutated: dropped, reversed, or replaced by (or added as) a pair of
+    non-neighbors, a pair touching a masked-out cell, or a pair leaving the box."""
+    kind = draw(st.sampled_from(("hex", "tri")))
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    box = GridSpec(kind, rows, cols)
+    mask = draw(st.none() | st.sets(st.sampled_from(box.cells()), min_size=1))
+    spec = GridSpec(kind, rows, cols, mask)
+    sig = random_signature(spec, draw(st.integers(0, 2**16)), 0.5)
+    sig = dict(draw(st.permutations(list(sig.items()))))
+    mutation = draw(st.sampled_from(("none", "drop", "reverse", "non_neighbor", "masked_out", "outside")))
+    if not sig or mutation == "none":
+        return spec, sig
+    a, b = key = draw(st.sampled_from(list(sig)))
+    if mutation == "drop":
+        del sig[key]
+        return spec, sig
+    if mutation == "reverse":
+        new = (b, a)
+    elif mutation == "non_neighbor":
+        edges, cells = set(spec.edges()), spec.cells()
+        pairs = [(c, d) for c in cells for d in cells if c != d and (c, d) not in edges]
+        if not pairs:
+            return spec, sig
+        new = draw(st.sampled_from(pairs))
+    elif mutation == "masked_out":
+        dropped = sorted(set(box.cells()) - set(spec.cells()))
+        if not dropped:
+            return spec, sig
+        i, j = x = draw(st.sampled_from(dropped))
+        new = draw(st.sampled_from((((i - 1, j), x), (x, (i + 1, j)), ((i, j - 1), x), (x, (i, j + 1)))))
+    else:
+        j = draw(st.integers(1, cols))
+        new = draw(st.sampled_from((((rows, j), (rows + 1, j)), ((0, j), (1, j)))))
+    if mutation == "reverse" or draw(st.booleans()):
+        del sig[key]
+    sig[new] = draw(st.sampled_from((POS, NEG)))
+    return spec, sig
+
+
+@given(grid_signatures())
+@settings(max_examples=400, deadline=None)
+def test_make_grid_matches_the_set_reference(case):
+    spec, sig = case
+    try:
+        expected = make_grid_reference(spec, sig)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as caught:
+            make_grid(spec, sig)
+        assert str(caught.value) == str(exc)
+        return
+    g = make_grid(spec, sig)
+    assert g == expected and g.grid == spec
+    # in order too: the search filters neighbors in adjacency order
+    assert [list(g.neighbors(v).items()) for v in range(g.n)] == [
+        list(expected.neighbors(v).items()) for v in range(g.n)
+    ]
+
+
+def test_edge_count_is_the_number_of_edges():
+    for kind in ("hex", "tri"):
+        for rows in range(1, 8):
+            for cols in range(1, 8):
+                spec = GridSpec(kind, rows, cols)
+                assert spec.edge_count() == len(spec.edges())
 
 
 class TestMasks:
