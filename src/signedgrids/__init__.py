@@ -4,8 +4,9 @@ Library layout:
 
 * :mod:`signedgrids.core` -- signed graphs, switching, antitwin doubling,
   and the fixed targets (T4, SP9, SP5 and their extensions).
-* :mod:`signedgrids.grids` -- hexagonal / triangular grid generators,
-  4-cycle analysis, and fixed fixtures.
+* :mod:`signedgrids.grids` -- hexagonal / triangular grids as
+  :class:`SignedGrid` values (a spec plus one sign array), their
+  generators, 4-cycle analysis, and fixed fixtures.
 * :mod:`signedgrids.hom` -- exact homomorphism search, verification, and the
   exact chromatic number on small instances.
 * :mod:`signedgrids.props` -- exhaustive target-property checks (extension
@@ -45,6 +46,7 @@ from .colorers import (
 )
 from .grids import (
     GridSpec,
+    SignedGrid,
     all_c4_unbalanced_grid,
     cycle_sign,
     enumerate_c4,

@@ -10,6 +10,7 @@ failure, 3 budget exhausted / unknown.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -27,7 +28,7 @@ from .core import (
     switch,  # unused here; perfbench/tracing.py patches signedgrids.cli.switch
 )
 from .graphio import ArtifactEncoder, graph_from_dict, graph_to_dict, graph_to_dot, hom_from_dict, hom_to_dict
-from .grids import GridSpec, all_c4_unbalanced_grid, make_grid, random_signature, unbalanced_c6, unbalanced_wheel7
+from .grids import GridSpec, SignedGrid, all_c4_unbalanced_grid, make_grid, random_signature, unbalanced_c6, unbalanced_wheel7
 from .hom import (
     BudgetExceededError,
     SearchBudget,
@@ -92,14 +93,21 @@ def _emit(path: str | None, payload: dict, command: str, config: dict) -> None:
 
 
 def _load_json(path: str):
-    with open(path) as fh:
-        try:
+    # a JSON value holds no reference cycles, so the cyclic collector is
+    # paused while json.load allocates a grid file's many small lists
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        with open(path) as fh:
             return json.load(fh)
-        except RecursionError:
-            raise ValueError(f"{path}: JSON nested too deeply") from None
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
+    finally:
+        if collecting:
+            gc.enable()
 
 
-def _load_graph(path: str) -> SignedGraph:
+def _load_graph(path: str) -> SignedGraph | SignedGrid:
     data = _load_json(path)
     wrapped = isinstance(data, dict) and "graph" in data
     return graph_from_dict(data["graph"] if wrapped else data)
@@ -245,7 +253,7 @@ def cmd_lowerbounds(args) -> int:
     config = {"instance": args.instance, "budget": args.budget}
     try:
         if args.instance == "c6":
-            g = unbalanced_c6()
+            g = unbalanced_c6().graph()  # the searches below share one conversion
             admitting = [
                 mask
                 for mask in range(8)
@@ -364,10 +372,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once per process: a parser holds reference cycles (its help
+# formatters) that only the cyclic collector frees
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

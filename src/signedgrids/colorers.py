@@ -20,25 +20,31 @@ verifier can check:
   within a row, a forward pass propagates per-vertex candidate color sets
   (each provably of size at least 2) and a backward pass commits choices.
 
+Both colorers read a :class:`~signedgrids.grids.SignedGrid` by its sign
+array, viewed as signed bytes: the edge from bounding id ``b`` to its right,
+down-left or down neighbor is slot ``3*b``, ``3*b + 1`` or ``3*b + 2``, and
+the slot's value (+1, -1, or 0 for no edge) indexes a table of the target's
+:func:`signedgrids.core.sign_masks`, so no adjacency dict is built.
 Candidate color sets are int bitmasks over the target vertices, ``&``-ed
-from the target's :func:`signedgrids.core.sign_masks` table.  Both
-algorithms are deterministic: ties break toward the smallest target vertex
-id (the lowest set bit) in the fixed target ordering.  Both color the
-bounding grid in place, on ids ``(i-1)*cols + (j-1)``, where a cell the mask
-drops reads as joined by ``+`` edges; the mapping is then restricted to the
+from those masks.  Both algorithms are deterministic: ties break toward the
+smallest target vertex id (the lowest set bit) in the fixed target
+ordering.  Both color the bounding grid in place, on bounding ids
+``(i-1)*cols + (j-1)``, where a cell the mask drops reads as joined by
+``+`` edges (a 0 slot reads as ``+``); the mapping is then restricted to the
 retained cells, which is valid because restricting a homomorphism to an
 induced subgraph keeps it a homomorphism.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cache
+from itertools import compress
 
 from .core import NEG, POS, SignedGraph, rho_sp9_plus, rho_t4, sign_masks
 from .core import switch  # unused here; perfbench/tracing.py patches signedgrids.colorers.switch
-from .grids import GridSpec
+from .grids import GridSpec, SignedGrid
 from .grids import make_grid  # unused here; perfbench/tracing.py patches signedgrids.colorers.make_grid
 from .hom import Homomorphism
 from .props import pstar21_excluded_pairs
@@ -95,22 +101,26 @@ def compatible_colors(
     return _members(cands)
 
 
-def _require_grid(g: SignedGraph, kind: str) -> GridSpec:
-    spec = g.grid
-    if not isinstance(spec, GridSpec) or spec.kind != kind:
-        raise ValueError(f"input must carry {kind} grid metadata")
-    return spec
+def _require_grid(g: SignedGrid, kind: str) -> GridSpec:
+    if not isinstance(g, SignedGrid) or g.grid.kind != kind:
+        raise ValueError(f"input must be a {kind} SignedGrid")
+    return g.grid
 
 
-def _sign_reader(g: SignedGraph, spec: GridSpec) -> Callable[[int, int], int]:
-    """Sign between two cells given by bounding-grid ids; ``+`` where the
-    mask drops a cell or the graph lacks the edge."""
-    vertex = [-1] * (spec.rows * spec.cols)
-    adj: list[dict[int, int]] = [{}] * (spec.rows * spec.cols)  # a dropped cell has no edges
-    for v, (i, j) in enumerate(spec.cells()):
-        vertex[(i - 1) * spec.cols + (j - 1)] = v
-        adj[(i - 1) * spec.cols + (j - 1)] = g.neighbors(v)
-    return lambda a, b: adj[a].get(vertex[b], POS)
+def _signs(g: SignedGrid) -> memoryview:
+    """The sign array read as +1, -1 and 0."""
+    return memoryview(g.signs).cast("b")
+
+
+def _by_slot(masks: dict[int, list[int]]) -> tuple[list[int], ...]:
+    """Sign masks indexed by a slot's value: 1 and -1 (the last entry), and
+    0 (no edge), which reads as ``+``."""
+    return masks[POS], masks[POS], masks[NEG]
+
+
+def _restrict(phi: list[int], spec: GridSpec) -> tuple[int, ...]:
+    """A bounding-grid mapping restricted to the retained cells, in vertex order."""
+    return tuple(phi) if spec.mask is None else tuple(map(phi.__getitem__, spec.bounding_ids()))
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +128,7 @@ def _sign_reader(g: SignedGraph, spec: GridSpec) -> Callable[[int, int], int]:
 # ---------------------------------------------------------------------------
 
 
-def normalize_hex(g: SignedGraph) -> tuple[Callable[[int, int], int], frozenset[int]]:
+def normalize_hex(g: SignedGrid) -> tuple[SignedGrid, frozenset[int]]:
     """Switch a hexagonal grid so the coloring scaffold is all positive.
 
     Works on the bounding grid (see the module docstring).  Scans positions
@@ -136,42 +146,48 @@ def normalize_hex(g: SignedGraph) -> tuple[Callable[[int, int], int], frozenset[
     below the grid (no vertical edge; only the last row's horizontal edges
     remain to fix).  Later positions never disturb edges already processed.
 
-    Returns the switched grid's signs as a reader ``sign(a, b)`` over
-    bounding-grid ids, not as a switched copy, and the switch set (double
-    switches cancel) as bounding-grid ids, which are the vertex ids of an
-    unmasked grid.
+    Returns the switched bounding grid, an unmasked :class:`SignedGrid`
+    whose edges to dropped cells start out ``+``, and the switch set
+    (double switches cancel) as bounding-grid ids, which are the vertex ids
+    of an unmasked grid.  A switch flips the slots of the vertex's four
+    edges in place.
     """
     spec = _require_grid(g, "hex")
     rows, cols = spec.rows, spec.cols
-    vid = lambda i, j: (i - 1) * cols + (j - 1)
-    sign = _sign_reader(g, spec)
-    flip = [POS] * (rows * cols)  # NEG at a switched vertex
+    box = GridSpec("hex", rows, cols)
+    # edges to dropped cells become + edges (max(0, 1)), and a switch negates
+    # the slots of its vertex's edges, so no-edge slots stay 0
+    array = bytearray(g.signs if spec.mask is None else map(max, g.signs, box.slot_pattern()))
+    signs = memoryview(array).cast("b")
+    flipped = bytearray(rows * cols)  # 1 at a vertex switched an odd number of times
 
-    def live_sign(a: int, b: int) -> int:
-        return sign(a, b) * flip[a] * flip[b]
+    def switch_at(x: int) -> None:
+        flipped[x] ^= 1
+        p = 3 * x
+        signs[p] = -signs[p]  # right
+        signs[p + 2] = -signs[p + 2]  # down
+        if x % cols:
+            signs[p - 3] = -signs[p - 3]  # left
+        if x >= cols:
+            up = p - 3 * cols + 2
+            signs[up] = -signs[up]
 
     for i in range(2, rows + 2):
-        for j in range(1, cols + 1):
-            if (i + j) % 2 == 0:
-                continue
-            cur = vid(i, j) if i <= rows else None
-            up = vid(i - 1, j)
-            upright = vid(i - 1, j + 1) if j < cols else None
-            sv = live_sign(cur, up) if cur is not None else POS
-            sh = live_sign(up, upright) if upright is not None else POS
-            if sv == NEG and sh == NEG:
-                flip[up] = -flip[up]
-            elif sv == POS and sh == NEG:
-                if cur is not None:
-                    flip[cur] = -flip[cur]
-                flip[up] = -flip[up]
-            elif sv == NEG and sh == POS:
-                flip[cur] = -flip[cur]
-    switched = frozenset(k for k, f in enumerate(flip) if f == NEG)
-    return live_sign, switched
+        for j in range(1 + i % 2, cols + 1, 2):  # i + j odd
+            up = (i - 2) * cols + (j - 1)
+            v_neg = signs[3 * up + 2] == NEG  # no vertical edge below the last row
+            h_neg = signs[3 * up] == NEG  # no horizontal edge at the right boundary
+            if h_neg:
+                if not v_neg and i <= rows:
+                    switch_at(up + cols)
+                switch_at(up)
+            elif v_neg:
+                switch_at(up + cols)
+    switched = frozenset(compress(range(rows * cols), flipped))
+    return SignedGrid(box, bytes(array)), switched
 
 
-def color_hex(g: SignedGraph) -> Homomorphism:
+def color_hex(g: SignedGrid) -> Homomorphism:
     """Color a signed hexagonal grid into the doubled T4 target.
 
     Returns an exact sign-preserving homomorphism of the *original* graph
@@ -181,10 +197,10 @@ def color_hex(g: SignedGraph) -> Homomorphism:
     """
     spec = _require_grid(g, "hex")
     rows, cols = spec.rows, spec.cols
-    vid = lambda i, j: (i - 1) * cols + (j - 1)
-    sign, switched = normalize_hex(g)
+    normalized, switched = normalize_hex(g)
+    signs = _signs(normalized)
     rho = rho_t4()
-    masks = sign_masks(rho.graph)
+    masks = _by_slot(sign_masks(rho.graph))
     everyone = (1 << rho.n) - 1
     half = rho.n // 2  # the doubling puts the twin of c at (c + half) % rho.n
     excluded = pstar21_excluded_pairs(rho)
@@ -198,14 +214,14 @@ def color_hex(g: SignedGraph) -> Homomorphism:
 
     for i in range(1, rows + 1):
         for j in range(1, cols + 1):
-            cur = vid(i, j)
+            cur = (i - 1) * cols + (j - 1)
+            up = cur - cols
             if (i + j) % 2 == 0:
                 # one earlier neighbor at most: the vertex straight above
                 if i == 1:
                     cands = everyone
                 else:
-                    up = vid(i - 1, j)
-                    cands = masks[sign(up, cur)][phi[up]]
+                    cands = masks[signs[3 * up + 2]][phi[up]]
                     twins = (cands >> half | cands << half) & everyone
                     if cands.bit_count() < 3 or cands & twins:
                         raise ColoringInvariantError(
@@ -215,25 +231,23 @@ def color_hex(g: SignedGraph) -> Homomorphism:
                     # keep this color's identity group disjoint from the
                     # diagonal's, so the vertex below-right of the diagonal
                     # later sees a pair with a common positive neighbor
-                    cands &= outside_group[phi[vid(i - 1, j + 1)]]
+                    cands &= outside_group[phi[up + 1]]
             else:
                 cands = everyone
                 if i >= 2:
-                    up = vid(i - 1, j)
-                    if sign(up, cur) != POS:
+                    if signs[3 * up + 2] != POS:
                         raise ColoringInvariantError(
                             f"vertical scaffold edge above ({i},{j}) not positive"
                         )
                     cands &= masks[POS][phi[up]]
                 if j >= 2:
-                    left = vid(i, j - 1)
-                    if sign(left, cur) != POS:
+                    if signs[3 * (cur - 1)] != POS:
                         raise ColoringInvariantError(
                             f"horizontal scaffold edge left of ({i},{j}) not positive"
                         )
-                    cands &= masks[POS][phi[left]]
+                    cands &= masks[POS][phi[cur - 1]]
                 if i >= 2 and j >= 2:
-                    a, b = phi[up], phi[left]
+                    a, b = phi[up], phi[cur - 1]
                     if a == b or rho.twin(a) == b or frozenset({a, b}) in excluded:
                         raise ColoringInvariantError(
                             f"invalid color pair {a},{b} ahead of ({i},{j})"
@@ -243,8 +257,9 @@ def color_hex(g: SignedGraph) -> Homomorphism:
             phi[cur] = _lowest(cands)
 
     # undo the normalization: switched vertices take their antitwin image
-    final = [rho.twin(c) if k in switched else c for k, c in enumerate(phi)]
-    return Homomorphism(tuple(final[vid(i, j)] for i, j in spec.cells()))
+    for k in switched:
+        phi[k] = rho.twin(phi[k])
+    return Homomorphism(_restrict(phi, spec))
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +267,7 @@ def color_hex(g: SignedGraph) -> Homomorphism:
 # ---------------------------------------------------------------------------
 
 
-def color_tri(g: SignedGraph) -> tuple[Homomorphism, CandidateTrace]:
+def color_tri(g: SignedGrid) -> tuple[Homomorphism, CandidateTrace]:
     """Color a signed triangular grid into the doubled SP9-plus target.
 
     Row by row: the forward pass builds, for each vertex of the current row,
@@ -268,10 +283,9 @@ def color_tri(g: SignedGraph) -> tuple[Homomorphism, CandidateTrace]:
     """
     spec = _require_grid(g, "tri")
     rows, cols = spec.rows, spec.cols
-    vid = lambda r, c: (r - 1) * cols + (c - 1)
-    sign = _sign_reader(g, spec)
+    signs = _signs(g)
     target = rho_sp9_plus().graph
-    masks = sign_masks(target)
+    masks = _by_slot(sign_masks(target))
     everyone = (1 << target.n) - 1
 
     @cache
@@ -286,18 +300,18 @@ def color_tri(g: SignedGraph) -> tuple[Homomorphism, CandidateTrace]:
     trace_rows = []
 
     for r in range(1, rows + 1):
+        base = (r - 1) * cols  # bounding id of (r, 1)
         sets: list[int] = []
         for c in range(1, cols + 1):
-            cur = vid(r, c)
+            cur = base + c - 1
             cands = everyone
             if r >= 2:
-                up = vid(r - 1, c)
-                cands &= masks[sign(up, cur)][phi[up]]
+                up = cur - cols
+                cands &= masks[signs[3 * up + 2]][phi[up]]
                 if c < cols:
-                    upright = vid(r - 1, c + 1)
-                    cands &= masks[sign(upright, cur)][phi[upright]]
+                    cands &= masks[signs[3 * up + 4]][phi[up + 1]]  # down-left slot of (r-1, c+1)
             if c >= 2:
-                cands &= reachable(sets[-1], sign(cur - 1, cur))
+                cands &= reachable(sets[-1], signs[3 * cur - 3])
             if cands.bit_count() < 2:
                 raise ColoringInvariantError(
                     f"candidate set at ({r},{c}) has {cands.bit_count()} < 2 colors"
@@ -306,18 +320,14 @@ def color_tri(g: SignedGraph) -> tuple[Homomorphism, CandidateTrace]:
         trace_rows.append(tuple(sets))
 
         # backward pass: commit the row right to left
-        choice = [-1] * cols
-        choice[cols - 1] = _lowest(sets[cols - 1])
+        phi[base + cols - 1] = _lowest(sets[cols - 1])
         for c in range(cols - 1, 0, -1):
-            s_row = sign(vid(r, c), vid(r, c + 1))
-            feasible = sets[c - 1] & masks[s_row][choice[c]]
+            left = base + c - 1
+            feasible = sets[c - 1] & masks[signs[3 * left]][phi[left + 1]]
             if not feasible:
                 raise ColoringInvariantError(
                     f"backward pass stuck at ({r},{c}); forward filter broken"
                 )
-            choice[c - 1] = _lowest(feasible)
-        for c in range(1, cols + 1):
-            phi[vid(r, c)] = choice[c - 1]
+            phi[left] = _lowest(feasible)
 
-    mapping = tuple(phi[vid(r, c)] for r, c in spec.cells())
-    return Homomorphism(mapping), CandidateTrace(tuple(trace_rows))
+    return Homomorphism(_restrict(phi, spec)), CandidateTrace(tuple(trace_rows))

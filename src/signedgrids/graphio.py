@@ -16,11 +16,18 @@ A graph object is rejected with ``ValueError`` too when it is not an object,
 its ``"n"`` is not an integer, its ``"edges"`` is not a list of ``[u, v, s]``
 integer triples, its ``"labels"`` is not a list of strings, or its
 ``"grid"`` is not an object with integer ``"rows"``/``"cols"`` and a
-``"mask"`` list of ``[i, j]`` integer pairs.  With grid metadata the edges
-must be exactly the grid's: an edge between cells that are not grid
-neighbors (by :meth:`~signedgrids.grids.GridSpec.joins`), or a missing grid
-edge (the count falls short of
-:meth:`~signedgrids.grids.GridSpec.edge_count`), is named in the error.
+``"mask"`` list of ``[i, j]`` integer pairs.
+
+A graph object with grid metadata reads as a
+:class:`~signedgrids.grids.SignedGrid`: each edge is streamed straight into
+its slot of the sign array (see :mod:`signedgrids.grids`), and no
+:class:`~signedgrids.core.SignedGraph` is built.  The edges must be exactly
+the grid's: an edge between cells that are not grid neighbors (no slot, by
+:meth:`~signedgrids.grids.GridSpec.slot`, or a slot without an edge), or a
+missing grid edge (an empty slot at the end), is named in the error.  Every
+other graph object reads as a :class:`~signedgrids.core.SignedGraph`.  Both
+writers, :func:`graph_to_dict` and :func:`graph_to_dot`, read either through
+its ``n`` and sorted ``edges``.
 
 Artifacts are written as ``json.dumps(value, indent=2, sort_keys=True,
 cls=ArtifactEncoder)``.  :class:`ArtifactEncoder` gives the same text as the
@@ -35,10 +42,10 @@ from __future__ import annotations
 
 import json
 from collections.abc import Mapping, Sequence
-from itertools import chain
+from itertools import chain, compress
 
 from .core import SignedGraph
-from .grids import GridSpec
+from .grids import GridSpec, SignedGrid
 from .hom import Homomorphism
 
 
@@ -76,7 +83,7 @@ def grid_from_dict(d: Mapping) -> GridSpec:
     return GridSpec(d.get("kind"), rows, cols, mask)
 
 
-def graph_to_dict(g: SignedGraph) -> dict:
+def graph_to_dict(g: SignedGraph | SignedGrid) -> dict:
     out: dict = {"n": g.n, "edges": [[u, v, s] for u, v, s in g.edges]}
     if g.labels is not None:
         out["labels"] = list(g.labels)
@@ -85,13 +92,17 @@ def graph_to_dict(g: SignedGraph) -> dict:
     return out
 
 
-def graph_from_dict(d: Mapping) -> SignedGraph:
+def graph_from_dict(d: Mapping) -> SignedGraph | SignedGrid:
     """Read a graph object; raise ``ValueError`` on any malformed or inconsistent field.
 
-    With grid metadata, the edges must be exactly the grid's: each one is
-    checked to join two neighboring retained cells by coordinate arithmetic,
-    and, since the graph rejects duplicate edges, an edge count below the
-    grid's means a missing edge, which is then named.
+    With grid metadata the result is a :class:`SignedGrid`.  Each edge is
+    checked to join two neighboring retained cells by slot arithmetic on
+    their bounding ids and then fills that slot.  A bad sign or a slot
+    filled twice (a duplicate edge, in either orientation) is reported only
+    once every edge has passed the structural checks, with the message and
+    precedence a :class:`SignedGraph` gives it.  Since duplicates are
+    rejected, a count of filled slots below the grid's edge count means a
+    missing edge, which is then named.
     """
     if not isinstance(d, Mapping):
         raise ValueError("graph must be a JSON object")
@@ -111,7 +122,9 @@ def graph_from_dict(d: Mapping) -> SignedGraph:
         size = grid.rows * grid.cols if grid.mask is None else len(grid.mask)
         if n != size:
             raise ValueError(f"graph 'n' is {n}, but its grid has {size} cells")
-        cells, joins = grid.cells(), grid.joins
+        where, slot, pattern = grid.bounding_ids(), grid.slot, grid.slot_pattern()
+        signs = bytearray(len(pattern))
+        later = None  # the first bad sign or duplicate
     for e in raw:
         if type(e) is not list or len(e) != 3:
             raise ValueError(f"edge {e!r} is not a [u, v, sign] triple")
@@ -121,18 +134,31 @@ def graph_from_dict(d: Mapping) -> SignedGraph:
         if grid is not None:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge {e!r} has an endpoint out of range [0,{n})")
-            # vertex ids follow the row-major cell order, as edges() does
-            if not (joins(cells[u], cells[v]) if u < v else joins(cells[v], cells[u])):
+            p = slot(where[u], where[v]) if u < v else slot(where[v], where[u])
+            if p < 0 or not pattern[p]:
                 raise ValueError(f"edge {e!r} does not join neighboring cells of the {grid.kind} grid")
-    g = SignedGraph(n, raw, labels=labels, grid=grid)
-    if grid is not None and g.edge_count != grid.edge_count():
-        index = {c: k for k, c in enumerate(cells)}
-        for a, b in grid.edges():
-            if not g.has_edge(index[a], index[b]):
+            if later is not None:
+                continue
+            if s != 1 and s != -1:
+                later = f"edge sign must be +1 or -1, got {s!r}"
+            elif signs[p]:
+                later = f"duplicate edge ({u},{v})"
+            else:
+                signs[p] = s & 0xFF
+    if grid is None:
+        return SignedGraph(n, raw, labels=labels)
+    if later is not None:
+        raise ValueError(later)
+    if labels is not None and len(labels) != n:
+        raise ValueError("labels must cover every vertex")
+    if signs.count(0) != pattern.count(0):
+        index = {c: k for k, c in enumerate(grid.cells())}
+        for (a, b), p in zip(grid.edges(), compress(range(len(pattern)), pattern)):
+            if not signs[p]:
                 raise ValueError(
                     f"grid edge {a}-{b} (vertices {index[a]}, {index[b]}) is missing"
                 )
-    return g
+    return SignedGrid(grid, bytes(signs), None if labels is None else tuple(labels))
 
 
 def hom_to_dict(hom: Homomorphism, target: SignedGraph) -> dict:
@@ -148,6 +174,8 @@ def hom_from_dict(d: Mapping) -> tuple[Homomorphism, SignedGraph]:
     if not isinstance(d, Mapping):
         raise ValueError("certificate must be a JSON object")
     target = graph_from_dict(d.get("target"))
+    if isinstance(target, SignedGrid):  # a target is searched and verified against as a graph
+        target = target.graph()
     mapping = tuple(_int_list(d.get("mapping"), "certificate 'mapping'"))
     kind = d.get("kind", "signed")
     if kind == "ec":
@@ -235,7 +263,7 @@ class ArtifactEncoder(json.JSONEncoder):
 
 
 def graph_to_dot(
-    g: SignedGraph,
+    g: SignedGraph | SignedGrid,
     name: str = "G",
     annotations: Sequence[str] | None = None,
 ) -> str:

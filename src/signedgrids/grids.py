@@ -1,9 +1,10 @@
 """Hexagonal and triangular grid generators and structural queries.
 
 Grid cells are addressed by 1-based coordinates ``(i, j)`` with ``i`` the row
-and ``j`` the column; cell ``(i, j)`` of an unmasked grid becomes vertex
-``(i-1)*cols + (j-1)``.  A mask restricts the grid to the induced subgraph on
-the retained cells (reindexed in row-major order).
+and ``j`` the column; cell ``(i, j)`` has the *bounding id*
+``(i-1)*cols + (j-1)``, which is its vertex id in an unmasked grid.  A mask
+restricts the grid to the induced subgraph on the retained cells
+(reindexed in row-major order).
 
 Adjacency:
 
@@ -13,13 +14,27 @@ Adjacency:
   ``(i,j)-(i+1,j)`` and ``(i,j)-(i+1,j-1)``, i.e. a vertex is adjacent to the
   cells directly below and below-left, so row ``i`` sees columns ``j`` and
   ``j+1`` of the row above.  Interior degree 6.
+
+A signed grid is one value, :class:`SignedGrid`: its :class:`GridSpec` plus
+one ``bytes`` sign array with three *slots* per bounding-grid cell.  Slot
+``3*b + d`` holds the edge from the cell of bounding id ``b`` in direction
+``d``: 0 right ``(i, j+1)``, 1 down-left ``(i+1, j-1)``, 2 down ``(i+1, j)``.
+A slot holds the edge's sign as a signed byte, 1 or 255 (-1), and 0 where
+the grid has no edge (off the box, a hex parity gap, a masked-out end, no
+down-left on hex), so ``memoryview(signs).cast("b")`` reads +1, -1 and 0.
+The three neighbors lie at bounding ids ``b+1 < b+cols-1 < b+cols``
+(on two columns a cell has a right or a down-left edge, never both), so the
+non-zero slots in order are the edges sorted by ``(u, v)``, which is
+:meth:`GridSpec.edges` order.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from itertools import combinations
+from collections.abc import Iterable, Mapping
+from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import chain, combinations, compress, islice
 
 from .core import NEG, POS, SignedGraph
 
@@ -28,6 +43,7 @@ CellEdge = tuple[Cell, Cell]
 
 __all__ = [
     "GridSpec",
+    "SignedGrid",
     "make_grid",
     "random_signature",
     "enumerate_c4",
@@ -37,6 +53,9 @@ __all__ = [
     "unbalanced_wheel7",
     "unbalanced_c6",
 ]
+
+# slot byte -> 1 if it holds an edge, 0 if not, 254 if it is no sign
+_HAS_EDGE = bytes([0, 1] + [254] * 253 + [1])
 
 
 @dataclass(frozen=True)
@@ -67,104 +86,208 @@ class GridSpec:
             )
         return tuple(sorted(self.mask))
 
-    def contains(self, cell: Cell) -> bool:
-        i, j = cell
-        if not (1 <= i <= self.rows and 1 <= j <= self.cols):
-            return False
-        return self.mask is None or cell in self.mask
+    def bounding_ids(self) -> range | list[int]:
+        """Bounding id of each vertex, in vertex order."""
+        if self.mask is None:
+            return range(self.rows * self.cols)
+        return [(i - 1) * self.cols + (j - 1) for i, j in sorted(self.mask)]
 
-    def joins(self, a: Cell, b: Cell) -> bool:
-        """True iff ``(a, b)`` is a grid step in :meth:`edges` orientation.
+    def slot(self, x: int, y: int) -> int:
+        """The slot of the step from bounding id ``x`` to bounding id ``y``.
 
-        ``b`` must be the right, down-left (tri only) or down neighbor of
-        ``a``; on a hex grid a right step leaves only a cell with ``i + j``
-        even.  Whether the cells are retained is not checked.
+        That is ``3*x`` plus the direction when ``y`` is the right, down-left
+        or down neighbor of ``x`` in the bounding grid, else -1.  The column
+        of ``x`` tells a right step from a down-left one when both differ
+        by 1 (two columns).  Whether the grid has the edge is
+        :meth:`slot_pattern`'s to say.
         """
-        (i, j), (k, l) = a, b
-        if k == i:
-            return l == j + 1 and (self.kind == "tri" or (i + j) % 2 == 0)
-        return k == i + 1 and (l == j or (l == j - 1 and self.kind == "tri"))
+        cols, d = self.cols, y - x
+        if d == cols:
+            return 3 * x + 2
+        if d == 1 and x % cols != cols - 1:
+            return 3 * x
+        if d == cols - 1 and x % cols:
+            return 3 * x + 1
+        return -1
+
+    @lru_cache(maxsize=8)  # a few specs recur: the patches of an exact search
+    def slot_pattern(self) -> bytes:
+        """1 in every slot that holds an edge of the grid, 0 elsewhere."""
+        rows, cols, tri = self.rows, self.cols, self.kind == "tri"
+
+        def row(i: int) -> bytes:
+            below = i < rows
+            return bytes(
+                x
+                for j in range(1, cols + 1)
+                for x in (j < cols and (tri or (i + j) % 2 == 0), tri and below and j > 1, below)
+            )
+
+        # rows differ only by the hex parity and the last row
+        kinds = {}
+        for i in range(1, rows + 1):
+            if (i % 2, i == rows) not in kinds:
+                kinds[i % 2, i == rows] = row(i)
+        pattern = b"".join(kinds[i % 2, i == rows] for i in range(1, rows + 1))
+        if self.mask is None:
+            return pattern
+        # a retained cell keeps the box's edges to retained cells; the work
+        # is per retained cell, however large the box
+        out = bytearray(len(pattern))
+        for i, j in self.mask:
+            p = 3 * ((i - 1) * cols + (j - 1))
+            for d, head in enumerate(((i, j + 1), (i + 1, j - 1), (i + 1, j))):
+                if pattern[p + d] and head in self.mask:
+                    out[p + d] = 1
+        return bytes(out)
 
     def edge_count(self) -> int:
-        """``len(self.edges())``, in closed form for an unmasked grid."""
-        rows, cols = self.rows, self.cols
-        if self.mask is not None:
-            return len(self.edges())
-        if self.kind == "hex":  # verticals, then the row edges (i, j)-(i, j+1) with i + j even
-            return (rows - 1) * cols + (rows + 1) // 2 * (cols // 2) + rows // 2 * ((cols - 1) // 2)
-        return rows * (cols - 1) + (rows - 1) * (2 * cols - 1)
+        """``len(self.edges())``."""
+        return self.slot_pattern().count(1)
 
     def edges(self) -> tuple[CellEdge, ...]:
         """Grid edges between retained cells, in a fixed row-major order.
 
         Per cell the outgoing edges appear in a fixed direction order (hex:
-        right, down; tri: right, down-left, down), which pins the edge order
-        that :func:`random_signature` consumes.
+        right, down; tri: right, down-left, down), the slot order, which
+        pins the edge order that :func:`random_signature` consumes.
         """
-        out: list[CellEdge] = []
-        for a in self.cells():
-            i, j = a
-            if self.kind == "hex":
-                if (i + j) % 2 == 0 and self.contains((i, j + 1)):
-                    out.append((a, (i, j + 1)))
-                if self.contains((i + 1, j)):
-                    out.append((a, (i + 1, j)))
-            else:
-                if self.contains((i, j + 1)):
-                    out.append((a, (i, j + 1)))
-                if self.contains((i + 1, j - 1)):
-                    out.append((a, (i + 1, j - 1)))
-                if self.contains((i + 1, j)):
-                    out.append((a, (i + 1, j)))
+        cols = self.cols
+        step = (1, cols - 1, cols)
+        pattern = self.slot_pattern()
+        out = []
+        for p in compress(range(len(pattern)), pattern):
+            x, d = divmod(p, 3)
+            y = x + step[d]
+            out.append(((x // cols + 1, x % cols + 1), (y // cols + 1, y % cols + 1)))
         return tuple(out)
 
 
-def make_grid(spec: GridSpec, signature: dict[CellEdge, int]) -> SignedGraph:
-    """Build the signed grid graph for ``spec`` with the given edge signs.
+@dataclass(frozen=True)
+class SignedGrid:
+    """A signed grid: its :class:`GridSpec` and its sign array.
 
-    ``signature`` must assign a sign to exactly the edges of ``spec`` (keyed
-    by cell pairs as produced by :meth:`GridSpec.edges`).  The returned graph
-    carries ``spec`` as its ``grid`` metadata.
-
-    One pass over ``signature`` checks and converts every key: both cells
-    must be retained and :meth:`GridSpec.joins` must hold for the pair.
-    Distinct valid keys are distinct grid edges, so a key count equal to
-    :meth:`GridSpec.edge_count` means the keys are exactly the grid's edges.
-    Otherwise ``ValueError`` names how many edges are missing and extra.
-    The edges enter the graph in :meth:`GridSpec.edges` order whatever the
-    order of the keys, so the adjacency does not depend on it.
+    ``signs`` has three slots per bounding-grid cell, laid out as the module
+    docstring says.  Build one with :func:`make_grid` (or read one with
+    :func:`signedgrids.graphio.graph_from_dict`), which checks the array;
+    this constructor does not.  The verifiers, the writers and the colorers
+    read a grid as it is; the searches need adjacency dicts and convert it
+    through :meth:`graph`, which keeps the graph it builds.
     """
-    cells = spec.cells()
-    index = {c: k for k, c in enumerate(cells)}
-    joins = spec.joins
-    edges = []
+
+    grid: GridSpec
+    signs: bytes = field(repr=False)
+    labels: tuple[str, ...] | None = field(default=None, repr=False)
+    n: int = field(init=False, compare=False)
+    _graph: SignedGraph | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        spec = self.grid
+        object.__setattr__(self, "n", spec.rows * spec.cols if spec.mask is None else len(spec.mask))
+
+    @property
+    def edges(self) -> Iterable[tuple[int, int, int]]:
+        """All edges as ``(u, v, sign)`` with ``u < v``, sorted, as
+        :attr:`SignedGraph.edges` lists them.
+
+        Read from the sign array as a fresh iterator per access, or, once
+        :meth:`graph` has been built, as that graph's edge tuple.
+        """
+        if self._graph is not None:
+            return self._graph.edges
+        spec, signs = self.grid, self.signs
+        cols, values = spec.cols, compress(memoryview(signs).cast("b"), signs)
+        if spec.mask is not None:  # per edge, however large the box
+            vertex = {b: v for v, b in enumerate(spec.bounding_ids())}
+            step = (1, cols - 1, cols)
+            return (
+                (vertex[p // 3], vertex[p // 3 + step[p % 3]], s)
+                for p, s in zip(compress(range(len(signs)), signs), values)
+            )
+        # per slot, the vertex at its tail and at its head, each slot's
+        # three heads read off the id list shifted by 1, cols - 1 and cols;
+        # compress keeps the slots with an edge.  A list, not a range, so
+        # that every edge of a vertex shares one int object.
+        ids = list(range(spec.rows * cols + cols))
+        tails = chain.from_iterable(zip(ids, ids, ids))
+        heads = chain.from_iterable(zip(islice(ids, 1, None), islice(ids, cols - 1, None), islice(ids, cols, None)))
+        return zip(compress(tails, signs), compress(heads, signs), values)
+
+    def label(self, v: int) -> str:
+        return self.labels[v] if self.labels is not None else str(v)
+
+    def graph(self) -> SignedGraph:
+        """The grid as a :class:`SignedGraph`, with the spec as its ``grid``;
+        built on the first call and kept."""
+        if self._graph is None:
+            graph = SignedGraph(self.n, self.edges, labels=self.labels, grid=self.grid)
+            object.__setattr__(self, "_graph", graph)
+        return self._graph
+
+
+def make_grid(spec: GridSpec, signature: bytes | Mapping[CellEdge, int]) -> SignedGrid:
+    """Build the signed grid for ``spec`` with the given edge signs.
+
+    ``signature`` is either a sign array in the slot layout (as
+    :func:`random_signature` returns) or a mapping that assigns a sign to
+    exactly the edges of ``spec``, keyed by cell pairs as produced by
+    :meth:`GridSpec.edges`.  An array must have 0 in exactly the slots
+    without an edge and 1 or 255 in the others.
+
+    One pass over a mapping checks and places every key: both cells must lie
+    in the box and the pair must fill a slot of :meth:`GridSpec.slot_pattern`,
+    so distinct valid keys fill distinct slots, and a key count equal to
+    the edge count means the keys are exactly the grid's edges.  Otherwise
+    ``ValueError`` names how many edges are missing and extra.  A sign that
+    is not +1 or -1 is reported after that, the first in edge order.
+    """
+    pattern = spec.slot_pattern()
+    if isinstance(signature, (bytes, bytearray)):
+        if signature.translate(_HAS_EDGE) != pattern:
+            raise ValueError(
+                f"sign array does not fit the {spec.kind} {spec.rows}x{spec.cols} grid: "
+                f"it needs {len(pattern)} slots, 1 or 255 on each edge and 0 elsewhere"
+            )
+        return SignedGrid(spec, bytes(signature))
+    rows, cols, slot = spec.rows, spec.cols, spec.slot
+    signs = bytearray(len(pattern))
+    bad: dict[int, object] = {}
+    placed = 0
     try:
-        for (a, b), s in signature.items():
-            if not joins(a, b):
+        for ((i, j), (k, l)), s in signature.items():
+            if not (0 < i <= rows and 0 < j <= cols and 0 < k <= rows and 0 < l <= cols):
                 break
-            edges.append((index[a], index[b], s))
-    except (KeyError, TypeError, ValueError):  # a cell off the grid, or a key that is no cell pair
+            p = slot((i - 1) * cols + (j - 1), (k - 1) * cols + (l - 1))
+            if p < 0 or not pattern[p]:
+                break
+            if s == POS or s == NEG:
+                signs[p] = 1 if s == POS else 255
+            else:
+                bad[p] = s
+            placed += 1
+    except (TypeError, ValueError):  # a key that is no pair of integer pairs
         pass
-    if len(edges) != len(signature) or len(edges) != spec.edge_count():
+    if placed != len(signature) or placed != pattern.count(1):
         expected = set(spec.edges())
         raise ValueError(
             f"signature domain mismatch: {len(expected - set(signature))} missing, "
             f"{len(set(signature) - expected)} extra edges"
         )
-    edges.sort()  # sorted (u, v) is edges() order; already sorted for random_signature
-    return SignedGraph(len(cells), edges, grid=spec)
+    if bad:
+        raise ValueError(f"edge sign must be +1 or -1, got {bad[min(bad)]!r}")
+    return SignedGrid(spec, bytes(signs))
 
 
-def random_signature(spec: GridSpec, seed: int, p_negative: float) -> dict[CellEdge, int]:
-    """Independently negative signs with probability ``p_negative``.
+def random_signature(spec: GridSpec, seed: int, p_negative: float) -> bytes:
+    """Independently negative signs with probability ``p_negative``, as a sign array.
 
-    Draws one uniform variate per edge in the fixed edge order from
-    ``random.Random(seed)``, so the result is reproducible.
+    Draws one uniform variate per edge in the fixed edge order (the slot
+    order) from ``random.Random(seed)``, so the result is reproducible.
     """
     if not 0.0 <= p_negative <= 1.0:
         raise ValueError("p_negative must lie in [0, 1]")
-    rng = random.Random(seed)
-    return {e: (NEG if rng.random() < p_negative else POS) for e in spec.edges()}
+    draw = random.Random(seed).random
+    return bytes([(255 if draw() < p_negative else 1) if x else 0 for x in spec.slot_pattern()])
 
 
 def enumerate_c4(g: SignedGraph) -> list[tuple[int, int, int, int]]:
@@ -251,7 +374,7 @@ def _motif_color(r: int, c: int) -> int:
     return 2 if odd else 5
 
 
-def all_c4_unbalanced_grid(rows: int, cols: int) -> tuple[SignedGraph, dict[int, int]]:
+def all_c4_unbalanced_grid(rows: int, cols: int) -> tuple[SignedGrid, dict[int, int]]:
     """Triangular grid with every 4-cycle unbalanced, plus its 6-coloring.
 
     Any window of the periodic motif keeps both properties, so any
@@ -292,11 +415,11 @@ def unbalanced_wheel7() -> SignedGraph:
     return SignedGraph(7, edges)
 
 
-def unbalanced_c6() -> SignedGraph:
+def unbalanced_c6() -> SignedGrid:
     """Six-cycle with exactly one negative edge, realized as a 3x2 hex grid.
 
-    A 3x2 brick-wall grid is a single hexagon, so the result carries hex grid
-    metadata and can be fed straight to the hexagonal colorer.
+    A 3x2 brick-wall grid is a single hexagon, so the result is a hex
+    :class:`SignedGrid` and can be fed straight to the hexagonal colorer.
     """
     spec = GridSpec("hex", 3, 2)
     signature = {e: POS for e in spec.edges()}

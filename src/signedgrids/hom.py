@@ -12,6 +12,12 @@ Two notions of mapping are handled:
 Both are witnessed by one :class:`Homomorphism` type, a mapping plus a switch
 set; an ec witness has an empty switch set.
 
+The verifiers read a source's ``n`` and ``edges`` only, so they take a
+:class:`~signedgrids.grids.SignedGrid` as it is.  The searches walk adjacency
+dicts: :func:`find_ec_hom`, :func:`find_signed_hom` and
+:func:`signed_chromatic_number` convert a grid source through
+:meth:`~signedgrids.grids.SignedGrid.graph` once on entry.
+
 The chromatic number of a signed graph is the order of its smallest target;
 :func:`signed_chromatic_number` computes it exactly on small instances by
 sweeping all complete signed targets of increasing order (restricting to
@@ -28,6 +34,7 @@ from itertools import permutations
 
 from .core import NEG, POS, SignedGraph, antitwin_double, sign_masks
 from .core import switch  # unused here; perfbench/tracing.py patches signedgrids.hom.switch
+from .grids import SignedGrid
 
 __all__ = [
     "Homomorphism",
@@ -80,23 +87,24 @@ class Homomorphism:
     switch_set: frozenset[int] = frozenset()
 
 
-def _require_total(g: SignedGraph, mapping: Sequence[int]) -> None:
+def _require_total(g: SignedGraph | SignedGrid, mapping: Sequence[int]) -> None:
     if len(mapping) != g.n:
         raise ValueError("mapping must be total on the source vertices")
 
 
 def first_ec_violation(
-    g: SignedGraph, h: SignedGraph, mapping: Sequence[int]
+    g: SignedGraph | SignedGrid, h: SignedGraph, mapping: Sequence[int]
 ) -> tuple[int, int] | None:
     """First source edge not carried to an equal-sign target edge, else None."""
     _require_total(g, mapping)
+    rows = [h.neighbors(a) for a in range(h.n)]
     for u, v, s in g.edges:
-        if h.status(mapping[u], mapping[v]) != s:
+        if rows[mapping[u]].get(mapping[v], 0) != s:
             return (u, v)
     return None
 
 
-def verify_ec(g: SignedGraph, h: SignedGraph, mapping: Sequence[int]) -> bool:
+def verify_ec(g: SignedGraph | SignedGrid, h: SignedGraph, mapping: Sequence[int]) -> bool:
     """True iff ``mapping`` is an ec homomorphism from ``g`` to ``h``.
 
     An entry outside ``range(h.n)`` gives False instead of aliasing a target
@@ -108,7 +116,7 @@ def verify_ec(g: SignedGraph, h: SignedGraph, mapping: Sequence[int]) -> bool:
     return first_ec_violation(g, h, mapping) is None
 
 
-def verify_signed(g: SignedGraph, h: SignedGraph, hom: Homomorphism) -> bool:
+def verify_signed(g: SignedGraph | SignedGrid, h: SignedGraph, hom: Homomorphism) -> bool:
     """True iff ``hom`` is a signed homomorphism from ``g`` to ``h``.
 
     Each source edge's sign, flipped when exactly one endpoint is in the
@@ -130,6 +138,11 @@ def verify_signed(g: SignedGraph, h: SignedGraph, hom: Homomorphism) -> bool:
         if rows[mapping[u]].get(mapping[v], 0) != s:
             return False
     return True
+
+
+def _adjacency(g: SignedGraph | SignedGrid) -> SignedGraph:
+    """The source as a graph with adjacency dicts, which the searches walk."""
+    return g.graph() if isinstance(g, SignedGrid) else g
 
 
 def _search_order(g: SignedGraph) -> tuple[list[int], list[int]]:
@@ -158,7 +171,7 @@ def _search_order(g: SignedGraph) -> tuple[list[int], list[int]]:
 
 
 def find_ec_hom(
-    g: SignedGraph,
+    g: SignedGraph | SignedGrid,
     h: SignedGraph,
     domains: Sequence[Sequence[int]] | None = None,
     budget: SearchBudget | None = None,
@@ -180,6 +193,7 @@ def find_ec_hom(
     order of a sorted candidate list, so witnesses and node counts are those
     of a search on sorted lists.
     """
+    g = _adjacency(g)
     n = g.n
     if domains is None:
         current = [(1 << h.n) - 1] * n
@@ -259,7 +273,7 @@ def ec_to_signed(hom: Homomorphism, base_n: int) -> Homomorphism:
 
 
 def find_signed_hom(
-    g: SignedGraph, h: SignedGraph, budget: SearchBudget | None = None
+    g: SignedGraph | SignedGrid, h: SignedGraph, budget: SearchBudget | None = None
 ) -> Homomorphism | None:
     """Search for a signed homomorphism ``g -> h``.
 
@@ -276,6 +290,7 @@ def find_signed_hom(
     subtrees under minus roots, about half of a "no" answer, are skipped.
     Fixing any other vertex could change the witness.
     """
+    g = _adjacency(g)
     rho = antitwin_double(h)
     domains = [range(rho.graph.n)] * g.n
     for root in _search_order(g)[1]:
@@ -381,7 +396,7 @@ def canonical_complete_targets(n: int) -> tuple[int, ...]:
 
 
 def signed_chromatic_number(
-    g: SignedGraph, max_order: int, budget: SearchBudget | None = None
+    g: SignedGraph | SignedGrid, max_order: int, budget: SearchBudget | None = None
 ) -> tuple[int, SignedGraph, Homomorphism] | None:
     """Smallest target order admitting a signed homomorphism from ``g``.
 
@@ -391,6 +406,7 @@ def signed_chromatic_number(
     to ``max_order`` works, i.e. the chromatic number exceeds ``max_order``.
     Exact but exponential in the order; intended for ``max_order <= 6``.
     """
+    g = _adjacency(g)
     for order in range(1, max_order + 1):
         for mask in canonical_complete_targets(order):
             h = complete_signed_graph(order, mask)

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import copy
 import random
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from itertools import combinations, product
 
 from hypothesis import strategies as st
 
-from signedgrids import NEG, POS, GridSpec, SignedGraph, make_grid, rho_sp9_plus, rho_t4, switch, verify_ec
+from signedgrids import NEG, POS, GridSpec, SignedGraph, rho_sp9_plus, rho_t4, switch, verify_ec
 from signedgrids.colorers import ColoringInvariantError
+from signedgrids.graphio import grid_from_dict, graph_from_dict, graph_to_dict
+from signedgrids.grids import SignedGrid
 from signedgrids.hom import Homomorphism, SearchBudget, _search_order, find_ec_hom
 from signedgrids.props import pstar21_excluded_pairs
 
@@ -181,6 +184,68 @@ def make_grid_reference(spec: GridSpec, signature: dict) -> SignedGraph:
     return SignedGraph(len(cells), edges, grid=spec)
 
 
+def grid_neighbors(kind: str, a, b) -> bool:
+    """True iff cell ``b`` is the right, down-left (tri) or down neighbor of
+    ``a``, by the adjacency rules of the grids module docstring."""
+    (i, j), (k, l) = a, b
+    right = k == i and l == j + 1 and (kind == "tri" or (i + j) % 2 == 0)
+    return right or (k == i + 1 and (l == j or (kind == "tri" and l == j - 1)))
+
+
+def signature_dict(spec: GridSpec, signs: bytes) -> dict:
+    """A sign array as the cell-pair signature ``make_grid`` also takes."""
+    return dict(zip(spec.edges(), (s for s in memoryview(signs).cast("b") if s)))
+
+
+def as_grid(g: SignedGraph) -> SignedGrid:
+    """A SignedGraph with grid metadata (say, a switched grid) as a SignedGrid."""
+    return graph_from_dict(graph_to_dict(g))
+
+
+def graph_from_dict_reference(d: Mapping) -> SignedGraph:
+    """Oracle for ``graph_from_dict``: the loader that checks every edge and
+    then builds a SignedGraph, with grid metadata or without."""
+    if not isinstance(d, Mapping):
+        raise ValueError("graph must be a JSON object")
+    n = d.get("n")
+    if type(n) is not int:
+        raise ValueError(f"graph 'n' {n!r} is not an integer")
+    raw = d.get("edges")
+    if not isinstance(raw, list):
+        raise ValueError("graph 'edges' must be a list")
+    labels = d.get("labels")
+    if "labels" in d and not (
+        isinstance(labels, list) and all(isinstance(x, str) for x in labels)
+    ):
+        raise ValueError("graph 'labels' must be a list of strings")
+    grid = grid_from_dict(d["grid"]) if "grid" in d else None
+    if grid is not None:
+        size = grid.rows * grid.cols if grid.mask is None else len(grid.mask)
+        if n != size:
+            raise ValueError(f"graph 'n' is {n}, but its grid has {size} cells")
+        cells, edges = grid.cells(), set(grid.edges())
+    for e in raw:
+        if type(e) is not list or len(e) != 3:
+            raise ValueError(f"edge {e!r} is not a [u, v, sign] triple")
+        u, v, s = e
+        if type(u) is not int or type(v) is not int or type(s) is not int:
+            raise ValueError(f"edge {e!r} has an entry that is not an integer")
+        if grid is not None:
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge {e!r} has an endpoint out of range [0,{n})")
+            if (cells[min(u, v)], cells[max(u, v)]) not in edges:
+                raise ValueError(f"edge {e!r} does not join neighboring cells of the {grid.kind} grid")
+    g = SignedGraph(n, raw, labels=labels, grid=grid)
+    if grid is not None and g.edge_count != len(edges):
+        index = {c: k for k, c in enumerate(cells)}
+        for a, b in grid.edges():
+            if not g.has_edge(index[a], index[b]):
+                raise ValueError(
+                    f"grid edge {a}-{b} (vertices {index[a]}, {index[b]}) is missing"
+                )
+    return g
+
+
 def fill_bounding(g: SignedGraph) -> tuple[SignedGraph, list[int]]:
     """Extend a masked grid to its full bounding grid, filling with +1.
 
@@ -195,7 +260,7 @@ def fill_bounding(g: SignedGraph) -> tuple[SignedGraph, list[int]]:
             signature[(a, b)] = g.sign(index[a], index[b])
         else:
             signature[(a, b)] = POS
-    full_g = make_grid(full, signature)
+    full_g = make_grid_reference(full, signature)
     full_index = {c: k for k, c in enumerate(full.cells())}
     return full_g, [full_index[c] for c in spec.cells()]
 
@@ -376,3 +441,41 @@ def color_tri_reference(
 def mask_members(mask: int) -> frozenset[int]:
     """The set bits of an int bitmask, as vertex ids."""
     return frozenset(b for b in range(mask.bit_length()) if mask >> b & 1)
+
+
+# ---------------------------------------------------------------------------
+# Loader fuzzing: JSON documents with slots dropped, duplicated or retyped.
+# ---------------------------------------------------------------------------
+
+REPLACEMENTS = (None, [], {}, "x", 1.5, True, -1, 0, 7)
+
+
+def _positions(value, holder, key):
+    """Every (container, key) slot inside ``holder[key]``, itself included."""
+    yield holder, key
+    if isinstance(value, dict):
+        for k, v in value.items():
+            yield from _positions(v, value, k)
+    elif isinstance(value, list):
+        for k, v in enumerate(value):
+            yield from _positions(v, value, k)
+
+
+@st.composite
+def mutated(draw, doc):
+    """``doc`` with one to three slots dropped, duplicated or retyped."""
+    holder = {"root": copy.deepcopy(doc)}
+    for _ in range(draw(st.integers(1, 3))):
+        slots = list(_positions(holder["root"], holder, "root"))
+        container, key = draw(st.sampled_from(slots))
+        value = container[key]
+        op = draw(st.sampled_from(("drop", "duplicate", "retype", "listify")))
+        if op == "drop" and container is not holder:
+            del container[key]
+        elif op == "duplicate" and isinstance(container, list):
+            container.insert(key, copy.deepcopy(value))
+        elif op == "listify" and isinstance(value, dict):
+            container[key] = list(value.values())
+        else:
+            container[key] = copy.deepcopy(draw(st.sampled_from(REPLACEMENTS)))
+    return holder["root"]

@@ -1,6 +1,7 @@
 """Command-line interface: artifacts, exit codes, determinism."""
 
-import copy
+import argparse
+import gc
 import hashlib
 import json
 import os
@@ -10,9 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from signedgrids import GridSpec, build_T4, make_grid, random_signature
+from signedgrids import GridSpec, SignedGraph, build_T4, make_grid, random_signature
 from signedgrids.cli import EXIT_OK, EXIT_UNKNOWN, EXIT_USAGE, EXIT_VERIFY, main
 from signedgrids.graphio import graph_to_dict
+
+from helpers import mutated
 
 
 def run(*argv):
@@ -147,6 +150,16 @@ class TestColorAndVerify:
         capsys.readouterr()
         assert run("verify", "-i", str(graph), "-c", str(cert)) == EXIT_VERIFY
         assert capsys.readouterr() == ("certificate REJECTED\n", "")
+
+    def test_certificate_with_a_grid_target(self, tmp_path, capsys):
+        # the target of a plain graph's certificate may be written as a grid
+        graph, cert = tmp_path / "edge.json", tmp_path / "cert.json"
+        graph.write_text(json.dumps({"n": 2, "edges": [[0, 1, 1]]}))
+        spec = GridSpec("hex", 1, 2)
+        target = graph_to_dict(make_grid(spec, {((1, 1), (1, 2)): 1}))
+        cert.write_text(json.dumps({"certificate": {"mapping": [1, 0], "switch": [], "target": target}}))
+        assert run("verify", "-i", str(graph), "-c", str(cert)) == EXIT_OK
+        assert capsys.readouterr() == ("certificate OK\n", "")
 
     @pytest.mark.parametrize(
         "forge",
@@ -310,6 +323,39 @@ class TestReports:
         assert run("color", "-i", str(tmp_path / "nope.json")) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("kind", ["hex", "tri"])
+def test_the_pipeline_builds_no_signed_graph_of_grid_size(tmp_path, monkeypatch, kind):
+    # a grid stays a sign array from gen to verify; only targets (at most
+    # 20 vertices) are SignedGraphs
+    sizes = []
+    init = SignedGraph.__init__
+
+    def counting(self, n, *args, **kwargs):
+        sizes.append(n)
+        init(self, n, *args, **kwargs)
+
+    monkeypatch.setattr(SignedGraph, "__init__", counting)
+    graph, cert = str(tmp_path / "g.json"), str(tmp_path / "c.json")
+    assert run("gen", "--kind", kind, "--rows", "8", "--cols", "7", "--seed", "2", "-o", graph) == EXIT_OK
+    assert run("color", "-i", graph, "-o", cert) == EXIT_OK
+    assert run("verify", "-i", graph, "-c", cert) == EXIT_OK
+    assert sizes and max(sizes) <= 20
+
+
+def test_main_calls_leave_no_parser_garbage(tmp_path):
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for _ in range(2):
+            assert run("gen", "--kind", "hex", "--rows", "2", "--cols", "2", "-o", str(tmp_path / "g.json")) == EXIT_OK
+        gc.collect()
+        formatters = [x for x in gc.garbage if isinstance(x, argparse.HelpFormatter)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert formatters == []
+
+
 # sha256 of every artifact of a small run of each command; identical
 # invocations must keep writing identical bytes
 GOLDEN = {
@@ -361,9 +407,6 @@ def test_artifacts_are_byte_identical(tmp_path, monkeypatch, capsys):
 # Loader fuzzing: mutated grid files and certificates end in an exit code.
 # ---------------------------------------------------------------------------
 
-REPLACEMENTS = (None, [], {}, "x", 1.5, True, -1, 0, 7)
-
-
 @pytest.fixture(scope="module")
 def valid_files(tmp_path_factory):
     """Per grid kind, a small grid file and its certificate, as JSON values;
@@ -382,37 +425,6 @@ def valid_files(tmp_path_factory):
     run("color", "-i", str(graph), "-o", str(cert))
     docs["masked"] = (masked, read(cert))
     return work, docs
-
-
-def _positions(value, holder, key):
-    """Every (container, key) slot inside ``holder[key]``, itself included."""
-    yield holder, key
-    if isinstance(value, dict):
-        for k, v in value.items():
-            yield from _positions(v, value, k)
-    elif isinstance(value, list):
-        for k, v in enumerate(value):
-            yield from _positions(v, value, k)
-
-
-@st.composite
-def mutated(draw, doc):
-    """``doc`` with one to three slots dropped, duplicated or retyped."""
-    holder = {"root": copy.deepcopy(doc)}
-    for _ in range(draw(st.integers(1, 3))):
-        slots = list(_positions(holder["root"], holder, "root"))
-        container, key = draw(st.sampled_from(slots))
-        value = container[key]
-        op = draw(st.sampled_from(("drop", "duplicate", "retype", "listify")))
-        if op == "drop" and container is not holder:
-            del container[key]
-        elif op == "duplicate" and isinstance(container, list):
-            container.insert(key, copy.deepcopy(value))
-        elif op == "listify" and isinstance(value, dict):
-            container[key] = list(value.values())
-        else:
-            container[key] = copy.deepcopy(draw(st.sampled_from(REPLACEMENTS)))
-    return holder["root"]
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,5 +1,6 @@
 """The two constructive coloring algorithms and their normalization step."""
 
+import json
 import random
 from itertools import product
 
@@ -11,6 +12,7 @@ from signedgrids import (
     GridSpec,
     SignedGraph,
     all_c4_unbalanced_grid,
+    build_T4,
     color_hex,
     color_tri,
     compatible_colors,
@@ -22,14 +24,17 @@ from signedgrids import (
     rho_sp9_plus,
     rho_t4,
     sp5_plus,
+    sp9_plus,
     switch,
     unbalanced_c6,
     verify_ec,
     verify_signed_with_mapping,
 )
+from signedgrids.graphio import ArtifactEncoder, hom_to_dict
 from signedgrids.hom import ec_to_signed
 
 from helpers import (
+    as_grid,
     color_hex_reference,
     color_tri_reference,
     compatible_colors_reference,
@@ -68,7 +73,8 @@ class TestNormalizeHex:
     def test_all_positive_grid_is_already_normal(self):
         spec = GridSpec("hex", 5, 6)
         g = make_grid(spec, {e: POS for e in spec.edges()})
-        sign, switched = normalize_hex(g)
+        normalized, switched = normalize_hex(g)
+        sign = normalized.graph().sign
         assert switched == frozenset()
         assert all(sign(u, v) == s for u, v, s in g.edges)
 
@@ -76,7 +82,8 @@ class TestNormalizeHex:
         for seed in range(40):
             spec = GridSpec("hex", 6, 6)
             g = make_grid(spec, random_signature(spec, seed, 0.5))
-            sign, switched = normalize_hex(g)
+            switched_grid, switched = normalize_hex(g)
+            sign = switched_grid.graph().sign
             normalized = switch(g, switched)
             assert all(sign(u, v) == s for u, v, s in normalized.edges)
             vid = lambda c: (c[0] - 1) * spec.cols + (c[1] - 1)
@@ -86,8 +93,9 @@ class TestNormalizeHex:
     def test_idempotent(self):
         g = random_grid("hex", 123)
         _, switched = normalize_hex(g)
-        normalized = switch(g, switched)
-        again, switched = normalize_hex(normalized)
+        normalized = as_grid(switch(g, switched))
+        again_grid, switched = normalize_hex(normalized)
+        again = again_grid.graph().sign
         assert switched == frozenset()
         assert all(again(u, v) == s for u, v, s in normalized.edges)
 
@@ -96,8 +104,9 @@ class TestNormalizeHex:
             normalize_hex(random_grid("tri", 5))
         spec = GridSpec("hex", 3, 3, mask=frozenset({(1, 1), (1, 2)}))
         g = make_grid(spec, {e: NEG for e in spec.edges()})
-        sign, switched = normalize_hex(g)
-        normalized, expected = normalize_hex_reference(fill_bounding(g)[0])
+        switched_grid, switched = normalize_hex(g)
+        sign = switched_grid.graph().sign
+        normalized, expected = normalize_hex_reference(fill_bounding(g.graph())[0])
         assert switched == expected != frozenset()
         assert all(sign(u, v) == s for u, v, s in normalized.edges)
 
@@ -130,7 +139,7 @@ class TestColorHex:
         for seed in range(20):
             g = random_grid("hex", 22000 + seed, max_dim=8)
             subset = [v for v in range(g.n) if rng.random() < 0.5]
-            sw = switch(g, subset)
+            sw = as_grid(switch(g, subset))
             assert verify_ec(sw, RHO_T4.graph, color_hex(sw).mapping)
 
     def test_masked_grid(self):
@@ -266,27 +275,38 @@ def differential_grids(kind):
     return [masked_grid(kind, 40000 + seed) for seed in range(300)] + edge_cases
 
 
-class TestAgainstSignedGraphReference:
-    """The bitmask colorers against the SignedGraph versions in ``helpers``.
+def certificate_text(hom, base):
+    """The certificate as ``color`` writes it."""
+    cert = hom_to_dict(ec_to_signed(hom, base.n), base)
+    return json.dumps(cert, indent=2, sort_keys=True, cls=ArtifactEncoder)
 
-    Same mapping, same switch set (on the bounding grid) and same tri
-    candidate sets, on 300 random grids of each kind, half of them masked.
+
+class TestAgainstSignedGraphReference:
+    """The sign-array colorers against the SignedGraph versions in ``helpers``.
+
+    Same mapping, same certificate bytes, same switch set (on the bounding
+    grid) and same tri candidate sets, on 300 random grids of each kind,
+    half of them masked.
     """
 
     def test_color_hex(self):
         for g in differential_grids("hex"):
-            assert color_hex(g) == color_hex_reference(g)
-            bounding = g if g.grid.mask is None else fill_bounding(g)[0]
+            hom, expected = color_hex(g), color_hex_reference(g.graph())
+            assert hom == expected
+            assert certificate_text(hom, build_T4()) == certificate_text(expected, build_T4())
+            bounding = g.graph() if g.grid.mask is None else fill_bounding(g.graph())[0]
             normalized, expected = normalize_hex_reference(bounding)
-            sign, switched = normalize_hex(g)
+            switched_grid, switched = normalize_hex(g)
+            sign = switched_grid.graph().sign
             assert switched == expected
             assert all(sign(u, v) == s for u, v, s in normalized.edges)
 
     def test_color_tri(self):
         for g in differential_grids("tri"):
             hom, trace = color_tri(g)
-            expected_hom, expected_rows = color_tri_reference(g)
+            expected_hom, expected_rows = color_tri_reference(g.graph())
             assert hom == expected_hom
+            assert certificate_text(hom, sp9_plus()) == certificate_text(expected_hom, sp9_plus())
             assert tuple(tuple(map(mask_members, row)) for row in trace.rows) == expected_rows
 
     def test_compatible_colors(self):

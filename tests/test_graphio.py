@@ -2,12 +2,13 @@
 
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from signedgrids import GridSpec, Homomorphism, build_T4, find_signed_hom, make_grid, random_signature, unbalanced_c6
+from signedgrids import GridSpec, Homomorphism, SignedGrid, build_T4, find_signed_hom, make_grid, random_signature, unbalanced_c6
 from signedgrids.graphio import (
     ArtifactEncoder,
     graph_from_dict,
@@ -17,7 +18,7 @@ from signedgrids.graphio import (
     hom_to_dict,
 )
 
-from helpers import random_signed_graph
+from helpers import graph_from_dict_reference, grid_neighbors, mutated, random_signed_graph
 
 
 def test_graph_roundtrip_plain():
@@ -82,9 +83,136 @@ def test_grid_edges_must_match_the_grid_metadata():
                 graph_from_dict(dict(d, edges=d["edges"][:k] + d["edges"][k + 1 :]))
         for u in range(g.n):
             for v in range(u + 1, g.n):
-                if not g.has_edge(u, v):
+                if not g.graph().has_edge(u, v):
                     with pytest.raises(ValueError, match="does not join neighboring cells"):
                         graph_from_dict(dict(d, edges=d["edges"] + [[v, u, 1]]))
+
+
+def load_outcome(loader, doc):
+    """What a loader makes of a document: the graph, or its error.
+
+    A grid read by ``graph_from_dict`` is compared through ``.graph()``.
+    """
+    try:
+        g = loader(doc)
+    except Exception as exc:  # the two loaders must fail alike, whatever the error
+        return type(exc).__name__, str(exc)
+    g = g.graph() if isinstance(g, SignedGrid) else g
+    return "ok", g, g.grid, g.labels
+
+
+def grid_docs():
+    """Small grid documents: both kinds, one and two columns, one row, a mask."""
+    specs = [
+        GridSpec("hex", 2, 3),
+        GridSpec("tri", 2, 3),
+        GridSpec("tri", 3, 2),
+        GridSpec("hex", 3, 2),
+        GridSpec("tri", 1, 4),
+        GridSpec("hex", 4, 1),
+        GridSpec("tri", 3, 3, mask=frozenset({(1, 1), (1, 2), (2, 1), (3, 3)})),
+    ]
+    return [graph_to_dict(make_grid(s, random_signature(s, k, 0.5))) for k, s in enumerate(specs)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_grid_loader_matches_the_signed_graph_reference_on_mutated_files(data):
+    doc = data.draw(mutated(data.draw(st.sampled_from(grid_docs()))))
+    assert load_outcome(graph_from_dict, doc) == load_outcome(graph_from_dict_reference, doc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_grid_loader_matches_the_reference_on_shuffled_and_reversed_edges(data):
+    doc = data.draw(st.sampled_from(grid_docs()))
+    edges = data.draw(st.permutations(doc["edges"]))
+    flips = data.draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    doc = dict(doc, edges=[[v, u, s] if flip else [u, v, s] for (u, v, s), flip in zip(edges, flips)])
+    if edges and data.draw(st.booleans()):  # one edge given twice, in either orientation
+        u, v, s = data.draw(st.sampled_from(edges))
+        doc["edges"].insert(data.draw(st.integers(0, len(edges))), data.draw(st.sampled_from(([u, v, s], [v, u, s]))))
+    expected = load_outcome(graph_from_dict_reference, doc)
+    assert load_outcome(graph_from_dict, doc) == expected
+    if expected[0] == "ok":
+        assert graph_from_dict(doc) == graph_from_dict(graph_to_dict(graph_from_dict(doc)))
+
+
+@pytest.mark.parametrize("kind", ["hex", "tri"])
+@pytest.mark.parametrize("rows, cols", [(1, 1), (1, 2), (2, 1), (1, 5), (5, 1), (2, 2), (3, 2), (4, 3)])
+def test_slot_arithmetic_on_thin_grids(kind, rows, cols):
+    # every cell pair of the box: the loader accepts exactly the grid steps,
+    # and a tri grid of two columns tells a right step from a down-left one
+    # (both differ by 1 in vertex id) by the column alone
+    spec = GridSpec(kind, rows, cols)
+    g = make_grid(spec, random_signature(spec, rows * cols, 0.5))
+    doc = graph_to_dict(g)
+    assert graph_from_dict(doc) == g
+    cells = spec.cells()
+    expected = {(cells[u], cells[v]) for u, v, _ in g.edges}
+    assert expected == {(a, b) for a in cells for b in cells if grid_neighbors(kind, a, b)}
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            extra = dict(doc, edges=doc["edges"] + [[u, v, -1]])
+            if (cells[u], cells[v]) in expected:
+                with pytest.raises(ValueError, match="duplicate edge"):
+                    graph_from_dict(extra)
+            else:
+                with pytest.raises(ValueError, match="does not join neighboring cells"):
+                    graph_from_dict(extra)
+            assert load_outcome(graph_from_dict, extra) == load_outcome(graph_from_dict_reference, extra)
+
+
+def test_hex_right_edges_follow_the_row_parity():
+    spec = GridSpec("hex", 4, 5)
+    doc = graph_to_dict(make_grid(spec, random_signature(spec, 3, 0.5)))
+    rights = {(u, v) for u, v, _ in doc["edges"] if v == u + 1}
+    for u in range(spec.rows * spec.cols - 1):
+        (i, j) = divmod(u, spec.cols)
+        if j == spec.cols - 1:
+            continue
+        assert ((u, u + 1) in rights) == ((i + 1 + j + 1) % 2 == 0)
+        if (u, u + 1) not in rights:
+            with pytest.raises(ValueError, match="does not join neighboring cells of the hex grid"):
+                graph_from_dict(dict(doc, edges=doc["edges"] + [[u, u + 1, 1]]))
+
+
+def test_grid_loader_errors_keep_the_reference_precedence():
+    # structural errors of any edge come first, then the first bad sign or
+    # duplicate, then the labels, then a missing edge
+    spec = GridSpec("tri", 2, 3)
+    doc = graph_to_dict(make_grid(spec, random_signature(spec, 4, 0.5)))
+    edges = doc["edges"]
+    (u, v, s), rest = edges[0], edges[1:]
+    cases = {
+        "does not join neighboring cells": [[u, v, 5]] + rest + [[0, 5, 1]],
+        "edge sign must be +1 or -1, got 5": [[u, v, 5]] + rest + [[v, u, s]],
+        f"duplicate edge ({v},{u})": edges + [[v, u, s], [u, v, 0]],
+        "labels must cover every vertex": rest,
+    }
+    for message, raw in cases.items():
+        bad = dict(doc, edges=raw, labels=["a"] * (spec.rows * spec.cols - 1))
+        if not message.startswith("labels"):
+            del bad["labels"]
+        with pytest.raises(ValueError, match=re.escape(message)):
+            graph_from_dict(bad)
+        assert load_outcome(graph_from_dict, bad) == load_outcome(graph_from_dict_reference, bad)
+    labeled = dict(doc, labels=[f"c{k}" for k in range(6)])
+    assert graph_from_dict(labeled).labels == tuple(labeled["labels"])
+    assert graph_to_dict(graph_from_dict(labeled)) == labeled
+
+
+def test_an_edge_given_in_both_orientations_is_a_duplicate():
+    spec = GridSpec("tri", 2, 2)
+    doc = graph_to_dict(make_grid(spec, random_signature(spec, 1, 0.5)))
+    u, v, s = doc["edges"][2]
+    for twice in ([v, u, s], [v, u, -s], [u, v, s]):
+        bad = dict(doc, edges=doc["edges"] + [twice])
+        message = f"duplicate edge ({twice[0]},{twice[1]})"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            graph_from_dict(bad)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            graph_from_dict_reference(bad)
 
 
 # Values built from what artifacts hold, plus what the encoder's fast paths

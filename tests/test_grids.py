@@ -26,7 +26,14 @@ from signedgrids import (
 )
 from signedgrids.core import induced_subgraph
 
-from helpers import brute_c4_keys, cycle_edge_key, make_grid_reference, random_signed_graph
+from helpers import (
+    brute_c4_keys,
+    cycle_edge_key,
+    grid_neighbors,
+    make_grid_reference,
+    random_signed_graph,
+    signature_dict,
+)
 
 
 def all_positive_grid(kind, rows, cols, mask=None):
@@ -45,7 +52,7 @@ class TestAdjacency:
         # at most one horizontal neighbor anywhere, degree at most 3
         for rows in range(1, 9):
             for cols in range(1, 9):
-                g = all_positive_grid("hex", rows, cols)
+                g = all_positive_grid("hex", rows, cols).graph()
                 for v in range(g.n):
                     i, j = divmod(v, cols)
                     horizontals = [
@@ -66,7 +73,7 @@ class TestAdjacency:
         }
 
     def test_tri_second_row_sees_both_upper_columns(self):
-        g = all_positive_grid("tri", 2, 5)
+        g = all_positive_grid("tri", 2, 5).graph()
         for c in range(1, 6):
             v = 5 + (c - 1)
             ups = {u for u in g.neighbors(v) if u < 5}
@@ -74,7 +81,7 @@ class TestAdjacency:
             assert ups == expected
 
     def test_tri_max_degree_six(self):
-        g = all_positive_grid("tri", 5, 5)
+        g = all_positive_grid("tri", 5, 5).graph()
         assert max(g.degree(v) for v in range(g.n)) == 6
 
     def test_index_formula(self):
@@ -86,8 +93,8 @@ class TestAdjacency:
 class TestSignatures:
     def test_p_zero_and_one(self):
         spec = GridSpec("hex", 3, 3)
-        assert set(random_signature(spec, 1, 0.0).values()) == {POS}
-        assert set(random_signature(spec, 1, 1.0).values()) == {NEG}
+        assert set(signature_dict(spec, random_signature(spec, 1, 0.0)).values()) == {POS}
+        assert set(signature_dict(spec, random_signature(spec, 1, 1.0)).values()) == {NEG}
 
     def test_deterministic(self):
         spec = GridSpec("tri", 4, 4)
@@ -97,9 +104,27 @@ class TestSignatures:
         with pytest.raises(ValueError):
             random_signature(GridSpec("hex", 2, 2), 0, 1.5)
 
+    def test_sign_arrays_must_fit_the_slots(self):
+        for spec in (GridSpec("hex", 3, 4), GridSpec("tri", 3, 2, mask=frozenset({(1, 1), (1, 2), (2, 1)}))):
+            signs = random_signature(spec, 5, 0.5)
+            assert make_grid(spec, bytearray(signs)) == make_grid(spec, signs)
+            assert make_grid(spec, signs) == make_grid(spec, signature_dict(spec, signs))
+            empty = signs.index(0)
+            full = next(p for p, x in enumerate(signs) if x)
+            bad = [
+                signs[:-1],
+                signs + b"\x00",
+                signs[:empty] + b"\x01" + signs[empty + 1 :],  # a sign where there is no edge
+                signs[:full] + b"\x00" + signs[full + 1 :],  # no sign on an edge
+                signs[:full] + b"\x02" + signs[full + 1 :],  # no sign at all
+            ]
+            for array in bad:
+                with pytest.raises(ValueError, match="sign array does not fit"):
+                    make_grid(spec, array)
+
     def test_domain_mismatch_rejected(self):
         spec = GridSpec("hex", 2, 2)
-        sig = random_signature(spec, 0, 0.5)
+        sig = signature_dict(spec, random_signature(spec, 0, 0.5))
         sig.popitem()
         with pytest.raises(ValueError):
             make_grid(spec, sig)
@@ -115,7 +140,7 @@ def grid_signatures(draw):
     box = GridSpec(kind, rows, cols)
     mask = draw(st.none() | st.sets(st.sampled_from(box.cells()), min_size=1))
     spec = GridSpec(kind, rows, cols, mask)
-    sig = random_signature(spec, draw(st.integers(0, 2**16)), 0.5)
+    sig = signature_dict(spec, random_signature(spec, draw(st.integers(0, 2**16)), 0.5))
     sig = dict(draw(st.permutations(list(sig.items()))))
     mutation = draw(st.sampled_from(("none", "drop", "reverse", "non_neighbor", "masked_out", "outside")))
     if not sig or mutation == "none":
@@ -158,12 +183,27 @@ def test_make_grid_matches_the_set_reference(case):
             make_grid(spec, sig)
         assert str(caught.value) == str(exc)
         return
-    g = make_grid(spec, sig)
+    g = make_grid(spec, sig).graph()
     assert g == expected and g.grid == spec
     # in order too: the search filters neighbors in adjacency order
     assert [list(g.neighbors(v).items()) for v in range(g.n)] == [
         list(expected.neighbors(v).items()) for v in range(g.n)
     ]
+
+
+def test_edges_follow_the_adjacency_rules_on_masked_grids():
+    # every pair of retained cells, in row-major order, against the rules
+    rng = random.Random(8)
+    for kind in ("hex", "tri"):
+        for rows in range(1, 7):
+            for cols in range(1, 7):
+                box = GridSpec(kind, rows, cols)
+                for keep in (None, 0.3, 0.6, 0.9):
+                    mask = None if keep is None else frozenset(c for c in box.cells() if rng.random() < keep)
+                    spec = GridSpec(kind, rows, cols, mask)
+                    cells = spec.cells()
+                    pairs = [(a, b) for a in cells for b in cells if grid_neighbors(kind, a, b)]
+                    assert spec.edges() == tuple(sorted(pairs))
 
 
 def test_edge_count_is_the_number_of_edges():
@@ -181,7 +221,7 @@ class TestMasks:
             kind = "hex" if i % 2 == 0 else "tri"
             rows, cols = rng.randint(2, 5), rng.randint(2, 5)
             full_spec = GridSpec(kind, rows, cols)
-            full = make_grid(full_spec, random_signature(full_spec, i, 0.5))
+            full = make_grid(full_spec, random_signature(full_spec, i, 0.5)).graph()
             kept = [
                 c for c in full_spec.cells() if rng.random() < 0.7
             ]
@@ -195,17 +235,17 @@ class TestMasks:
                 )
                 for e in spec.edges()
             }
-            masked = make_grid(spec, sig)
+            masked = make_grid(spec, sig).graph()
             ids = [full_spec.cells().index(c) for c in spec.cells()]
             assert masked == induced_subgraph(full, ids)
 
 
 class TestC4:
     def test_single_hexagon_has_none(self):
-        assert enumerate_c4(unbalanced_c6()) == []
+        assert enumerate_c4(unbalanced_c6().graph()) == []
 
     def test_tri_2x2_and_brute_force(self):
-        g = all_positive_grid("tri", 2, 2)
+        g = all_positive_grid("tri", 2, 2).graph()
         cycles = enumerate_c4(g)
         assert len(cycles) == 1
         assert {cycle_edge_key(c) for c in cycles} == brute_c4_keys(g)
@@ -241,7 +281,7 @@ class TestC4:
                 assert is_unbalanced(sw, cyc)
 
     def test_rejects_non_cycles(self):
-        g = all_positive_grid("tri", 2, 2)
+        g = all_positive_grid("tri", 2, 2).graph()
         with pytest.raises(ValueError):
             is_unbalanced(g, [0, 1])
         with pytest.raises(ValueError):
@@ -259,6 +299,7 @@ def make_c4(edges):
 class TestFixtures:
     def test_periodic_grid_is_all_unbalanced_with_six_colors(self):
         g, coloring = all_c4_unbalanced_grid(6, 6)
+        g = g.graph()
         cycles = enumerate_c4(g)
         assert cycles and all(is_unbalanced(g, c) for c in cycles)
         assert set(coloring.values()) == set(range(6))
@@ -297,7 +338,7 @@ class TestFixtures:
         assert all(is_unbalanced(w7, c) for c in enumerate_c4(w7))
 
     def test_c6(self):
-        c6 = unbalanced_c6()
+        c6 = unbalanced_c6().graph()
         assert c6.n == 6 and c6.edge_count == 6
         assert sum(1 for *_, s in c6.edges if s == NEG) == 1
         assert isinstance(c6.grid, GridSpec) and c6.grid.kind == "hex"
