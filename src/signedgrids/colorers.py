@@ -24,7 +24,12 @@ Both colorers read a :class:`~signedgrids.grids.SignedGrid` by its sign
 array, viewed as signed bytes: the edge from bounding id ``b`` to its right,
 down-left or down neighbor is slot ``3*b``, ``3*b + 1`` or ``3*b + 2``, and
 the slot's value (+1, -1, or 0 for no edge) indexes a table of the target's
-:func:`signedgrids.core.sign_masks`, so no adjacency dict is built.
+:func:`signedgrids.core.sign_masks`, so no adjacency dict is built.  A
+masked grid, whose array has slots for its retained cells only, is first
+spread over the slots of its bounding grid.  A
+:class:`~signedgrids.core.SignedGraph` with grid metadata (a switched grid,
+say) is converted once through
+:meth:`~signedgrids.grids.SignedGrid.from_graph`.
 Candidate color sets are int bitmasks over the target vertices, ``&``-ed
 from those masks.  Both algorithms are deterministic: ties break toward the
 smallest target vertex id (the lowest set bit) in the fixed target
@@ -101,15 +106,28 @@ def compatible_colors(
     return _members(cands)
 
 
-def _require_grid(g: SignedGrid, kind: str) -> GridSpec:
+def _require_grid(g: SignedGrid | SignedGraph, kind: str) -> SignedGrid:
+    """``g`` as a signed grid of the given kind, else ``ValueError``."""
+    if isinstance(g, SignedGraph) and isinstance(g.grid, GridSpec):
+        g = SignedGrid.from_graph(g)
     if not isinstance(g, SignedGrid) or g.grid.kind != kind:
-        raise ValueError(f"input must be a {kind} SignedGrid")
-    return g.grid
+        raise ValueError(f"input must carry {kind} grid metadata")
+    return g
 
 
-def _signs(g: SignedGrid) -> memoryview:
-    """The sign array read as +1, -1 and 0."""
-    return memoryview(g.signs).cast("b")
+def _bounding_signs(g: SignedGrid) -> bytearray:
+    """A fresh sign array of the bounding grid: a copy of the grid's own, or
+    for a masked grid its slots spread to the bounding ids of its cells,
+    with the box's other edges ``+`` (``max`` keeps 1 and 255 and turns a 0
+    slot that the box fills into 1)."""
+    spec = g.grid
+    if spec.mask is None:
+        return bytearray(g.signs)
+    box = bytearray(GridSpec(spec.kind, spec.rows, spec.cols).slot_pattern())
+    signs = g.signs
+    for p, b in enumerate(spec.bounding_ids()):
+        box[3 * b : 3 * b + 3] = map(max, signs[3 * p : 3 * p + 3], box[3 * b : 3 * b + 3])
+    return box
 
 
 def _by_slot(masks: dict[int, list[int]]) -> tuple[list[int], ...]:
@@ -128,7 +146,7 @@ def _restrict(phi: list[int], spec: GridSpec) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-def normalize_hex(g: SignedGrid) -> tuple[SignedGrid, frozenset[int]]:
+def normalize_hex(g: SignedGrid | SignedGraph) -> tuple[SignedGrid, frozenset[int]]:
     """Switch a hexagonal grid so the coloring scaffold is all positive.
 
     Works on the bounding grid (see the module docstring).  Scans positions
@@ -152,12 +170,10 @@ def normalize_hex(g: SignedGrid) -> tuple[SignedGrid, frozenset[int]]:
     of an unmasked grid.  A switch flips the slots of the vertex's four
     edges in place.
     """
-    spec = _require_grid(g, "hex")
-    rows, cols = spec.rows, spec.cols
-    box = GridSpec("hex", rows, cols)
-    # edges to dropped cells become + edges (max(0, 1)), and a switch negates
-    # the slots of its vertex's edges, so no-edge slots stay 0
-    array = bytearray(g.signs if spec.mask is None else map(max, g.signs, box.slot_pattern()))
+    g = _require_grid(g, "hex")
+    rows, cols = g.grid.rows, g.grid.cols
+    # a switch negates the slots of its vertex's edges, so no-edge slots stay 0
+    array = _bounding_signs(g)
     signs = memoryview(array).cast("b")
     flipped = bytearray(rows * cols)  # 1 at a vertex switched an odd number of times
 
@@ -184,10 +200,10 @@ def normalize_hex(g: SignedGrid) -> tuple[SignedGrid, frozenset[int]]:
             elif v_neg:
                 switch_at(up + cols)
     switched = frozenset(compress(range(rows * cols), flipped))
-    return SignedGrid(box, bytes(array)), switched
+    return SignedGrid(GridSpec("hex", rows, cols), bytes(array)), switched
 
 
-def color_hex(g: SignedGrid) -> Homomorphism:
+def color_hex(g: SignedGrid | SignedGraph) -> Homomorphism:
     """Color a signed hexagonal grid into the doubled T4 target.
 
     Returns an exact sign-preserving homomorphism of the *original* graph
@@ -195,10 +211,11 @@ def color_hex(g: SignedGrid) -> Homomorphism:
     :class:`ColoringInvariantError` only on an internal bug; every grid is
     colorable.
     """
-    spec = _require_grid(g, "hex")
+    g = _require_grid(g, "hex")
+    spec = g.grid
     rows, cols = spec.rows, spec.cols
     normalized, switched = normalize_hex(g)
-    signs = _signs(normalized)
+    signs = memoryview(normalized.signs).cast("b")
     rho = rho_t4()
     masks = _by_slot(sign_masks(rho.graph))
     everyone = (1 << rho.n) - 1
@@ -267,7 +284,7 @@ def color_hex(g: SignedGrid) -> Homomorphism:
 # ---------------------------------------------------------------------------
 
 
-def color_tri(g: SignedGrid) -> tuple[Homomorphism, CandidateTrace]:
+def color_tri(g: SignedGrid | SignedGraph) -> tuple[Homomorphism, CandidateTrace]:
     """Color a signed triangular grid into the doubled SP9-plus target.
 
     Row by row: the forward pass builds, for each vertex of the current row,
@@ -281,9 +298,10 @@ def color_tri(g: SignedGrid) -> tuple[Homomorphism, CandidateTrace]:
     target :func:`signedgrids.core.rho_sp9_plus`) and the trace of candidate
     sets.
     """
-    spec = _require_grid(g, "tri")
+    g = _require_grid(g, "tri")
+    spec = g.grid
     rows, cols = spec.rows, spec.cols
-    signs = _signs(g)
+    signs = memoryview(_bounding_signs(g)).cast("b")
     target = rho_sp9_plus().graph
     masks = _by_slot(sign_masks(target))
     everyone = (1 << target.n) - 1

@@ -20,11 +20,15 @@ integer triples, its ``"labels"`` is not a list of strings, or its
 
 A graph object with grid metadata reads as a
 :class:`~signedgrids.grids.SignedGrid`: each edge is streamed straight into
-its slot of the sign array (see :mod:`signedgrids.grids`), and no
-:class:`~signedgrids.core.SignedGraph` is built.  The edges must be exactly
-the grid's: an edge between cells that are not grid neighbors (no slot, by
-:meth:`~signedgrids.grids.GridSpec.slot`, or a slot without an edge), or a
-missing grid edge (an empty slot at the end), is named in the error.  Every
+its slot of the sign array (see :mod:`signedgrids.grids`), slot ``3*u + d``
+for its smaller end ``u`` and the direction ``d`` of the step, and no
+:class:`~signedgrids.core.SignedGraph` is built.  A masked grid's array has
+slots for the retained cells only, so loading it costs time and memory in
+proportion to the mask, however large the box.  The edges must be exactly
+the grid's: an edge between cells that are not grid neighbors (no
+direction, by :meth:`~signedgrids.grids.GridSpec.direction`, or a slot
+without an edge), or a missing grid edge (an empty slot at the end), is
+named in the error.  Every
 other graph object reads as a :class:`~signedgrids.core.SignedGraph`.  Both
 writers, :func:`graph_to_dict` and :func:`graph_to_dot`, read either through
 its ``n`` and sorted ``edges``.
@@ -96,8 +100,8 @@ def graph_from_dict(d: Mapping) -> SignedGraph | SignedGrid:
     """Read a graph object; raise ``ValueError`` on any malformed or inconsistent field.
 
     With grid metadata the result is a :class:`SignedGrid`.  Each edge is
-    checked to join two neighboring retained cells by slot arithmetic on
-    their bounding ids and then fills that slot.  A bad sign or a slot
+    checked to join two neighboring retained cells by the direction of the
+    step between their bounding ids and then fills its slot.  A bad sign or a slot
     filled twice (a duplicate edge, in either orientation) is reported only
     once every edge has passed the structural checks, with the message and
     precedence a :class:`SignedGraph` gives it.  Since duplicates are
@@ -122,7 +126,7 @@ def graph_from_dict(d: Mapping) -> SignedGraph | SignedGrid:
         size = grid.rows * grid.cols if grid.mask is None else len(grid.mask)
         if n != size:
             raise ValueError(f"graph 'n' is {n}, but its grid has {size} cells")
-        where, slot, pattern = grid.bounding_ids(), grid.slot, grid.slot_pattern()
+        where, direction, pattern = grid.bounding_ids(), grid.direction, grid.slot_pattern()
         signs = bytearray(len(pattern))
         later = None  # the first bad sign or duplicate
     for e in raw:
@@ -134,8 +138,10 @@ def graph_from_dict(d: Mapping) -> SignedGraph | SignedGrid:
         if grid is not None:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge {e!r} has an endpoint out of range [0,{n})")
-            p = slot(where[u], where[v]) if u < v else slot(where[v], where[u])
-            if p < 0 or not pattern[p]:
+            lo, hi = (u, v) if u < v else (v, u)
+            d = direction(where[lo], where[hi])
+            p = 3 * lo + d
+            if d < 0 or not pattern[p]:
                 raise ValueError(f"edge {e!r} does not join neighboring cells of the {grid.kind} grid")
             if later is not None:
                 continue

@@ -16,24 +16,26 @@ Adjacency:
   ``j+1`` of the row above.  Interior degree 6.
 
 A signed grid is one value, :class:`SignedGrid`: its :class:`GridSpec` plus
-one ``bytes`` sign array with three *slots* per bounding-grid cell.  Slot
-``3*b + d`` holds the edge from the cell of bounding id ``b`` in direction
-``d``: 0 right ``(i, j+1)``, 1 down-left ``(i+1, j-1)``, 2 down ``(i+1, j)``.
-A slot holds the edge's sign as a signed byte, 1 or 255 (-1), and 0 where
-the grid has no edge (off the box, a hex parity gap, a masked-out end, no
-down-left on hex), so ``memoryview(signs).cast("b")`` reads +1, -1 and 0.
-The three neighbors lie at bounding ids ``b+1 < b+cols-1 < b+cols``
-(on two columns a cell has a right or a down-left edge, never both), so the
-non-zero slots in order are the edges sorted by ``(u, v)``, which is
-:meth:`GridSpec.edges` order.
+one ``bytes`` sign array with three *slots* per vertex.  Slot ``3*v + d``
+holds the edge from vertex ``v`` in direction ``d``: 0 right ``(i, j+1)``,
+1 down-left ``(i+1, j-1)``, 2 down ``(i+1, j)``.  A slot holds the edge's
+sign as a signed byte, 1 or 255 (-1), and 0 where the grid has no edge (off
+the box, a hex parity gap, a masked-out end, no down-left on hex), so
+``memoryview(signs).cast("b")`` reads +1, -1 and 0.  On an unmasked grid the
+vertex is the bounding id; a masked grid has slots for its retained cells
+only, so its size follows the mask, not the box.  The three neighbors lie
+at bounding ids ``b+1 < b+cols-1 < b+cols`` (on two columns a cell has a
+right or a down-left edge, never both) and vertex ids keep the order of
+bounding ids, so the non-zero slots in order are the edges sorted by
+``(u, v)``, which is :meth:`GridSpec.edges` order.
 """
 
 from __future__ import annotations
 
 import random
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property
 from itertools import chain, combinations, compress, islice
 
 from .core import NEG, POS, SignedGraph
@@ -56,6 +58,14 @@ __all__ = [
 
 # slot byte -> 1 if it holds an edge, 0 if not, 254 if it is no sign
 _HAS_EDGE = bytes([0, 1] + [254] * 253 + [1])
+
+# the step from a cell to its right, down-left and down neighbor -> direction
+_DIRECTION = {(0, 1): 0, (1, -1): 1, (1, 0): 2}
+
+
+def _fill(buf: bytearray, start: int, stop: int, step: int, value: int = 1) -> None:
+    """Set ``buf[start:stop:step]`` to ``value``."""
+    buf[start:stop:step] = bytes([value]) * len(range(start, stop, step))
 
 
 @dataclass(frozen=True)
@@ -92,54 +102,53 @@ class GridSpec:
             return range(self.rows * self.cols)
         return [(i - 1) * self.cols + (j - 1) for i, j in sorted(self.mask)]
 
-    def slot(self, x: int, y: int) -> int:
-        """The slot of the step from bounding id ``x`` to bounding id ``y``.
+    def direction(self, x: int, y: int) -> int:
+        """The direction of the step from bounding id ``x`` to bounding id ``y``.
 
-        That is ``3*x`` plus the direction when ``y`` is the right, down-left
-        or down neighbor of ``x`` in the bounding grid, else -1.  The column
-        of ``x`` tells a right step from a down-left one when both differ
-        by 1 (two columns).  Whether the grid has the edge is
-        :meth:`slot_pattern`'s to say.
+        That is 0, 1 or 2 when ``y`` is the right, down-left or down
+        neighbor of ``x`` in the bounding grid, else -1.  The column of ``x``
+        tells a right step from a down-left one when both differ by 1 (two
+        columns).  Whether the grid has the edge is :meth:`slot_pattern`'s
+        to say.
         """
         cols, d = self.cols, y - x
         if d == cols:
-            return 3 * x + 2
+            return 2
         if d == 1 and x % cols != cols - 1:
-            return 3 * x
+            return 0
         if d == cols - 1 and x % cols:
-            return 3 * x + 1
+            return 1
         return -1
 
-    @lru_cache(maxsize=8)  # a few specs recur: the patches of an exact search
     def slot_pattern(self) -> bytes:
         """1 in every slot that holds an edge of the grid, 0 elsewhere."""
-        rows, cols, tri = self.rows, self.cols, self.kind == "tri"
-
-        def row(i: int) -> bytes:
-            below = i < rows
+        rows, cols, tri, mask = self.rows, self.cols, self.kind == "tri", self.mask
+        if mask is not None:
+            # a retained cell keeps the box's edges to retained cells; the
+            # work is per retained cell, however large the box
             return bytes(
                 x
-                for j in range(1, cols + 1)
-                for x in (j < cols and (tri or (i + j) % 2 == 0), tri and below and j > 1, below)
+                for i, j in sorted(mask)
+                for x in (
+                    (i, j + 1) in mask and (tri or (i + j) % 2 == 0),
+                    tri and (i + 1, j - 1) in mask,
+                    (i + 1, j) in mask,
+                )
             )
 
-        # rows differ only by the hex parity and the last row
-        kinds = {}
-        for i in range(1, rows + 1):
-            if (i % 2, i == rows) not in kinds:
-                kinds[i % 2, i == rows] = row(i)
-        pattern = b"".join(kinds[i % 2, i == rows] for i in range(1, rows + 1))
-        if self.mask is None:
-            return pattern
-        # a retained cell keeps the box's edges to retained cells; the work
-        # is per retained cell, however large the box
-        out = bytearray(len(pattern))
-        for i, j in self.mask:
-            p = 3 * ((i - 1) * cols + (j - 1))
-            for d, head in enumerate(((i, j + 1), (i + 1, j - 1), (i + 1, j))):
-                if pattern[p + d] and head in self.mask:
-                    out[p + d] = 1
-        return bytes(out)
+        # slot 3*b + d for the 0-based row i and column j of bounding id b
+        pattern = bytearray(3 * rows * cols)
+        above_last = 3 * cols * (rows - 1)  # the slots of every row but the last
+        _fill(pattern, 2, above_last, 3)  # down
+        if tri:
+            _fill(pattern, 0, len(pattern), 3)  # right
+            _fill(pattern, 1, above_last, 3)  # down-left
+            _fill(pattern, 1, above_last, 3 * cols, 0)  # ... but not from column 0
+        else:
+            for i in range(rows):  # right where i + j is even
+                _fill(pattern, 3 * (i * cols + i % 2), 3 * (i + 1) * cols, 6)
+        _fill(pattern, 3 * cols - 3, len(pattern), 3 * cols, 0)  # no right from the last column
+        return bytes(pattern)
 
     def edge_count(self) -> int:
         """``len(self.edges())``."""
@@ -152,14 +161,13 @@ class GridSpec:
         right, down; tri: right, down-left, down), the slot order, which
         pins the edge order that :func:`random_signature` consumes.
         """
-        cols = self.cols
-        step = (1, cols - 1, cols)
-        pattern = self.slot_pattern()
+        cells, pattern = self.cells(), self.slot_pattern()
+        steps = ((0, 1), (1, -1), (1, 0))
         out = []
         for p in compress(range(len(pattern)), pattern):
-            x, d = divmod(p, 3)
-            y = x + step[d]
-            out.append(((x // cols + 1, x % cols + 1), (y // cols + 1, y % cols + 1)))
+            v, d = divmod(p, 3)
+            (i, j), (di, dj) = cells[v], steps[d]
+            out.append(((i, j), (i + di, j + dj)))
         return tuple(out)
 
 
@@ -167,41 +175,62 @@ class GridSpec:
 class SignedGrid:
     """A signed grid: its :class:`GridSpec` and its sign array.
 
-    ``signs`` has three slots per bounding-grid cell, laid out as the module
-    docstring says.  Build one with :func:`make_grid` (or read one with
+    ``signs`` has three slots per vertex, laid out as the module docstring
+    says.  Build one with :func:`make_grid` (or read one with
     :func:`signedgrids.graphio.graph_from_dict`), which checks the array;
     this constructor does not.  The verifiers, the writers and the colorers
     read a grid as it is; the searches need adjacency dicts and convert it
-    through :meth:`graph`, which keeps the graph it builds.
+    through :meth:`graph`.
     """
 
     grid: GridSpec
     signs: bytes = field(repr=False)
     labels: tuple[str, ...] | None = field(default=None, repr=False)
     n: int = field(init=False, compare=False)
-    _graph: SignedGraph | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         spec = self.grid
         object.__setattr__(self, "n", spec.rows * spec.cols if spec.mask is None else len(spec.mask))
 
-    @property
-    def edges(self) -> Iterable[tuple[int, int, int]]:
+    @classmethod
+    def from_graph(cls, g: SignedGraph) -> SignedGrid:
+        """A :class:`SignedGraph` with grid metadata (a switched grid, say)
+        as a signed grid; ``ValueError`` unless its edges are the grid's."""
+        spec = g.grid
+        if not isinstance(spec, GridSpec):
+            raise ValueError("graph has no grid metadata")
+        where, direction = spec.bounding_ids(), spec.direction
+        if g.n != len(where):
+            raise ValueError(f"graph has {g.n} vertices, but its grid has {len(where)} cells")
+        signs = bytearray(3 * g.n)
+        for u, v, s in g.edges:
+            d = direction(where[u], where[v])
+            if d < 0:
+                break
+            signs[3 * u + d] = s & 0xFF
+        else:
+            if signs.translate(_HAS_EDGE) == spec.slot_pattern():
+                return cls(spec, bytes(signs), g.labels)
+        raise ValueError(f"graph edges are not those of its {spec.kind} {spec.rows}x{spec.cols} grid")
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int, int], ...]:
         """All edges as ``(u, v, sign)`` with ``u < v``, sorted, as
         :attr:`SignedGraph.edges` lists them.
 
-        Read from the sign array as a fresh iterator per access, or, once
-        :meth:`graph` has been built, as that graph's edge tuple.
+        Read from the sign array on first access and kept: a search converts
+        a grid through :meth:`graph` and its caller then verifies the witness
+        against the same grid, which on small patches costs more to re-read
+        from the array than the verification itself.
         """
-        if self._graph is not None:
-            return self._graph.edges
         spec, signs = self.grid, self.signs
         cols, values = spec.cols, compress(memoryview(signs).cast("b"), signs)
-        if spec.mask is not None:  # per edge, however large the box
-            vertex = {b: v for v, b in enumerate(spec.bounding_ids())}
+        if spec.mask is not None:
+            where = spec.bounding_ids()
+            vertex = {b: v for v, b in enumerate(where)}
             step = (1, cols - 1, cols)
-            return (
-                (vertex[p // 3], vertex[p // 3 + step[p % 3]], s)
+            return tuple(
+                (p // 3, vertex[where[p // 3] + step[p % 3]], s)
                 for p, s in zip(compress(range(len(signs)), signs), values)
             )
         # per slot, the vertex at its tail and at its head, each slot's
@@ -211,18 +240,14 @@ class SignedGrid:
         ids = list(range(spec.rows * cols + cols))
         tails = chain.from_iterable(zip(ids, ids, ids))
         heads = chain.from_iterable(zip(islice(ids, 1, None), islice(ids, cols - 1, None), islice(ids, cols, None)))
-        return zip(compress(tails, signs), compress(heads, signs), values)
+        return tuple(zip(compress(tails, signs), compress(heads, signs), values))
 
     def label(self, v: int) -> str:
         return self.labels[v] if self.labels is not None else str(v)
 
     def graph(self) -> SignedGraph:
-        """The grid as a :class:`SignedGraph`, with the spec as its ``grid``;
-        built on the first call and kept."""
-        if self._graph is None:
-            graph = SignedGraph(self.n, self.edges, labels=self.labels, grid=self.grid)
-            object.__setattr__(self, "_graph", graph)
-        return self._graph
+        """The grid as a :class:`SignedGraph`, with the spec as its ``grid``."""
+        return SignedGraph(self.n, self.edges, labels=self.labels, grid=self.grid)
 
 
 def make_grid(spec: GridSpec, signature: bytes | Mapping[CellEdge, int]) -> SignedGrid:
@@ -234,8 +259,8 @@ def make_grid(spec: GridSpec, signature: bytes | Mapping[CellEdge, int]) -> Sign
     :meth:`GridSpec.edges`.  An array must have 0 in exactly the slots
     without an edge and 1 or 255 in the others.
 
-    One pass over a mapping checks and places every key: both cells must lie
-    in the box and the pair must fill a slot of :meth:`GridSpec.slot_pattern`,
+    One pass over a mapping checks and places every key: the first cell must
+    be a vertex and the pair must fill a slot of :meth:`GridSpec.slot_pattern`,
     so distinct valid keys fill distinct slots, and a key count equal to
     the edge count means the keys are exactly the grid's edges.  Otherwise
     ``ValueError`` names how many edges are missing and extra.  A sign that
@@ -249,17 +274,21 @@ def make_grid(spec: GridSpec, signature: bytes | Mapping[CellEdge, int]) -> Sign
                 f"it needs {len(pattern)} slots, 1 or 255 on each edge and 0 elsewhere"
             )
         return SignedGrid(spec, bytes(signature))
-    rows, cols, slot = spec.rows, spec.cols, spec.slot
+    rows, cols = spec.rows, spec.cols
+    vertex = None if spec.mask is None else {c: v for v, c in enumerate(spec.cells())}
     signs = bytearray(len(pattern))
     bad: dict[int, object] = {}
     placed = 0
     try:
         for ((i, j), (k, l)), s in signature.items():
-            if not (0 < i <= rows and 0 < j <= cols and 0 < k <= rows and 0 < l <= cols):
+            d = _DIRECTION.get((k - i, l - j), -1)
+            if d < 0 or not (0 < i <= rows and 0 < j <= cols):
                 break
-            p = slot((i - 1) * cols + (j - 1), (k - 1) * cols + (l - 1))
-            if p < 0 or not pattern[p]:
+            x = (i - 1) * cols + (j - 1) if vertex is None else vertex.get((i, j), -1)
+            # a tail in the grid and a slot with an edge put the head in it too
+            if x < 0 or not pattern[3 * x + d]:
                 break
+            p = 3 * x + d
             if s == POS or s == NEG:
                 signs[p] = 1 if s == POS else 255
             else:
@@ -290,7 +319,7 @@ def random_signature(spec: GridSpec, seed: int, p_negative: float) -> bytes:
     return bytes([(255 if draw() < p_negative else 1) if x else 0 for x in spec.slot_pattern()])
 
 
-def enumerate_c4(g: SignedGraph) -> list[tuple[int, int, int, int]]:
+def enumerate_c4(g: SignedGraph | SignedGrid) -> list[tuple[int, int, int, int]]:
     """All 4-cycles of ``g``, one representative per cycle.
 
     Each cycle is reported as ``(u, a, v, b)`` meaning ``u-a-v-b-u``, where
@@ -298,6 +327,8 @@ def enumerate_c4(g: SignedGraph) -> list[tuple[int, int, int, int]]:
     ``a < b``.  Chords are irrelevant: any closed walk on four distinct
     vertices counts.  Found by pairing common neighbors of every vertex pair.
     """
+    if isinstance(g, SignedGrid):
+        g = g.graph()
     out = []
     for u in range(g.n):
         nu = set(g.neighbors(u))
@@ -318,8 +349,10 @@ def _check_cycle(g: SignedGraph, cycle) -> None:
             raise ValueError(f"not a cycle: missing edge {cycle[t]}-{cycle[(t + 1) % k]}")
 
 
-def cycle_sign(g: SignedGraph, cycle) -> int:
+def cycle_sign(g: SignedGraph | SignedGrid, cycle) -> int:
     """Product of the edge signs along a cycle (a switching invariant)."""
+    if isinstance(g, SignedGrid):
+        g = g.graph()
     _check_cycle(g, cycle)
     prod = 1
     k = len(cycle)
@@ -328,7 +361,7 @@ def cycle_sign(g: SignedGraph, cycle) -> int:
     return prod
 
 
-def is_unbalanced(g: SignedGraph, cycle) -> bool:
+def is_unbalanced(g: SignedGraph | SignedGrid, cycle) -> bool:
     """True iff the cycle carries an odd number of negative edges."""
     return cycle_sign(g, cycle) == NEG
 

@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 
 from signedgrids import NEG, POS, GridSpec, SignedGraph, rho_sp9_plus, rho_t4, switch, verify_ec
 from signedgrids.colorers import ColoringInvariantError
-from signedgrids.graphio import grid_from_dict, graph_from_dict, graph_to_dict
-from signedgrids.grids import SignedGrid
+from signedgrids.graphio import grid_from_dict
 from signedgrids.hom import Homomorphism, SearchBudget, _search_order, find_ec_hom
 from signedgrids.props import pstar21_excluded_pairs
 
@@ -195,11 +194,6 @@ def grid_neighbors(kind: str, a, b) -> bool:
 def signature_dict(spec: GridSpec, signs: bytes) -> dict:
     """A sign array as the cell-pair signature ``make_grid`` also takes."""
     return dict(zip(spec.edges(), (s for s in memoryview(signs).cast("b") if s)))
-
-
-def as_grid(g: SignedGraph) -> SignedGrid:
-    """A SignedGraph with grid metadata (say, a switched grid) as a SignedGrid."""
-    return graph_from_dict(graph_to_dict(g))
 
 
 def graph_from_dict_reference(d: Mapping) -> SignedGraph:

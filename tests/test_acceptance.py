@@ -198,7 +198,6 @@ def test_criterion_07_wheel_lower_bound():
 def test_criterion_08_periodic_fixture():
     def body():
         g, coloring = all_c4_unbalanced_grid(12, 12)
-        g = g.graph()
         cycles = enumerate_c4(g)
         assert cycles and all(is_unbalanced(g, c) for c in cycles)
         mapping = [coloring[v] for v in range(g.n)]

@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from signedgrids import GridSpec, SignedGraph, build_T4, make_grid, random_signature
+from signedgrids import GridSpec, Homomorphism, SignedGraph, build_T4, make_grid, random_signature
 from signedgrids.cli import EXIT_OK, EXIT_UNKNOWN, EXIT_USAGE, EXIT_VERIFY, main
-from signedgrids.graphio import graph_to_dict
+from signedgrids.graphio import graph_to_dict, hom_to_dict
 
 from helpers import mutated
 
@@ -340,6 +340,21 @@ def test_the_pipeline_builds_no_signed_graph_of_grid_size(tmp_path, monkeypatch,
     assert run("color", "-i", graph, "-o", cert) == EXIT_OK
     assert run("verify", "-i", graph, "-c", cert) == EXIT_OK
     assert sizes and max(sizes) <= 20
+
+
+def test_verify_and_chromatic_on_a_tiny_mask_in_a_huge_box(tmp_path, capsys):
+    # two cells of a box of 10**10: both commands work per retained cell
+    side = 10**5
+    graph, cert, chi = tmp_path / "g.json", tmp_path / "c.json", tmp_path / "chi.json"
+    grid = {"kind": "hex", "rows": side, "cols": side, "mask": [[1, 1], [1, 2]]}
+    graph.write_text(json.dumps({"n": 2, "edges": [[0, 1, 1]], "grid": grid}))
+    t4 = build_T4()
+    u, v, _ = next(e for e in t4.edges if e[2] == 1)
+    cert.write_text(json.dumps({"certificate": hom_to_dict(Homomorphism((u, v)), t4)}))
+    assert run("verify", "-i", str(graph), "-c", str(cert)) == EXIT_OK
+    assert capsys.readouterr() == ("certificate OK\n", "")
+    assert run("chromatic", "-i", str(graph), "--max-order", "2", "-o", str(chi)) == EXIT_OK
+    assert read(chi)["order"] == 2
 
 
 def test_main_calls_leave_no_parser_garbage(tmp_path):

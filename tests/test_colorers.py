@@ -11,6 +11,7 @@ from signedgrids import (
     POS,
     GridSpec,
     SignedGraph,
+    SignedGrid,
     all_c4_unbalanced_grid,
     build_T4,
     color_hex,
@@ -19,6 +20,7 @@ from signedgrids import (
     find_isomorphism,
     induced_target,
     make_grid,
+    negate,
     normalize_hex,
     random_signature,
     rho_sp9_plus,
@@ -34,7 +36,6 @@ from signedgrids.graphio import ArtifactEncoder, hom_to_dict
 from signedgrids.hom import ec_to_signed
 
 from helpers import (
-    as_grid,
     color_hex_reference,
     color_tri_reference,
     compatible_colors_reference,
@@ -93,7 +94,7 @@ class TestNormalizeHex:
     def test_idempotent(self):
         g = random_grid("hex", 123)
         _, switched = normalize_hex(g)
-        normalized = as_grid(switch(g, switched))
+        normalized = switch(g, switched)
         again_grid, switched = normalize_hex(normalized)
         again = again_grid.graph().sign
         assert switched == frozenset()
@@ -139,7 +140,7 @@ class TestColorHex:
         for seed in range(20):
             g = random_grid("hex", 22000 + seed, max_dim=8)
             subset = [v for v in range(g.n) if rng.random() < 0.5]
-            sw = as_grid(switch(g, subset))
+            sw = switch(g, subset)
             assert verify_ec(sw, RHO_T4.graph, color_hex(sw).mapping)
 
     def test_masked_grid(self):
@@ -157,6 +158,18 @@ class TestColorHex:
     def test_requires_grid_metadata(self):
         with pytest.raises(ValueError):
             color_hex(SignedGraph(2, [(0, 1, POS)]))
+
+    def test_requires_the_grids_edges(self):
+        # a grid-tagged SignedGraph must carry exactly its grid's edges
+        spec = GridSpec("hex", 3, 4)
+        g = make_grid(spec, random_signature(spec, 3, 0.5)).graph()
+        edges = list(g.edges)
+        for wrong in (edges[1:], edges + [(0, spec.cols + 1, POS)], [(0, 2, POS)] + edges[1:]):
+            bad = SignedGraph(g.n, wrong, grid=spec)
+            with pytest.raises(ValueError, match="graph edges are not those of its hex"):
+                color_hex(bad)
+        with pytest.raises(ValueError, match="input must carry tri grid metadata"):
+            color_tri(g)
 
 
 class TestColorTri:
@@ -308,6 +321,20 @@ class TestAgainstSignedGraphReference:
             assert hom == expected_hom
             assert certificate_text(hom, sp9_plus()) == certificate_text(expected_hom, sp9_plus())
             assert tuple(tuple(map(mask_members, row)) for row in trace.rows) == expected_rows
+
+    def test_grid_tagged_signed_graphs_color_as_their_grids(self):
+        # a SignedGraph with grid metadata (a grid's graph(), a switched or
+        # negated grid) is converted once and colored like the grid
+        for g in differential_grids("hex")[::10]:
+            assert color_hex(g.graph()) == color_hex(g)
+            assert normalize_hex(g.graph()) == normalize_hex(g)
+            negated = negate(g)
+            assert SignedGrid.from_graph(negated).graph() == negated
+            assert verify_ec(negated, RHO_T4.graph, color_hex(negated).mapping)
+        for g in differential_grids("tri")[::10]:
+            assert color_tri(g.graph()) == color_tri(g)
+            sw = switch(g, range(0, g.n, 3))
+            assert verify_ec(sw, RHO_SP9P.graph, color_tri(sw)[0].mapping)
 
     def test_compatible_colors(self):
         rng = random.Random(41)

@@ -3,6 +3,7 @@
 import json
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -213,6 +214,30 @@ def test_an_edge_given_in_both_orientations_is_a_duplicate():
             graph_from_dict(bad)
         with pytest.raises(ValueError, match=re.escape(message)):
             graph_from_dict_reference(bad)
+
+
+@pytest.mark.parametrize(
+    "kind, edges", [("hex", [[0, 1, -1], [0, 2, 1]]), ("tri", [[0, 1, -1], [0, 2, 1], [1, 2, 1]])]
+)
+def test_a_masked_grid_costs_its_mask_not_its_box(kind, edges):
+    # four cells of a box of 10**10: the loader, the writer, the spec's edge
+    # queries and make_grid all work per retained cell
+    side = 10**5
+    mask = [[1, 1], [1, 2], [2, 1], [side, side]]
+    doc = {"n": 4, "edges": edges, "grid": {"kind": kind, "rows": side, "cols": side, "mask": mask}}
+    tracemalloc.start()
+    try:
+        g = graph_from_dict(doc)
+        spec = g.grid
+        assert len(g.signs) == 3 * g.n
+        assert graph_to_dict(g) == doc
+        assert spec.edge_count() == len(spec.edges()) == len(edges)
+        assert make_grid(spec, random_signature(spec, 1, 0.5)).n == 4
+        assert g.graph().edges == tuple(map(tuple, edges))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # Values built from what artifacts hold, plus what the encoder's fast paths

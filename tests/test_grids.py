@@ -163,9 +163,15 @@ def grid_signatures(draw):
             return spec, sig
         i, j = x = draw(st.sampled_from(dropped))
         new = draw(st.sampled_from((((i - 1, j), x), (x, (i + 1, j)), ((i, j - 1), x), (x, (i, j + 1)))))
-    else:
-        j = draw(st.integers(1, cols))
-        new = draw(st.sampled_from((((rows, j), (rows + 1, j)), ((0, j), (1, j)))))
+    else:  # the last three would alias a slot of the grid if the box went unchecked
+        i, j = draw(st.integers(1, rows)), draw(st.integers(1, cols))
+        new = draw(st.sampled_from((
+            ((rows, j), (rows + 1, j)),
+            ((0, j), (1, j)),
+            ((0, j), (0, j + 1)),
+            ((i, 0), (i + 1, 0)),
+            ((i, cols + 1), (i + 1, cols + 1)),
+        )))
     if mutation == "reverse" or draw(st.booleans()):
         del sig[key]
     sig[new] = draw(st.sampled_from((POS, NEG)))
@@ -242,7 +248,7 @@ class TestMasks:
 
 class TestC4:
     def test_single_hexagon_has_none(self):
-        assert enumerate_c4(unbalanced_c6().graph()) == []
+        assert enumerate_c4(unbalanced_c6()) == []
 
     def test_tri_2x2_and_brute_force(self):
         g = all_positive_grid("tri", 2, 2).graph()
@@ -281,7 +287,7 @@ class TestC4:
                 assert is_unbalanced(sw, cyc)
 
     def test_rejects_non_cycles(self):
-        g = all_positive_grid("tri", 2, 2).graph()
+        g = all_positive_grid("tri", 2, 2)
         with pytest.raises(ValueError):
             is_unbalanced(g, [0, 1])
         with pytest.raises(ValueError):
@@ -299,7 +305,6 @@ def make_c4(edges):
 class TestFixtures:
     def test_periodic_grid_is_all_unbalanced_with_six_colors(self):
         g, coloring = all_c4_unbalanced_grid(6, 6)
-        g = g.graph()
         cycles = enumerate_c4(g)
         assert cycles and all(is_unbalanced(g, c) for c in cycles)
         assert set(coloring.values()) == set(range(6))
