@@ -10,6 +10,7 @@ failure, 3 budget exhausted / unknown.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import json
 import os
@@ -62,14 +63,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _write_atomic(path: str, text: str) -> None:
+def _write_atomic(path: str, *parts: str) -> None:
     # a fresh file created with mode 0o666 gets the umask, as with open();
     # mkstemp would fix 0o600, which os.replace keeps
     tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".signedgrids-{os.urandom(8).hex()}")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines(parts)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -85,32 +86,45 @@ def _emit(path: str | None, payload: dict, command: str, config: dict) -> None:
         "config": config,
     }
     artifact.update(payload)
-    text = json.dumps(artifact, indent=2, sort_keys=True, cls=ArtifactEncoder) + "\n"
+    # the text and its final newline are written one after the other, not
+    # joined into a copy of the whole artifact
+    text = json.dumps(artifact, indent=2, sort_keys=True, cls=ArtifactEncoder)
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines((text, "\n"))
     else:
-        _write_atomic(path, text)
+        _write_atomic(path, text, "\n")
 
 
-def _load_json(path: str):
+@contextlib.contextmanager
+def _collector_paused():
     # a JSON value holds no reference cycles, so the cyclic collector is
-    # paused while json.load allocates a grid file's many small lists
+    # paused while a grid file's many small lists are read or written
     collecting = gc.isenabled()
     gc.disable()
     try:
-        with open(path) as fh:
-            return json.load(fh)
-    except RecursionError:
-        raise ValueError(f"{path}: JSON nested too deeply") from None
+        yield
     finally:
         if collecting:
             gc.enable()
 
 
+def _load_json(path: str):
+    try:
+        with _collector_paused(), open(path) as fh:
+            return json.load(fh)
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
+
+
 def _load_graph(path: str) -> SignedGraph | SignedGrid:
-    data = _load_json(path)
-    wrapped = isinstance(data, dict) and "graph" in data
-    return graph_from_dict(data["graph"] if wrapped else data)
+    # the file's lists are freed before the collector resumes, so that it
+    # never scans them
+    with _collector_paused():
+        data = _load_json(path)
+        wrapped = isinstance(data, dict) and "graph" in data
+        g = graph_from_dict(data["graph"] if wrapped else data)
+        del data
+    return g
 
 
 def cmd_gen(args) -> int:
@@ -124,7 +138,8 @@ def cmd_gen(args) -> int:
         "seed": args.seed,
         "p_neg": args.p_neg,
     }
-    _emit(args.output, {"graph": graph_to_dict(g)}, "gen", config)
+    with _collector_paused():
+        _emit(args.output, {"graph": graph_to_dict(g)}, "gen", config)
     return EXIT_OK
 
 

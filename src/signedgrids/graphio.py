@@ -19,25 +19,35 @@ integer triples, its ``"labels"`` is not a list of strings, or its
 ``"mask"`` list of ``[i, j]`` integer pairs.
 
 A graph object with grid metadata reads as a
-:class:`~signedgrids.grids.SignedGrid`: each edge is streamed straight into
-its slot of the sign array (see :mod:`signedgrids.grids`), slot ``3*u + d``
-for its smaller end ``u`` and the direction ``d`` of the step, and no
-:class:`~signedgrids.core.SignedGraph` is built.  A masked grid's array has
-slots for the retained cells only, so loading it costs time and memory in
-proportion to the mask, however large the box.  The edges must be exactly
-the grid's: an edge between cells that are not grid neighbors (no
-direction, by :meth:`~signedgrids.grids.GridSpec.direction`, or a slot
+:class:`~signedgrids.grids.SignedGrid`, and no
+:class:`~signedgrids.core.SignedGraph` is built.  The loader first checks
+in bulk, with C-level iterators and no per-edge Python code, that the
+``"edges"`` are exactly the grid's edges in their own order
+(:meth:`~signedgrids.grids.GridSpec.edge_columns`): every entry a list of
+three values of type exactly ``int``, the tails and heads the grid's
+columns, every sign +1 or -1.  The signs then fill the sign array (see
+:mod:`signedgrids.grids`) and the grid keeps the three columns.  Every
+other edge list (permuted, reversed, or malformed) goes through a per-edge
+loop, the one path that accepts a permuted file and the one that words
+every error: each edge is streamed into its slot ``3*u + d``, for its
+smaller end ``u`` and the direction ``d`` of the step.  A masked grid's
+array has slots for the retained cells only, so loading it costs time and
+memory in proportion to the mask, however large the box.  The edges must
+be exactly the grid's: an edge between cells that are not grid neighbors
+(no direction, by :meth:`~signedgrids.grids.GridSpec.direction`, or a slot
 without an edge), or a missing grid edge (an empty slot at the end), is
-named in the error.  Every
-other graph object reads as a :class:`~signedgrids.core.SignedGraph`.  Both
-writers, :func:`graph_to_dict` and :func:`graph_to_dot`, read either through
-its ``n`` and sorted ``edges``.
+named in the error.  Every other graph object reads as a
+:class:`~signedgrids.core.SignedGraph`.  Both writers,
+:func:`graph_to_dict` and :func:`graph_to_dot`, read either through its
+``n`` and sorted edges; :func:`graph_to_dict` builds a grid's
+``[u, v, s]`` rows from its columns.
 
 Artifacts are written as ``json.dumps(value, indent=2, sort_keys=True,
 cls=ArtifactEncoder)``.  :class:`ArtifactEncoder` gives the same text as the
-standard encoder, byte for byte, but builds it with ``str.join`` and one
-%-format per list of int rows instead of the standard encoder's pure-Python
-generators, which CPython falls back to whenever an indent is set.
+standard encoder, byte for byte, but builds it as a list of pieces joined
+once, with one %-format per chunk of :data:`ROW_CHUNK` int rows, instead of
+the standard encoder's pure-Python generators, which CPython falls back to
+whenever an indent is set.
 
 DOT output renders positive edges solid and negative edges dashed.
 """
@@ -45,8 +55,10 @@ DOT output renders positive edges solid and negative edges dashed.
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Mapping, Sequence
 from itertools import chain, compress
+from operator import itemgetter
 
 from .core import SignedGraph
 from .grids import GridSpec, SignedGrid
@@ -88,7 +100,8 @@ def grid_from_dict(d: Mapping) -> GridSpec:
 
 
 def graph_to_dict(g: SignedGraph | SignedGrid) -> dict:
-    out: dict = {"n": g.n, "edges": [[u, v, s] for u, v, s in g.edges]}
+    rows = zip(*g.columns) if isinstance(g, SignedGrid) else g.edges
+    out: dict = {"n": g.n, "edges": list(map(list, rows))}
     if g.labels is not None:
         out["labels"] = list(g.labels)
     if isinstance(g.grid, GridSpec):
@@ -96,12 +109,33 @@ def graph_to_dict(g: SignedGraph | SignedGrid) -> dict:
     return out
 
 
+def _listed_signs(raw: list, tails: tuple[int, ...], heads: tuple[int, ...]) -> tuple[int, ...] | None:
+    """The signs of ``raw`` if it is exactly ``[[tails[k], heads[k], s_k], ...]``
+    with every entry of type ``int`` and every ``s_k`` +1 or -1, else None.
+
+    Checked in bulk, a column at a time, by C-level iterators; no per-edge
+    Python code runs, and no more than one column is copied at once.
+    """
+    if not set(map(type, raw)) <= {list} or not set(map(len, raw)) <= {3}:
+        return None
+    for k, expected in ((0, tails), (1, heads)):
+        column = tuple(map(itemgetter(k), raw))
+        if column != expected or not set(map(type, column)) <= {int}:
+            return None
+    signs = tuple(map(itemgetter(2), raw))
+    if not set(map(type, signs)) <= {int} or signs.count(1) + signs.count(-1) != len(signs):
+        return None
+    return signs
+
+
 def graph_from_dict(d: Mapping) -> SignedGraph | SignedGrid:
     """Read a graph object; raise ``ValueError`` on any malformed or inconsistent field.
 
-    With grid metadata the result is a :class:`SignedGrid`.  Each edge is
-    checked to join two neighboring retained cells by the direction of the
-    step between their bounding ids and then fills its slot.  A bad sign or a slot
+    With grid metadata the result is a :class:`SignedGrid`.  An edge list
+    that is exactly the grid's, in order, is checked in bulk and read as a
+    sign column.  Otherwise each edge is checked to join two neighboring
+    retained cells by the direction of the step between their bounding ids
+    and then fills its slot.  A bad sign or a slot
     filled twice (a duplicate edge, in either orientation) is reported only
     once every edge has passed the structural checks, with the message and
     precedence a :class:`SignedGraph` gives it.  Since duplicates are
@@ -126,7 +160,14 @@ def graph_from_dict(d: Mapping) -> SignedGraph | SignedGrid:
         size = grid.rows * grid.cols if grid.mask is None else len(grid.mask)
         if n != size:
             raise ValueError(f"graph 'n' is {n}, but its grid has {size} cells")
-        where, direction, pattern = grid.bounding_ids(), grid.direction, grid.slot_pattern()
+        pattern = grid.slot_pattern()
+        tails, heads = grid.edge_columns(pattern)
+        listed = _listed_signs(raw, tails, heads)
+        if listed is not None:
+            if labels is not None and len(labels) != n:
+                raise ValueError("labels must cover every vertex")
+            return SignedGrid.from_columns(grid, (tails, heads, listed), None if labels is None else tuple(labels))
+        where, direction = grid.bounding_ids(), grid.direction
         signs = bytearray(len(pattern))
         later = None  # the first bad sign or duplicate
     for e in raw:
@@ -195,77 +236,115 @@ class _Unsupported(Exception):
     """A value outside the subset that :class:`ArtifactEncoder` renders itself."""
 
 
+# rows per %-format in an int-row block of ArtifactEncoder
+ROW_CHUNK = 2048
+
+
 class ArtifactEncoder(json.JSONEncoder):
     """``json.JSONEncoder`` whose indented output is built with ``str.join``.
 
     CPython's C encoder serves only ``indent=None``; with an indent every
     value goes through the pure-Python generator encoder, one chunk per
-    token.  This class renders the same text directly: dicts with ``str``
-    keys, lists and tuples, with fast paths for a list of ints and a list
-    of non-empty int lists (a mapping, an edge list), and scalars as the
-    base class renders them.  It honours ``indent``, ``sort_keys``,
-    ``separators``, ``ensure_ascii`` and ``allow_nan``.  Any other value (a
-    non-``str`` key, a type needing ``default``) and a circular or deeply
-    nested value go through the base class, so the output always equals
-    ``json.dumps`` with the same arguments.
+    token.  This class renders the same text directly, as a list of pieces
+    joined once: dicts with ``str`` keys, lists and tuples, with fast paths
+    for a list of ints and a list of non-empty int lists (a mapping, an edge
+    list), and scalars.  An int-row block is rendered :data:`ROW_CHUNK` rows
+    at a time, one %-format per chunk.  It honours ``indent``,
+    ``sort_keys``, ``separators``, ``ensure_ascii`` and ``allow_nan``.  Any
+    other value (a non-``str`` key, a type needing ``default``, a float that
+    is not finite) and a circular or deeply nested value go through the
+    base class, so the output always equals ``json.dumps`` with the same
+    arguments.
     """
 
     def encode(self, o) -> str:
         if self.indent is None:
             return super().encode(o)
-        step = self.indent if isinstance(self.indent, str) else " " * self.indent
-        string = json.encoder.encode_basestring_ascii if self.ensure_ascii else json.encoder.encode_basestring
-        comma, colon, sort_keys, scalar = self.item_separator, self.key_separator, self.sort_keys, super().encode
-
-        def int_rows(rows, inner: str) -> str | None:
-            # rows of ints, or None: one %-format over all the ints, with a
-            # template per row length
-            flat = tuple(chain.from_iterable(rows))
-            if set(map(type, flat)) != {int}:
-                return None
-            row = inner + step
-            head, sep, tail, joint = (
-                t.replace("%", "%%") for t in ("[" + row, comma + row, inner + "]", comma + inner)
-            )
-            templates = {n: head + sep.join(["%d"] * n) + tail for n in set(map(len, rows))}
-            return joint.join(map(templates.__getitem__, map(len, rows))) % flat
-
-        def render(o, nl: str) -> str:
-            # ``nl`` is a newline plus the indent of the line that holds ``o``
-            kind = type(o)
-            if kind is str:
-                return string(o)
-            if kind is int:
-                return str(o)
-            if kind is dict:
-                if not o:
-                    return "{}"
-                if set(map(type, o)) != {str}:
-                    raise _Unsupported
-                inner = nl + step
-                items = sorted(o.items()) if sort_keys else o.items()
-                body = (comma + inner).join([string(k) + colon + render(v, inner) for k, v in items])
-                return "{" + inner + body + nl + "}"
-            if kind is list or kind is tuple:
-                if not o:
-                    return "[]"
-                inner = nl + step
-                kinds, body = set(map(type, o)), None
-                if kinds == {int}:
-                    body = (comma + inner).join(map(str, o))
-                elif kinds <= {list, tuple} and all(o):
-                    body = int_rows(o, inner)
-                if body is None:
-                    body = (comma + inner).join([render(x, inner) for x in o])
-                return "[" + inner + body + nl + "]"
-            if o is None or kind is bool or kind is float:
-                return scalar(o)
-            raise _Unsupported
-
+        text = _Rendering(self)
         try:
-            return render(o, "\n")
+            text.render(o, "\n")
         except (_Unsupported, RecursionError):
             return super().encode(o)
+        return "".join(text.pieces)
+
+
+class _Rendering:
+    """One indented rendering by :class:`ArtifactEncoder`: its options and
+    the pieces of text put so far.  Methods, not closures, so that a
+    rendering leaves no reference cycle behind."""
+
+    def __init__(self, encoder: ArtifactEncoder):
+        indent = encoder.indent
+        self.step = indent if isinstance(indent, str) else " " * indent
+        self.string = json.encoder.encode_basestring_ascii if encoder.ensure_ascii else json.encoder.encode_basestring
+        self.comma, self.colon, self.sort_keys = encoder.item_separator, encoder.key_separator, encoder.sort_keys
+        self.pieces: list[str] = []
+        self.put = self.pieces.append
+
+    def render(self, o, nl: str) -> None:
+        # ``nl`` is a newline plus the indent of the line that holds ``o``
+        put, kind = self.put, type(o)
+        if kind is str:
+            put(self.string(o))
+        elif kind is int:
+            put(str(o))
+        elif kind is dict:
+            if not o:
+                put("{}")
+                return
+            if set(map(type, o)) != {str}:
+                raise _Unsupported
+            inner = nl + self.step
+            lead = "{" + inner
+            for k, v in sorted(o.items()) if self.sort_keys else o.items():
+                put(lead + self.string(k) + self.colon)
+                self.render(v, inner)
+                lead = self.comma + inner
+            put(nl + "}")
+        elif kind is list or kind is tuple:
+            if not o:
+                put("[]")
+                return
+            inner = nl + self.step
+            put("[" + inner)
+            kinds = set(map(type, o))
+            if kinds == {int}:
+                put((self.comma + inner).join(map(str, o)))
+            elif not (kinds <= {list, tuple} and all(o) and self.int_rows(o, inner)):
+                for k, x in enumerate(o):
+                    if k:
+                        put(self.comma + inner)
+                    self.render(x, inner)
+            put(nl + "]")
+        elif o is None:
+            put("null")
+        elif kind is bool:
+            put("true" if o else "false")
+        elif kind is float and math.isfinite(o):
+            put(float.__repr__(o))
+        else:
+            raise _Unsupported
+
+    def int_rows(self, rows, inner: str) -> bool:
+        # rows of ints, a chunk at a time: one %-format over the chunk's
+        # ints, with a template per row length; False, with nothing put, if
+        # an entry is not an int
+        pieces, put, comma = self.pieces, self.put, self.comma
+        start, row = len(pieces), inner + self.step
+        head, sep, tail, joint = (
+            t.replace("%", "%%") for t in ("[" + row, comma + row, inner + "]", comma + inner)
+        )
+        templates = {n: head + sep.join(["%d"] * n) + tail for n in set(map(len, rows))}
+        for k in range(0, len(rows), ROW_CHUNK):
+            chunk = rows[k : k + ROW_CHUNK]
+            flat = tuple(chain.from_iterable(chunk))
+            if set(map(type, flat)) != {int}:
+                del pieces[start:]
+                return False
+            if k:
+                put(comma + inner)
+            put(joint.join(map(templates.__getitem__, map(len, chunk))) % flat)
+        return True
 
 
 def graph_to_dot(
@@ -281,7 +360,7 @@ def graph_to_dot(
     for v in range(g.n):
         text = annotations[v] if annotations is not None else g.label(v)
         lines.append(f'  {v} [label="{text}"];')
-    for u, v, s in g.edges:
+    for u, v, s in zip(*g.columns) if isinstance(g, SignedGrid) else g.edges:
         style = "solid" if s == 1 else "dashed"
         lines.append(f"  {u} -- {v} [style={style}];")
     lines.append("}")

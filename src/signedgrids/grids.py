@@ -28,15 +28,25 @@ at bounding ids ``b+1 < b+cols-1 < b+cols`` (on two columns a cell has a
 right or a down-left edge, never both) and vertex ids keep the order of
 bounding ids, so the non-zero slots in order are the edges sorted by
 ``(u, v)``, which is :meth:`GridSpec.edges` order.
+
+Outside the colorers a grid's edges travel as three int columns,
+:attr:`SignedGrid.columns`: tails, heads and signs in that order.  The
+tails and heads depend on the spec alone (:meth:`GridSpec.edge_columns`).
+A grid reads its columns off the array once and keeps them; the writers,
+the verifiers, :attr:`SignedGrid.edges` and :meth:`SignedGrid.graph` read
+them, and no per-edge tuple is kept.
 """
 
 from __future__ import annotations
 
 import random
-from collections.abc import Mapping
+from array import array
+from collections import deque
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, combinations, compress, islice
+from itertools import chain, combinations, compress, islice, repeat
+from operator import setitem
 
 from .core import NEG, POS, SignedGraph
 
@@ -161,14 +171,37 @@ class GridSpec:
         right, down; tri: right, down-left, down), the slot order, which
         pins the edge order that :func:`random_signature` consumes.
         """
-        cells, pattern = self.cells(), self.slot_pattern()
-        steps = ((0, 1), (1, -1), (1, 0))
-        out = []
-        for p in compress(range(len(pattern)), pattern):
-            v, d = divmod(p, 3)
-            (i, j), (di, dj) = cells[v], steps[d]
-            out.append(((i, j), (i + di, j + dj)))
-        return tuple(out)
+        tails, heads = self.edge_columns()
+        cells = self.cells()
+        return tuple(zip(map(cells.__getitem__, tails), map(cells.__getitem__, heads)))
+
+    def edge_columns(self, slots: bytes | None = None) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The vertex ids of :meth:`edges`: a column of tails and a column of heads.
+
+        ``slots`` is an array in the slot layout that is non-zero exactly on
+        the grid's edges, such as a sign array of this grid; it defaults to
+        :meth:`slot_pattern`.
+        """
+        if slots is None:
+            slots = self.slot_pattern()
+        cols = self.cols
+        if self.mask is not None:
+            where = self.bounding_ids()
+            vertex = {b: v for v, b in enumerate(where)}
+            step = (1, cols - 1, cols)
+            positions = list(compress(range(len(slots)), slots))
+            return (
+                tuple(p // 3 for p in positions),
+                tuple(vertex[where[p // 3] + step[p % 3]] for p in positions),
+            )
+        # per slot, the vertex at its tail and at its head, each slot's three
+        # heads read off the id list shifted by 1, cols - 1 and cols; compress
+        # keeps the slots with an edge.  A list, not a range, so that every
+        # edge of a vertex shares one int object.
+        ids = list(range(self.rows * cols + cols))
+        tails = chain.from_iterable(zip(ids, ids, ids))
+        heads = chain.from_iterable(zip(islice(ids, 1, None), islice(ids, cols - 1, None), islice(ids, cols, None)))
+        return tuple(compress(tails, slots)), tuple(compress(heads, slots))
 
 
 @dataclass(frozen=True)
@@ -213,41 +246,53 @@ class SignedGrid:
                 return cls(spec, bytes(signs), g.labels)
         raise ValueError(f"graph edges are not those of its {spec.kind} {spec.rows}x{spec.cols} grid")
 
+    @classmethod
+    def from_columns(
+        cls,
+        spec: GridSpec,
+        columns: tuple[Sequence[int], Sequence[int], Sequence[int]],
+        labels: tuple[str, ...] | None = None,
+    ) -> SignedGrid:
+        """The grid with the given edge columns: the tails and heads that
+        :meth:`GridSpec.edge_columns` gives, and a sign, +1 or -1, per edge.
+        None of it is checked.  The result keeps the columns as its
+        :attr:`columns`."""
+        tails, heads, signs = columns
+        pattern = spec.slot_pattern()
+        slots = array("b", bytes(len(pattern)))
+        deque(map(setitem, repeat(slots), compress(range(len(pattern)), pattern), signs), 0)
+        grid = cls(spec, slots.tobytes(), labels)
+        vars(grid)["columns"] = (tuple(tails), tuple(heads), tuple(signs))  # where the cached property keeps its value
+        return grid
+
     @cached_property
+    def columns(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+        """All edges as three columns, tails, heads and signs: edge ``k`` is
+        ``(tails[k], heads[k], signs[k])`` with ``tails[k] < heads[k]``, in
+        :meth:`GridSpec.edges` order, which is sorted.
+
+        Read from the sign array on first access and kept; it is the grid's
+        one derived form.  A search converts a grid through :meth:`graph` and
+        its caller then verifies the witness against the same grid, which on
+        small patches costs more to re-read from the array than the
+        verification itself.
+        """
+        tails, heads = self.grid.edge_columns(self.signs)
+        return tails, heads, tuple(compress(memoryview(self.signs).cast("b"), self.signs))
+
+    @property
     def edges(self) -> tuple[tuple[int, int, int], ...]:
         """All edges as ``(u, v, sign)`` with ``u < v``, sorted, as
-        :attr:`SignedGraph.edges` lists them.
-
-        Read from the sign array on first access and kept: a search converts
-        a grid through :meth:`graph` and its caller then verifies the witness
-        against the same grid, which on small patches costs more to re-read
-        from the array than the verification itself.
-        """
-        spec, signs = self.grid, self.signs
-        cols, values = spec.cols, compress(memoryview(signs).cast("b"), signs)
-        if spec.mask is not None:
-            where = spec.bounding_ids()
-            vertex = {b: v for v, b in enumerate(where)}
-            step = (1, cols - 1, cols)
-            return tuple(
-                (p // 3, vertex[where[p // 3] + step[p % 3]], s)
-                for p, s in zip(compress(range(len(signs)), signs), values)
-            )
-        # per slot, the vertex at its tail and at its head, each slot's
-        # three heads read off the id list shifted by 1, cols - 1 and cols;
-        # compress keeps the slots with an edge.  A list, not a range, so
-        # that every edge of a vertex shares one int object.
-        ids = list(range(spec.rows * cols + cols))
-        tails = chain.from_iterable(zip(ids, ids, ids))
-        heads = chain.from_iterable(zip(islice(ids, 1, None), islice(ids, cols - 1, None), islice(ids, cols, None)))
-        return tuple(zip(compress(tails, signs), compress(heads, signs), values))
+        :attr:`SignedGraph.edges` lists them; built from :attr:`columns` on
+        each access."""
+        return tuple(zip(*self.columns))
 
     def label(self, v: int) -> str:
         return self.labels[v] if self.labels is not None else str(v)
 
     def graph(self) -> SignedGraph:
         """The grid as a :class:`SignedGraph`, with the spec as its ``grid``."""
-        return SignedGraph(self.n, self.edges, labels=self.labels, grid=self.grid)
+        return SignedGraph(self.n, zip(*self.columns), labels=self.labels, grid=self.grid)
 
 
 def make_grid(spec: GridSpec, signature: bytes | Mapping[CellEdge, int]) -> SignedGrid:

@@ -12,8 +12,12 @@ Two notions of mapping are handled:
 Both are witnessed by one :class:`Homomorphism` type, a mapping plus a switch
 set; an ec witness has an empty switch set.
 
-The verifiers read a source's ``n`` and ``edges`` only, so they take a
-:class:`~signedgrids.grids.SignedGrid` as it is.  The searches walk adjacency
+The verifiers make one pass over a source's edges: a
+:class:`~signedgrids.grids.SignedGrid`'s cached
+:attr:`~signedgrids.grids.SignedGrid.columns`, zipped, or a
+:class:`~signedgrids.core.SignedGraph`'s ``edges``.  They apply a switch
+set by negating the sign of each edge with exactly one switched end, and
+share no code with the searches.  The searches walk adjacency
 dicts: :func:`find_ec_hom`, :func:`find_signed_hom` and
 :func:`signed_chromatic_number` convert a grid source through
 :meth:`~signedgrids.grids.SignedGrid.graph` once on entry.
@@ -98,8 +102,11 @@ def first_ec_violation(
     """First source edge not carried to an equal-sign target edge, else None."""
     _require_total(g, mapping)
     rows = [h.neighbors(a) for a in range(h.n)]
-    for u, v, s in g.edges:
-        if rows[mapping[u]].get(mapping[v], 0) != s:
+    for u, v, s in zip(*g.columns) if isinstance(g, SignedGrid) else g.edges:
+        try:  # a subscript, not .get: cheaper per edge, and a miss is rare
+            if rows[mapping[u]][mapping[v]] != s:
+                return (u, v)
+        except KeyError:  # the image pair is no edge of h
             return (u, v)
     return None
 
@@ -132,10 +139,16 @@ def verify_signed(g: SignedGraph | SignedGrid, h: SignedGraph, hom: Homomorphism
     if mapping and (min(mapping) < 0 or max(mapping) >= h.n):
         return False
     rows = [h.neighbors(a) for a in range(h.n)]
-    for u, v, s in g.edges:
-        if (u in flipped) != (v in flipped):
+    flip = [False] * g.n
+    for v in flipped:
+        flip[v] = True
+    for u, v, s in zip(*g.columns) if isinstance(g, SignedGrid) else g.edges:
+        if flip[u] is not flip[v]:
             s = -s
-        if rows[mapping[u]].get(mapping[v], 0) != s:
+        try:
+            if rows[mapping[u]][mapping[v]] != s:
+                return False
+        except KeyError:  # the image pair is no edge of h
             return False
     return True
 

@@ -46,20 +46,20 @@ class PropertyReport:
             raise ValueError("counterexamples must be nonempty iff the property fails")
 
 
-def _ordered_cliques(g: SignedGraph, k: int) -> Iterator[tuple[int, ...]]:
-    """Ordered tuples of k distinct, pairwise adjacent vertices."""
+def _ordered_cliques(g: SignedGraph, k: int, tup: tuple[int, ...] = ()) -> Iterator[tuple[int, ...]]:
+    """Ordered tuples of k distinct, pairwise adjacent vertices (that extend ``tup``).
 
-    def extend(tup: tuple[int, ...]):
-        if len(tup) == k:
-            yield tup
-            return
-        for v in range(g.n):
-            if v in tup:
-                continue
-            if all(g.has_edge(u, v) for u in tup):
-                yield from extend(tup + (v,))
-
-    yield from extend(())
+    A module-level generator rather than a self-recursive closure, whose
+    cell would tie it into a reference cycle on every call.
+    """
+    if len(tup) == k:
+        yield tup
+        return
+    for v in range(g.n):
+        if v in tup:
+            continue
+        if all(g.has_edge(u, v) for u in tup):
+            yield from _ordered_cliques(g, k, tup + (v,))
 
 
 def check_pkn(g: SignedGraph, k: int, n: int) -> PropertyReport:
@@ -187,26 +187,37 @@ def _signed_maps(g1: SignedGraph, g2: SignedGraph) -> Iterator[tuple[int, ...]]:
     candidates = [
         [w for w in range(n) if cols2[w] == cols1[v]] for v in range(n)
     ]
-    image = [-1] * n
-    used = [False] * n
+    yield from _extend_map(0, [-1] * n, [False] * n, candidates, stat1, stat2)
 
-    def extend(v: int) -> Iterator[tuple[int, ...]]:
-        if v == n:
-            yield tuple(image)
-            return
-        row = stat1[v]
-        for w in candidates[v]:
-            if used[w]:
-                continue
-            roww = stat2[w]
-            if all(roww[image[u]] == row[u] for u in range(v)):
-                image[v] = w
-                used[w] = True
-                yield from extend(v + 1)
-                used[w] = False
-                image[v] = -1
 
-    yield from extend(0)
+def _extend_map(
+    v: int,
+    image: list[int],
+    used: list[bool],
+    candidates: list[list[int]],
+    stat1: list[list[int]],
+    stat2: list[list[int]],
+) -> Iterator[tuple[int, ...]]:
+    """Every completion of the partial bijection ``image`` (vertices below
+    ``v`` assigned) that keeps the status rows ``stat1`` in ``stat2``.
+
+    A module-level generator, not a self-recursive closure, so that a call
+    leaves no reference cycle behind.
+    """
+    if v == len(image):
+        yield tuple(image)
+        return
+    row = stat1[v]
+    for w in candidates[v]:
+        if used[w]:
+            continue
+        roww = stat2[w]
+        if all(roww[image[u]] == row[u] for u in range(v)):
+            image[v] = w
+            used[w] = True
+            yield from _extend_map(v + 1, image, used, candidates, stat1, stat2)
+            used[w] = False
+            image[v] = -1
 
 
 def automorphisms(g: SignedGraph) -> Iterator[tuple[int, ...]]:

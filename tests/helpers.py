@@ -9,7 +9,7 @@ from itertools import combinations, product
 
 from hypothesis import strategies as st
 
-from signedgrids import NEG, POS, GridSpec, SignedGraph, rho_sp9_plus, rho_t4, switch, verify_ec
+from signedgrids import NEG, POS, GridSpec, SignedGraph, SignedGrid, rho_sp9_plus, rho_t4, switch, verify_ec
 from signedgrids.colorers import ColoringInvariantError
 from signedgrids.graphio import grid_from_dict
 from signedgrids.hom import Homomorphism, SearchBudget, _search_order, find_ec_hom
@@ -67,6 +67,73 @@ def ec_hom_exists_brute(g: SignedGraph, h: SignedGraph) -> bool:
     return any(
         verify_ec(g, h, mapping) for mapping in product(range(h.n), repeat=g.n)
     )
+
+
+# ---------------------------------------------------------------------------
+# Oracle for the verifiers: the per-edge loop over explicit (u, v, sign)
+# triples, with a grid's edges read cell by cell from its sign array.
+# ---------------------------------------------------------------------------
+
+
+def grid_edges_reference(g: SignedGrid) -> list[tuple[int, int, int]]:
+    """A grid's edges, sorted, read off its sign array by the adjacency rules
+    of the grids module docstring rather than through its columns."""
+    spec = g.grid
+    cells = spec.cells()
+    index = {c: k for k, c in enumerate(cells)}
+    signs = memoryview(g.signs).cast("b")
+    out = []
+    for k, (i, j) in enumerate(cells):
+        for d, b in enumerate(((i, j + 1), (i + 1, j - 1), (i + 1, j))):
+            if b in index and grid_neighbors(spec.kind, (i, j), b):
+                out.append((k, index[b], signs[3 * k + d]))
+    return out
+
+
+def _edges_reference(g: SignedGraph | SignedGrid):
+    return grid_edges_reference(g) if isinstance(g, SignedGrid) else g.edges
+
+
+def first_ec_violation_reference(
+    g: SignedGraph | SignedGrid, h: SignedGraph, mapping: Sequence[int]
+) -> tuple[int, int] | None:
+    """Oracle for ``first_ec_violation``: one dict lookup per edge triple."""
+    if len(mapping) != g.n:
+        raise ValueError("mapping must be total on the source vertices")
+    rows = [h.neighbors(a) for a in range(h.n)]
+    for u, v, s in _edges_reference(g):
+        if rows[mapping[u]].get(mapping[v], 0) != s:
+            return (u, v)
+    return None
+
+
+def verify_ec_reference(g: SignedGraph | SignedGrid, h: SignedGraph, mapping: Sequence[int]) -> bool:
+    """Oracle for ``verify_ec``: an entry outside ``range(h.n)`` gives False."""
+    if mapping and (min(mapping) < 0 or max(mapping) >= h.n):
+        if len(mapping) != g.n:
+            raise ValueError("mapping must be total on the source vertices")
+        return False
+    return first_ec_violation_reference(g, h, mapping) is None
+
+
+def verify_signed_reference(g: SignedGraph | SignedGrid, h: SignedGraph, hom: Homomorphism) -> bool:
+    """Oracle for ``verify_signed``: each edge triple's sign, negated when the
+    switch set holds exactly one end, checked against the target."""
+    flipped = hom.switch_set
+    if flipped and (min(flipped) < 0 or max(flipped) >= g.n):
+        return False
+    mapping = hom.mapping
+    if len(mapping) != g.n:
+        raise ValueError("mapping must be total on the source vertices")
+    if mapping and (min(mapping) < 0 or max(mapping) >= h.n):
+        return False
+    rows = [h.neighbors(a) for a in range(h.n)]
+    for u, v, s in _edges_reference(g):
+        if (u in flipped) != (v in flipped):
+            s = -s
+        if rows[mapping[u]].get(mapping[v], 0) != s:
+            return False
+    return True
 
 
 def signed_hom_exists_brute(g: SignedGraph, h: SignedGraph) -> bool:

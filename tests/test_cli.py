@@ -371,6 +371,22 @@ def test_main_calls_leave_no_parser_garbage(tmp_path):
     assert formatters == []
 
 
+def test_props_calls_leave_no_cyclic_garbage(tmp_path):
+    # the clique and map enumerations of props are module-level generators,
+    # so a props run frees everything it allocates without the collector
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for target in ("rhoT4", "rhoSP9plus", "SP9"):
+            assert run("props", "--target", target, "-o", str(tmp_path / "p.json")) == EXIT_OK
+        gc.collect()
+        garbage = list(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert garbage == []
+
+
 # sha256 of every artifact of a small run of each command; identical
 # invocations must keep writing identical bytes
 GOLDEN = {

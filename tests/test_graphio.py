@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from signedgrids import GridSpec, Homomorphism, SignedGrid, build_T4, find_signed_hom, make_grid, random_signature, unbalanced_c6
 from signedgrids.graphio import (
+    ROW_CHUNK,
     ArtifactEncoder,
     graph_from_dict,
     graph_to_dict,
@@ -240,6 +241,67 @@ def test_a_masked_grid_costs_its_mask_not_its_box(kind, edges):
     assert peak < 1 << 20
 
 
+def one_defect_docs(doc):
+    """``doc`` with one defect in its canonical edge list each: a ``true``, a
+    ``1.0``, two rows swapped, the last row dropped, a sign of 2, a row given
+    as ``[v, u, s]``, a row that is no triple, and one label too few.  Each
+    row defect at the first, a middle and the last row, and in each entry of
+    the row."""
+    edges = doc["edges"]
+    out = [dict(doc, edges=edges[:-1]), dict(doc, labels=["x"] * (doc["n"] - 1))]
+    for k in sorted({0, len(edges) // 2, len(edges) - 1}):
+        u, v, s = edges[k]
+
+        def at(row):
+            return dict(doc, edges=edges[:k] + [row] + edges[k + 1 :])
+
+        for col in range(3):
+            for bad in (True, float(edges[k][col])):
+                row = list(edges[k])
+                row[col] = bad
+                out.append(at(row))
+        out += [at([u, v, 2]), at([u, v, -2]), at([v, u, s]), at([u, v]), at([u, v, s, s]), at((u, v, s))]
+        if k + 1 < len(edges):
+            out.append(dict(doc, edges=edges[:k] + [edges[k + 1], edges[k]] + edges[k + 2 :]))
+            # the same entries, split across two rows as [u, v] and [s, ...]
+            out.append(dict(doc, edges=edges[:k] + [[u, v], [s, *edges[k + 1]]] + edges[k + 2 :]))
+    return out
+
+
+@pytest.mark.parametrize("doc", grid_docs(), ids=lambda d: "{kind}-{rows}x{cols}".format(**d["grid"]))
+def test_one_defect_in_a_canonical_grid_file(doc):
+    # the bulk check must hand every such file to the per-edge loop, whose
+    # result or message is the reference's: a swapped or reversed row is
+    # still the same grid, every other defect an error
+    outcomes = [load_outcome(graph_from_dict, bad) for bad in one_defect_docs(doc)]
+    assert outcomes == [load_outcome(graph_from_dict_reference, bad) for bad in one_defect_docs(doc)]
+    same = load_outcome(graph_from_dict, doc)
+    assert {o[0] for o in outcomes if o != same} == {"ValueError"}
+
+
+def test_a_canonical_grid_file_is_checked_in_bulk(monkeypatch):
+    # a file that lists the grid's edges in their own order never reaches the
+    # per-edge loop, which is the only reader of GridSpec.direction; the grid
+    # read keeps the file's signs and the spec's columns as its columns
+    docs = grid_docs()
+    for spec_kind in ("hex", "tri"):
+        spec = GridSpec(spec_kind, 30, 17)
+        docs.append(graph_to_dict(make_grid(spec, random_signature(spec, 9, 0.5))))
+    expected = [graph_from_dict(doc) for doc in docs]
+
+    def refuse(self, x, y):
+        raise AssertionError("the per-edge loop ran")
+
+    monkeypatch.setattr(GridSpec, "direction", refuse)
+    for doc, g in zip(docs, expected):
+        read = graph_from_dict(doc)
+        assert "columns" in vars(read)  # kept from the load, not read again from the array
+        assert read == g and read.columns == SignedGrid(g.grid, g.signs).columns
+        assert graph_to_dict(read) == doc
+    with pytest.raises(AssertionError, match="per-edge loop"):
+        graph_from_dict(dict(docs[0], edges=docs[0]["edges"][::-1]))
+
+
 # Values built from what artifacts hold, plus what the encoder's fast paths
 # must tell apart: bools among ints, empty rows, int rows of mixed lengths.
 ints = st.integers(-(2**70), 2**70)
@@ -293,3 +355,15 @@ def test_artifact_encoder_defers_other_values_to_the_base_class(value):
 def test_artifact_encoder_keeps_allow_nan():
     with pytest.raises(ValueError):
         json.dumps({"x": [float("inf")]}, indent=2, allow_nan=False, cls=ArtifactEncoder)
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1, ROW_CHUNK + 1], ids=["chunk-1", "chunk", "chunk+1", "2chunks+1"])
+def test_artifact_encoder_at_chunk_boundaries(extra):
+    # int-row blocks are rendered ROW_CHUNK rows at a time; a non-int in the
+    # last row of a block sends the whole block to the generic path
+    rows = [[k, -k, k % 7 - 3] for k in range(ROW_CHUNK + extra)]
+    values = [{"edges": rows, "n": 3}, [rows, [[1, 2]]], {"edges": rows[:-1] + [[1, True, 2]]}]
+    values.append({"edges": rows[:-1] + [[1, 2.5]]})
+    for value in values:
+        for options in ({"indent": 2, "sort_keys": True}, {"indent": "%\t", "separators": ("%,", ":")}):
+            assert json.dumps(value, cls=ArtifactEncoder, **options) == json.dumps(value, **options)

@@ -25,10 +25,12 @@ from signedgrids import (
     verify_signed_with_mapping,
 )
 from signedgrids.core import induced_subgraph
+from signedgrids.grids import SignedGrid
 
 from helpers import (
     brute_c4_keys,
     cycle_edge_key,
+    grid_edges_reference,
     grid_neighbors,
     make_grid_reference,
     random_signed_graph,
@@ -357,3 +359,20 @@ class TestFixtures:
     def test_fixture_needs_two_rows(self):
         with pytest.raises(ValueError):
             all_c4_unbalanced_grid(1, 5)
+
+
+def test_grid_columns_are_its_edges():
+    # the cached columns, the edges derived from them and the graph built
+    # from them all list the edges read cell by cell from the array
+    rng = random.Random(12)
+    for _ in range(30):
+        kind, rows, cols = rng.choice(("hex", "tri")), rng.randint(1, 6), rng.randint(1, 6)
+        mask = frozenset(c for c in GridSpec(kind, rows, cols).cells() if rng.random() < 0.7) or None
+        for spec in (GridSpec(kind, rows, cols), GridSpec(kind, rows, cols, mask)):
+            g = make_grid(spec, random_signature(spec, rng.randrange(1000), 0.5))
+            tails, heads, signs = g.columns
+            assert list(zip(tails, heads, signs)) == grid_edges_reference(g)
+            assert g.edges == tuple(grid_edges_reference(g)) == g.graph().edges
+            assert g.grid.edge_columns() == (tails, heads)
+            again = SignedGrid.from_columns(spec, (list(tails), heads, list(signs)))
+            assert again == g and again.columns == g.columns

@@ -37,11 +37,18 @@ from signedgrids.hom import (
     first_ec_violation,
 )
 
+from signedgrids.colorers import color_hex, color_tri
+from signedgrids.core import rho_sp9_plus, sp9_plus
+from signedgrids.grids import GridSpec, make_grid, random_signature
+
 from helpers import (
     ec_hom_exists_brute,
     find_ec_hom_reference,
+    first_ec_violation_reference,
     random_signed_graph,
     signed_hom_exists_brute,
+    verify_ec_reference,
+    verify_signed_reference,
 )
 
 
@@ -376,3 +383,101 @@ def test_homomorphism_kind_validation():
     encoded = {"kind": "weird", "mapping": [0], "target": {"n": 1, "edges": []}}
     with pytest.raises(ValueError):
         hom_from_dict(encoded)
+
+
+# ---------------------------------------------------------------------------
+# The verifiers against the per-edge reference loop of tests/helpers.py.
+# ---------------------------------------------------------------------------
+
+
+def outcome(f, *args):
+    """What a verifier makes of its arguments: its result, or its error."""
+    try:
+        return f(*args)
+    except Exception as exc:  # both sides must fail alike, whatever the error
+        return type(exc).__name__, str(exc)
+
+
+def forgeries(rng: random.Random, hom: Homomorphism, n: int, target_n: int) -> list[Homomorphism]:
+    """``hom`` and forged variants: a mapping entry out of range on either
+    side or changed within range, a switch entry out of range or toggled,
+    and a mapping one entry short or long."""
+    m, flipped = list(hom.mapping), hom.switch_set
+    out = [hom, Homomorphism(tuple(m[:-1]), flipped), Homomorphism(tuple(m + [0]), flipped)]
+    out += [Homomorphism(tuple(m), flipped | {bad}) for bad in (-1, n)]
+    if m:
+        v = rng.randrange(len(m))
+        for bad in (-1, target_n, (m[v] + rng.randrange(1, target_n)) % target_n if target_n > 1 else 0):
+            out.append(Homomorphism(tuple(m[:v] + [bad] + m[v + 1 :]), flipped))
+        out.append(Homomorphism(tuple(m), flipped ^ {rng.randrange(n)}))
+    return out
+
+
+def assert_verifiers_agree(g, h, hom: Homomorphism, rng: random.Random) -> int:
+    """Every verifier on ``hom`` and its forgeries gives the reference's
+    verdict and first violating edge; returns how many it accepted."""
+    accepted = 0
+    for forged in forgeries(rng, hom, g.n, h.n):
+        verdict = outcome(verify_signed, g, h, forged)
+        assert verdict == outcome(verify_signed_reference, g, h, forged)
+        assert outcome(verify_ec, g, h, forged.mapping) == outcome(verify_ec_reference, g, h, forged.mapping)
+        if all(0 <= x < h.n for x in forged.mapping):
+            first = outcome(first_ec_violation, g, h, forged.mapping)
+            assert first == outcome(first_ec_violation_reference, g, h, forged.mapping)
+        accepted += verdict is True
+    return accepted
+
+
+class TestVerifiersMatchTheReference:
+    def test_random_graphs(self):
+        rng = random.Random(4242)
+        accepted = 0
+        for _ in range(200):
+            g = random_signed_graph(rng, rng.randint(1, 9), rng.choice((0.2, 0.5)))
+            h = random_signed_graph(rng, rng.randint(1, 5), 0.8)
+            hom = find_signed_hom(g, h)
+            if hom is None:
+                flipped = frozenset(v for v in range(g.n) if rng.random() < 0.5)
+                hom = Homomorphism(tuple(rng.randrange(h.n) for _ in range(g.n)), flipped)
+            accepted += assert_verifiers_agree(g, h, hom, rng)
+        assert accepted > 50
+
+    @pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
+    def test_grids_and_their_certificates(self, masked):
+        # honest colorer certificates, as ec witnesses into the doubled target
+        # and as signed ones into the base target, on the grid as read from
+        # its array, after graph() has cached its columns, and as a graph
+        rng = random.Random(31 if masked else 30)
+        for _ in range(40):
+            kind, rows, cols = rng.choice(("hex", "tri")), rng.randint(2, 7), rng.randint(2, 7)
+            mask = None
+            if masked:
+                mask = frozenset(c for c in GridSpec(kind, rows, cols).cells() if rng.random() < 0.7) or None
+            spec = GridSpec(kind, rows, cols, mask)
+            signs = random_signature(spec, rng.randrange(10**6), 0.5)
+            if kind == "hex":
+                ec, base, doubled = color_hex(make_grid(spec, signs)), build_T4(), rho_t4().graph
+            else:
+                ec, base, doubled = color_tri(make_grid(spec, signs))[0], sp9_plus(), rho_sp9_plus().graph
+            signed = ec_to_signed(ec, base.n)
+            fresh = make_grid(spec, signs)
+            converted = make_grid(spec, signs)
+            converted.graph()
+            for g in (fresh, converted, converted.graph()):
+                assert assert_verifiers_agree(g, doubled, ec, rng) >= 1
+                assert assert_verifiers_agree(g, base, signed, rng) >= 1
+
+    def test_one_changed_entry_on_a_large_grid(self):
+        # the first violating edge of a 40x40 certificate with one entry
+        # changed, at the start, the middle and the end of the edge order
+        rng = random.Random(7)
+        for kind in ("hex", "tri"):
+            spec = GridSpec(kind, 40, 40)
+            g = make_grid(spec, random_signature(spec, 3, 0.5))
+            ec = color_hex(g) if kind == "hex" else color_tri(g)[0]
+            doubled = (rho_t4() if kind == "hex" else rho_sp9_plus()).graph
+            for v in (0, g.n // 2, g.n - 1):
+                m = list(ec.mapping)
+                m[v] = (m[v] + rng.randrange(1, doubled.n)) % doubled.n
+                assert first_ec_violation(g, doubled, m) == first_ec_violation_reference(g, doubled, m)
+                assert verify_ec(g, doubled, m) == verify_ec_reference(g, doubled, m)
