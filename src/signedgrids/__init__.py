@@ -6,12 +6,13 @@ Library layout:
   and the fixed targets (T4, SP9, SP5 and their extensions).
 * :mod:`signedgrids.grids` -- hexagonal / triangular grids as
   :class:`SignedGrid` values (a spec plus one sign array), their
-  generators, 4-cycle analysis, and fixed fixtures.
-* :mod:`signedgrids.hom` -- exact homomorphism search, verification, and the
-  exact chromatic number on small instances.
+  generators, and fixed fixtures.
+* :mod:`signedgrids.hom` -- exact homomorphism search, the certificate
+  verifier, and the exact chromatic number on small instances.
 * :mod:`signedgrids.props` -- exhaustive target-property checks (extension
   properties, transitivity, antiautomorphy).
 * :mod:`signedgrids.colorers` -- the two constructive coloring algorithms.
+* :mod:`signedgrids.graphio` -- JSON and DOT serialization.
 * :mod:`signedgrids.cli` -- command-line interface.
 """
 
@@ -25,7 +26,6 @@ from .core import (
     build_SP9,
     build_T4,
     f9_squares,
-    induced_subgraph,
     negate,
     plus_universal,
     rho_sp9_plus,
@@ -34,23 +34,18 @@ from .core import (
     sp5_plus,
     sp9_plus,
     switch,
-    switching_equivalent,
 )
 from .colorers import (
     CandidateTrace,
     ColoringInvariantError,
     color_hex,
     color_tri,
-    compatible_colors,
     normalize_hex,
 )
 from .grids import (
     GridSpec,
     SignedGrid,
     all_c4_unbalanced_grid,
-    cycle_sign,
-    enumerate_c4,
-    is_unbalanced,
     make_grid,
     random_signature,
     unbalanced_c6,
@@ -64,11 +59,9 @@ from .hom import (
     complete_signed_graph,
     find_ec_hom,
     find_signed_hom,
-    induced_target,
     signed_chromatic_number,
     verify_ec,
     verify_signed,
-    verify_signed_with_mapping,
 )
 from .props import (
     PropertyReport,
@@ -77,7 +70,6 @@ from .props import (
     check_pkn,
     check_pstar21,
     check_transitivity,
-    common_positive_neighbors,
     find_isomorphism,
 )
 

@@ -42,7 +42,6 @@ induced subgraph keeps it a homomorphism.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cache
 from itertools import compress
@@ -57,7 +56,6 @@ from .props import pstar21_excluded_pairs
 __all__ = [
     "ColoringInvariantError",
     "CandidateTrace",
-    "compatible_colors",
     "normalize_hex",
     "color_hex",
     "color_tri",
@@ -90,20 +88,6 @@ def _members(colors: int) -> list[int]:
 
 def _lowest(colors: int) -> int:
     return (colors & -colors).bit_length() - 1
-
-
-def compatible_colors(
-    h: SignedGraph, constraints: Iterable[tuple[int, int]]
-) -> list[int]:
-    """Target vertices adjacent to every ``(image, sign)`` constraint, ascending.
-
-    With no constraints every vertex of ``h`` qualifies.
-    """
-    masks = sign_masks(h)
-    cands = (1 << h.n) - 1
-    for image, s in constraints:
-        cands &= masks[s][image]
-    return _members(cands)
 
 
 def _require_grid(g: SignedGrid | SignedGraph, kind: str) -> SignedGrid:

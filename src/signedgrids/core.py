@@ -2,10 +2,10 @@
 
 A signed graph (equivalently a 2-edge-colored graph) is a simple undirected
 graph whose edges carry a sign, +1 or -1.  This module provides the immutable
-:class:`SignedGraph` value type, the switching operation and its equivalence
-test, the antitwin doubling construction, and the fixed small target graphs
-(T4, the signed Paley graphs SP9 and SP5, and their universal-vertex
-extensions) that the coloring algorithms map into.
+:class:`SignedGraph` value type, the switching operation, the antitwin
+doubling construction, and the fixed small target graphs (T4, the signed
+Paley graphs SP9 and SP5, and their universal-vertex extensions) that the
+coloring algorithms map into.
 
 Vertex ids are dense integers ``0..n-1``.  Labels are cosmetic; every
 algorithm operates on ids, and the target builders pin a documented label
@@ -28,9 +28,7 @@ __all__ = [
     "AntitwinnedGraph",
     "sign_masks",
     "switch",
-    "switching_equivalent",
     "negate",
-    "induced_subgraph",
     "antitwin_double",
     "plus_universal",
     "F9Element",
@@ -178,52 +176,6 @@ def negate(g: SignedGraph) -> SignedGraph:
     return SignedGraph(
         g.n, [(u, v, -s) for u, v, s in g.edges], labels=g.labels, grid=g.grid
     )
-
-
-def switching_equivalent(g1: SignedGraph, g2: SignedGraph) -> frozenset[int] | None:
-    """Find a switch set carrying ``g1`` onto ``g2``, or None if there is none.
-
-    Both graphs must share the same underlying unsigned graph.  Each connected
-    component is decided by fixing its smallest vertex unswitched and
-    propagating the parity constraint ``x_u XOR x_v = [signs differ on uv]``
-    along a spanning tree, then checking every non-tree edge.  The parity
-    constraints are invariant under complementing a component, so a failed
-    propagation means no switch set exists at all.
-    """
-    if g1.n != g2.n or g1.underlying_pairs() != g2.underlying_pairs():
-        raise ValueError("graphs do not share the same underlying graph")
-    x = [-1] * g1.n
-    for root in range(g1.n):
-        if x[root] != -1:
-            continue
-        x[root] = 0
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            for v, s1 in g1.neighbors(u).items():
-                need = x[u] ^ (1 if s1 != g2.sign(u, v) else 0)
-                if x[v] == -1:
-                    x[v] = need
-                    stack.append(v)
-                elif x[v] != need:
-                    return None
-    return frozenset(v for v in range(g1.n) if x[v] == 1)
-
-
-def induced_subgraph(g: SignedGraph, vertices: Sequence[int]) -> SignedGraph:
-    """Induced subgraph on ``vertices``, reindexed in the given order."""
-    idx = {v: i for i, v in enumerate(vertices)}
-    if len(idx) != len(vertices):
-        raise ValueError("vertex list contains duplicates")
-    edges = [
-        (idx[u], idx[v], s)
-        for u, v, s in g.edges
-        if u in idx and v in idx
-    ]
-    labels = None
-    if g.labels is not None:
-        labels = [g.labels[v] for v in vertices]
-    return SignedGraph(len(vertices), edges, labels=labels)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Hexagonal and triangular grid generators and structural queries.
+"""Hexagonal and triangular grids: their layout, generators and fixtures.
 
 Grid cells are addressed by 1-based coordinates ``(i, j)`` with ``i`` the row
 and ``j`` the column; cell ``(i, j)`` has the *bounding id*
@@ -45,7 +45,7 @@ from collections import deque
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, combinations, compress, islice, repeat
+from itertools import chain, compress, islice, repeat
 from operator import setitem
 
 from .core import NEG, POS, SignedGraph
@@ -58,9 +58,6 @@ __all__ = [
     "SignedGrid",
     "make_grid",
     "random_signature",
-    "enumerate_c4",
-    "cycle_sign",
-    "is_unbalanced",
     "all_c4_unbalanced_grid",
     "unbalanced_wheel7",
     "unbalanced_c6",
@@ -362,53 +359,6 @@ def random_signature(spec: GridSpec, seed: int, p_negative: float) -> bytes:
         raise ValueError("p_negative must lie in [0, 1]")
     draw = random.Random(seed).random
     return bytes([(255 if draw() < p_negative else 1) if x else 0 for x in spec.slot_pattern()])
-
-
-def enumerate_c4(g: SignedGraph | SignedGrid) -> list[tuple[int, int, int, int]]:
-    """All 4-cycles of ``g``, one representative per cycle.
-
-    Each cycle is reported as ``(u, a, v, b)`` meaning ``u-a-v-b-u``, where
-    ``{u, v}`` is the diagonal containing the smallest vertex of the cycle and
-    ``a < b``.  Chords are irrelevant: any closed walk on four distinct
-    vertices counts.  Found by pairing common neighbors of every vertex pair.
-    """
-    if isinstance(g, SignedGrid):
-        g = g.graph()
-    out = []
-    for u in range(g.n):
-        nu = set(g.neighbors(u))
-        for v in range(u + 1, g.n):
-            common = sorted(nu & set(g.neighbors(v)))
-            for a, b in combinations(common, 2):
-                if u < a:  # keep only the diagonal holding the global minimum
-                    out.append((u, a, v, b))
-    return out
-
-
-def _check_cycle(g: SignedGraph, cycle) -> None:
-    k = len(cycle)
-    if k < 3 or len(set(cycle)) != k:
-        raise ValueError("not a cycle: need at least 3 distinct vertices")
-    for t in range(k):
-        if not g.has_edge(cycle[t], cycle[(t + 1) % k]):
-            raise ValueError(f"not a cycle: missing edge {cycle[t]}-{cycle[(t + 1) % k]}")
-
-
-def cycle_sign(g: SignedGraph | SignedGrid, cycle) -> int:
-    """Product of the edge signs along a cycle (a switching invariant)."""
-    if isinstance(g, SignedGrid):
-        g = g.graph()
-    _check_cycle(g, cycle)
-    prod = 1
-    k = len(cycle)
-    for t in range(k):
-        prod *= g.sign(cycle[t], cycle[(t + 1) % k])
-    return prod
-
-
-def is_unbalanced(g: SignedGraph | SignedGrid, cycle) -> bool:
-    """True iff the cycle carries an odd number of negative edges."""
-    return cycle_sign(g, cycle) == NEG
 
 
 # ---------------------------------------------------------------------------

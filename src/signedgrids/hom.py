@@ -12,13 +12,14 @@ Two notions of mapping are handled:
 Both are witnessed by one :class:`Homomorphism` type, a mapping plus a switch
 set; an ec witness has an empty switch set.
 
-The verifiers make one pass over a source's edges: a
-:class:`~signedgrids.grids.SignedGrid`'s cached
+One verifier, :func:`verify_signed`, makes one pass over a source's edges:
+a :class:`~signedgrids.grids.SignedGrid`'s cached
 :attr:`~signedgrids.grids.SignedGrid.columns`, zipped, or a
-:class:`~signedgrids.core.SignedGraph`'s ``edges``.  They apply a switch
+:class:`~signedgrids.core.SignedGraph`'s ``edges``.  It applies a switch
 set by negating the sign of each edge with exactly one switched end, and
-share no code with the searches.  The searches walk adjacency
-dicts: :func:`find_ec_hom`, :func:`find_signed_hom` and
+shares no code with the searches; :func:`verify_ec` is its check with an
+empty switch set.  The searches walk adjacency dicts:
+:func:`find_ec_hom`, :func:`find_signed_hom` and
 :func:`signed_chromatic_number` convert a grid source through
 :meth:`~signedgrids.grids.SignedGrid.graph` once on entry.
 
@@ -45,17 +46,14 @@ __all__ = [
     "BudgetExceededError",
     "SearchBudget",
     "verify_ec",
-    "first_ec_violation",
     "verify_signed",
     "find_ec_hom",
     "find_signed_hom",
     "ec_to_signed",
-    "verify_signed_with_mapping",
     "signed_chromatic_number",
     "complete_signed_graph",
     "all_complete_targets",
     "canonical_complete_targets",
-    "induced_target",
 ]
 
 
@@ -73,8 +71,9 @@ class SearchBudget:
             raise ValueError("budget must be non-negative")
         self.remaining = limit
 
-    def spend(self, amount: int = 1) -> None:
-        self.remaining -= amount
+    def spend(self) -> None:
+        """Count one node; raise :class:`BudgetExceededError` past the limit."""
+        self.remaining -= 1
         if self.remaining < 0:
             raise BudgetExceededError("search node budget exhausted")
 
@@ -91,36 +90,14 @@ class Homomorphism:
     switch_set: frozenset[int] = frozenset()
 
 
-def _require_total(g: SignedGraph | SignedGrid, mapping: Sequence[int]) -> None:
-    if len(mapping) != g.n:
-        raise ValueError("mapping must be total on the source vertices")
-
-
-def first_ec_violation(
-    g: SignedGraph | SignedGrid, h: SignedGraph, mapping: Sequence[int]
-) -> tuple[int, int] | None:
-    """First source edge not carried to an equal-sign target edge, else None."""
-    _require_total(g, mapping)
-    rows = [h.neighbors(a) for a in range(h.n)]
-    for u, v, s in zip(*g.columns) if isinstance(g, SignedGrid) else g.edges:
-        try:  # a subscript, not .get: cheaper per edge, and a miss is rare
-            if rows[mapping[u]][mapping[v]] != s:
-                return (u, v)
-        except KeyError:  # the image pair is no edge of h
-            return (u, v)
-    return None
-
-
 def verify_ec(g: SignedGraph | SignedGrid, h: SignedGraph, mapping: Sequence[int]) -> bool:
-    """True iff ``mapping`` is an ec homomorphism from ``g`` to ``h``.
+    """True iff ``mapping`` is an ec homomorphism from ``g`` to ``h``: the
+    check of :func:`verify_signed` with an empty switch set.
 
-    An entry outside ``range(h.n)`` gives False instead of aliasing a target
-    vertex.
+    A mapping of the wrong length raises ``ValueError``; an entry outside
+    ``range(h.n)`` gives False instead of aliasing a target vertex.
     """
-    if mapping and (min(mapping) < 0 or max(mapping) >= h.n):
-        _require_total(g, mapping)  # a mapping of the wrong length still raises
-        return False
-    return first_ec_violation(g, h, mapping) is None
+    return verify_signed(g, h, Homomorphism(tuple(mapping)))
 
 
 def verify_signed(g: SignedGraph | SignedGrid, h: SignedGraph, hom: Homomorphism) -> bool:
@@ -128,14 +105,16 @@ def verify_signed(g: SignedGraph | SignedGrid, h: SignedGraph, hom: Homomorphism
 
     Each source edge's sign, flipped when exactly one endpoint is in the
     switch set, must be the sign of the image pair in ``h``; no switched copy
-    of ``g`` is built.  A switch entry outside ``range(g.n)`` gives False, as
-    a mapping entry outside ``range(h.n)`` does in :func:`verify_ec`.
+    of ``g`` is built.  A mapping of the wrong length raises ``ValueError``.
+    A mapping entry outside ``range(h.n)`` or a switch entry outside
+    ``range(g.n)`` gives False.
     """
     flipped = hom.switch_set
     if flipped and (min(flipped) < 0 or max(flipped) >= g.n):
         return False
     mapping = hom.mapping
-    _require_total(g, mapping)
+    if len(mapping) != g.n:
+        raise ValueError("mapping must be total on the source vertices")
     if mapping and (min(mapping) < 0 or max(mapping) >= h.n):
         return False
     rows = [h.neighbors(a) for a in range(h.n)]
@@ -145,7 +124,7 @@ def verify_signed(g: SignedGraph | SignedGrid, h: SignedGraph, hom: Homomorphism
     for u, v, s in zip(*g.columns) if isinstance(g, SignedGrid) else g.edges:
         if flip[u] is not flip[v]:
             s = -s
-        try:
+        try:  # a subscript, not .get: cheaper per edge, and a miss is rare
             if rows[mapping[u]][mapping[v]] != s:
                 return False
         except KeyError:  # the image pair is no edge of h
@@ -314,27 +293,6 @@ def find_signed_hom(
     return ec_to_signed(found, h.n)
 
 
-def verify_signed_with_mapping(
-    g: SignedGraph,
-    h: SignedGraph,
-    mapping: Sequence[int],
-    budget: SearchBudget | None = None,
-) -> frozenset[int] | None:
-    """Find a switch set making ``mapping`` an ec homomorphism, or None.
-
-    The candidate images of each source vertex are restricted to the two
-    copies of its prescribed target vertex in the antitwin doubling of ``h``,
-    so only the switch choice is searched.
-    """
-    _require_total(g, mapping)
-    rho = antitwin_double(h)
-    domains = [(m, m + h.n) for m in mapping]
-    found = find_ec_hom(g, rho.graph, domains=domains, budget=budget)
-    if found is None:
-        return None
-    return ec_to_signed(found, h.n).switch_set
-
-
 # ---------------------------------------------------------------------------
 # Complete signed targets of a given order, and the exact chromatic number.
 # ---------------------------------------------------------------------------
@@ -416,9 +374,13 @@ def signed_chromatic_number(
     For each order ``1..max_order`` the canonical complete targets are tried
     in increasing signature order; the first hit is returned with its witness
     (order, target, homomorphism).  Returns None when no target of order up
-    to ``max_order`` works, i.e. the chromatic number exceeds ``max_order``.
-    Exact but exponential in the order; intended for ``max_order <= 6``.
+    to ``max_order`` works, i.e. the chromatic number exceeds ``max_order``,
+    and raises ``ValueError`` for a ``max_order`` below 1, which no graph's
+    chromatic number can exceed.  Exact but exponential in the order;
+    intended for ``max_order <= 6``.
     """
+    if max_order < 1:
+        raise ValueError(f"max_order must be at least 1, got {max_order}")
     g = _adjacency(g)
     for order in range(1, max_order + 1):
         for mask in canonical_complete_targets(order):
@@ -427,22 +389,3 @@ def signed_chromatic_number(
             if found is not None:
                 return (order, h, found)
     return None
-
-
-def induced_target(g: SignedGraph, mapping: Sequence[int], size: int) -> SignedGraph:
-    """Target graph induced by a coloring: one edge per observed color pair.
-
-    Raises ``ValueError`` if two source edges force the same color pair to
-    carry both signs, or if an edge joins equal colors.
-    """
-    _require_total(g, mapping)
-    signs: dict[tuple[int, int], int] = {}
-    for u, v, s in g.edges:
-        a, b = mapping[u], mapping[v]
-        if a == b:
-            raise ValueError(f"edge ({u},{v}) joins two vertices of color {a}")
-        key = (a, b) if a < b else (b, a)
-        prev = signs.setdefault(key, s)
-        if prev != s:
-            raise ValueError(f"color pair {key} carries both signs")
-    return SignedGraph(size, [(a, b, s) for (a, b), s in sorted(signs.items())])

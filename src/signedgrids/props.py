@@ -19,7 +19,6 @@ from .core import AntitwinnedGraph, NEG, POS, SignedGraph, negate, rho_t4, sign_
 __all__ = [
     "PropertyReport",
     "check_pkn",
-    "common_positive_neighbors",
     "pstar21_excluded_pairs",
     "check_pstar21",
     "automorphisms",
@@ -87,15 +86,6 @@ def check_pkn(g: SignedGraph, k: int, n: int) -> PropertyReport:
             if count < n:
                 bad.append((tup, alpha, count))
     return PropertyReport(f"P({k},{n})", not bad, tuple(bad))
-
-
-def common_positive_neighbors(g: SignedGraph, u: int, v: int) -> frozenset[int]:
-    """Vertices positively adjacent to both ``u`` and ``v``."""
-    if u == v:
-        raise ValueError("need two distinct vertices")
-    pos = sign_masks(g)[POS]
-    common = pos[u] & pos[v]
-    return frozenset(w for w in range(g.n) if common >> w & 1)
 
 
 def pstar21_excluded_pairs(atg: AntitwinnedGraph) -> frozenset[frozenset[int]]:

@@ -9,10 +9,22 @@ from itertools import combinations, product
 
 from hypothesis import strategies as st
 
-from signedgrids import NEG, POS, GridSpec, SignedGraph, SignedGrid, rho_sp9_plus, rho_t4, switch, verify_ec
+from signedgrids import (
+    NEG,
+    POS,
+    GridSpec,
+    SignedGraph,
+    SignedGrid,
+    antitwin_double,
+    rho_sp9_plus,
+    rho_t4,
+    sign_masks,
+    switch,
+    verify_ec,
+)
 from signedgrids.colorers import ColoringInvariantError
 from signedgrids.graphio import grid_from_dict
-from signedgrids.hom import Homomorphism, SearchBudget, _search_order, find_ec_hom
+from signedgrids.hom import Homomorphism, SearchBudget, _search_order, ec_to_signed, find_ec_hom
 from signedgrids.props import pstar21_excluded_pairs
 
 
@@ -34,6 +46,159 @@ def signed_graphs(draw, max_n: int = 8, p_edge: float = 0.4):
             if draw(st.floats(min_value=0, max_value=1)) < p_edge:
                 edges.append((u, v, draw(st.sampled_from((1, -1)))))
     return SignedGraph(n, edges)
+
+
+# ---------------------------------------------------------------------------
+# Structural oracles the library does not need: switching equivalence,
+# induced subgraphs and quotients, common neighbors, and 4-cycles.
+# ---------------------------------------------------------------------------
+
+
+def _require_total(g: SignedGraph | SignedGrid, mapping: Sequence[int]) -> None:
+    if len(mapping) != g.n:
+        raise ValueError("mapping must be total on the source vertices")
+
+
+def switching_equivalent(g1: SignedGraph, g2: SignedGraph) -> frozenset[int] | None:
+    """Find a switch set carrying ``g1`` onto ``g2``, or None if there is none.
+
+    Both graphs must share the same underlying unsigned graph.  Each connected
+    component is decided by fixing its smallest vertex unswitched and
+    propagating the parity constraint ``x_u XOR x_v = [signs differ on uv]``
+    along a spanning tree, then checking every non-tree edge.  The parity
+    constraints are invariant under complementing a component, so a failed
+    propagation means no switch set exists at all.
+    """
+    if g1.n != g2.n or g1.underlying_pairs() != g2.underlying_pairs():
+        raise ValueError("graphs do not share the same underlying graph")
+    x = [-1] * g1.n
+    for root in range(g1.n):
+        if x[root] != -1:
+            continue
+        x[root] = 0
+        stack = [root]
+        while stack:
+            u = stack.pop()
+            for v, s1 in g1.neighbors(u).items():
+                need = x[u] ^ (1 if s1 != g2.sign(u, v) else 0)
+                if x[v] == -1:
+                    x[v] = need
+                    stack.append(v)
+                elif x[v] != need:
+                    return None
+    return frozenset(v for v in range(g1.n) if x[v] == 1)
+
+
+def induced_subgraph(g: SignedGraph, vertices: Sequence[int]) -> SignedGraph:
+    """Induced subgraph on ``vertices``, reindexed in the given order."""
+    idx = {v: i for i, v in enumerate(vertices)}
+    if len(idx) != len(vertices):
+        raise ValueError("vertex list contains duplicates")
+    edges = [
+        (idx[u], idx[v], s)
+        for u, v, s in g.edges
+        if u in idx and v in idx
+    ]
+    labels = None
+    if g.labels is not None:
+        labels = [g.labels[v] for v in vertices]
+    return SignedGraph(len(vertices), edges, labels=labels)
+
+
+def induced_target(g: SignedGraph | SignedGrid, mapping: Sequence[int], size: int) -> SignedGraph:
+    """Target graph induced by a coloring: one edge per observed color pair.
+
+    Raises ``ValueError`` if two source edges force the same color pair to
+    carry both signs, or if an edge joins equal colors.
+    """
+    _require_total(g, mapping)
+    signs: dict[tuple[int, int], int] = {}
+    for u, v, s in g.edges:
+        a, b = mapping[u], mapping[v]
+        if a == b:
+            raise ValueError(f"edge ({u},{v}) joins two vertices of color {a}")
+        key = (a, b) if a < b else (b, a)
+        prev = signs.setdefault(key, s)
+        if prev != s:
+            raise ValueError(f"color pair {key} carries both signs")
+    return SignedGraph(size, [(a, b, s) for (a, b), s in sorted(signs.items())])
+
+
+def verify_signed_with_mapping(
+    g: SignedGraph | SignedGrid,
+    h: SignedGraph,
+    mapping: Sequence[int],
+    budget: SearchBudget | None = None,
+) -> frozenset[int] | None:
+    """Find a switch set making ``mapping`` an ec homomorphism, or None.
+
+    The candidate images of each source vertex are restricted to the two
+    copies of its prescribed target vertex in the antitwin doubling of ``h``,
+    so only the switch choice is searched.
+    """
+    _require_total(g, mapping)
+    rho = antitwin_double(h)
+    domains = [(m, m + h.n) for m in mapping]
+    found = find_ec_hom(g, rho.graph, domains=domains, budget=budget)
+    if found is None:
+        return None
+    return ec_to_signed(found, h.n).switch_set
+
+
+def common_positive_neighbors(g: SignedGraph, u: int, v: int) -> frozenset[int]:
+    """Vertices positively adjacent to both ``u`` and ``v``."""
+    if u == v:
+        raise ValueError("need two distinct vertices")
+    pos = sign_masks(g)[POS]
+    common = pos[u] & pos[v]
+    return frozenset(w for w in range(g.n) if common >> w & 1)
+
+
+def enumerate_c4(g: SignedGraph | SignedGrid) -> list[tuple[int, int, int, int]]:
+    """All 4-cycles of ``g``, one representative per cycle.
+
+    Each cycle is reported as ``(u, a, v, b)`` meaning ``u-a-v-b-u``, where
+    ``{u, v}`` is the diagonal containing the smallest vertex of the cycle and
+    ``a < b``.  Chords are irrelevant: any closed walk on four distinct
+    vertices counts.  Found by pairing common neighbors of every vertex pair.
+    """
+    if isinstance(g, SignedGrid):
+        g = g.graph()
+    out = []
+    for u in range(g.n):
+        nu = set(g.neighbors(u))
+        for v in range(u + 1, g.n):
+            common = sorted(nu & set(g.neighbors(v)))
+            for a, b in combinations(common, 2):
+                if u < a:  # keep only the diagonal holding the global minimum
+                    out.append((u, a, v, b))
+    return out
+
+
+def _check_cycle(g: SignedGraph, cycle) -> None:
+    k = len(cycle)
+    if k < 3 or len(set(cycle)) != k:
+        raise ValueError("not a cycle: need at least 3 distinct vertices")
+    for t in range(k):
+        if not g.has_edge(cycle[t], cycle[(t + 1) % k]):
+            raise ValueError(f"not a cycle: missing edge {cycle[t]}-{cycle[(t + 1) % k]}")
+
+
+def cycle_sign(g: SignedGraph | SignedGrid, cycle) -> int:
+    """Product of the edge signs along a cycle (a switching invariant)."""
+    if isinstance(g, SignedGrid):
+        g = g.graph()
+    _check_cycle(g, cycle)
+    prod = 1
+    k = len(cycle)
+    for t in range(k):
+        prod *= g.sign(cycle[t], cycle[(t + 1) % k])
+    return prod
+
+
+def is_unbalanced(g: SignedGraph | SignedGrid, cycle) -> bool:
+    """True iff the cycle carries an odd number of negative edges."""
+    return cycle_sign(g, cycle) == NEG
 
 
 def cycle_edge_key(cycle) -> frozenset:
@@ -97,7 +262,8 @@ def _edges_reference(g: SignedGraph | SignedGrid):
 def first_ec_violation_reference(
     g: SignedGraph | SignedGrid, h: SignedGraph, mapping: Sequence[int]
 ) -> tuple[int, int] | None:
-    """Oracle for ``first_ec_violation``: one dict lookup per edge triple."""
+    """The first edge triple that ``mapping`` does not carry to an
+    equal-sign edge of ``h``, by one dict lookup per triple, else None."""
     if len(mapping) != g.n:
         raise ValueError("mapping must be total on the source vertices")
     rows = [h.neighbors(a) for a in range(h.n)]

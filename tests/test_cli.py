@@ -303,6 +303,14 @@ class TestReports:
         assert code == EXIT_UNKNOWN
         assert read(out)["status"] == "unknown"
 
+    @pytest.mark.parametrize("order", ["0", "-1"])
+    def test_chromatic_max_order_below_one_is_a_usage_error(self, hex_graph, tmp_path, capsys, order):
+        # no order below 1 can bound a chromatic number, so "none" would be vacuous
+        out = tmp_path / "chrom.json"
+        assert run("chromatic", "-i", str(hex_graph), "--max-order", order, "-o", str(out)) == EXIT_USAGE
+        assert not out.exists()
+        assert "max_order must be at least 1" in capsys.readouterr().err
+
     def test_lowerbounds_c6(self, tmp_path, capsys):
         out = tmp_path / "lb.json"
         assert run("lowerbounds", "--instance", "c6", "-o", str(out)) == EXIT_OK

@@ -16,9 +16,7 @@ from signedgrids import (
     build_T4,
     color_hex,
     color_tri,
-    compatible_colors,
     find_isomorphism,
-    induced_target,
     make_grid,
     negate,
     normalize_hex,
@@ -30,7 +28,6 @@ from signedgrids import (
     switch,
     unbalanced_c6,
     verify_ec,
-    verify_signed_with_mapping,
 )
 from signedgrids.graphio import ArtifactEncoder, hom_to_dict
 from signedgrids.hom import ec_to_signed
@@ -40,8 +37,10 @@ from helpers import (
     color_tri_reference,
     compatible_colors_reference,
     fill_bounding,
+    induced_target,
     mask_members,
     normalize_hex_reference,
+    verify_signed_with_mapping,
 )
 
 RHO_T4 = rho_t4()
@@ -209,12 +208,12 @@ class TestColorTri:
 class TestCandidateMachinery:
     def test_case_table_pair(self):
         target = RHO_SP9P.graph
-        got = {target.label(c) for c in compatible_colors(target, [(0, POS), (1, POS)])}
+        got = {target.label(c) for c in compatible_colors_reference(target, [(0, POS), (1, POS)])}
         assert got == {"2+", "inf+", "x+2-", "2x+2-"}
 
     def test_first_vertex_candidates_stay_in_the_nine_set(self):
         target = RHO_SP9P.graph
-        nine = compatible_colors(target, [(0, POS)])
+        nine = compatible_colors_reference(target, [(0, POS)])
         assert len(nine) == 9
         assert {target.label(c) for c in nine} == {
             "1+",
@@ -232,8 +231,8 @@ class TestCandidateMachinery:
         # the inductive core: whatever two candidates the previous vertex
         # kept, the next vertex still has at least two compatible colors
         target = RHO_SP9P.graph
-        second = compatible_colors(target, [(0, POS), (1, POS)])
-        first = compatible_colors(target, [(0, POS)])
+        second = compatible_colors_reference(target, [(0, POS), (1, POS)])
+        first = compatible_colors_reference(target, [(0, POS)])
         for i, p1 in enumerate(first):
             for p2 in first[i + 1 :]:
                 reachable = [
@@ -248,16 +247,16 @@ class TestCandidateMachinery:
         # anchored at adjacent colors 0+ and 1+ for the two upper vertices
         target = RHO_SP9P.graph
         for s1, s2, s3, s4 in product((POS, NEG), repeat=4):
-            first = compatible_colors(target, [(0, s1)])
+            first = compatible_colors_reference(target, [(0, s1)])
             second = [
                 c
-                for c in compatible_colors(target, [(0, s2), (1, s3)])
+                for c in compatible_colors_reference(target, [(0, s2), (1, s3)])
                 if any(target.status(p, c) == s4 for p in first)
             ]
             assert len(second) >= 2
 
     def test_no_constraints_means_every_vertex(self):
-        assert compatible_colors(RHO_SP9P.graph, []) == list(range(20))
+        assert compatible_colors_reference(RHO_SP9P.graph, []) == list(range(20))
 
 
 def masked_grid(kind, seed):
@@ -335,18 +334,6 @@ class TestAgainstSignedGraphReference:
             assert color_tri(g.graph()) == color_tri(g)
             sw = switch(g, range(0, g.n, 3))
             assert verify_ec(sw, RHO_SP9P.graph, color_tri(sw)[0].mapping)
-
-    def test_compatible_colors(self):
-        rng = random.Random(41)
-        for target in (RHO_T4.graph, RHO_SP9P.graph):
-            for _ in range(200):
-                constraints = [
-                    (rng.randrange(target.n), rng.choice((POS, NEG)))
-                    for _ in range(rng.randint(0, 3))
-                ]
-                assert compatible_colors(target, constraints) == compatible_colors_reference(
-                    target, constraints
-                )
 
 
 class TestPeriodicFixtureColoring:

@@ -17,7 +17,6 @@ from signedgrids import (
     build_SP9,
     build_T4,
     f9_squares,
-    induced_subgraph,
     negate,
     plus_universal,
     rho_t4,
@@ -25,11 +24,17 @@ from signedgrids import (
     sp5_plus,
     sp9_plus,
     switch,
-    switching_equivalent,
 )
 from signedgrids.core import F9Element, f9_elements
 
-from helpers import mask_members, random_signed_graph, signed_graphs
+from helpers import (
+    cycle_sign,
+    induced_subgraph,
+    mask_members,
+    random_signed_graph,
+    signed_graphs,
+    switching_equivalent,
+)
 
 
 def all_positive_cycle(k):
@@ -65,8 +70,6 @@ class TestSwitch:
 
     @given(st.integers(min_value=3, max_value=9), st.data())
     def test_cycle_sign_is_switching_invariant(self, k, data):
-        from signedgrids import cycle_sign
-
         signs = data.draw(st.lists(st.sampled_from((POS, NEG)), min_size=k, max_size=k))
         g = SignedGraph(k, [(t, (t + 1) % k, signs[t]) for t in range(k)])
         subset = data.draw(st.sets(st.integers(min_value=0, max_value=k - 1)))

@@ -11,30 +11,30 @@ from signedgrids import (
     POS,
     GridSpec,
     all_c4_unbalanced_grid,
-    cycle_sign,
-    enumerate_c4,
     find_isomorphism,
-    induced_target,
-    is_unbalanced,
     make_grid,
     random_signature,
     sp5_plus,
     switch,
     unbalanced_c6,
     unbalanced_wheel7,
-    verify_signed_with_mapping,
 )
-from signedgrids.core import induced_subgraph
 from signedgrids.grids import SignedGrid
 
 from helpers import (
     brute_c4_keys,
     cycle_edge_key,
+    cycle_sign,
+    enumerate_c4,
     grid_edges_reference,
     grid_neighbors,
+    induced_subgraph,
+    induced_target,
+    is_unbalanced,
     make_grid_reference,
     random_signed_graph,
     signature_dict,
+    verify_signed_with_mapping,
 )
 
 

@@ -17,7 +17,6 @@ from signedgrids import (
     check_pkn,
     check_pstar21,
     check_transitivity,
-    common_positive_neighbors,
     find_isomorphism,
     negate,
     rho_sp9_plus,
@@ -27,7 +26,7 @@ from signedgrids import (
 from signedgrids.core import F9Element, f9_elements, f9_squares
 from signedgrids.props import pstar21_excluded_pairs
 
-from helpers import random_signed_graph
+from helpers import common_positive_neighbors, random_signed_graph
 
 
 def brute_automorphisms(g):
