@@ -5,6 +5,13 @@ Subcommands: ``gen``, ``color``, ``verify``, ``props``, ``chromatic``,
 full configuration that produced it, and identical invocations write
 byte-identical files.  Exit codes: 0 success, 1 usage error, 2 verification
 failure, 3 budget exhausted / unknown.
+
+Start-up: the arguments are parsed before any library module is imported,
+and a command imports only the modules it runs.  ``--version``, ``--help``
+and usage errors load none of them; ``gen`` and ``verify`` never load
+``colorers`` or ``props``.  Each library function the commands call is a
+module attribute here, a stand-in from :func:`_deferred` that imports its
+module on its first call; classes are imported where they are used.
 """
 
 from __future__ import annotations
@@ -15,40 +22,68 @@ import gc
 import json
 import os
 import sys
+from importlib import import_module
 
 from . import __version__
-from .colorers import color_hex, color_tri
-from .core import (
-    SignedGraph,
-    build_SP9,
-    build_T4,
-    rho_sp9_plus,
-    rho_t4,
-    sp5_plus,
-    sp9_plus,
-    switch,  # unused here; perfbench/tracing.py patches signedgrids.cli.switch
-)
-from .graphio import ArtifactEncoder, graph_from_dict, graph_to_dict, graph_to_dot, hom_from_dict, hom_to_dict
-from .grids import GridSpec, SignedGrid, all_c4_unbalanced_grid, make_grid, random_signature, unbalanced_c6, unbalanced_wheel7
-from .hom import (
-    BudgetExceededError,
-    SearchBudget,
-    all_complete_targets,
-    canonical_complete_targets,
-    complete_signed_graph,
-    ec_to_signed,
-    find_signed_hom,
-    signed_chromatic_number,
-    verify_ec,
-    verify_signed,
-)
-from .props import (
-    automorphisms,
-    check_antiautomorphic,
-    check_pkn,
-    check_pstar21,
-    check_transitivity,
-)
+
+
+def _deferred(module: str, name: str):
+    """A stand-in for the library function ``signedgrids.<module>.<name>``.
+
+    Its first call imports the module and takes the function as the module
+    holds it then; every call goes through to that function.  The stand-in
+    carries the function's ``__module__`` and ``__name__``, so that code
+    which wraps it by module attribute (the benchmark's span recorders)
+    names it as the function itself, and it binds nothing in this module.
+    """
+    target = None
+
+    def call(*args, **kwargs):
+        nonlocal target
+        if target is None:
+            target = getattr(import_module(f"{__package__}.{module}"), name)
+        return target(*args, **kwargs)
+
+    call.__module__ = f"{__package__}.{module}"
+    call.__name__ = call.__qualname__ = name
+    return call
+
+
+# every library function the commands call; perfbench/tracing.py patches
+# some of them here by name
+color_hex = _deferred("colorers", "color_hex")
+color_tri = _deferred("colorers", "color_tri")
+build_SP9 = _deferred("core", "build_SP9")
+build_T4 = _deferred("core", "build_T4")
+rho_sp9_plus = _deferred("core", "rho_sp9_plus")
+rho_t4 = _deferred("core", "rho_t4")
+sp5_plus = _deferred("core", "sp5_plus")
+sp9_plus = _deferred("core", "sp9_plus")
+switch = _deferred("core", "switch")  # never called here; perfbench/tracing.py patches signedgrids.cli.switch
+graph_from_dict = _deferred("graphio", "graph_from_dict")
+graph_to_dict = _deferred("graphio", "graph_to_dict")
+graph_to_dot = _deferred("graphio", "graph_to_dot")
+hom_from_dict = _deferred("graphio", "hom_from_dict")
+hom_to_dict = _deferred("graphio", "hom_to_dict")
+all_c4_unbalanced_grid = _deferred("grids", "all_c4_unbalanced_grid")
+make_grid = _deferred("grids", "make_grid")
+random_signature = _deferred("grids", "random_signature")
+unbalanced_c6 = _deferred("grids", "unbalanced_c6")
+unbalanced_wheel7 = _deferred("grids", "unbalanced_wheel7")
+SearchBudget = _deferred("hom", "SearchBudget")
+all_complete_targets = _deferred("hom", "all_complete_targets")
+canonical_complete_targets = _deferred("hom", "canonical_complete_targets")
+complete_signed_graph = _deferred("hom", "complete_signed_graph")
+ec_to_signed = _deferred("hom", "ec_to_signed")
+find_signed_hom = _deferred("hom", "find_signed_hom")
+signed_chromatic_number = _deferred("hom", "signed_chromatic_number")
+verify_ec = _deferred("hom", "verify_ec")
+verify_signed = _deferred("hom", "verify_signed")
+automorphisms = _deferred("props", "automorphisms")
+check_antiautomorphic = _deferred("props", "check_antiautomorphic")
+check_pkn = _deferred("props", "check_pkn")
+check_pstar21 = _deferred("props", "check_pstar21")
+check_transitivity = _deferred("props", "check_transitivity")
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -67,18 +102,26 @@ def _write_atomic(path: str, *parts: str) -> None:
     # a fresh file created with mode 0o666 gets the umask, as with open();
     # mkstemp would fix 0o600, which os.replace keeps
     tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".signedgrids-{os.urandom(8).hex()}")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.writelines(parts)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.writelines(parts)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        if exc.filename != tmp:
+            raise
+        # name the path asked for, not the hidden temporary file
+        raise OSError(exc.errno, exc.strerror, path) from None
 
 
 def _emit(path: str | None, payload: dict, command: str, config: dict) -> None:
+    from .graphio import ArtifactEncoder
+
     artifact = {
         "tool": "signedgrids",
         "version": __version__,
@@ -116,7 +159,19 @@ def _load_json(path: str):
         raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
-def _load_graph(path: str) -> SignedGraph | SignedGrid:
+def _emit_dot(args, g, marks: list[str]) -> None:
+    """Write the ``--dot`` drawing; if that fails, the run's JSON artifact
+    is removed too, so that a failed run leaves none."""
+    try:
+        _write_atomic(args.dot, graph_to_dot(g, annotations=marks))
+    except BaseException:
+        if args.output is not None:
+            os.unlink(args.output)
+        raise
+
+
+def _load_graph(path: str):
+    """The graph or grid in a graph file or in an artifact's ``graph``."""
     # the file's lists are freed before the collector resumes, so that it
     # never scans them
     with _collector_paused():
@@ -128,6 +183,8 @@ def _load_graph(path: str) -> SignedGraph | SignedGrid:
 
 
 def cmd_gen(args) -> int:
+    from .grids import GridSpec
+
     spec = GridSpec(args.kind, args.rows, args.cols)
     sig = random_signature(spec, args.seed, args.p_neg)
     g = make_grid(spec, sig)
@@ -152,6 +209,8 @@ _GRID_KINDS = {
 
 
 def cmd_color(args) -> int:
+    from .grids import GridSpec
+
     g = _load_graph(args.input)
     if not isinstance(g.grid, GridSpec):
         print("color: input file carries no grid metadata", file=sys.stderr)
@@ -176,11 +235,13 @@ def cmd_color(args) -> int:
             f"{base.label(signed.mapping[v])}{'*' if v in signed.switch_set else ''}"
             for v in range(g.n)
         ]
-        _write_atomic(args.dot, graph_to_dot(g, annotations=marks))
+        _emit_dot(args, g, marks)
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
+    from .grids import GridSpec
+
     g = _load_graph(args.input)
     cert = _load_json(args.certificate)
     wrapped = isinstance(cert, dict) and "certificate" in cert
@@ -242,6 +303,8 @@ def cmd_props(args) -> int:
 
 
 def cmd_chromatic(args) -> int:
+    from .hom import BudgetExceededError
+
     g = _load_graph(args.input)
     budget = SearchBudget(args.budget) if args.budget is not None else None
     config = {"input": args.input, "max_order": args.max_order, "budget": args.budget}
@@ -264,6 +327,8 @@ def cmd_chromatic(args) -> int:
 
 
 def cmd_lowerbounds(args) -> int:
+    from .hom import BudgetExceededError
+
     budget = SearchBudget(args.budget) if args.budget is not None else None
     config = {"instance": args.instance, "budget": args.budget}
     try:
@@ -329,13 +394,13 @@ def cmd_motif(args) -> int:
     }
     _emit(args.output, payload, "motif", config)
     if args.dot:
-        marks = [str(coloring[v]) for v in range(g.n)]
-        _write_atomic(args.dot, graph_to_dot(g, annotations=marks))
+        _emit_dot(args, g, [str(coloring[v]) for v in range(g.n)])
     return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="signedgrids", description=__doc__)
+    # --help shows the docstring up to its notes on start-up
+    parser = _Parser(prog="signedgrids", description=__doc__.partition("\n\nStart-up:")[0])
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -399,8 +464,6 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except BudgetExceededError:
-        return EXIT_UNKNOWN
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"signedgrids: {exc}", file=sys.stderr)
         return EXIT_USAGE

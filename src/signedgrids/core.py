@@ -127,10 +127,6 @@ class SignedGraph:
     def label(self, v: int) -> str:
         return self.labels[v] if self.labels is not None else str(v)
 
-    def underlying_pairs(self) -> frozenset[tuple[int, int]]:
-        """Unsigned edge set, for comparing underlying graphs."""
-        return frozenset((u, v) for u, v, _ in self._edges)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, SignedGraph):
             return NotImplemented

@@ -34,7 +34,9 @@ Outside the colorers a grid's edges travel as three int columns,
 tails and heads depend on the spec alone (:meth:`GridSpec.edge_columns`).
 A grid reads its columns off the array once and keeps them; the writers,
 the verifiers, :attr:`SignedGrid.edges` and :meth:`SignedGrid.graph` read
-them, and no per-edge tuple is kept.
+them, and no per-edge tuple is kept.  A grid read from a file goes the
+other way: it keeps the file's columns and builds its array from them only
+when something reads it, which only the colorers do.
 """
 
 from __future__ import annotations
@@ -253,14 +255,25 @@ class SignedGrid:
         """The grid with the given edge columns: the tails and heads that
         :meth:`GridSpec.edge_columns` gives, and a sign, +1 or -1, per edge.
         None of it is checked.  The result keeps the columns as its
-        :attr:`columns`."""
+        :attr:`columns` and scatters them into its sign array only on the
+        first read of :attr:`signs`, which ``verify`` never makes."""
         tails, heads, signs = columns
-        pattern = spec.slot_pattern()
-        slots = array("b", bytes(len(pattern)))
-        deque(map(setitem, repeat(slots), compress(range(len(pattern)), pattern), signs), 0)
-        grid = cls(spec, slots.tobytes(), labels)
-        vars(grid)["columns"] = (tuple(tails), tuple(heads), tuple(signs))  # where the cached property keeps its value
+        grid = object.__new__(cls)
+        # where the fields and the cached property keep their values
+        vars(grid).update(grid=spec, labels=labels, columns=(tuple(tails), tuple(heads), tuple(signs)))
+        grid.__post_init__()
         return grid
+
+    def __getattr__(self, name: str):
+        # reached only for a missing attribute: the sign array of a grid
+        # from from_columns, before its first read
+        if name != "signs" or "columns" not in vars(self):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        pattern = self.grid.slot_pattern()
+        slots = array("b", bytes(len(pattern)))
+        deque(map(setitem, repeat(slots), compress(range(len(pattern)), pattern), self.columns[2]), 0)
+        signs = vars(self)["signs"] = slots.tobytes()
+        return signs
 
     @cached_property
     def columns(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:

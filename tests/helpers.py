@@ -59,6 +59,11 @@ def _require_total(g: SignedGraph | SignedGrid, mapping: Sequence[int]) -> None:
         raise ValueError("mapping must be total on the source vertices")
 
 
+def underlying_pairs(g: SignedGraph) -> frozenset[tuple[int, int]]:
+    """Unsigned edge set, for comparing underlying graphs."""
+    return frozenset((u, v) for u, v, _ in g.edges)
+
+
 def switching_equivalent(g1: SignedGraph, g2: SignedGraph) -> frozenset[int] | None:
     """Find a switch set carrying ``g1`` onto ``g2``, or None if there is none.
 
@@ -69,7 +74,7 @@ def switching_equivalent(g1: SignedGraph, g2: SignedGraph) -> frozenset[int] | N
     constraints are invariant under complementing a component, so a failed
     propagation means no switch set exists at all.
     """
-    if g1.n != g2.n or g1.underlying_pairs() != g2.underlying_pairs():
+    if g1.n != g2.n or underlying_pairs(g1) != underlying_pairs(g2):
         raise ValueError("graphs do not share the same underlying graph")
     x = [-1] * g1.n
     for root in range(g1.n):

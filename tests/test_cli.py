@@ -6,11 +6,14 @@ import hashlib
 import json
 import os
 import stat
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import signedgrids
 from signedgrids import GridSpec, Homomorphism, SignedGraph, build_T4, make_grid, random_signature
 from signedgrids.cli import EXIT_OK, EXIT_UNKNOWN, EXIT_USAGE, EXIT_VERIFY, main
 from signedgrids.graphio import graph_to_dict, hom_to_dict
@@ -329,6 +332,55 @@ class TestReports:
 
     def test_missing_input_file(self, tmp_path):
         assert run("color", "-i", str(tmp_path / "nope.json")) == EXIT_USAGE
+
+
+def test_an_unwritable_output_is_named_as_given(tmp_path, capsys):
+    out = tmp_path / "missing" / "g.json"
+    assert run("gen", "--kind", "hex", "--rows", "2", "--cols", "2", "-o", str(out)) == EXIT_USAGE
+    assert capsys.readouterr().err == f"signedgrids: [Errno 2] No such file or directory: {str(out)!r}\n"
+
+
+@pytest.mark.parametrize("command", ["color", "motif"])
+def test_a_failed_dot_write_leaves_no_artifact(hex_graph, tmp_path, capsys, command):
+    out, dot = tmp_path / "out.json", tmp_path / "missing" / "g.dot"
+    source = ("-i", str(hex_graph)) if command == "color" else ("--rows", "3", "--cols", "3")
+    assert run(command, *source, "-o", str(out), "--dot", str(dot)) == EXIT_USAGE
+    assert str(dot) in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["hex.json"]
+
+
+# a command's exit code and the signedgrids modules it imported, in a fresh process
+FOOTPRINT = (
+    "import sys\n"
+    "from signedgrids.cli import main\n"
+    "print(main(sys.argv[1:]), *sorted(m for m in sys.modules if m.startswith('signedgrids')))\n"
+)
+
+
+def loaded_modules(*argv, cwd):
+    src = os.path.dirname(os.path.dirname(signedgrids.__file__))
+    proc = subprocess.run([sys.executable, "-c", FOOTPRINT, *argv], cwd=cwd, env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    code, *modules = proc.stdout.splitlines()[-1].split()
+    return int(code), set(modules)
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(("--version",), EXIT_OK), (("--help",), EXIT_OK), (("gen", "--kind", "hex"), EXIT_USAGE), (("nosuchcommand",), EXIT_USAGE)],
+)
+def test_version_help_and_usage_errors_load_no_library_module(tmp_path, argv, code):
+    assert loaded_modules(*argv, cwd=tmp_path) == (code, {"signedgrids", "signedgrids.cli"})
+
+
+def test_gen_and_verify_load_no_colorer_or_property_module(hex_graph, tmp_path):
+    assert run("color", "-i", str(hex_graph), "-o", str(tmp_path / "cert.json")) == EXIT_OK
+    gen = loaded_modules("gen", "--kind", "tri", "--rows", "3", "--cols", "3", "-o", "g.json", cwd=tmp_path)
+    verify = loaded_modules("verify", "-i", "hex.json", "-c", "cert.json", cwd=tmp_path)
+    for code, modules in (gen, verify):
+        assert code == EXIT_OK and "signedgrids.graphio" in modules
+        assert not modules & {"signedgrids.colorers", "signedgrids.props"}
 
 
 @pytest.mark.parametrize("kind", ["hex", "tri"])

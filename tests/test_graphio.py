@@ -9,7 +9,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from signedgrids import GridSpec, Homomorphism, SignedGrid, build_T4, find_signed_hom, make_grid, random_signature, unbalanced_c6
+from signedgrids import (
+    GridSpec,
+    Homomorphism,
+    SignedGrid,
+    build_T4,
+    color_tri,
+    find_signed_hom,
+    make_grid,
+    random_signature,
+    sp9_plus,
+    unbalanced_c6,
+    verify_signed,
+)
+from signedgrids.hom import ec_to_signed
 from signedgrids.graphio import (
     ROW_CHUNK,
     ArtifactEncoder,
@@ -300,6 +313,23 @@ def test_a_canonical_grid_file_is_checked_in_bulk(monkeypatch):
         assert graph_to_dict(read) == doc
     with pytest.raises(AssertionError, match="per-edge loop"):
         graph_from_dict(dict(docs[0], edges=docs[0]["edges"][::-1]))
+
+
+def test_a_loaded_grid_is_verified_without_a_sign_array():
+    # verify reads only the columns a file gives, so the slot array is built
+    # on the first read of signs, and then it is the array of the grid written
+    spec = GridSpec("tri", 9, 8)
+    g = make_grid(spec, random_signature(spec, 4, 0.5))
+    hom = ec_to_signed(color_tri(g)[0], 10)
+    read = graph_from_dict(graph_to_dict(g))
+    assert verify_signed(read, sp9_plus(), hom)
+    assert "signs" not in vars(read)
+    assert repr(read) == repr(g)
+    assert read.signs == g.signs and "signs" in vars(read)
+    again = graph_from_dict(graph_to_dict(g))
+    assert again == g and hash(again) == hash(g)
+    with pytest.raises(AttributeError, match="no attribute 'sign'"):
+        again.sign
 
 
 # Values built from what artifacts hold, plus what the encoder's fast paths
