@@ -5,7 +5,7 @@ Library layout:
 * :mod:`signedgrids.core` -- signed graphs, switching, antitwin doubling,
   and the fixed targets (T4, SP9, SP5 and their extensions).
 * :mod:`signedgrids.grids` -- hexagonal / triangular grids as
-  :class:`SignedGrid` values (a spec plus one sign array), their
+  :class:`SignedGrid` values (a spec plus one sign per edge), their
   generators, and fixed fixtures.
 * :mod:`signedgrids.hom` -- exact homomorphism search, the certificate
   verifier, and the exact chromatic number on small instances.

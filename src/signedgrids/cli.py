@@ -248,7 +248,8 @@ def cmd_verify(args) -> int:
     hom, target = hom_from_dict(cert["certificate"] if wrapped else cert)
     # a grid's certificate must embed the target of that grid kind, not any graph
     pinned = not isinstance(g.grid, GridSpec) or target == _GRID_KINDS[g.grid.kind][1]()
-    ok = pinned and verify_signed(g, target, hom)
+    # a mapping for another graph's vertices certifies nothing about this one
+    ok = pinned and len(hom.mapping) == g.n and verify_signed(g, target, hom)
     print("certificate OK" if ok else "certificate REJECTED")
     return EXIT_OK if ok else EXIT_VERIFY
 

@@ -20,15 +20,15 @@ verifier can check:
   within a row, a forward pass propagates per-vertex candidate color sets
   (each provably of size at least 2) and a backward pass commits choices.
 
-Both colorers read a :class:`~signedgrids.grids.SignedGrid` by its sign
-array, viewed as signed bytes: the edge from bounding id ``b`` to its right,
-down-left or down neighbor is slot ``3*b``, ``3*b + 1`` or ``3*b + 2``, and
-the slot's value (+1, -1, or 0 for no edge) indexes a table of the target's
-:func:`signedgrids.core.sign_masks`, so no adjacency dict is built.  A
-masked grid, whose array has slots for its retained cells only, is first
-spread over the slots of its bounding grid.  A
-:class:`~signedgrids.core.SignedGraph` with grid metadata (a switched grid,
-say) is converted once through
+Both colorers work on a scratch slot array of the bounding grid (the slot
+layout of :mod:`signedgrids.grids`), viewed as signed bytes: the edge from
+bounding id ``b`` to its right, down-left or down neighbor is slot ``3*b``,
+``3*b + 1`` or ``3*b + 2``, and the slot's value (+1, -1, or 0 for no edge)
+indexes a table of the target's :func:`signedgrids.core.sign_masks`, so no
+adjacency dict is built.  One scatter builds that array: it starts from the
+box's slot pattern and writes each of the grid's signs at its edge's slot.
+A :class:`~signedgrids.core.SignedGraph` with grid metadata (a switched
+grid, say) is converted once through
 :meth:`~signedgrids.grids.SignedGrid.from_graph`.
 Candidate color sets are int bitmasks over the target vertices, ``&``-ed
 from those masks.  Both algorithms are deterministic: ties break toward the
@@ -42,9 +42,11 @@ induced subgraph keeps it a homomorphism.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import cache
-from itertools import compress
+from itertools import compress, repeat
+from operator import setitem
 
 from .core import NEG, POS, SignedGraph, rho_sp9_plus, rho_t4, sign_masks
 from .core import switch  # unused here; perfbench/tracing.py patches signedgrids.colorers.switch
@@ -99,19 +101,20 @@ def _require_grid(g: SignedGrid | SignedGraph, kind: str) -> SignedGrid:
     return g
 
 
-def _bounding_signs(g: SignedGrid) -> bytearray:
-    """A fresh sign array of the bounding grid: a copy of the grid's own, or
-    for a masked grid its slots spread to the bounding ids of its cells,
-    with the box's other edges ``+`` (``max`` keeps 1 and 255 and turns a 0
-    slot that the box fills into 1)."""
+def _bounding_signs(g: SignedGrid) -> memoryview:
+    """A fresh slot array of the bounding grid, viewed as signed bytes: the
+    box's slot pattern, so that an edge to a cell the mask drops reads
+    ``+``, with each of the grid's signs written at its edge's slot."""
     spec = g.grid
-    if spec.mask is None:
-        return bytearray(g.signs)
-    box = bytearray(GridSpec(spec.kind, spec.rows, spec.cols).slot_pattern())
-    signs = g.signs
-    for p, b in enumerate(spec.bounding_ids()):
-        box[3 * b : 3 * b + 3] = map(max, signs[3 * p : 3 * p + 3], box[3 * b : 3 * b + 3])
-    return box
+    pattern = spec.slot_pattern()
+    at = compress(range(len(pattern)), pattern)  # the slots of the grid's edges, in order
+    if spec.mask is not None:
+        where = spec.bounding_ids()
+        at = (3 * where[p // 3] + p % 3 for p in at)
+        pattern = GridSpec(spec.kind, spec.rows, spec.cols).slot_pattern()
+    slots = memoryview(bytearray(pattern)).cast("b")
+    deque(map(setitem, repeat(slots), at, g.signs), 0)
+    return slots
 
 
 def _by_slot(masks: dict[int, list[int]]) -> tuple[list[int], ...]:
@@ -157,8 +160,7 @@ def normalize_hex(g: SignedGrid | SignedGraph) -> tuple[SignedGrid, frozenset[in
     g = _require_grid(g, "hex")
     rows, cols = g.grid.rows, g.grid.cols
     # a switch negates the slots of its vertex's edges, so no-edge slots stay 0
-    array = _bounding_signs(g)
-    signs = memoryview(array).cast("b")
+    signs = _bounding_signs(g)
     flipped = bytearray(rows * cols)  # 1 at a vertex switched an odd number of times
 
     def switch_at(x: int) -> None:
@@ -184,7 +186,7 @@ def normalize_hex(g: SignedGrid | SignedGraph) -> tuple[SignedGrid, frozenset[in
             elif v_neg:
                 switch_at(up + cols)
     switched = frozenset(compress(range(rows * cols), flipped))
-    return SignedGrid(GridSpec("hex", rows, cols), bytes(array)), switched
+    return SignedGrid(GridSpec("hex", rows, cols), tuple(compress(signs, signs))), switched
 
 
 def color_hex(g: SignedGrid | SignedGraph) -> Homomorphism:
@@ -199,7 +201,7 @@ def color_hex(g: SignedGrid | SignedGraph) -> Homomorphism:
     spec = g.grid
     rows, cols = spec.rows, spec.cols
     normalized, switched = normalize_hex(g)
-    signs = memoryview(normalized.signs).cast("b")
+    signs = _bounding_signs(normalized)
     rho = rho_t4()
     masks = _by_slot(sign_masks(rho.graph))
     everyone = (1 << rho.n) - 1
@@ -285,7 +287,7 @@ def color_tri(g: SignedGrid | SignedGraph) -> tuple[Homomorphism, CandidateTrace
     g = _require_grid(g, "tri")
     spec = g.grid
     rows, cols = spec.rows, spec.cols
-    signs = memoryview(_bounding_signs(g)).cast("b")
+    signs = _bounding_signs(g)
     target = rho_sp9_plus().graph
     masks = _by_slot(sign_masks(target))
     everyone = (1 << target.n) - 1

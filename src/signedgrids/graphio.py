@@ -25,21 +25,22 @@ in bulk, with C-level iterators and no per-edge Python code, that the
 ``"edges"`` are exactly the grid's edges in their own order
 (:meth:`~signedgrids.grids.GridSpec.edge_columns`): every entry a list of
 three values of type exactly ``int``, the tails and heads the grid's
-columns, every sign +1 or -1.  The signs then fill the sign array (see
-:mod:`signedgrids.grids`) and the grid keeps the three columns.  Every
-other edge list (permuted, reversed, or malformed) goes through a per-edge
-loop, the one path that accepts a permuted file and the one that words
-every error: each edge is streamed into its slot ``3*u + d``, for its
-smaller end ``u`` and the direction ``d`` of the step.  A masked grid's
-array has slots for the retained cells only, so loading it costs time and
-memory in proportion to the mask, however large the box.  The edges must
-be exactly the grid's: an edge between cells that are not grid neighbors
-(no direction, by :meth:`~signedgrids.grids.GridSpec.direction`, or a slot
-without an edge), or a missing grid edge (an empty slot at the end), is
-named in the error.  Every other graph object reads as a
-:class:`~signedgrids.core.SignedGraph`.  Both writers,
-:func:`graph_to_dict` and :func:`graph_to_dot`, read either through its
-``n`` and sorted edges; :func:`graph_to_dict` builds a grid's
+columns, every sign +1 or -1.  The grid then keeps the file's sign column,
+the tuple that check read, as its signs.  Every other edge list (permuted,
+reversed, or malformed) goes through a per-edge loop, the one path that
+accepts a permuted file and the one that words every error: each edge is
+streamed into its slot ``3*u + d`` of a scratch slot array (see
+:mod:`signedgrids.grids`), for its smaller end ``u`` and the direction
+``d`` of the step, and the filled slots, in order, become the sign column.
+A masked grid's slot array has slots for the retained cells only, so
+loading it costs time and memory in proportion to the mask, however large
+the box.  The edges must be exactly the grid's: an edge between cells that
+are not grid neighbors (no direction, by
+:meth:`~signedgrids.grids.GridSpec.direction`, or a slot without an edge),
+or a missing grid edge (an empty slot at the end), is named in the error.
+Every other graph object reads as a :class:`~signedgrids.core.SignedGraph`.
+Both writers, :func:`graph_to_dict` and :func:`graph_to_dot`, read either
+through its ``n`` and sorted edges; :func:`graph_to_dict` builds a grid's
 ``[u, v, s]`` rows from its columns.
 
 Artifacts are written as ``json.dumps(value, indent=2, sort_keys=True,
@@ -132,12 +133,12 @@ def graph_from_dict(d: Mapping) -> SignedGraph | SignedGrid:
     """Read a graph object; raise ``ValueError`` on any malformed or inconsistent field.
 
     With grid metadata the result is a :class:`SignedGrid`.  An edge list
-    that is exactly the grid's, in order, is checked in bulk and read as a
-    sign column.  Otherwise each edge is checked to join two neighboring
-    retained cells by the direction of the step between their bounding ids
-    and then fills its slot.  A bad sign or a slot
-    filled twice (a duplicate edge, in either orientation) is reported only
-    once every edge has passed the structural checks, with the message and
+    that is exactly the grid's, in order, is checked in bulk and its sign
+    column kept as the grid's signs.  Otherwise each edge is checked to join
+    two neighboring retained cells by the direction of the step between
+    their bounding ids and then fills its slot.  A bad sign or a slot filled
+    twice (a duplicate edge, in either orientation) is reported only once
+    every edge has passed the structural checks, with the message and
     precedence a :class:`SignedGraph` gives it.  Since duplicates are
     rejected, a count of filled slots below the grid's edge count means a
     missing edge, which is then named.
@@ -160,15 +161,14 @@ def graph_from_dict(d: Mapping) -> SignedGraph | SignedGrid:
         size = grid.rows * grid.cols if grid.mask is None else len(grid.mask)
         if n != size:
             raise ValueError(f"graph 'n' is {n}, but its grid has {size} cells")
-        pattern = grid.slot_pattern()
-        tails, heads = grid.edge_columns(pattern)
-        listed = _listed_signs(raw, tails, heads)
+        listed = _listed_signs(raw, *grid.edge_columns())
         if listed is not None:
             if labels is not None and len(labels) != n:
                 raise ValueError("labels must cover every vertex")
-            return SignedGrid.from_columns(grid, (tails, heads, listed), None if labels is None else tuple(labels))
+            return SignedGrid(grid, listed, None if labels is None else tuple(labels))
+        pattern = grid.slot_pattern()
         where, direction = grid.bounding_ids(), grid.direction
-        signs = bytearray(len(pattern))
+        slots = bytearray(len(pattern))
         later = None  # the first bad sign or duplicate
     for e in raw:
         if type(e) is not list or len(e) != 3:
@@ -188,24 +188,25 @@ def graph_from_dict(d: Mapping) -> SignedGraph | SignedGrid:
                 continue
             if s != 1 and s != -1:
                 later = f"edge sign must be +1 or -1, got {s!r}"
-            elif signs[p]:
+            elif slots[p]:
                 later = f"duplicate edge ({u},{v})"
             else:
-                signs[p] = s & 0xFF
+                slots[p] = s & 0xFF
     if grid is None:
         return SignedGraph(n, raw, labels=labels)
     if later is not None:
         raise ValueError(later)
     if labels is not None and len(labels) != n:
         raise ValueError("labels must cover every vertex")
-    if signs.count(0) != pattern.count(0):
+    if slots.count(0) != pattern.count(0):
         index = {c: k for k, c in enumerate(grid.cells())}
         for (a, b), p in zip(grid.edges(), compress(range(len(pattern)), pattern)):
-            if not signs[p]:
+            if not slots[p]:
                 raise ValueError(
                     f"grid edge {a}-{b} (vertices {index[a]}, {index[b]}) is missing"
                 )
-    return SignedGrid(grid, bytes(signs), None if labels is None else tuple(labels))
+    signs = tuple(compress(memoryview(slots).cast("b"), slots))
+    return SignedGrid(grid, signs, None if labels is None else tuple(labels))
 
 
 def hom_to_dict(hom: Homomorphism, target: SignedGraph) -> dict:
@@ -355,10 +356,12 @@ def graph_to_dot(
     """Render as graphviz source: solid edges positive, dashed negative.
 
     ``annotations``, when given, override the node labels (one per vertex).
+    A ``\\`` or ``"`` in a label is escaped in the quoted DOT string.
     """
     lines = [f"graph {name} {{"]
     for v in range(g.n):
         text = annotations[v] if annotations is not None else g.label(v)
+        text = text.replace("\\", "\\\\").replace('"', '\\"')
         lines.append(f'  {v} [label="{text}"];')
     for u, v, s in zip(*g.columns) if isinstance(g, SignedGrid) else g.edges:
         style = "solid" if s == 1 else "dashed"

@@ -16,39 +16,38 @@ Adjacency:
   ``j+1`` of the row above.  Interior degree 6.
 
 A signed grid is one value, :class:`SignedGrid`: its :class:`GridSpec` plus
-one ``bytes`` sign array with three *slots* per vertex.  Slot ``3*v + d``
-holds the edge from vertex ``v`` in direction ``d``: 0 right ``(i, j+1)``,
-1 down-left ``(i+1, j-1)``, 2 down ``(i+1, j)``.  A slot holds the edge's
-sign as a signed byte, 1 or 255 (-1), and 0 where the grid has no edge (off
-the box, a hex parity gap, a masked-out end, no down-left on hex), so
-``memoryview(signs).cast("b")`` reads +1, -1 and 0.  On an unmasked grid the
-vertex is the bounding id; a masked grid has slots for its retained cells
-only, so its size follows the mask, not the box.  The three neighbors lie
-at bounding ids ``b+1 < b+cols-1 < b+cols`` (on two columns a cell has a
-right or a down-left edge, never both) and vertex ids keep the order of
-bounding ids, so the non-zero slots in order are the edges sorted by
-``(u, v)``, which is :meth:`GridSpec.edges` order.
+one sign per edge, a ``tuple`` of +1 and -1 in :meth:`GridSpec.edges` order.
+That order is the edges sorted by vertex pair ``(u, v)``, ``u < v``, and it
+is the order of a grid file's ``"edges"`` list.  The tails and heads of the
+edges depend on the spec alone: :meth:`GridSpec.edge_columns` computes them
+once per spec and keeps them, and :attr:`SignedGrid.columns` is those two
+columns plus the signs.  The writers, the verifiers, :attr:`SignedGrid.edges`
+and :meth:`SignedGrid.graph` read a grid through its columns, and no
+per-edge tuple is kept.
 
-Outside the colorers a grid's edges travel as three int columns,
-:attr:`SignedGrid.columns`: tails, heads and signs in that order.  The
-tails and heads depend on the spec alone (:meth:`GridSpec.edge_columns`).
-A grid reads its columns off the array once and keeps them; the writers,
-the verifiers, :attr:`SignedGrid.edges` and :meth:`SignedGrid.graph` read
-them, and no per-edge tuple is kept.  A grid read from a file goes the
-other way: it keeps the file's columns and builds its array from them only
-when something reads it, which only the colorers do.
+Placing an edge by direction uses a scratch *slot* layout, three slots per
+vertex: slot ``3*v + d`` is the edge from vertex ``v`` in direction ``d``,
+0 right ``(i, j+1)``, 1 down-left ``(i+1, j-1)``, 2 down ``(i+1, j)``.
+:meth:`GridSpec.slot_pattern`, which the spec also computes once and keeps,
+has 1 in the slots that hold an edge and 0 elsewhere (off the box, a hex
+parity gap, a masked-out end, no down-left on hex).  A masked grid has slots for its retained cells only, so its size
+follows the mask, not the box.  The three neighbors lie at bounding ids
+``b+1 < b+cols-1 < b+cols`` (on two columns a cell has a right or a
+down-left edge, never both) and vertex ids keep the order of bounding ids,
+so the slots with an edge, in order, are the edges in :meth:`GridSpec.edges`
+order.  :func:`make_grid` from a cell-pair mapping, the file loader's
+per-edge path and :meth:`SignedGrid.from_graph` fill a slot array by
+direction and keep its non-zero slots as the sign column; the colorers
+scatter a grid's signs into the slots of its bounding grid.
 """
 
 from __future__ import annotations
 
 import random
-from array import array
-from collections import deque
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, compress, islice, repeat
-from operator import setitem
+from itertools import chain, compress, islice
 
 from .core import NEG, POS, SignedGraph
 
@@ -130,7 +129,12 @@ class GridSpec:
         return -1
 
     def slot_pattern(self) -> bytes:
-        """1 in every slot that holds an edge of the grid, 0 elsewhere."""
+        """1 in every slot that holds an edge of the grid, 0 elsewhere;
+        computed on the first call and kept by the spec."""
+        return self._slot_pattern
+
+    @cached_property
+    def _slot_pattern(self) -> bytes:
         rows, cols, tri, mask = self.rows, self.cols, self.kind == "tri", self.mask
         if mask is not None:
             # a retained cell keeps the box's edges to retained cells; the
@@ -168,21 +172,20 @@ class GridSpec:
 
         Per cell the outgoing edges appear in a fixed direction order (hex:
         right, down; tri: right, down-left, down), the slot order, which
-        pins the edge order that :func:`random_signature` consumes.
+        pins the order of a grid's sign column.
         """
         tails, heads = self.edge_columns()
         cells = self.cells()
         return tuple(zip(map(cells.__getitem__, tails), map(cells.__getitem__, heads)))
 
-    def edge_columns(self, slots: bytes | None = None) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """The vertex ids of :meth:`edges`: a column of tails and a column of heads.
+    def edge_columns(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The vertex ids of :meth:`edges`: a column of tails and a column of
+        heads, computed on the first call and kept by the spec."""
+        return self._edge_columns
 
-        ``slots`` is an array in the slot layout that is non-zero exactly on
-        the grid's edges, such as a sign array of this grid; it defaults to
-        :meth:`slot_pattern`.
-        """
-        if slots is None:
-            slots = self.slot_pattern()
+    @cached_property
+    def _edge_columns(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        slots = self.slot_pattern()
         cols = self.cols
         if self.mask is not None:
             where = self.bounding_ids()
@@ -205,18 +208,18 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class SignedGrid:
-    """A signed grid: its :class:`GridSpec` and its sign array.
+    """A signed grid: its :class:`GridSpec` and one sign per edge.
 
-    ``signs`` has three slots per vertex, laid out as the module docstring
-    says.  Build one with :func:`make_grid` (or read one with
-    :func:`signedgrids.graphio.graph_from_dict`), which checks the array;
-    this constructor does not.  The verifiers, the writers and the colorers
-    read a grid as it is; the searches need adjacency dicts and convert it
-    through :meth:`graph`.
+    ``signs`` is a tuple of +1 and -1, one per edge in
+    :meth:`GridSpec.edges` order.  Build one with :func:`make_grid` (or read
+    one with :func:`signedgrids.graphio.graph_from_dict`), which checks the
+    signs; this constructor does not.  The verifiers, the writers and the
+    colorers read a grid as it is; the searches need adjacency dicts and
+    convert it through :meth:`graph`.
     """
 
     grid: GridSpec
-    signs: bytes = field(repr=False)
+    signs: tuple[int, ...] = field(repr=False)
     labels: tuple[str, ...] | None = field(default=None, repr=False)
     n: int = field(init=False, compare=False)
 
@@ -234,61 +237,24 @@ class SignedGrid:
         where, direction = spec.bounding_ids(), spec.direction
         if g.n != len(where):
             raise ValueError(f"graph has {g.n} vertices, but its grid has {len(where)} cells")
-        signs = bytearray(3 * g.n)
+        slots = bytearray(3 * g.n)
         for u, v, s in g.edges:
             d = direction(where[u], where[v])
             if d < 0:
                 break
-            signs[3 * u + d] = s & 0xFF
+            slots[3 * u + d] = s & 0xFF
         else:
-            if signs.translate(_HAS_EDGE) == spec.slot_pattern():
-                return cls(spec, bytes(signs), g.labels)
+            if slots.translate(_HAS_EDGE) == spec.slot_pattern():
+                return cls(spec, tuple(compress(memoryview(slots).cast("b"), slots)), g.labels)
         raise ValueError(f"graph edges are not those of its {spec.kind} {spec.rows}x{spec.cols} grid")
 
-    @classmethod
-    def from_columns(
-        cls,
-        spec: GridSpec,
-        columns: tuple[Sequence[int], Sequence[int], Sequence[int]],
-        labels: tuple[str, ...] | None = None,
-    ) -> SignedGrid:
-        """The grid with the given edge columns: the tails and heads that
-        :meth:`GridSpec.edge_columns` gives, and a sign, +1 or -1, per edge.
-        None of it is checked.  The result keeps the columns as its
-        :attr:`columns` and scatters them into its sign array only on the
-        first read of :attr:`signs`, which ``verify`` never makes."""
-        tails, heads, signs = columns
-        grid = object.__new__(cls)
-        # where the fields and the cached property keep their values
-        vars(grid).update(grid=spec, labels=labels, columns=(tuple(tails), tuple(heads), tuple(signs)))
-        grid.__post_init__()
-        return grid
-
-    def __getattr__(self, name: str):
-        # reached only for a missing attribute: the sign array of a grid
-        # from from_columns, before its first read
-        if name != "signs" or "columns" not in vars(self):
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        pattern = self.grid.slot_pattern()
-        slots = array("b", bytes(len(pattern)))
-        deque(map(setitem, repeat(slots), compress(range(len(pattern)), pattern), self.columns[2]), 0)
-        signs = vars(self)["signs"] = slots.tobytes()
-        return signs
-
-    @cached_property
+    @property
     def columns(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
         """All edges as three columns, tails, heads and signs: edge ``k`` is
         ``(tails[k], heads[k], signs[k])`` with ``tails[k] < heads[k]``, in
-        :meth:`GridSpec.edges` order, which is sorted.
-
-        Read from the sign array on first access and kept; it is the grid's
-        one derived form.  A search converts a grid through :meth:`graph` and
-        its caller then verifies the witness against the same grid, which on
-        small patches costs more to re-read from the array than the
-        verification itself.
-        """
-        tails, heads = self.grid.edge_columns(self.signs)
-        return tails, heads, tuple(compress(memoryview(self.signs).cast("b"), self.signs))
+        :meth:`GridSpec.edges` order, which is sorted.  The tails and heads
+        are the ones the spec keeps."""
+        return (*self.grid.edge_columns(), self.signs)
 
     @property
     def edges(self) -> tuple[tuple[int, int, int], ...]:
@@ -305,33 +271,40 @@ class SignedGrid:
         return SignedGraph(self.n, zip(*self.columns), labels=self.labels, grid=self.grid)
 
 
-def make_grid(spec: GridSpec, signature: bytes | Mapping[CellEdge, int]) -> SignedGrid:
+def make_grid(spec: GridSpec, signature: Sequence[int] | Mapping[CellEdge, int]) -> SignedGrid:
     """Build the signed grid for ``spec`` with the given edge signs.
 
-    ``signature`` is either a sign array in the slot layout (as
-    :func:`random_signature` returns) or a mapping that assigns a sign to
-    exactly the edges of ``spec``, keyed by cell pairs as produced by
-    :meth:`GridSpec.edges`.  An array must have 0 in exactly the slots
-    without an edge and 1 or 255 in the others.
+    ``signature`` is either a sign column, a sequence of one sign per edge
+    in :meth:`GridSpec.edges` order (as :func:`random_signature` returns),
+    or a mapping that assigns a sign to exactly the edges of ``spec``, keyed
+    by cell pairs as produced by :meth:`GridSpec.edges`.  A column must have
+    :meth:`GridSpec.edge_count` entries, each of type exactly ``int`` (not
+    ``True``, not ``1.0``) and equal to +1 or -1.
 
-    One pass over a mapping checks and places every key: the first cell must
-    be a vertex and the pair must fill a slot of :meth:`GridSpec.slot_pattern`,
-    so distinct valid keys fill distinct slots, and a key count equal to
-    the edge count means the keys are exactly the grid's edges.  Otherwise
-    ``ValueError`` names how many edges are missing and extra.  A sign that
-    is not +1 or -1 is reported after that, the first in edge order.
+    One pass over a mapping checks and places every key in its slot: the
+    first cell must be a vertex and the pair must fill a slot of
+    :meth:`GridSpec.slot_pattern`, so distinct valid keys fill distinct
+    slots, and a key count equal to the edge count means the keys are
+    exactly the grid's edges.  Otherwise ``ValueError`` names how many edges
+    are missing and extra.  A sign that is not +1 or -1 is reported after
+    that, the first in edge order.
     """
-    pattern = spec.slot_pattern()
-    if isinstance(signature, (bytes, bytearray)):
-        if signature.translate(_HAS_EDGE) != pattern:
+    if not isinstance(signature, Mapping):
+        signs = tuple(signature)
+        if (
+            len(signs) != spec.edge_count()
+            or not set(map(type, signs)) <= {int}
+            or signs.count(1) + signs.count(-1) != len(signs)
+        ):
             raise ValueError(
-                f"sign array does not fit the {spec.kind} {spec.rows}x{spec.cols} grid: "
-                f"it needs {len(pattern)} slots, 1 or 255 on each edge and 0 elsewhere"
+                f"sign column does not fit the {spec.kind} {spec.rows}x{spec.cols} grid: "
+                f"it needs {spec.edge_count()} entries, each the int +1 or -1"
             )
-        return SignedGrid(spec, bytes(signature))
+        return SignedGrid(spec, signs)
+    pattern = spec.slot_pattern()
     rows, cols = spec.rows, spec.cols
     vertex = None if spec.mask is None else {c: v for v, c in enumerate(spec.cells())}
-    signs = bytearray(len(pattern))
+    slots = bytearray(len(pattern))
     bad: dict[int, object] = {}
     placed = 0
     try:
@@ -345,7 +318,7 @@ def make_grid(spec: GridSpec, signature: bytes | Mapping[CellEdge, int]) -> Sign
                 break
             p = 3 * x + d
             if s == POS or s == NEG:
-                signs[p] = 1 if s == POS else 255
+                slots[p] = 1 if s == POS else 255
             else:
                 bad[p] = s
             placed += 1
@@ -359,19 +332,19 @@ def make_grid(spec: GridSpec, signature: bytes | Mapping[CellEdge, int]) -> Sign
         )
     if bad:
         raise ValueError(f"edge sign must be +1 or -1, got {bad[min(bad)]!r}")
-    return SignedGrid(spec, bytes(signs))
+    return SignedGrid(spec, tuple(compress(memoryview(slots).cast("b"), slots)))
 
 
-def random_signature(spec: GridSpec, seed: int, p_negative: float) -> bytes:
-    """Independently negative signs with probability ``p_negative``, as a sign array.
+def random_signature(spec: GridSpec, seed: int, p_negative: float) -> tuple[int, ...]:
+    """Independently negative signs with probability ``p_negative``, as a sign column.
 
-    Draws one uniform variate per edge in the fixed edge order (the slot
-    order) from ``random.Random(seed)``, so the result is reproducible.
+    Draws one uniform variate per edge in :meth:`GridSpec.edges` order from
+    ``random.Random(seed)``, so the result is reproducible.
     """
     if not 0.0 <= p_negative <= 1.0:
         raise ValueError("p_negative must lie in [0, 1]")
     draw = random.Random(seed).random
-    return bytes([(255 if draw() < p_negative else 1) if x else 0 for x in spec.slot_pattern()])
+    return tuple([-1 if draw() < p_negative else 1 for _ in range(spec.edge_count())])
 
 
 # ---------------------------------------------------------------------------

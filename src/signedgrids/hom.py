@@ -13,8 +13,9 @@ Both are witnessed by one :class:`Homomorphism` type, a mapping plus a switch
 set; an ec witness has an empty switch set.
 
 One verifier, :func:`verify_signed`, makes one pass over a source's edges:
-a :class:`~signedgrids.grids.SignedGrid`'s cached
-:attr:`~signedgrids.grids.SignedGrid.columns`, zipped, or a
+a :class:`~signedgrids.grids.SignedGrid`'s
+:attr:`~signedgrids.grids.SignedGrid.columns` zipped (the tails and heads
+its spec keeps, and its sign column), or a
 :class:`~signedgrids.core.SignedGraph`'s ``edges``.  It applies a switch
 set by negating the sign of each edge with exactly one switched end, and
 shares no code with the searches; :func:`verify_ec` is its check with an

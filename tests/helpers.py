@@ -241,23 +241,24 @@ def ec_hom_exists_brute(g: SignedGraph, h: SignedGraph) -> bool:
 
 # ---------------------------------------------------------------------------
 # Oracle for the verifiers: the per-edge loop over explicit (u, v, sign)
-# triples, with a grid's edges read cell by cell from its sign array.
+# triples, with a grid's edges listed cell by cell by the adjacency rules.
 # ---------------------------------------------------------------------------
 
 
 def grid_edges_reference(g: SignedGrid) -> list[tuple[int, int, int]]:
-    """A grid's edges, sorted, read off its sign array by the adjacency rules
-    of the grids module docstring rather than through its columns."""
+    """A grid's edges, sorted, listed from its cells by the adjacency rules
+    of the grids module docstring rather than through its columns, and
+    paired in that order with its sign column."""
     spec = g.grid
     cells = spec.cells()
     index = {c: k for k, c in enumerate(cells)}
-    signs = memoryview(g.signs).cast("b")
-    out = []
-    for k, (i, j) in enumerate(cells):
-        for d, b in enumerate(((i, j + 1), (i + 1, j - 1), (i + 1, j))):
-            if b in index and grid_neighbors(spec.kind, (i, j), b):
-                out.append((k, index[b], signs[3 * k + d]))
-    return out
+    pairs = [
+        (k, index[b])
+        for k, (i, j) in enumerate(cells)
+        for b in ((i, j + 1), (i + 1, j - 1), (i + 1, j))
+        if b in index and grid_neighbors(spec.kind, (i, j), b)
+    ]
+    return [(u, v, s) for (u, v), s in zip(pairs, g.signs, strict=True)]
 
 
 def _edges_reference(g: SignedGraph | SignedGrid):
@@ -429,9 +430,9 @@ def grid_neighbors(kind: str, a, b) -> bool:
     return right or (k == i + 1 and (l == j or (kind == "tri" and l == j - 1)))
 
 
-def signature_dict(spec: GridSpec, signs: bytes) -> dict:
-    """A sign array as the cell-pair signature ``make_grid`` also takes."""
-    return dict(zip(spec.edges(), (s for s in memoryview(signs).cast("b") if s)))
+def signature_dict(spec: GridSpec, signs: Sequence[int]) -> dict:
+    """A sign column as the cell-pair signature ``make_grid`` also takes."""
+    return dict(zip(spec.edges(), signs))
 
 
 def graph_from_dict_reference(d: Mapping) -> SignedGraph:

@@ -138,8 +138,10 @@ class TestColorAndVerify:
             {"mapping": [-1, 1]},  # -1 would alias vertex 3 of T4
             {"mapping": [99, 1]},
             {"switch": [99]},
+            {"mapping": [3]},  # a certificate for a smaller graph
+            {"mapping": [3, 1, 0]},  # ... or a larger one
         ],
-        ids=["grid_as_target", "mapping_-1", "mapping_99", "switch_99"],
+        ids=["grid_as_target", "mapping_-1", "mapping_99", "switch_99", "mapping_short", "mapping_long"],
     )
     def test_forged_certificate_rejected(self, tmp_path, capsys, forgery):
         # a single positive edge; mapping [3, 1] into T4 is an honest certificate
@@ -385,7 +387,7 @@ def test_gen_and_verify_load_no_colorer_or_property_module(hex_graph, tmp_path):
 
 @pytest.mark.parametrize("kind", ["hex", "tri"])
 def test_the_pipeline_builds_no_signed_graph_of_grid_size(tmp_path, monkeypatch, kind):
-    # a grid stays a sign array from gen to verify; only targets (at most
+    # a grid stays a sign column from gen to verify; only targets (at most
     # 20 vertices) are SignedGraphs
     sizes = []
     init = SignedGraph.__init__

@@ -13,6 +13,7 @@ from signedgrids import (
     GridSpec,
     Homomorphism,
     SignedGrid,
+    SignedGraph,
     build_T4,
     color_tri,
     find_signed_hom,
@@ -22,6 +23,7 @@ from signedgrids import (
     unbalanced_c6,
     verify_signed,
 )
+from signedgrids import graphio
 from signedgrids.hom import ec_to_signed
 from signedgrids.graphio import (
     ROW_CHUNK,
@@ -71,6 +73,9 @@ def test_dot_styles():
     assert dot.count("dashed") == 1 and dot.count("solid") == 5
     annotated = graph_to_dot(g, annotations=[f"c{v}" for v in range(6)])
     assert 'label="c3"' in annotated
+    # a quote or a trailing backslash in a label stays inside its DOT string
+    quoted = graph_to_dot(SignedGraph(2, [(0, 1, 1)], labels=['a"b', "c\\"]))
+    assert '0 [label="a\\"b"];' in quoted and '1 [label="c\\\\"];' in quoted
 
 
 def test_ec_certificate_has_no_switch_set():
@@ -243,7 +248,7 @@ def test_a_masked_grid_costs_its_mask_not_its_box(kind, edges):
     try:
         g = graph_from_dict(doc)
         spec = g.grid
-        assert len(g.signs) == 3 * g.n
+        assert len(g.signs) == len(edges)
         assert graph_to_dict(g) == doc
         assert spec.edge_count() == len(spec.edges()) == len(edges)
         assert make_grid(spec, random_signature(spec, 1, 0.5)).n == 4
@@ -295,7 +300,7 @@ def test_one_defect_in_a_canonical_grid_file(doc):
 def test_a_canonical_grid_file_is_checked_in_bulk(monkeypatch):
     # a file that lists the grid's edges in their own order never reaches the
     # per-edge loop, which is the only reader of GridSpec.direction; the grid
-    # read keeps the file's signs and the spec's columns as its columns
+    # read keeps the file's signs as its sign column
     docs = grid_docs()
     for spec_kind in ("hex", "tri"):
         spec = GridSpec(spec_kind, 30, 17)
@@ -308,28 +313,38 @@ def test_a_canonical_grid_file_is_checked_in_bulk(monkeypatch):
     monkeypatch.setattr(GridSpec, "direction", refuse)
     for doc, g in zip(docs, expected):
         read = graph_from_dict(doc)
-        assert "columns" in vars(read)  # kept from the load, not read again from the array
-        assert read == g and read.columns == SignedGrid(g.grid, g.signs).columns
+        assert read == g and type(read.signs) is tuple
         assert graph_to_dict(read) == doc
     with pytest.raises(AssertionError, match="per-edge loop"):
         graph_from_dict(dict(docs[0], edges=docs[0]["edges"][::-1]))
 
 
-def test_a_loaded_grid_is_verified_without_a_sign_array():
-    # verify reads only the columns a file gives, so the slot array is built
-    # on the first read of signs, and then it is the array of the grid written
+def test_a_canonical_load_and_its_verification_share_the_edge_columns(monkeypatch):
+    # the loader's bulk check and the verifier read the same tails and heads,
+    # computed once per spec: one slot pattern for load and verify together
     spec = GridSpec("tri", 9, 8)
     g = make_grid(spec, random_signature(spec, 4, 0.5))
     hom = ec_to_signed(color_tri(g)[0], 10)
-    read = graph_from_dict(graph_to_dict(g))
+    doc = graph_to_dict(g)
+    checked, patterns = [], []
+    listed_signs, slot_pattern = graphio._listed_signs, GridSpec.slot_pattern
+
+    def listed(raw, tails, heads):
+        checked.append((tails, heads))
+        return listed_signs(raw, tails, heads)
+
+    def pattern(self):
+        patterns.append(self)
+        return slot_pattern(self)
+
+    monkeypatch.setattr(graphio, "_listed_signs", listed)
+    monkeypatch.setattr(GridSpec, "slot_pattern", pattern)
+    read = graph_from_dict(doc)
     assert verify_signed(read, sp9_plus(), hom)
-    assert "signs" not in vars(read)
-    assert repr(read) == repr(g)
-    assert read.signs == g.signs and "signs" in vars(read)
-    again = graph_from_dict(graph_to_dict(g))
-    assert again == g and hash(again) == hash(g)
-    with pytest.raises(AttributeError, match="no attribute 'sign'"):
-        again.sign
+    assert len(patterns) == 1 and len(checked) == 1
+    tails, heads = checked[0]
+    assert read.columns[0] is tails and read.columns[1] is heads
+    assert read == g and hash(read) == hash(g) and repr(read) == repr(g)
 
 
 # Values built from what artifacts hold, plus what the encoder's fast paths

@@ -19,7 +19,6 @@ from signedgrids import (
     unbalanced_c6,
     unbalanced_wheel7,
 )
-from signedgrids.grids import SignedGrid
 
 from helpers import (
     brute_c4_keys,
@@ -107,22 +106,17 @@ class TestSignatures:
             random_signature(GridSpec("hex", 2, 2), 0, 1.5)
 
     def test_sign_arrays_must_fit_the_slots(self):
+        # a sign column has one int +1 or -1 per edge; True == 1 and
+        # 1.0 == 1, but gen would write them as true and 1.0
         for spec in (GridSpec("hex", 3, 4), GridSpec("tri", 3, 2, mask=frozenset({(1, 1), (1, 2), (2, 1)}))):
             signs = random_signature(spec, 5, 0.5)
-            assert make_grid(spec, bytearray(signs)) == make_grid(spec, signs)
+            assert type(signs) is tuple and len(signs) == spec.edge_count()
+            assert make_grid(spec, list(signs)) == make_grid(spec, signs)
             assert make_grid(spec, signs) == make_grid(spec, signature_dict(spec, signs))
-            empty = signs.index(0)
-            full = next(p for p, x in enumerate(signs) if x)
-            bad = [
-                signs[:-1],
-                signs + b"\x00",
-                signs[:empty] + b"\x01" + signs[empty + 1 :],  # a sign where there is no edge
-                signs[:full] + b"\x00" + signs[full + 1 :],  # no sign on an edge
-                signs[:full] + b"\x02" + signs[full + 1 :],  # no sign at all
-            ]
-            for array in bad:
-                with pytest.raises(ValueError, match="sign array does not fit"):
-                    make_grid(spec, array)
+            bad = [signs[:-1], signs + (1,)] + [signs[:-1] + (x,) for x in (0, 2, True, 1.0, None)]
+            for column in bad:
+                with pytest.raises(ValueError, match="sign column does not fit"):
+                    make_grid(spec, column)
 
     def test_domain_mismatch_rejected(self):
         spec = GridSpec("hex", 2, 2)
@@ -362,8 +356,9 @@ class TestFixtures:
 
 
 def test_grid_columns_are_its_edges():
-    # the cached columns, the edges derived from them and the graph built
-    # from them all list the edges read cell by cell from the array
+    # the columns, the edges derived from them and the graph built from them
+    # all list the edges read cell by cell by the adjacency rules, and the
+    # tails and heads are the ones the spec keeps
     rng = random.Random(12)
     for _ in range(30):
         kind, rows, cols = rng.choice(("hex", "tri")), rng.randint(1, 6), rng.randint(1, 6)
@@ -373,6 +368,5 @@ def test_grid_columns_are_its_edges():
             tails, heads, signs = g.columns
             assert list(zip(tails, heads, signs)) == grid_edges_reference(g)
             assert g.edges == tuple(grid_edges_reference(g)) == g.graph().edges
-            assert g.grid.edge_columns() == (tails, heads)
-            again = SignedGrid.from_columns(spec, (list(tails), heads, list(signs)))
-            assert again == g and again.columns == g.columns
+            assert signs is g.signs
+            assert tails is spec.edge_columns()[0] and heads is spec.edge_columns()[1]

@@ -434,8 +434,9 @@ class TestVerifiersMatchTheReference:
     @pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
     def test_grids_and_their_certificates(self, masked):
         # honest colorer certificates, as ec witnesses into the doubled target
-        # and as signed ones into the base target, on the grid as read from
-        # its array, after graph() has cached its columns, and as a graph
+        # and as signed ones into the base target, on a grid whose spec has
+        # not yet computed its edge columns, on one whose spec keeps them
+        # after graph(), and as a graph
         rng = random.Random(31 if masked else 30)
         for _ in range(40):
             kind, rows, cols = rng.choice(("hex", "tri")), rng.randint(2, 7), rng.randint(2, 7)
@@ -449,7 +450,7 @@ class TestVerifiersMatchTheReference:
             else:
                 ec, base, doubled = color_tri(make_grid(spec, signs))[0], sp9_plus(), rho_sp9_plus().graph
             signed = ec_to_signed(ec, base.n)
-            fresh = make_grid(spec, signs)
+            fresh = make_grid(GridSpec(kind, rows, cols, mask), signs)
             converted = make_grid(spec, signs)
             converted.graph()
             for g in (fresh, converted, converted.graph()):
