@@ -209,10 +209,10 @@ _GRID_KINDS = {
 
 
 def cmd_color(args) -> int:
-    from .grids import GridSpec
+    from .grids import SignedGrid
 
     g = _load_graph(args.input)
-    if not isinstance(g.grid, GridSpec):
+    if not isinstance(g, SignedGrid):
         print("color: input file carries no grid metadata", file=sys.stderr)
         return EXIT_USAGE
     target_name, base_target, doubled_target, colorer = _GRID_KINDS[g.grid.kind]
@@ -240,14 +240,14 @@ def cmd_color(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .grids import GridSpec
+    from .grids import SignedGrid
 
     g = _load_graph(args.input)
     cert = _load_json(args.certificate)
     wrapped = isinstance(cert, dict) and "certificate" in cert
     hom, target = hom_from_dict(cert["certificate"] if wrapped else cert)
     # a grid's certificate must embed the target of that grid kind, not any graph
-    pinned = not isinstance(g.grid, GridSpec) or target == _GRID_KINDS[g.grid.kind][1]()
+    pinned = not isinstance(g, SignedGrid) or target == _GRID_KINDS[g.grid.kind][1]()
     # a mapping for another graph's vertices certifies nothing about this one
     ok = pinned and len(hom.mapping) == g.n and verify_signed(g, target, hom)
     print("certificate OK" if ok else "certificate REJECTED")

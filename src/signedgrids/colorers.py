@@ -27,9 +27,9 @@ bounding id ``b`` to its right, down-left or down neighbor is slot ``3*b``,
 indexes a table of the target's :func:`signedgrids.core.sign_masks`, so no
 adjacency dict is built.  One scatter builds that array: it starts from the
 box's slot pattern and writes each of the grid's signs at its edge's slot.
-A :class:`~signedgrids.core.SignedGraph` with grid metadata (a switched
-grid, say) is converted once through
-:meth:`~signedgrids.grids.SignedGrid.from_graph`.
+:func:`color_hex` colors the very array that :func:`normalize_hex` switched.
+The colorers take only a :class:`~signedgrids.grids.SignedGrid`; any
+:class:`~signedgrids.core.SignedGraph` raises ``ValueError``.
 Candidate color sets are int bitmasks over the target vertices, ``&``-ed
 from those masks.  Both algorithms are deterministic: ties break toward the
 smallest target vertex id (the lowest set bit) in the fixed target
@@ -48,7 +48,7 @@ from functools import cache
 from itertools import compress, repeat
 from operator import setitem
 
-from .core import NEG, POS, SignedGraph, rho_sp9_plus, rho_t4, sign_masks
+from .core import NEG, POS, rho_sp9_plus, rho_t4, sign_masks
 from .core import switch  # unused here; perfbench/tracing.py patches signedgrids.colorers.switch
 from .grids import GridSpec, SignedGrid
 from .grids import make_grid  # unused here; perfbench/tracing.py patches signedgrids.colorers.make_grid
@@ -92,13 +92,10 @@ def _lowest(colors: int) -> int:
     return (colors & -colors).bit_length() - 1
 
 
-def _require_grid(g: SignedGrid | SignedGraph, kind: str) -> SignedGrid:
-    """``g`` as a signed grid of the given kind, else ``ValueError``."""
-    if isinstance(g, SignedGraph) and isinstance(g.grid, GridSpec):
-        g = SignedGrid.from_graph(g)
+def _require_grid(g: SignedGrid, kind: str) -> None:
+    """``ValueError`` unless ``g`` is a :class:`SignedGrid` of the given kind."""
     if not isinstance(g, SignedGrid) or g.grid.kind != kind:
-        raise ValueError(f"input must carry {kind} grid metadata")
-    return g
+        raise ValueError(f"input must be a signed {kind} grid")
 
 
 def _bounding_signs(g: SignedGrid) -> memoryview:
@@ -133,7 +130,7 @@ def _restrict(phi: list[int], spec: GridSpec) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-def normalize_hex(g: SignedGrid | SignedGraph) -> tuple[SignedGrid, frozenset[int]]:
+def normalize_hex(g: SignedGrid) -> tuple[memoryview, frozenset[int]]:
     """Switch a hexagonal grid so the coloring scaffold is all positive.
 
     Works on the bounding grid (see the module docstring).  Scans positions
@@ -151,13 +148,13 @@ def normalize_hex(g: SignedGrid | SignedGraph) -> tuple[SignedGrid, frozenset[in
     below the grid (no vertical edge; only the last row's horizontal edges
     remain to fix).  Later positions never disturb edges already processed.
 
-    Returns the switched bounding grid, an unmasked :class:`SignedGrid`
-    whose edges to dropped cells start out ``+``, and the switch set
-    (double switches cancel) as bounding-grid ids, which are the vertex ids
-    of an unmasked grid.  A switch flips the slots of the vertex's four
-    edges in place.
+    Returns the switched slot array of the bounding grid, a signed-byte
+    ``memoryview`` laid out as in the module docstring (an edge to a dropped
+    cell starts out ``+``), and the switch set (double switches cancel) as
+    bounding-grid ids, which are the vertex ids of an unmasked grid.  A
+    switch flips the slots of the vertex's four edges in place.
     """
-    g = _require_grid(g, "hex")
+    _require_grid(g, "hex")
     rows, cols = g.grid.rows, g.grid.cols
     # a switch negates the slots of its vertex's edges, so no-edge slots stay 0
     signs = _bounding_signs(g)
@@ -185,11 +182,10 @@ def normalize_hex(g: SignedGrid | SignedGraph) -> tuple[SignedGrid, frozenset[in
                 switch_at(up)
             elif v_neg:
                 switch_at(up + cols)
-    switched = frozenset(compress(range(rows * cols), flipped))
-    return SignedGrid(GridSpec("hex", rows, cols), tuple(compress(signs, signs))), switched
+    return signs, frozenset(compress(range(rows * cols), flipped))
 
 
-def color_hex(g: SignedGrid | SignedGraph) -> Homomorphism:
+def color_hex(g: SignedGrid) -> Homomorphism:
     """Color a signed hexagonal grid into the doubled T4 target.
 
     Returns an exact sign-preserving homomorphism of the *original* graph
@@ -197,11 +193,11 @@ def color_hex(g: SignedGrid | SignedGraph) -> Homomorphism:
     :class:`ColoringInvariantError` only on an internal bug; every grid is
     colorable.
     """
-    g = _require_grid(g, "hex")
+    # normalize_hex checks g; it is called through the module global, which
+    # perfbench/tracing.py wraps to count the switch set
+    signs, switched = normalize_hex(g)
     spec = g.grid
     rows, cols = spec.rows, spec.cols
-    normalized, switched = normalize_hex(g)
-    signs = _bounding_signs(normalized)
     rho = rho_t4()
     masks = _by_slot(sign_masks(rho.graph))
     everyone = (1 << rho.n) - 1
@@ -270,7 +266,7 @@ def color_hex(g: SignedGrid | SignedGraph) -> Homomorphism:
 # ---------------------------------------------------------------------------
 
 
-def color_tri(g: SignedGrid | SignedGraph) -> tuple[Homomorphism, CandidateTrace]:
+def color_tri(g: SignedGrid) -> tuple[Homomorphism, CandidateTrace]:
     """Color a signed triangular grid into the doubled SP9-plus target.
 
     Row by row: the forward pass builds, for each vertex of the current row,
@@ -284,7 +280,7 @@ def color_tri(g: SignedGrid | SignedGraph) -> tuple[Homomorphism, CandidateTrace
     target :func:`signedgrids.core.rho_sp9_plus`) and the trace of candidate
     sets.
     """
-    g = _require_grid(g, "tri")
+    _require_grid(g, "tri")
     spec = g.grid
     rows, cols = spec.rows, spec.cols
     signs = _bounding_signs(g)

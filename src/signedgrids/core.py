@@ -5,7 +5,9 @@ graph whose edges carry a sign, +1 or -1.  This module provides the immutable
 :class:`SignedGraph` value type, the switching operation, the antitwin
 doubling construction, and the fixed small target graphs (T4, the signed
 Paley graphs SP9 and SP5, and their universal-vertex extensions) that the
-coloring algorithms map into.
+coloring algorithms map into.  A signed grid has its own type,
+:class:`signedgrids.grids.SignedGrid`, whose ``graph()`` is a plain
+:class:`SignedGraph`.
 
 Vertex ids are dense integers ``0..n-1``.  Labels are cosmetic; every
 algorithm operates on ids, and the target builders pin a documented label
@@ -60,17 +62,15 @@ class SignedGraph:
     Attributes:
         n: Number of vertices.
         labels: Optional tuple of vertex labels (cosmetic only).
-        grid: Optional grid metadata attached by the grid generators.
     """
 
-    __slots__ = ("n", "labels", "grid", "_edges", "_adj")
+    __slots__ = ("n", "labels", "_edges", "_adj")
 
     def __init__(
         self,
         n: int,
         edges: Iterable[tuple[int, int, int]],
         labels: Sequence[str] | None = None,
-        grid=None,
     ):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
@@ -93,7 +93,6 @@ class SignedGraph:
                 raise ValueError("labels must cover every vertex")
         self.n = n
         self.labels = labels
-        self.grid = grid
         self._edges = tuple(sorted(canon))
         self._adj = tuple(adj)
 
@@ -154,8 +153,8 @@ def sign_masks(h: SignedGraph) -> dict[int, list[int]]:
 def switch(g: SignedGraph, vertices: Iterable[int]) -> SignedGraph:
     """Switch ``g`` at a vertex set: flip every edge with exactly one endpoint in it.
 
-    The underlying graph, labels, and grid metadata are unchanged.  Switching
-    at the same set twice returns the original signature.
+    The underlying graph and labels are unchanged.  Switching at the same
+    set twice returns the original signature.
     """
     sw = set(vertices)
     for v in sw:
@@ -164,14 +163,12 @@ def switch(g: SignedGraph, vertices: Iterable[int]) -> SignedGraph:
     edges = [
         (u, v, -s if (u in sw) != (v in sw) else s) for u, v, s in g.edges
     ]
-    return SignedGraph(g.n, edges, labels=g.labels, grid=g.grid)
+    return SignedGraph(g.n, edges, labels=g.labels)
 
 
 def negate(g: SignedGraph) -> SignedGraph:
     """Flip the sign of every edge."""
-    return SignedGraph(
-        g.n, [(u, v, -s) for u, v, s in g.edges], labels=g.labels, grid=g.grid
-    )
+    return SignedGraph(g.n, [(u, v, -s) for u, v, s in g.edges], labels=g.labels)
 
 
 @dataclass(frozen=True)

@@ -18,30 +18,31 @@ integer triples, its ``"labels"`` is not a list of strings, or its
 ``"grid"`` is not an object with integer ``"rows"``/``"cols"`` and a
 ``"mask"`` list of ``[i, j]`` integer pairs.
 
-A graph object with grid metadata reads as a
+A graph object with a ``"grid"`` reads as a
 :class:`~signedgrids.grids.SignedGrid`, and no
-:class:`~signedgrids.core.SignedGraph` is built.  The loader first checks
-in bulk, with C-level iterators and no per-edge Python code, that the
-``"edges"`` are exactly the grid's edges in their own order
+:class:`~signedgrids.core.SignedGraph` is built.  If it lists the grid's
+:meth:`~signedgrids.grids.GridSpec.edge_count` of edges, the loader first
+checks in bulk, with C-level iterators and no per-edge Python code, that
+they are exactly the grid's edges in their own order
 (:meth:`~signedgrids.grids.GridSpec.edge_columns`): every entry a list of
 three values of type exactly ``int``, the tails and heads the grid's
 columns, every sign +1 or -1.  The grid then keeps the file's sign column,
-the tuple that check read, as its signs.  Every other edge list (permuted,
-reversed, or malformed) goes through a per-edge loop, the one path that
-accepts a permuted file and the one that words every error: each edge is
-streamed into its slot ``3*u + d`` of a scratch slot array (see
-:mod:`signedgrids.grids`), for its smaller end ``u`` and the direction
-``d`` of the step, and the filled slots, in order, become the sign column.
-A masked grid's slot array has slots for the retained cells only, so
-loading it costs time and memory in proportion to the mask, however large
-the box.  The edges must be exactly the grid's: an edge between cells that
+the tuple that check read, as its signs.  Every other edge list goes
+through a per-edge loop, the one path that accepts a permuted file and the
+one that words every error: each edge is streamed into its slot
+``3*u + d`` of a scratch slot array (see :mod:`signedgrids.grids`), for its
+smaller end ``u`` and the direction ``d`` of the step, and the filled
+slots, in order, become the sign column.  A masked grid's slot array has
+slots for the retained cells only, so loading it costs time and memory in
+proportion to the mask, however large the box.  An edge between cells that
 are not grid neighbors (no direction, by
 :meth:`~signedgrids.grids.GridSpec.direction`, or a slot without an edge),
-or a missing grid edge (an empty slot at the end), is named in the error.
-Every other graph object reads as a :class:`~signedgrids.core.SignedGraph`.
-Both writers, :func:`graph_to_dict` and :func:`graph_to_dot`, read either
-through its ``n`` and sorted edges; :func:`graph_to_dict` builds a grid's
-``[u, v, s]`` rows from its columns.
+or a missing grid edge (the first empty slot, named by bounding-id
+arithmetic), is named in the error.  Every other graph object reads as a
+:class:`~signedgrids.core.SignedGraph`.  Both writers,
+:func:`graph_to_dict` and :func:`graph_to_dot`, read a grid's ``[u, v, s]``
+rows from its columns and a graph's from its sorted edges; only a
+:class:`~signedgrids.grids.SignedGrid` gets a ``"grid"``.
 
 Artifacts are written as ``json.dumps(value, indent=2, sort_keys=True,
 cls=ArtifactEncoder)``.  :class:`ArtifactEncoder` gives the same text as the
@@ -58,11 +59,12 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Mapping, Sequence
+from bisect import bisect_left
 from itertools import chain, compress
 from operator import itemgetter
 
 from .core import SignedGraph
-from .grids import GridSpec, SignedGrid
+from .grids import GridSpec, SignedGrid, is_sign_column
 from .hom import Homomorphism
 
 
@@ -101,11 +103,11 @@ def grid_from_dict(d: Mapping) -> GridSpec:
 
 
 def graph_to_dict(g: SignedGraph | SignedGrid) -> dict:
-    rows = zip(*g.columns) if isinstance(g, SignedGrid) else g.edges
-    out: dict = {"n": g.n, "edges": list(map(list, rows))}
+    is_grid = isinstance(g, SignedGrid)
+    out: dict = {"n": g.n, "edges": list(map(list, zip(*g.columns) if is_grid else g.edges))}
     if g.labels is not None:
         out["labels"] = list(g.labels)
-    if isinstance(g.grid, GridSpec):
+    if is_grid:
         out["grid"] = grid_to_dict(g.grid)
     return out
 
@@ -124,17 +126,16 @@ def _listed_signs(raw: list, tails: tuple[int, ...], heads: tuple[int, ...]) -> 
         if column != expected or not set(map(type, column)) <= {int}:
             return None
     signs = tuple(map(itemgetter(2), raw))
-    if not set(map(type, signs)) <= {int} or signs.count(1) + signs.count(-1) != len(signs):
-        return None
-    return signs
+    return signs if is_sign_column(signs) else None
 
 
 def graph_from_dict(d: Mapping) -> SignedGraph | SignedGrid:
     """Read a graph object; raise ``ValueError`` on any malformed or inconsistent field.
 
-    With grid metadata the result is a :class:`SignedGrid`.  An edge list
+    With a ``"grid"`` the result is a :class:`SignedGrid`.  An edge list
     that is exactly the grid's, in order, is checked in bulk and its sign
-    column kept as the grid's signs.  Otherwise each edge is checked to join
+    column kept as the grid's signs; only a list of the grid's edge count is
+    tried that way.  Otherwise each edge is checked to join
     two neighboring retained cells by the direction of the step between
     their bounding ids and then fills its slot.  A bad sign or a slot filled
     twice (a duplicate edge, in either orientation) is reported only once
@@ -161,7 +162,8 @@ def graph_from_dict(d: Mapping) -> SignedGraph | SignedGrid:
         size = grid.rows * grid.cols if grid.mask is None else len(grid.mask)
         if n != size:
             raise ValueError(f"graph 'n' is {n}, but its grid has {size} cells")
-        listed = _listed_signs(raw, *grid.edge_columns())
+        # the edge columns are built only for a list of the grid's length
+        listed = _listed_signs(raw, *grid.edge_columns()) if len(raw) == grid.edge_count() else None
         if listed is not None:
             if labels is not None and len(labels) != n:
                 raise ValueError("labels must cover every vertex")
@@ -199,12 +201,12 @@ def graph_from_dict(d: Mapping) -> SignedGraph | SignedGrid:
     if labels is not None and len(labels) != n:
         raise ValueError("labels must cover every vertex")
     if slots.count(0) != pattern.count(0):
-        index = {c: k for k, c in enumerate(grid.cells())}
-        for (a, b), p in zip(grid.edges(), compress(range(len(pattern)), pattern)):
-            if not slots[p]:
-                raise ValueError(
-                    f"grid edge {a}-{b} (vertices {index[a]}, {index[b]}) is missing"
-                )
+        # the first empty slot of the pattern; vertex ids keep the order of bounding ids
+        p = next(p for p in compress(range(len(pattern)), pattern) if not slots[p])
+        x, cols = where[p // 3], grid.cols
+        y = x + (1, cols - 1, cols)[p % 3]
+        a, b = (x // cols + 1, x % cols + 1), (y // cols + 1, y % cols + 1)
+        raise ValueError(f"grid edge {a}-{b} (vertices {p // 3}, {bisect_left(where, y)}) is missing")
     signs = tuple(compress(memoryview(slots).cast("b"), slots))
     return SignedGrid(grid, signs, None if labels is None else tuple(labels))
 

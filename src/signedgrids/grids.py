@@ -15,30 +15,31 @@ Adjacency:
   cells directly below and below-left, so row ``i`` sees columns ``j`` and
   ``j+1`` of the row above.  Interior degree 6.
 
-A signed grid is one value, :class:`SignedGrid`: its :class:`GridSpec` plus
+A signed grid has one type, :class:`SignedGrid`: its :class:`GridSpec` plus
 one sign per edge, a ``tuple`` of +1 and -1 in :meth:`GridSpec.edges` order.
 That order is the edges sorted by vertex pair ``(u, v)``, ``u < v``, and it
 is the order of a grid file's ``"edges"`` list.  The tails and heads of the
 edges depend on the spec alone: :meth:`GridSpec.edge_columns` computes them
 once per spec and keeps them, and :attr:`SignedGrid.columns` is those two
 columns plus the signs.  The writers, the verifiers, :attr:`SignedGrid.edges`
-and :meth:`SignedGrid.graph` read a grid through its columns, and no
-per-edge tuple is kept.
+and :meth:`SignedGrid.graph` (a plain :class:`~signedgrids.core.SignedGraph`,
+the adjacency view the searches walk) read a grid through its columns, and
+no per-edge tuple is kept.
 
 Placing an edge by direction uses a scratch *slot* layout, three slots per
 vertex: slot ``3*v + d`` is the edge from vertex ``v`` in direction ``d``,
 0 right ``(i, j+1)``, 1 down-left ``(i+1, j-1)``, 2 down ``(i+1, j)``.
 :meth:`GridSpec.slot_pattern`, which the spec also computes once and keeps,
 has 1 in the slots that hold an edge and 0 elsewhere (off the box, a hex
-parity gap, a masked-out end, no down-left on hex).  A masked grid has slots for its retained cells only, so its size
-follows the mask, not the box.  The three neighbors lie at bounding ids
-``b+1 < b+cols-1 < b+cols`` (on two columns a cell has a right or a
-down-left edge, never both) and vertex ids keep the order of bounding ids,
-so the slots with an edge, in order, are the edges in :meth:`GridSpec.edges`
-order.  :func:`make_grid` from a cell-pair mapping, the file loader's
-per-edge path and :meth:`SignedGrid.from_graph` fill a slot array by
-direction and keep its non-zero slots as the sign column; the colorers
-scatter a grid's signs into the slots of its bounding grid.
+parity gap, a masked-out end, no down-left on hex).  A masked grid has slots
+for its retained cells only, so its size follows the mask, not the box.  The
+three neighbors lie at bounding ids ``b+1 < b+cols-1 < b+cols`` (on two
+columns a cell has a right or a down-left edge, never both) and vertex ids
+keep the order of bounding ids, so the slots with an edge, in order, are the
+edges in :meth:`GridSpec.edges` order.  :func:`make_grid` from a cell-pair
+mapping and the file loader's per-edge path fill a slot array by direction
+and keep its non-zero slots as the sign column; the colorers scatter a
+grid's signs into the slots of its bounding grid.
 """
 
 from __future__ import annotations
@@ -64,11 +65,13 @@ __all__ = [
     "unbalanced_c6",
 ]
 
-# slot byte -> 1 if it holds an edge, 0 if not, 254 if it is no sign
-_HAS_EDGE = bytes([0, 1] + [254] * 253 + [1])
-
 # the step from a cell to its right, down-left and down neighbor -> direction
 _DIRECTION = {(0, 1): 0, (1, -1): 1, (1, 0): 2}
+
+
+def is_sign_column(signs: tuple) -> bool:
+    """Every entry of type exactly ``int`` (not ``True``, not ``1.0``) and +1 or -1."""
+    return set(map(type, signs)) <= {int} and signs.count(1) + signs.count(-1) == len(signs)
 
 
 def _fill(buf: bytearray, start: int, stop: int, step: int, value: int = 1) -> None:
@@ -164,8 +167,14 @@ class GridSpec:
         return bytes(pattern)
 
     def edge_count(self) -> int:
-        """``len(self.edges())``."""
-        return self.slot_pattern().count(1)
+        """``len(self.edges())``, in closed form for an unmasked grid."""
+        if self.mask is not None:
+            return self.slot_pattern().count(1)
+        r, c = self.rows, self.cols
+        if self.kind == "tri":  # right; down-left and down
+            return r * (c - 1) + (r - 1) * (2 * c - 1)
+        # down; right from (i, j) with i + j even: odd j on odd rows, even j on even rows
+        return (r - 1) * c + (r + 1) // 2 * (c // 2) + r // 2 * ((c - 1) // 2)
 
     def edges(self) -> tuple[CellEdge, ...]:
         """Grid edges between retained cells, in a fixed row-major order.
@@ -227,27 +236,6 @@ class SignedGrid:
         spec = self.grid
         object.__setattr__(self, "n", spec.rows * spec.cols if spec.mask is None else len(spec.mask))
 
-    @classmethod
-    def from_graph(cls, g: SignedGraph) -> SignedGrid:
-        """A :class:`SignedGraph` with grid metadata (a switched grid, say)
-        as a signed grid; ``ValueError`` unless its edges are the grid's."""
-        spec = g.grid
-        if not isinstance(spec, GridSpec):
-            raise ValueError("graph has no grid metadata")
-        where, direction = spec.bounding_ids(), spec.direction
-        if g.n != len(where):
-            raise ValueError(f"graph has {g.n} vertices, but its grid has {len(where)} cells")
-        slots = bytearray(3 * g.n)
-        for u, v, s in g.edges:
-            d = direction(where[u], where[v])
-            if d < 0:
-                break
-            slots[3 * u + d] = s & 0xFF
-        else:
-            if slots.translate(_HAS_EDGE) == spec.slot_pattern():
-                return cls(spec, tuple(compress(memoryview(slots).cast("b"), slots)), g.labels)
-        raise ValueError(f"graph edges are not those of its {spec.kind} {spec.rows}x{spec.cols} grid")
-
     @property
     def columns(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
         """All edges as three columns, tails, heads and signs: edge ``k`` is
@@ -267,8 +255,9 @@ class SignedGrid:
         return self.labels[v] if self.labels is not None else str(v)
 
     def graph(self) -> SignedGraph:
-        """The grid as a :class:`SignedGraph`, with the spec as its ``grid``."""
-        return SignedGraph(self.n, zip(*self.columns), labels=self.labels, grid=self.grid)
+        """The grid's adjacency view, a plain :class:`SignedGraph` with the
+        same vertices, edges and labels, for the searches to walk."""
+        return SignedGraph(self.n, zip(*self.columns), labels=self.labels)
 
 
 def make_grid(spec: GridSpec, signature: Sequence[int] | Mapping[CellEdge, int]) -> SignedGrid:
@@ -291,11 +280,7 @@ def make_grid(spec: GridSpec, signature: Sequence[int] | Mapping[CellEdge, int])
     """
     if not isinstance(signature, Mapping):
         signs = tuple(signature)
-        if (
-            len(signs) != spec.edge_count()
-            or not set(map(type, signs)) <= {int}
-            or signs.count(1) + signs.count(-1) != len(signs)
-        ):
+        if len(signs) != spec.edge_count() or not is_sign_column(signs):
             raise ValueError(
                 f"sign column does not fit the {spec.kind} {spec.rows}x{spec.cols} grid: "
                 f"it needs {spec.edge_count()} entries, each the int +1 or -1"

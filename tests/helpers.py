@@ -391,7 +391,24 @@ def find_ec_hom_reference(
 # ---------------------------------------------------------------------------
 # Oracle for the colorers: the SignedGraph versions, on sorted candidate lists
 # and frozensets, with masked grids colored through a rebuilt bounding grid.
+# They read a grid as a GridGraph, a SignedGraph that keeps its spec.
 # ---------------------------------------------------------------------------
+
+
+class GridGraph(SignedGraph):
+    """A :class:`SignedGraph` with the :class:`GridSpec` it was built for as
+    its ``grid``: the form in which the oracles below read a grid."""
+
+    __slots__ = ("grid",)
+
+    def __init__(self, n, edges, labels=None, grid=None):
+        super().__init__(n, edges, labels=labels)
+        self.grid = grid
+
+
+def grid_graph(g: SignedGrid) -> GridGraph:
+    """A signed grid as a :class:`GridGraph`, for the oracles."""
+    return GridGraph(g.n, g.edges, labels=g.labels, grid=g.grid)
 
 
 def compatible_colors_reference(
@@ -419,7 +436,7 @@ def make_grid_reference(spec: GridSpec, signature: dict) -> SignedGraph:
     cells = spec.cells()
     index = {c: k for k, c in enumerate(cells)}
     edges = [(index[a], index[b], signature[(a, b)]) for a, b in cell_edges]
-    return SignedGraph(len(cells), edges, grid=spec)
+    return GridGraph(len(cells), edges, grid=spec)
 
 
 def grid_neighbors(kind: str, a, b) -> bool:
@@ -435,9 +452,9 @@ def signature_dict(spec: GridSpec, signs: Sequence[int]) -> dict:
     return dict(zip(spec.edges(), signs))
 
 
-def graph_from_dict_reference(d: Mapping) -> SignedGraph:
+def graph_from_dict_reference(d: Mapping) -> GridGraph:
     """Oracle for ``graph_from_dict``: the loader that checks every edge and
-    then builds a SignedGraph, with grid metadata or without."""
+    then builds a GridGraph, whose ``grid`` is None without grid metadata."""
     if not isinstance(d, Mapping):
         raise ValueError("graph must be a JSON object")
     n = d.get("n")
@@ -468,7 +485,7 @@ def graph_from_dict_reference(d: Mapping) -> SignedGraph:
                 raise ValueError(f"edge {e!r} has an endpoint out of range [0,{n})")
             if (cells[min(u, v)], cells[max(u, v)]) not in edges:
                 raise ValueError(f"edge {e!r} does not join neighboring cells of the {grid.kind} grid")
-    g = SignedGraph(n, raw, labels=labels, grid=grid)
+    g = GridGraph(n, raw, labels=labels, grid=grid)
     if grid is not None and g.edge_count != len(edges):
         index = {c: k for k, c in enumerate(cells)}
         for a, b in grid.edges():
@@ -479,7 +496,7 @@ def graph_from_dict_reference(d: Mapping) -> SignedGraph:
     return g
 
 
-def fill_bounding(g: SignedGraph) -> tuple[SignedGraph, list[int]]:
+def fill_bounding(g: GridGraph) -> tuple[GridGraph, list[int]]:
     """Extend a masked grid to its full bounding grid, filling with +1.
 
     Returns the full grid and, per masked vertex, its id in the full grid.
@@ -498,7 +515,7 @@ def fill_bounding(g: SignedGraph) -> tuple[SignedGraph, list[int]]:
     return full_g, [full_index[c] for c in spec.cells()]
 
 
-def normalize_hex_reference(g: SignedGraph) -> tuple[SignedGraph, frozenset[int]]:
+def normalize_hex_reference(g: GridGraph) -> tuple[SignedGraph, frozenset[int]]:
     """Switch a full hexagonal grid so the coloring scaffold is all positive.
 
     Returns the switched grid and the switch set; rejects masked grids.
@@ -537,7 +554,7 @@ def normalize_hex_reference(g: SignedGraph) -> tuple[SignedGraph, frozenset[int]
     return switch(g, switched), switched
 
 
-def color_hex_reference(g: SignedGraph) -> Homomorphism:
+def color_hex_reference(g: GridGraph) -> Homomorphism:
     """Oracle for :func:`signedgrids.colorers.color_hex`."""
     spec = g.grid
     if spec.mask is not None:
@@ -610,7 +627,7 @@ def color_hex_reference(g: SignedGraph) -> Homomorphism:
 
 
 def color_tri_reference(
-    g: SignedGraph,
+    g: GridGraph,
 ) -> tuple[Homomorphism, tuple[tuple[frozenset[int], ...], ...]]:
     """Oracle for :func:`signedgrids.colorers.color_tri`.
 

@@ -11,7 +11,6 @@ from signedgrids import (
     POS,
     GridSpec,
     SignedGraph,
-    SignedGrid,
     all_c4_unbalanced_grid,
     build_T4,
     color_hex,
@@ -29,6 +28,7 @@ from signedgrids import (
     unbalanced_c6,
     verify_ec,
 )
+from signedgrids import colorers
 from signedgrids.graphio import ArtifactEncoder, hom_to_dict
 from signedgrids.hom import ec_to_signed
 
@@ -37,6 +37,7 @@ from helpers import (
     color_tri_reference,
     compatible_colors_reference,
     fill_bounding,
+    grid_graph,
     induced_target,
     mask_members,
     normalize_hex_reference,
@@ -69,23 +70,29 @@ def scaffold_edges(spec):
     return out
 
 
+def assert_switched_slots(slots, box, normalized):
+    """``normalize_hex``'s slot array holds the reference's switched signs,
+    each read as ``slots[3*u + box.direction(u, v)]`` for an edge of the
+    bounding grid ``box``, and 0 in every other slot."""
+    assert all(slots[3 * u + box.direction(u, v)] == s for u, v, s in normalized.edges)
+    assert len(slots) - slots.tolist().count(0) == len(normalized.edges)
+
+
 class TestNormalizeHex:
     def test_all_positive_grid_is_already_normal(self):
         spec = GridSpec("hex", 5, 6)
         g = make_grid(spec, {e: POS for e in spec.edges()})
-        normalized, switched = normalize_hex(g)
-        sign = normalized.graph().sign
+        slots, switched = normalize_hex(g)
         assert switched == frozenset()
-        assert all(sign(u, v) == s for u, v, s in g.edges)
+        assert_switched_slots(slots, spec, g)
 
     def test_scaffold_positive_on_random_grids(self):
         for seed in range(40):
             spec = GridSpec("hex", 6, 6)
             g = make_grid(spec, random_signature(spec, seed, 0.5))
-            switched_grid, switched = normalize_hex(g)
-            sign = switched_grid.graph().sign
+            slots, switched = normalize_hex(g)
             normalized = switch(g, switched)
-            assert all(sign(u, v) == s for u, v, s in normalized.edges)
+            assert_switched_slots(slots, spec, normalized)
             vid = lambda c: (c[0] - 1) * spec.cols + (c[1] - 1)
             for a, b in scaffold_edges(spec):
                 assert normalized.sign(vid(a), vid(b)) == POS
@@ -93,22 +100,20 @@ class TestNormalizeHex:
     def test_idempotent(self):
         g = random_grid("hex", 123)
         _, switched = normalize_hex(g)
-        normalized = switch(g, switched)
-        again_grid, switched = normalize_hex(normalized)
-        again = again_grid.graph().sign
+        normalized = make_grid(g.grid, [s for *_, s in switch(g, switched).edges])
+        slots, switched = normalize_hex(normalized)
         assert switched == frozenset()
-        assert all(again(u, v) == s for u, v, s in normalized.edges)
+        assert_switched_slots(slots, g.grid, normalized)
 
     def test_rejects_non_hex_and_normalizes_masks_on_the_bounding_grid(self):
         with pytest.raises(ValueError):
             normalize_hex(random_grid("tri", 5))
         spec = GridSpec("hex", 3, 3, mask=frozenset({(1, 1), (1, 2)}))
         g = make_grid(spec, {e: NEG for e in spec.edges()})
-        switched_grid, switched = normalize_hex(g)
-        sign = switched_grid.graph().sign
-        normalized, expected = normalize_hex_reference(fill_bounding(g.graph())[0])
+        slots, switched = normalize_hex(g)
+        normalized, expected = normalize_hex_reference(fill_bounding(grid_graph(g))[0])
         assert switched == expected != frozenset()
-        assert all(sign(u, v) == s for u, v, s in normalized.edges)
+        assert_switched_slots(slots, GridSpec("hex", 3, 3), normalized)
 
 
 class TestColorHex:
@@ -139,7 +144,7 @@ class TestColorHex:
         for seed in range(20):
             g = random_grid("hex", 22000 + seed, max_dim=8)
             subset = [v for v in range(g.n) if rng.random() < 0.5]
-            sw = switch(g, subset)
+            sw = make_grid(g.grid, [s for *_, s in switch(g, subset).edges])
             assert verify_ec(sw, RHO_T4.graph, color_hex(sw).mapping)
 
     def test_masked_grid(self):
@@ -158,17 +163,42 @@ class TestColorHex:
         with pytest.raises(ValueError):
             color_hex(SignedGraph(2, [(0, 1, POS)]))
 
-    def test_requires_the_grids_edges(self):
-        # a grid-tagged SignedGraph must carry exactly its grid's edges
-        spec = GridSpec("hex", 3, 4)
-        g = make_grid(spec, random_signature(spec, 3, 0.5)).graph()
-        edges = list(g.edges)
-        for wrong in (edges[1:], edges + [(0, spec.cols + 1, POS)], [(0, 2, POS)] + edges[1:]):
-            bad = SignedGraph(g.n, wrong, grid=spec)
-            with pytest.raises(ValueError, match="graph edges are not those of its hex"):
-                color_hex(bad)
-        with pytest.raises(ValueError, match="input must carry tri grid metadata"):
-            color_tri(g)
+    def test_makes_one_slot_array(self, monkeypatch):
+        # normalize_hex switches the one scatter of the grid's signs in place,
+        # and color_hex colors that array
+        calls = []
+        bounding_signs = colorers._bounding_signs
+
+        def counted(g):
+            calls.append(g)
+            return bounding_signs(g)
+
+        monkeypatch.setattr(colorers, "_bounding_signs", counted)
+        for g in (random_grid("hex", 7), masked_grid("hex", 7)):
+            calls.clear()
+            assert color_hex(g) == color_hex_reference(grid_graph(g))
+            assert calls == [g]
+
+
+class TestOnlySignedGridsAreColored:
+    """The colorers take a SignedGrid of their kind; a SignedGraph, even one
+    made from a grid, and a grid of the other kind are rejected."""
+
+    @pytest.mark.parametrize("kind", ["hex", "tri"])
+    def test_graphs_made_from_grids_are_rejected(self, kind):
+        g = random_grid(kind, 11)
+        colorers_of_kind = (color_hex, normalize_hex) if kind == "hex" else (color_tri,)
+        for colorer in colorers_of_kind:
+            for graph in (g.graph(), switch(g, range(0, g.n, 2)), negate(g)):
+                with pytest.raises(ValueError, match=f"input must be a signed {kind} grid"):
+                    colorer(graph)
+
+    def test_a_grid_of_the_other_kind_is_rejected(self):
+        with pytest.raises(ValueError, match="input must be a signed tri grid"):
+            color_tri(random_grid("hex", 3))
+        for colorer in (color_hex, normalize_hex):
+            with pytest.raises(ValueError, match="input must be a signed hex grid"):
+                colorer(random_grid("tri", 3))
 
 
 class TestColorTri:
@@ -303,37 +333,36 @@ class TestAgainstSignedGraphReference:
 
     def test_color_hex(self):
         for g in differential_grids("hex"):
-            hom, expected = color_hex(g), color_hex_reference(g.graph())
+            hom, expected = color_hex(g), color_hex_reference(grid_graph(g))
             assert hom == expected
             assert certificate_text(hom, build_T4()) == certificate_text(expected, build_T4())
-            bounding = g.graph() if g.grid.mask is None else fill_bounding(g.graph())[0]
+            bounding = grid_graph(g) if g.grid.mask is None else fill_bounding(grid_graph(g))[0]
             normalized, expected = normalize_hex_reference(bounding)
-            switched_grid, switched = normalize_hex(g)
-            sign = switched_grid.graph().sign
+            slots, switched = normalize_hex(g)
             assert switched == expected
-            assert all(sign(u, v) == s for u, v, s in normalized.edges)
+            assert_switched_slots(slots, bounding.grid, normalized)
 
     def test_color_tri(self):
         for g in differential_grids("tri"):
             hom, trace = color_tri(g)
-            expected_hom, expected_rows = color_tri_reference(g.graph())
+            expected_hom, expected_rows = color_tri_reference(grid_graph(g))
             assert hom == expected_hom
             assert certificate_text(hom, sp9_plus()) == certificate_text(expected_hom, sp9_plus())
             assert tuple(tuple(map(mask_members, row)) for row in trace.rows) == expected_rows
 
-    def test_grid_tagged_signed_graphs_color_as_their_grids(self):
-        # a SignedGraph with grid metadata (a grid's graph(), a switched or
-        # negated grid) is converted once and colored like the grid
+    def test_switched_and_negated_grids(self):
+        # a switched or negated grid, rebuilt as a grid, colors like any grid
         for g in differential_grids("hex")[::10]:
-            assert color_hex(g.graph()) == color_hex(g)
-            assert normalize_hex(g.graph()) == normalize_hex(g)
-            negated = negate(g)
-            assert SignedGrid.from_graph(negated).graph() == negated
-            assert verify_ec(negated, RHO_T4.graph, color_hex(negated).mapping)
+            negated = make_grid(g.grid, [s for *_, s in negate(g).edges])
+            assert negated.graph() == negate(g)
+            hom = color_hex(negated)
+            assert hom == color_hex_reference(grid_graph(negated))
+            assert verify_ec(negated, RHO_T4.graph, hom.mapping)
         for g in differential_grids("tri")[::10]:
-            assert color_tri(g.graph()) == color_tri(g)
-            sw = switch(g, range(0, g.n, 3))
-            assert verify_ec(sw, RHO_SP9P.graph, color_tri(sw)[0].mapping)
+            sw = make_grid(g.grid, [s for *_, s in switch(g, range(0, g.n, 3)).edges])
+            hom, _ = color_tri(sw)
+            assert hom == color_tri_reference(grid_graph(sw))[0]
+            assert verify_ec(sw, RHO_SP9P.graph, hom.mapping)
 
 
 class TestPeriodicFixtureColoring:

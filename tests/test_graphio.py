@@ -24,6 +24,7 @@ from signedgrids import (
     verify_signed,
 )
 from signedgrids import graphio
+from signedgrids.grids import is_sign_column
 from signedgrids.hom import ec_to_signed
 from signedgrids.graphio import (
     ROW_CHUNK,
@@ -49,6 +50,14 @@ def test_graph_roundtrip_with_labels_and_grid():
     back = graph_from_dict(graph_to_dict(g))
     assert back == g
     assert back.grid == spec
+
+
+def test_only_a_signed_grid_is_written_with_its_grid():
+    # a grid's graph() is a plain SignedGraph: no "grid", the same edges
+    g = make_grid(GridSpec("hex", 3, 4), random_signature(GridSpec("hex", 3, 4), 1, 0.5))
+    written = graph_to_dict(g.graph())
+    assert "grid" not in written and written == {k: v for k, v in graph_to_dict(g).items() if k != "grid"}
+    assert graph_from_dict(written) == g.graph()
 
 
 def test_graph_dict_is_json_serializable():
@@ -111,14 +120,16 @@ def test_grid_edges_must_match_the_grid_metadata():
 def load_outcome(loader, doc):
     """What a loader makes of a document: the graph, or its error.
 
-    A grid read by ``graph_from_dict`` is compared through ``.graph()``.
+    A grid read by ``graph_from_dict`` is compared through ``.graph()`` and
+    its spec; the reference's grid is a ``GridGraph`` with the spec as its
+    ``grid``, and a plain graph has no spec.
     """
     try:
         g = loader(doc)
     except Exception as exc:  # the two loaders must fail alike, whatever the error
         return type(exc).__name__, str(exc)
-    g = g.graph() if isinstance(g, SignedGrid) else g
-    return "ok", g, g.grid, g.labels
+    spec = getattr(g, "grid", None)
+    return "ok", g.graph() if isinstance(g, SignedGrid) else g, spec, g.labels
 
 
 def grid_docs():
@@ -257,6 +268,44 @@ def test_a_masked_grid_costs_its_mask_not_its_box(kind, edges):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_a_short_grid_edge_list_costs_its_file_not_its_grid(monkeypatch):
+    # a file claiming an unmasked tri 1000x1000 grid with no edges: its
+    # length differs from the grid's edge count, so the edge columns are never
+    # built, and the first missing edge is named from its empty slot without
+    # the spec's cells or cell-pair edges
+    def refuse(self):
+        raise AssertionError("built for a short edge list")
+
+    for name in ("edge_columns", "edges", "cells"):
+        monkeypatch.setattr(GridSpec, name, refuse)
+    doc = {"n": 10**6, "edges": [], "grid": {"kind": "tri", "rows": 1000, "cols": 1000}}
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=re.escape("grid edge (1, 1)-(1, 2) (vertices 0, 1) is missing")):
+            graph_from_dict(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
+
+
+def test_make_grid_and_the_loader_share_one_sign_check():
+    # the same columns are rejected by make_grid and by the loader's bulk
+    # check; True == 1 and 1.0 == 1, but neither is an int sign
+    spec = GridSpec("tri", 2, 3)
+    signs = random_signature(spec, 2, 0.5)
+    doc = graph_to_dict(make_grid(spec, signs))
+    assert is_sign_column(signs) and is_sign_column(())
+    assert graphio._listed_signs(doc["edges"], *spec.edge_columns()) == signs
+    for bad in (True, 1.0, None, 0, 2):
+        column = signs[:-1] + (bad,)
+        assert not is_sign_column(column)
+        with pytest.raises(ValueError, match="sign column does not fit"):
+            make_grid(spec, column)
+        rows = [[u, v, s] for u, v, s in zip(*spec.edge_columns(), column)]
+        assert graphio._listed_signs(rows, *spec.edge_columns()) is None
 
 
 def one_defect_docs(doc):

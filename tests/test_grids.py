@@ -10,6 +10,7 @@ from signedgrids import (
     NEG,
     POS,
     GridSpec,
+    SignedGrid,
     all_c4_unbalanced_grid,
     find_isomorphism,
     make_grid,
@@ -185,8 +186,9 @@ def test_make_grid_matches_the_set_reference(case):
             make_grid(spec, sig)
         assert str(caught.value) == str(exc)
         return
-    g = make_grid(spec, sig).graph()
-    assert g == expected and g.grid == spec
+    grid = make_grid(spec, sig)
+    g = grid.graph()
+    assert g == expected and grid.grid == spec == expected.grid
     # in order too: the search filters neighbors in adjacency order
     assert [list(g.neighbors(v).items()) for v in range(g.n)] == [
         list(expected.neighbors(v).items()) for v in range(g.n)
@@ -214,6 +216,16 @@ def test_edge_count_is_the_number_of_edges():
             for cols in range(1, 8):
                 spec = GridSpec(kind, rows, cols)
                 assert spec.edge_count() == len(spec.edges())
+
+
+def test_edge_count_closed_form_is_the_slot_patterns_count():
+    # an unmasked grid's edge count is counted without its slot pattern; odd
+    # and even sides meet every parity case of the hex right edges
+    for kind in ("hex", "tri"):
+        for rows in range(1, 41):
+            for cols in range(1, 41):
+                spec = GridSpec(kind, rows, cols)
+                assert spec.edge_count() == spec.slot_pattern().count(1)
 
 
 class TestMasks:
@@ -339,10 +351,11 @@ class TestFixtures:
         assert all(is_unbalanced(w7, c) for c in enumerate_c4(w7))
 
     def test_c6(self):
-        c6 = unbalanced_c6().graph()
+        grid = unbalanced_c6()
+        assert isinstance(grid, SignedGrid) and grid.grid.kind == "hex"
+        c6 = grid.graph()
         assert c6.n == 6 and c6.edge_count == 6
         assert sum(1 for *_, s in c6.edges if s == NEG) == 1
-        assert isinstance(c6.grid, GridSpec) and c6.grid.kind == "hex"
         assert all(c6.degree(v) == 2 for v in range(6))  # one hexagon
         cycle = [0]
         while len(cycle) < 6:
