@@ -71,12 +71,12 @@ random_signature = _deferred("grids", "random_signature")
 unbalanced_c6 = _deferred("grids", "unbalanced_c6")
 unbalanced_wheel7 = _deferred("grids", "unbalanced_wheel7")
 SearchBudget = _deferred("hom", "SearchBudget")
-all_complete_targets = _deferred("hom", "all_complete_targets")
 canonical_complete_targets = _deferred("hom", "canonical_complete_targets")
 complete_signed_graph = _deferred("hom", "complete_signed_graph")
 ec_to_signed = _deferred("hom", "ec_to_signed")
 find_signed_hom = _deferred("hom", "find_signed_hom")
 signed_chromatic_number = _deferred("hom", "signed_chromatic_number")
+switching_classes = _deferred("hom", "switching_classes")
 verify_ec = _deferred("hom", "verify_ec")
 verify_signed = _deferred("hom", "verify_signed")
 automorphisms = _deferred("props", "automorphisms")
@@ -354,10 +354,13 @@ def cmd_lowerbounds(args) -> int:
             lines = [conclusion]
         else:
             g = unbalanced_wheel7()
-            admitting5 = 0
-            for h in all_complete_targets(5):
-                if find_signed_hom(g, h, budget=budget):
-                    admitting5 += 1
+            # one search per switching class, counted with its size: every
+            # target of a class admits the same signed homomorphisms
+            admitting5 = sum(
+                size
+                for mask, size in switching_classes(5)
+                if find_signed_hom(g, complete_signed_graph(5, mask), budget=budget)
+            )
             witness6 = None
             for mask in canonical_complete_targets(6):
                 h = complete_signed_graph(6, mask)

@@ -30,19 +30,23 @@ columns, every sign +1 or -1.  The grid then keeps the file's sign column,
 the tuple that check read, as its signs.  Every other edge list goes
 through a per-edge loop, the one path that accepts a permuted file and the
 one that words every error: each edge is streamed into its slot
-``3*u + d`` of a scratch slot array (see :mod:`signedgrids.grids`), for its
-smaller end ``u`` and the direction ``d`` of the step, and the filled
-slots, in order, become the sign column.  A masked grid's slot array has
-slots for the retained cells only, so loading it costs time and memory in
-proportion to the mask, however large the box.  An edge between cells that
-are not grid neighbors (no direction, by
-:meth:`~signedgrids.grids.GridSpec.direction`, or a slot without an edge),
-or a missing grid edge (the first empty slot, named by bounding-id
-arithmetic), is named in the error.  Every other graph object reads as a
-:class:`~signedgrids.core.SignedGraph`.  Both writers,
-:func:`graph_to_dict` and :func:`graph_to_dot`, read a grid's ``[u, v, s]``
-rows from its columns and a graph's from its sorted edges; only a
-:class:`~signedgrids.grids.SignedGrid` gets a ``"grid"``.
+``3*u + d`` (see :mod:`signedgrids.grids`), for its smaller end ``u`` and
+the direction ``d`` of the step.  For a list of the grid's edge count the
+slots are a scratch slot array, whose filled slots, in order, become the
+sign column.  Any other list cannot load, so its slots go in a dict, and
+an unmasked grid's slots are tested by
+:meth:`~signedgrids.grids.GridSpec.has_slot` arithmetic, not against the
+slot pattern: the error costs time and memory in proportion to the file,
+however large the grid it claims.  A masked grid has slots for the
+retained cells only, so it costs in proportion to the mask, however large
+the box.  An edge between cells that are not grid neighbors (no
+direction, by :meth:`~signedgrids.grids.GridSpec.direction`, or a slot
+without an edge), or a missing grid edge (the first empty slot with an
+edge, named by bounding-id arithmetic), is named in the error.  Every
+other graph object reads as a :class:`~signedgrids.core.SignedGraph`.
+Both writers, :func:`graph_to_dict` and :func:`graph_to_dot`, read a
+grid's ``[u, v, s]`` rows from its columns and a graph's from its sorted
+edges; only a :class:`~signedgrids.grids.SignedGrid` gets a ``"grid"``.
 
 Artifacts are written as ``json.dumps(value, indent=2, sort_keys=True,
 cls=ArtifactEncoder)``.  :class:`ArtifactEncoder` gives the same text as the
@@ -58,9 +62,10 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Mapping, Sequence
 from bisect import bisect_left
-from itertools import chain, compress
+from collections import defaultdict
+from collections.abc import Mapping, Sequence
+from itertools import chain, compress, count
 from operator import itemgetter
 
 from .core import SignedGraph
@@ -141,8 +146,8 @@ def graph_from_dict(d: Mapping) -> SignedGraph | SignedGrid:
     twice (a duplicate edge, in either orientation) is reported only once
     every edge has passed the structural checks, with the message and
     precedence a :class:`SignedGraph` gives it.  Since duplicates are
-    rejected, a count of filled slots below the grid's edge count means a
-    missing edge, which is then named.
+    rejected, a list that passes all that and is not of the grid's edge
+    count is short, and its first missing edge is named.
     """
     if not isinstance(d, Mapping):
         raise ValueError("graph must be a JSON object")
@@ -162,15 +167,19 @@ def graph_from_dict(d: Mapping) -> SignedGraph | SignedGrid:
         size = grid.rows * grid.cols if grid.mask is None else len(grid.mask)
         if n != size:
             raise ValueError(f"graph 'n' is {n}, but its grid has {size} cells")
-        # the edge columns are built only for a list of the grid's length
-        listed = _listed_signs(raw, *grid.edge_columns()) if len(raw) == grid.edge_count() else None
+        # the edge columns, the slot pattern and a slot array are built only
+        # for a list of the grid's length; any other list fails, so the slots
+        # it fills go in a dict (a slot read there is then filled, so its keys
+        # are the filled slots), and an unmasked grid's are tested by arithmetic
+        full = len(raw) == grid.edge_count()
+        listed = _listed_signs(raw, *grid.edge_columns()) if full else None
         if listed is not None:
             if labels is not None and len(labels) != n:
                 raise ValueError("labels must cover every vertex")
             return SignedGrid(grid, listed, None if labels is None else tuple(labels))
-        pattern = grid.slot_pattern()
+        has_slot = grid.slot_pattern().__getitem__ if full else grid.has_slot
         where, direction = grid.bounding_ids(), grid.direction
-        slots = bytearray(len(pattern))
+        slots = bytearray(3 * n) if full else defaultdict(int)
         later = None  # the first bad sign or duplicate
     for e in raw:
         if type(e) is not list or len(e) != 3:
@@ -184,7 +193,7 @@ def graph_from_dict(d: Mapping) -> SignedGraph | SignedGrid:
             lo, hi = (u, v) if u < v else (v, u)
             d = direction(where[lo], where[hi])
             p = 3 * lo + d
-            if d < 0 or not pattern[p]:
+            if d < 0 or not has_slot(p):
                 raise ValueError(f"edge {e!r} does not join neighboring cells of the {grid.kind} grid")
             if later is not None:
                 continue
@@ -200,9 +209,11 @@ def graph_from_dict(d: Mapping) -> SignedGraph | SignedGrid:
         raise ValueError(later)
     if labels is not None and len(labels) != n:
         raise ValueError("labels must cover every vertex")
-    if slots.count(0) != pattern.count(0):
-        # the first empty slot of the pattern; vertex ids keep the order of bounding ids
-        p = next(p for p in compress(range(len(pattern)), pattern) if not slots[p])
+    if not full:
+        # a short list (a long one repeats a slot): its first missing edge,
+        # the first empty slot with an edge, lies among the first len(raw) + 1
+        # edges; vertex ids keep the order of bounding ids
+        p = next(p for p in count() if p not in slots and has_slot(p))
         x, cols = where[p // 3], grid.cols
         y = x + (1, cols - 1, cols)[p % 3]
         a, b = (x // cols + 1, x % cols + 1), (y // cols + 1, y % cols + 1)

@@ -166,6 +166,18 @@ class GridSpec:
         _fill(pattern, 3 * cols - 3, len(pattern), 3 * cols, 0)  # no right from the last column
         return bytes(pattern)
 
+    def has_slot(self, p: int) -> bool:
+        """Whether slot ``p`` holds an edge, ``slot_pattern()[p] == 1``; for
+        an unmasked grid it is read off the slot's row, column and direction,
+        and no pattern is built."""
+        if self.mask is not None:
+            return self.slot_pattern()[p] == 1
+        (i, j), d = divmod(p // 3, self.cols), p % 3
+        if d == 0:  # right: not from the last column, on hex where i + j is even
+            return j < self.cols - 1 and (self.kind == "tri" or (i + j) % 2 == 0)
+        # down, and down-left on tri but not from column 0: not from the last row
+        return i < self.rows - 1 and (d == 2 or (self.kind == "tri" and j > 0))
+
     def edge_count(self) -> int:
         """``len(self.edges())``, in closed form for an unmasked grid."""
         if self.mask is not None:

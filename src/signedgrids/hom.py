@@ -28,15 +28,21 @@ The chromatic number of a signed graph is the order of its smallest target;
 :func:`signed_chromatic_number` computes it exactly on small instances by
 sweeping all complete signed targets of increasing order (restricting to
 complete targets loses nothing because adding edges to a target never removes
-homomorphisms).
+homomorphisms), one per isomorphism class (:func:`canonical_complete_targets`);
+:func:`switching_classes` also factors out switching.  Both mark whole orbits,
+all ``n!`` permutation images at once from lane-packed ints, in a ``bytearray``
+of ``2^(n(n-1)/2)`` bytes, so the order is at most 7.
 """
 
 from __future__ import annotations
 
+import sys
+from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache
-from itertools import permutations
+from itertools import permutations, repeat
+from operator import setitem
 
 from .core import NEG, POS, SignedGraph, antitwin_double, sign_masks
 from .core import switch  # unused here; perfbench/tracing.py patches signedgrids.hom.switch
@@ -53,8 +59,8 @@ __all__ = [
     "ec_to_signed",
     "signed_chromatic_number",
     "complete_signed_graph",
-    "all_complete_targets",
     "canonical_complete_targets",
+    "switching_classes",
 ]
 
 
@@ -324,11 +330,41 @@ def complete_signed_graph(n: int, mask: int) -> SignedGraph:
     return SignedGraph(n, edges)
 
 
-def all_complete_targets(n: int):
-    """All ``2^(n(n-1)/2)`` complete signed graphs on ``n`` vertices."""
-    m = n * (n - 1) // 2
-    for mask in range(1 << m):
-        yield complete_signed_graph(n, mask)
+def _orbit_minima(n: int, cuts: Sequence[int] = (0,)):
+    """Yield the least mask of each orbit of the complete signed graphs of
+    order ``n`` (a mask's images under every vertex permutation, each XORed
+    with every mask in ``cuts``) in increasing order, each with the marking
+    array once its orbit is marked.
+
+    Lane ``p`` of ``lanes[k]``, 16 bits wide for ``n <= 6`` and 32 for
+    ``n = 7``, holds the bit that pair ``k`` moves to under the ``p``-th
+    permutation, so the OR of ``lanes[k]`` over a mask's set bits holds all
+    its images.  One ``to_bytes`` and a C-level pass mark them, and
+    ``bytearray.find`` jumps to the next unmarked mask.
+    """
+    if n > 7:
+        raise ValueError(f"complete targets are enumerated up to order 7, not {n}")
+    idx = _pair_index(n)
+    width, code = (2, "H") if len(idx) <= 16 else (4, "I")
+    bit = {}
+    for (i, j), k in idx.items():
+        bit[i, j] = bit[j, i] = (1 << k).to_bytes(width, sys.byteorder)
+    perms = list(permutations(range(n)))
+    lanes = [int.from_bytes(b"".join([bit[p[i], p[j]] for p in perms]), sys.byteorder) for i, j in idx]
+    every_lane = int.from_bytes((1).to_bytes(width, sys.byteorder) * len(perms), sys.byteorder)
+    size = len(perms) * width
+    seen = bytearray(1 << len(idx))
+    sig = 0
+    while sig >= 0:
+        packed = 0
+        for k in range(sig.bit_length()):
+            if sig >> k & 1:
+                packed |= lanes[k]
+        for cut in cuts:
+            images = memoryview((packed ^ cut * every_lane).to_bytes(size, sys.byteorder)).cast(code)
+            deque(map(setitem, repeat(seen), images, repeat(1)), 0)
+        yield sig, seen
+        sig = seen.find(0, sig + 1)
 
 
 @cache
@@ -337,34 +373,36 @@ def canonical_complete_targets(n: int) -> tuple[int, ...]:
 
     The representative of each class is the minimum mask over all vertex
     permutations (negation and switching are *not* factored out; differently
-    switched targets are distinct).  Computed by sweeping masks in increasing
-    order and marking whole orbits, which reproduces the brute-force
-    all-permutations minimum.
+    switched targets are distinct): the first unmarked mask of a sweep in
+    increasing order, whose orbit is then marked (:func:`_orbit_minima`).
+    The marking array holds ``2^(n(n-1)/2)`` bytes, so ``n`` is at most 7.
+    """
+    return tuple(sig for sig, _ in _orbit_minima(n))
+
+
+@cache
+def switching_classes(n: int) -> tuple[tuple[int, int], ...]:
+    """``(least mask, class size)`` of each class of complete signed graphs
+    of order ``n`` under switching and vertex permutation, in mask order.
+
+    Switching at a vertex set flips the pairs with one end in it, its cut,
+    so a class is the permutation images of its least mask XOR each of the
+    ``2^(n-1)`` cuts.  Every mask of a class admits the same signed
+    homomorphisms.  ``n`` is at most 7.
     """
     idx = _pair_index(n)
-    m = n * (n - 1) // 2
-    perm_maps = []
-    for perm in permutations(range(n)):
-        dst = [0] * m
-        for (i, j), k in idx.items():
-            a, b = perm[i], perm[j]
-            dst[k] = idx[(a, b) if a < b else (b, a)]
-        perm_maps.append(tuple(dst))
-    seen = bytearray(1 << m)
-    reps = []
-    for sig in range(1 << m):
-        if seen[sig]:
-            continue
-        reps.append(sig)
-        for dst in perm_maps:
-            t = 0
-            rest = sig
-            while rest:
-                low = rest & -rest
-                t |= 1 << dst[low.bit_length() - 1]
-                rest ^= low
-            seen[t] = 1
-    return tuple(reps)
+    # vertex n - 1 is never switched: a set and its complement have one cut
+    cuts = [
+        sum(1 << k for (i, j), k in idx.items() if (s >> i ^ s >> j) & 1)
+        for s in range(1 << max(n - 1, 0))
+    ]
+    classes = []
+    unmarked = 1 << len(idx)
+    for sig, seen in _orbit_minima(n, cuts):
+        left = seen.count(0)
+        classes.append((sig, unmarked - left))
+        unmarked = left
+    return tuple(classes)
 
 
 def signed_chromatic_number(
@@ -378,7 +416,8 @@ def signed_chromatic_number(
     to ``max_order`` works, i.e. the chromatic number exceeds ``max_order``,
     and raises ``ValueError`` for a ``max_order`` below 1, which no graph's
     chromatic number can exceed.  Exact but exponential in the order;
-    intended for ``max_order <= 6``.
+    intended for ``max_order <= 6``.  Targets are enumerated up to order 7,
+    so a sweep that reaches order 8 raises ``ValueError``.
     """
     if max_order < 1:
         raise ValueError(f"max_order must be at least 1, got {max_order}")

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import copy
 import random
+from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 from hypothesis import strategies as st
 
@@ -24,7 +25,14 @@ from signedgrids import (
 )
 from signedgrids.colorers import ColoringInvariantError
 from signedgrids.graphio import grid_from_dict
-from signedgrids.hom import Homomorphism, SearchBudget, _search_order, ec_to_signed, find_ec_hom
+from signedgrids.hom import (
+    Homomorphism,
+    SearchBudget,
+    _search_order,
+    complete_signed_graph,
+    ec_to_signed,
+    find_ec_hom,
+)
 from signedgrids.props import pstar21_excluded_pairs
 
 
@@ -386,6 +394,85 @@ def find_ec_hom_reference(
     if extend(0):
         return Homomorphism(tuple(assignment))
     return None
+
+
+# ---------------------------------------------------------------------------
+# Oracles for the complete targets: masks over the pairs (0,1), (0,2), ...,
+# (0,n-1), (1,2), ..., a set bit a negative pair, with no lane packing.
+# ---------------------------------------------------------------------------
+
+
+def _pair_bits(n: int) -> dict[tuple[int, int], int]:
+    return {pair: k for k, pair in enumerate(combinations(range(n), 2))}
+
+
+def all_complete_targets(n: int):
+    """All ``2^(n(n-1)/2)`` complete signed graphs on ``n`` vertices."""
+    for mask in range(1 << len(_pair_bits(n))):
+        yield complete_signed_graph(n, mask)
+
+
+def canonical_complete_targets_reference(n: int) -> tuple[int, ...]:
+    """Oracle for ``canonical_complete_targets``: masks swept in increasing
+    order, each unmarked one a representative whose orbit is marked one
+    permutation and one bit at a time."""
+    idx = _pair_bits(n)
+    m = len(idx)
+    perm_maps = []
+    for perm in permutations(range(n)):
+        dst = [0] * m
+        for (i, j), k in idx.items():
+            a, b = perm[i], perm[j]
+            dst[k] = idx[(a, b) if a < b else (b, a)]
+        perm_maps.append(tuple(dst))
+    seen = bytearray(1 << m)
+    reps = []
+    for sig in range(1 << m):
+        if seen[sig]:
+            continue
+        reps.append(sig)
+        for dst in perm_maps:
+            t = 0
+            rest = sig
+            while rest:
+                low = rest & -rest
+                t |= 1 << dst[low.bit_length() - 1]
+                rest ^= low
+            seen[t] = 1
+    return tuple(reps)
+
+
+def switching_classes_reference(n: int) -> list[tuple[int, int]]:
+    """Oracle for ``switching_classes``: a union-find over every mask of
+    order ``n``, joined along the group's generators, the adjacent
+    transpositions and the single-vertex switches.  A root is always the
+    least mask of its set; returns ``(least mask, size)`` in mask order."""
+    idx = _pair_bits(n)
+    masks = range(1 << len(idx))
+    parent = list(masks)
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    moves = []
+    for i in range(n - 1):  # swap i and i + 1: where each pair's bit goes
+        swap = {i: i + 1, i + 1: i}
+        dst = [idx[tuple(sorted((swap.get(a, a), swap.get(b, b))))] for a, b in idx]
+        image = [0] * len(masks)
+        for mask in masks[1:]:
+            low = mask & -mask
+            image[mask] = image[mask ^ low] | 1 << dst[low.bit_length() - 1]
+        moves.append(image.__getitem__)
+    for v in range(n):  # switch v: negate the pairs at v
+        moves.append(sum(1 << k for pair, k in idx.items() if v in pair).__xor__)
+    for mask in masks:
+        for move in moves:
+            a, b = find(mask), find(move(mask))
+            if a != b:
+                parent[max(a, b)] = min(a, b)
+    return sorted(Counter(map(find, masks)).items())
 
 
 # ---------------------------------------------------------------------------

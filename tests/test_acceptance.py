@@ -37,10 +37,11 @@ from signedgrids import (
     verify_ec,
     verify_signed,
 )
-from signedgrids.hom import all_complete_targets, ec_to_signed, find_ec_hom
+from signedgrids.hom import ec_to_signed, find_ec_hom
 from signedgrids.props import pstar21_excluded_pairs
 
 from helpers import (
+    all_complete_targets,
     compatible_colors_reference,
     enumerate_c4,
     induced_target,

@@ -284,6 +284,26 @@ class TestReports:
         assert data["order6_witness_mask"] is not None
         assert "no target of order 5" in capsys.readouterr().out
 
+    def test_lowerbounds_wheel7_searches_one_order5_target_per_switching_class(self, tmp_path, monkeypatch):
+        orders = []
+        search = signedgrids.cli.find_signed_hom
+
+        def counted(g, h, budget=None):
+            orders.append(h.n)
+            return search(g, h, budget=budget)
+
+        monkeypatch.setattr(signedgrids.cli, "find_signed_hom", counted)
+        out = tmp_path / "lb.json"
+        assert run("lowerbounds", "--instance", "wheel7", "-o", str(out)) == EXIT_OK
+        assert sha256(out) == "418b69981b88808f02b0bfefdcf3a4ff9b4696c770abbd2922bf6473b53fff9f"
+        assert orders.count(5) == 7 and set(orders) == {5, 6}
+
+    def test_lowerbounds_wheel7_budget_exhaustion(self, tmp_path, capsys):
+        out = tmp_path / "lb.json"
+        assert run("lowerbounds", "--instance", "wheel7", "--budget", "0", "-o", str(out)) == EXIT_UNKNOWN
+        assert read(out)["status"] == "unknown"
+        assert capsys.readouterr().out == ""
+
     def test_chromatic_c6_grid(self, tmp_path):
         graph = tmp_path / "c6.json"
         run("gen", "--kind", "hex", "--rows", "3", "--cols", "2", "--seed", "0", "--p-neg", "0", "-o", str(graph))

@@ -291,6 +291,52 @@ def test_a_short_grid_edge_list_costs_its_file_not_its_grid(monkeypatch):
     assert peak < 16 << 20
 
 
+@pytest.mark.parametrize(
+    "kind, edges, message",
+    [
+        ("tri", [], "grid edge (1, 1)-(1, 2) (vertices 0, 1) is missing"),
+        ("hex", [[0, 100000, 1], [1, 0, -1]], "grid edge (1, 2)-(2, 2) (vertices 1, 100001) is missing"),
+        ("tri", [[0, 1, 1], [1, 0, 1]], "duplicate edge (1,0)"),
+        ("tri", [[100000, 1, 1], [0, 1, 2]], "edge sign must be +1 or -1, got 2"),
+        ("hex", [[1, 2, 1]], "edge [1, 2, 1] does not join neighboring cells of the hex grid"),
+        ("tri", [[99999, 100000, 1]], "edge [99999, 100000, 1] does not join neighboring cells"),
+    ],
+)
+def test_a_grid_of_ten_billion_cells_costs_its_file(monkeypatch, kind, edges, message):
+    # an unmasked 10^5 x 10^5 grid and a short edge list: no slot pattern and
+    # no slot array of the box are built, its slots are tested by arithmetic,
+    # and the errors and their precedence are those of a small grid
+    def refuse(self):
+        raise AssertionError("built for a short edge list")
+
+    for name in ("edge_columns", "edges", "cells", "slot_pattern"):
+        monkeypatch.setattr(GridSpec, name, refuse)
+    doc = {"n": 10**10, "edges": edges, "grid": {"kind": kind, "rows": 10**5, "cols": 10**5}}
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            graph_from_dict(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
+
+
+@pytest.mark.parametrize("kind", ["hex", "tri"])
+def test_a_permuted_full_edge_list_loads_as_the_canonical_one(kind):
+    # a list of the grid's edge count that is not in order takes the slot
+    # array; one edge fewer or one more is an error, as the reference words it
+    spec = GridSpec(kind, 17, 23)
+    g = make_grid(spec, random_signature(spec, 4, 0.5))
+    edges = [[v, u, s] if k % 3 else [u, v, s] for k, (u, v, s) in enumerate(graph_to_dict(g)["edges"])]
+    random.Random(4).shuffle(edges)
+    doc = dict(graph_to_dict(g), edges=edges)
+    assert graph_from_dict(doc) == g
+    for changed in (edges[:-1], edges[1:], edges + edges[5:6]):
+        doc = dict(doc, edges=changed)
+        assert load_outcome(graph_from_dict, doc) == load_outcome(graph_from_dict_reference, doc)
+
+
 def test_make_grid_and_the_loader_share_one_sign_check():
     # the same columns are rejected by make_grid and by the loader's bulk
     # check; True == 1 and 1.0 == 1, but neither is an int sign

@@ -228,6 +228,19 @@ def test_edge_count_closed_form_is_the_slot_patterns_count():
                 assert spec.edge_count() == spec.slot_pattern().count(1)
 
 
+def test_slot_arithmetic_is_the_slot_pattern():
+    # an unmasked grid tests a slot without its pattern; a masked one reads it
+    rng = random.Random(12)
+    for kind in ("hex", "tri"):
+        for rows in range(1, 13):
+            for cols in range(1, 13):
+                spec = GridSpec(kind, rows, cols)
+                masked = GridSpec(kind, rows, cols, frozenset(c for c in spec.cells() if rng.random() < 0.7))
+                for s in (spec, masked):
+                    pattern = s.slot_pattern()
+                    assert [s.has_slot(p) for p in range(len(pattern))] == [x == 1 for x in pattern]
+
+
 class TestMasks:
     def test_masked_grid_is_induced_subgraph(self):
         for i in range(20):

@@ -30,8 +30,8 @@ from signedgrids import (
 from signedgrids.graphio import hom_from_dict
 from signedgrids.hom import (
     Homomorphism,
-    all_complete_targets,
     ec_to_signed,
+    switching_classes,
 )
 
 from signedgrids.colorers import color_hex, color_tri
@@ -39,11 +39,14 @@ from signedgrids.core import rho_sp9_plus, sp9_plus
 from signedgrids.grids import GridSpec, make_grid, random_signature
 
 from helpers import (
+    all_complete_targets,
+    canonical_complete_targets_reference,
     ec_hom_exists_brute,
     find_ec_hom_reference,
     induced_target,
     random_signed_graph,
     signed_hom_exists_brute,
+    switching_classes_reference,
     verify_ec_reference,
     verify_signed_reference,
     verify_signed_with_mapping,
@@ -315,14 +318,54 @@ class TestTargetEnumeration:
         assert sum(1 for _ in all_complete_targets(3)) == 8
 
     def test_canonical_counts(self):
-        assert [len(canonical_complete_targets(n)) for n in range(1, 7)] == [
+        assert [len(canonical_complete_targets(n)) for n in range(1, 8)] == [
             1,
             2,
             4,
             11,
             34,
             156,
+            1044,
         ]
+
+    def test_canonical_targets_match_the_orbit_loop(self):
+        for n in range(7):
+            assert canonical_complete_targets(n) == canonical_complete_targets_reference(n)
+
+    def test_switching_classes_match_the_union_find(self):
+        # orders 0-6; from order 1 on, the two-graph counts of Mallows and Sloane
+        counts = []
+        for n in range(7):
+            classes = switching_classes(n)
+            assert list(classes) == switching_classes_reference(n)
+            assert sum(size for _, size in classes) == 1 << (n * (n - 1) // 2)
+            # a class's least mask is the least of its isomorphism classes too
+            assert {mask for mask, _ in classes} <= set(canonical_complete_targets(n))
+            counts.append(len(classes))
+        assert counts == [1, 1, 1, 2, 3, 7, 16]
+
+    def test_a_class_admits_as_each_of_its_targets(self):
+        # a signed homomorphism into one target of a switching class gives one
+        # into every target of the class, so the classes count all admitting masks
+        rng = random.Random(31)
+        for _ in range(6):
+            g = random_signed_graph(rng, 6, 0.6)
+            for order in (3, 4):
+                admitting = sum(
+                    find_signed_hom(g, complete_signed_graph(order, mask)) is not None
+                    for mask in range(1 << (order * (order - 1) // 2))
+                )
+                assert admitting == sum(
+                    size
+                    for mask, size in switching_classes(order)
+                    if find_signed_hom(g, complete_signed_graph(order, mask)) is not None
+                )
+
+    def test_orders_above_seven_are_refused(self):
+        # the marking array would hold 2^28 bytes at order 8
+        for enumerate_order in (canonical_complete_targets, switching_classes):
+            with pytest.raises(ValueError, match="up to order 7, not 8"):
+                enumerate_order(8)
 
     def test_canonical_reps_match_bruteforce_minimum(self):
         # oracle for small orders: the minimum over all vertex permutations
