@@ -18,7 +18,8 @@ verifier can check:
 * :func:`color_tri` maps any signed triangular grid into the antitwin
   doubling of SP9 plus a universal vertex.  Rows are processed top to bottom;
   within a row, a forward pass propagates per-vertex candidate color sets
-  (each provably of size at least 2) and a backward pass commits choices.
+  (each provably of size at least 2; the smallest size is kept as the
+  :class:`CandidateTrace`) and a backward pass commits choices.
 
 Both colorers work on a scratch slot array of the bounding grid (the slot
 layout of :mod:`signedgrids.grids`), viewed as signed bytes: the edge from
@@ -74,13 +75,13 @@ class ColoringInvariantError(RuntimeError):
 
 @dataclass(frozen=True)
 class CandidateTrace:
-    """Per-row candidate color sets produced by the triangular forward pass,
-    one int bitmask over the target vertices per cell of the bounding grid."""
+    """The size of the triangular forward pass's smallest candidate set over
+    the bounding grid, which its invariant keeps at least 2."""
 
-    rows: tuple[tuple[int, ...], ...]
+    smallest: int
 
     def min_size(self) -> int:
-        return min(s.bit_count() for row in self.rows for s in row)
+        return self.smallest
 
 
 def _members(colors: int) -> list[int]:
@@ -277,8 +278,8 @@ def color_tri(g: SignedGrid) -> tuple[Homomorphism, CandidateTrace]:
     (checked, never expected to fail).  The backward pass then fixes the row
     right to left, each vertex taking the lowest candidate compatible with
     its right neighbor's choice.  Returns the homomorphism (empty switch set,
-    target :func:`signedgrids.core.rho_sp9_plus`) and the trace of candidate
-    sets.
+    target :func:`signedgrids.core.rho_sp9_plus`) and the
+    :class:`CandidateTrace` of the smallest candidate set's size.
     """
     _require_grid(g, "tri")
     spec = g.grid
@@ -297,7 +298,7 @@ def color_tri(g: SignedGrid) -> tuple[Homomorphism, CandidateTrace]:
         return out
 
     phi = [-1] * (rows * cols)
-    trace_rows = []
+    smallest = everyone.bit_count()
 
     for r in range(1, rows + 1):
         base = (r - 1) * cols  # bounding id of (r, 1)
@@ -312,12 +313,12 @@ def color_tri(g: SignedGrid) -> tuple[Homomorphism, CandidateTrace]:
                     cands &= masks[signs[3 * up + 4]][phi[up + 1]]  # down-left slot of (r-1, c+1)
             if c >= 2:
                 cands &= reachable(sets[-1], signs[3 * cur - 3])
-            if cands.bit_count() < 2:
-                raise ColoringInvariantError(
-                    f"candidate set at ({r},{c}) has {cands.bit_count()} < 2 colors"
-                )
+            size = cands.bit_count()
+            if size < 2:
+                raise ColoringInvariantError(f"candidate set at ({r},{c}) has {size} < 2 colors")
+            if size < smallest:
+                smallest = size
             sets.append(cands)
-        trace_rows.append(tuple(sets))
 
         # backward pass: commit the row right to left
         phi[base + cols - 1] = _lowest(sets[cols - 1])
@@ -330,4 +331,4 @@ def color_tri(g: SignedGrid) -> tuple[Homomorphism, CandidateTrace]:
                 )
             phi[left] = _lowest(feasible)
 
-    return Homomorphism(_restrict(phi, spec)), CandidateTrace(tuple(trace_rows))
+    return Homomorphism(_restrict(phi, spec)), CandidateTrace(smallest)

@@ -22,6 +22,7 @@ from functools import cache
 
 POS = 1
 NEG = -1
+_EMPTY_ROW: dict[int, int] = {}  # the row of every isolated vertex; never written
 
 __all__ = [
     "POS",
@@ -62,9 +63,11 @@ class SignedGraph:
     Attributes:
         n: Number of vertices.
         labels: Optional tuple of vertex labels (cosmetic only).
+        adjacency: The row (neighbor -> sign) of each vertex that an edge
+            touches; an isolated vertex has no key.  Treat as read-only.
     """
 
-    __slots__ = ("n", "labels", "_edges", "_adj")
+    __slots__ = ("n", "labels", "_edges", "adjacency")
 
     def __init__(
         self,
@@ -74,7 +77,7 @@ class SignedGraph:
     ):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        adj: list[dict[int, int]] = [{} for _ in range(n)]
+        adj: dict[int, dict[int, int]] = {}
         canon = []
         for u, v, s in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -82,10 +85,10 @@ class SignedGraph:
             if u == v:
                 raise ValueError(f"loop at vertex {u} is not allowed")
             _check_sign(s)
-            if v in adj[u]:
+            if v in adj.setdefault(u, {}):
                 raise ValueError(f"duplicate edge ({u},{v})")
             adj[u][v] = s
-            adj[v][u] = s
+            adj.setdefault(v, {})[u] = s
             canon.append((u, v, s) if u < v else (v, u, s))
         if labels is not None:
             labels = tuple(labels)
@@ -94,7 +97,7 @@ class SignedGraph:
         self.n = n
         self.labels = labels
         self._edges = tuple(sorted(canon))
-        self._adj = tuple(adj)
+        self.adjacency = adj
 
     @property
     def edges(self) -> tuple[tuple[int, int, int], ...]:
@@ -106,22 +109,22 @@ class SignedGraph:
         return len(self._edges)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self._adj[u]
+        return v in self.adjacency.get(u, _EMPTY_ROW)
 
     def sign(self, u: int, v: int) -> int:
         """Sign of edge ``uv``; raises ``KeyError`` if the pair is a non-edge."""
-        return self._adj[u][v]
+        return self.adjacency[u][v]
 
     def status(self, u: int, v: int) -> int:
         """+1/-1 for an edge, 0 for a non-edge (or ``u == v``)."""
-        return self._adj[u].get(v, 0)
+        return self.adjacency.get(u, _EMPTY_ROW).get(v, 0)
 
     def neighbors(self, v: int) -> dict[int, int]:
         """Mapping neighbor -> sign.  Treat as read-only."""
-        return self._adj[v]
+        return self.adjacency.get(v, _EMPTY_ROW)
 
     def degree(self, v: int) -> int:
-        return len(self._adj[v])
+        return len(self.adjacency.get(v, _EMPTY_ROW))
 
     def label(self, v: int) -> str:
         return self.labels[v] if self.labels is not None else str(v)
@@ -144,8 +147,8 @@ def sign_masks(h: SignedGraph) -> dict[int, list[int]]:
     Built per call; nothing is cached.
     """
     masks = {POS: [0] * h.n, NEG: [0] * h.n}
-    for a in range(h.n):
-        for b, s in h._adj[a].items():
+    for a, row in h.adjacency.items():
+        for b, s in row.items():
             masks[s][a] |= 1 << b
     return masks
 

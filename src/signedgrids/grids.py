@@ -36,10 +36,10 @@ for its retained cells only, so its size follows the mask, not the box.  The
 three neighbors lie at bounding ids ``b+1 < b+cols-1 < b+cols`` (on two
 columns a cell has a right or a down-left edge, never both) and vertex ids
 keep the order of bounding ids, so the slots with an edge, in order, are the
-edges in :meth:`GridSpec.edges` order.  :func:`make_grid` from a cell-pair
-mapping and the file loader's per-edge path fill a slot array by direction
-and keep its non-zero slots as the sign column; the colorers scatter a
-grid's signs into the slots of its bounding grid.
+edges in :meth:`GridSpec.edges` order.  The file loader's per-edge path
+fills a slot array by direction and keeps its non-zero slots as the sign
+column, and the colorers scatter a grid's signs into the slots of its
+bounding grid; :func:`make_grid` reads a cell-pair mapping in edge order.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ import random
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, compress, islice
+from itertools import chain, compress, islice, product
 
 from .core import NEG, POS, SignedGraph
 
@@ -64,9 +64,6 @@ __all__ = [
     "unbalanced_wheel7",
     "unbalanced_c6",
 ]
-
-# the step from a cell to its right, down-left and down neighbor -> direction
-_DIRECTION = {(0, 1): 0, (1, -1): 1, (1, 0): 2}
 
 
 def is_sign_column(signs: tuple) -> bool:
@@ -102,9 +99,7 @@ class GridSpec:
     def cells(self) -> tuple[Cell, ...]:
         """Retained cells in row-major order."""
         if self.mask is None:
-            return tuple(
-                (i, j) for i in range(1, self.rows + 1) for j in range(1, self.cols + 1)
-            )
+            return tuple(product(range(1, self.rows + 1), range(1, self.cols + 1)))
         return tuple(sorted(self.mask))
 
     def bounding_ids(self) -> range | list[int]:
@@ -277,18 +272,14 @@ def make_grid(spec: GridSpec, signature: Sequence[int] | Mapping[CellEdge, int])
 
     ``signature`` is either a sign column, a sequence of one sign per edge
     in :meth:`GridSpec.edges` order (as :func:`random_signature` returns),
-    or a mapping that assigns a sign to exactly the edges of ``spec``, keyed
-    by cell pairs as produced by :meth:`GridSpec.edges`.  A column must have
+    or a mapping from exactly those cell pairs to signs.  A column must have
     :meth:`GridSpec.edge_count` entries, each of type exactly ``int`` (not
-    ``True``, not ``1.0``) and equal to +1 or -1.
-
-    One pass over a mapping checks and places every key in its slot: the
-    first cell must be a vertex and the pair must fill a slot of
-    :meth:`GridSpec.slot_pattern`, so distinct valid keys fill distinct
-    slots, and a key count equal to the edge count means the keys are
-    exactly the grid's edges.  Otherwise ``ValueError`` names how many edges
-    are missing and extra.  A sign that is not +1 or -1 is reported after
-    that, the first in edge order.
+    ``True``, not ``1.0``) and equal to +1 or -1.  A mapping is read in edge
+    order, and only when it has one key per edge; otherwise, or if an edge
+    has no key, ``ValueError`` names how many edges are missing and extra.
+    Then the first value in edge order that is not ``== +1`` or ``== -1`` is
+    named; the others are stored as the ints, so ``True`` and ``1.0`` read
+    as ``1``.
     """
     if not isinstance(signature, Mapping):
         signs = tuple(signature)
@@ -298,38 +289,23 @@ def make_grid(spec: GridSpec, signature: Sequence[int] | Mapping[CellEdge, int])
                 f"it needs {spec.edge_count()} entries, each the int +1 or -1"
             )
         return SignedGrid(spec, signs)
-    pattern = spec.slot_pattern()
-    rows, cols = spec.rows, spec.cols
-    vertex = None if spec.mask is None else {c: v for v, c in enumerate(spec.cells())}
-    slots = bytearray(len(pattern))
-    bad: dict[int, object] = {}
-    placed = 0
+    edges = spec.edges()
     try:
-        for ((i, j), (k, l)), s in signature.items():
-            d = _DIRECTION.get((k - i, l - j), -1)
-            if d < 0 or not (0 < i <= rows and 0 < j <= cols):
-                break
-            x = (i - 1) * cols + (j - 1) if vertex is None else vertex.get((i, j), -1)
-            # a tail in the grid and a slot with an edge put the head in it too
-            if x < 0 or not pattern[3 * x + d]:
-                break
-            p = 3 * x + d
-            if s == POS or s == NEG:
-                slots[p] = 1 if s == POS else 255
-            else:
-                bad[p] = s
-            placed += 1
-    except (TypeError, ValueError):  # a key that is no pair of integer pairs
-        pass
-    if placed != len(signature) or placed != pattern.count(1):
-        expected = set(spec.edges())
+        signs = tuple(map(signature.__getitem__, edges)) if len(signature) == len(edges) else None
+    except KeyError:
+        signs = None
+    if signs is None:
+        expected = set(edges)
         raise ValueError(
             f"signature domain mismatch: {len(expected - set(signature))} missing, "
             f"{len(set(signature) - expected)} extra edges"
         )
-    if bad:
-        raise ValueError(f"edge sign must be +1 or -1, got {bad[min(bad)]!r}")
-    return SignedGrid(spec, tuple(compress(memoryview(slots).cast("b"), slots)))
+    if not is_sign_column(signs):
+        for s in signs:
+            if not (s == POS or s == NEG):
+                raise ValueError(f"edge sign must be +1 or -1, got {s!r}")
+        signs = tuple([POS if s == POS else NEG for s in signs])
+    return SignedGrid(spec, signs)
 
 
 def random_signature(spec: GridSpec, seed: int, p_negative: float) -> tuple[int, ...]:

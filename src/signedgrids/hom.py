@@ -124,7 +124,7 @@ def verify_signed(g: SignedGraph | SignedGrid, h: SignedGraph, hom: Homomorphism
         raise ValueError("mapping must be total on the source vertices")
     if mapping and (min(mapping) < 0 or max(mapping) >= h.n):
         return False
-    rows = [h.neighbors(a) for a in range(h.n)]
+    rows = h.adjacency  # an isolated image has no row: a KeyError, a non-edge
     flip = [False] * g.n
     for v in flipped:
         flip[v] = True

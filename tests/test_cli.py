@@ -5,6 +5,7 @@ import gc
 import hashlib
 import json
 import os
+import resource
 import stat
 import subprocess
 import sys
@@ -437,6 +438,48 @@ def test_verify_and_chromatic_on_a_tiny_mask_in_a_huge_box(tmp_path, capsys):
     assert capsys.readouterr() == ("certificate OK\n", "")
     assert run("chromatic", "-i", str(graph), "--max-order", "2", "-o", str(chi)) == EXIT_OK
     assert read(chi)["order"] == 2
+
+
+# small files that claim a large graph, and a 256 MB address-space limit
+# under which each must be rejected in proportion to its own size
+HOSTILE_FILES = {
+    "plain-1e8.json": {"n": 10**8, "edges": []},
+    "tri-1000-no-edges.json": {"n": 10**6, "edges": [], "grid": {"kind": "tri", "rows": 1000, "cols": 1000}},
+    "tri-1e5-no-edges.json": {"n": 10**10, "edges": [], "grid": {"kind": "tri", "rows": 10**5, "cols": 10**5}},
+    "edge.json": {"n": 2, "edges": [[0, 1, 1]]},
+    "t4-cert.json": hom_to_dict(Homomorphism((0, 1)), build_T4()),
+    # the mapping is in range, but no edge touches its images
+    "plain-1e8-cert.json": {"mapping": [0, 1], "switch": [], "target": {"n": 10**8, "edges": []}},
+}
+ADDRESS_SPACE = 256 << 20
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("color", "-i", "plain-1e8.json", "-o", "out.json"), EXIT_USAGE),
+        (("verify", "-i", "plain-1e8.json", "-c", "t4-cert.json"), EXIT_VERIFY),
+        (("verify", "-i", "edge.json", "-c", "plain-1e8-cert.json"), EXIT_VERIFY),
+        *(
+            ((command, "-i", name, *extra), EXIT_USAGE)
+            for name in ("tri-1000-no-edges.json", "tri-1e5-no-edges.json")
+            for command, extra in (("color", ("-o", "out.json")), ("verify", ("-c", "t4-cert.json")))
+        ),
+    ],
+)
+def test_a_small_file_claiming_a_large_graph_costs_its_size(tmp_path, argv, code):
+    for name, payload in HOSTILE_FILES.items():
+        (tmp_path / name).write_text(json.dumps(payload))
+    src = os.path.dirname(os.path.dirname(signedgrids.__file__))
+    proc = subprocess.run([sys.executable, "-m", "signedgrids.cli", *argv], cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=src), preexec_fn=_limit_address_space,
+                          capture_output=True, text=True, timeout=60)
+    assert "Traceback" not in proc.stderr and "MemoryError" not in proc.stderr, proc.stderr
+    assert proc.returncode == code, proc.stderr
 
 
 def test_main_calls_leave_no_parser_garbage(tmp_path):

@@ -39,7 +39,6 @@ from helpers import (
     fill_bounding,
     grid_graph,
     induced_target,
-    mask_members,
     normalize_hex_reference,
     verify_signed_with_mapping,
 )
@@ -348,7 +347,8 @@ class TestAgainstSignedGraphReference:
             expected_hom, expected_rows = color_tri_reference(grid_graph(g))
             assert hom == expected_hom
             assert certificate_text(hom, sp9_plus()) == certificate_text(expected_hom, sp9_plus())
-            assert tuple(tuple(map(mask_members, row)) for row in trace.rows) == expected_rows
+            # the trace keeps the smallest candidate set's size, not the sets
+            assert trace.min_size() == min(len(s) for row in expected_rows for s in row)
 
     def test_switched_and_negated_grids(self):
         # a switched or negated grid, rebuilt as a grid, colors like any grid

@@ -1,5 +1,6 @@
 """Grid generators, 4-cycle machinery, and the fixed fixtures."""
 
+import json
 import random
 
 import pytest
@@ -20,6 +21,7 @@ from signedgrids import (
     unbalanced_c6,
     unbalanced_wheel7,
 )
+from signedgrids.graphio import graph_to_dict
 
 from helpers import (
     brute_c4_keys,
@@ -118,6 +120,26 @@ class TestSignatures:
             for column in bad:
                 with pytest.raises(ValueError, match="sign column does not fit"):
                     make_grid(spec, column)
+
+    def test_mapping_values_are_read_in_edge_order(self):
+        # a mapping's values need only equal +1 or -1, and are stored as the
+        # ints; the first other value in edge order is named, after any
+        # domain mismatch
+        spec = GridSpec("tri", 4, 3, mask=frozenset(GridSpec("tri", 4, 3).cells()) - {(2, 2)})
+        signs = random_signature(spec, 4, 0.5)
+        edges = spec.edges()
+        loose = {e: (True, 1.0)[k % 2] if s == POS else (-1.0, s)[k % 2] for k, (e, s) in enumerate(zip(edges, signs))}
+        grid = make_grid(spec, loose)
+        assert grid == make_grid(spec, signs) and set(map(type, grid.signs)) == {int}
+        assert json.dumps(graph_to_dict(grid)) == json.dumps(graph_to_dict(make_grid(spec, signs)))
+        for first, second in ((0, None), (None, 0)):
+            sig = dict(reversed(list(zip(edges, signs))))  # keys out of edge order
+            sig[edges[3]], sig[edges[7]] = first, second
+            with pytest.raises(ValueError, match=f"got {first!r}$"):
+                make_grid(spec, sig)
+            del sig[edges[-1]]
+            with pytest.raises(ValueError, match="signature domain mismatch: 1 missing, 0 extra edges"):
+                make_grid(spec, sig)
 
     def test_domain_mismatch_rejected(self):
         spec = GridSpec("hex", 2, 2)
