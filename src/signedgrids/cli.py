@@ -3,8 +3,9 @@
 Subcommands: ``gen``, ``color``, ``verify``, ``props``, ``chromatic``,
 ``lowerbounds``, ``motif``.  Every artifact embeds the tool version and the
 full configuration that produced it, and identical invocations write
-byte-identical files.  Exit codes: 0 success, 1 usage error, 2 verification
-failure, 3 budget exhausted / unknown.
+byte-identical files.  Exit codes: 0 success, 1 usage error or input too
+large to process (out of memory), 2 verification failure, 3 budget
+exhausted / unknown.
 
 Start-up: the arguments are parsed before any library module is imported,
 and a command imports only the modules it runs.  ``--version``, ``--help``
@@ -470,6 +471,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"signedgrids: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:  # no bound on the input fits every command
+        print("signedgrids: out of memory", file=sys.stderr)
         return EXIT_USAGE
 
 

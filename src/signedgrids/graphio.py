@@ -29,17 +29,16 @@ three values of type exactly ``int``, the tails and heads the grid's
 columns, every sign +1 or -1.  The grid then keeps the file's sign column,
 the tuple that check read, as its signs.  Every other edge list goes
 through a per-edge loop, the one path that accepts a permuted file and the
-one that words every error: each edge is streamed into its slot
-``3*u + d`` (see :mod:`signedgrids.grids`), for its smaller end ``u`` and
-the direction ``d`` of the step.  For a list of the grid's edge count the
-slots are a scratch slot array, whose filled slots, in order, become the
-sign column.  Any other list cannot load, so its slots go in a dict, and
-an unmasked grid's slots are tested by
-:meth:`~signedgrids.grids.GridSpec.has_slot` arithmetic, not against the
-slot pattern: the error costs time and memory in proportion to the file,
-however large the grid it claims.  A masked grid has slots for the
-retained cells only, so it costs in proportion to the mask, however large
-the box.  An edge between cells that are not grid neighbors (no
+one that words every error: each edge is keyed by its slot ``3*u + d``
+(see :mod:`signedgrids.grids`), for its smaller end ``u`` and the direction
+``d`` of the step, in one dict from slot to sign, and each slot is tested
+by :meth:`~signedgrids.grids.GridSpec.has_slot`.  If every slot with an
+edge is filled, the dict's values in slot order become the sign column.
+An unmasked grid's slots are tested by arithmetic and no slot pattern is
+built, so a list that cannot load costs time and memory in proportion to
+the file, however large the grid it claims.  A masked grid has slots for
+the retained cells only, so it costs in proportion to the mask, however
+large the box.  An edge between cells that are not grid neighbors (no
 direction, by :meth:`~signedgrids.grids.GridSpec.direction`, or a slot
 without an edge), or a missing grid edge (the first empty slot with an
 edge, named by bounding-id arithmetic), is named in the error.  Every
@@ -63,9 +62,8 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_left
-from collections import defaultdict
 from collections.abc import Mapping, Sequence
-from itertools import chain, compress, count
+from itertools import chain, count
 from operator import itemgetter
 
 from .core import SignedGraph
@@ -142,12 +140,13 @@ def graph_from_dict(d: Mapping) -> SignedGraph | SignedGrid:
     column kept as the grid's signs; only a list of the grid's edge count is
     tried that way.  Otherwise each edge is checked to join
     two neighboring retained cells by the direction of the step between
-    their bounding ids and then fills its slot.  A bad sign or a slot filled
-    twice (a duplicate edge, in either orientation) is reported only once
-    every edge has passed the structural checks, with the message and
-    precedence a :class:`SignedGraph` gives it.  Since duplicates are
-    rejected, a list that passes all that and is not of the grid's edge
-    count is short, and its first missing edge is named.
+    their bounding ids and :meth:`GridSpec.has_slot`, and then fills its
+    slot in a dict from slot to sign.  A bad sign or a slot filled twice (a
+    duplicate edge, in either orientation) is reported only once every edge
+    has passed the structural checks, with the message and precedence a
+    :class:`SignedGraph` gives it.  Since duplicates are rejected, a list
+    that passes all that fills at most the grid's edge count of slots; if
+    it fills fewer it is short, and its first missing edge is named.
     """
     if not isinstance(d, Mapping):
         raise ValueError("graph must be a JSON object")
@@ -167,19 +166,16 @@ def graph_from_dict(d: Mapping) -> SignedGraph | SignedGrid:
         size = grid.rows * grid.cols if grid.mask is None else len(grid.mask)
         if n != size:
             raise ValueError(f"graph 'n' is {n}, but its grid has {size} cells")
-        # the edge columns, the slot pattern and a slot array are built only
-        # for a list of the grid's length; any other list fails, so the slots
-        # it fills go in a dict (a slot read there is then filled, so its keys
-        # are the filled slots), and an unmasked grid's are tested by arithmetic
-        full = len(raw) == grid.edge_count()
-        listed = _listed_signs(raw, *grid.edge_columns()) if full else None
+        # the edge columns are built only for a list of the grid's length;
+        # every other list fills a dict from slot to sign, and no pattern is
+        # built for an unmasked grid
+        listed = _listed_signs(raw, *grid.edge_columns()) if len(raw) == grid.edge_count() else None
         if listed is not None:
             if labels is not None and len(labels) != n:
                 raise ValueError("labels must cover every vertex")
             return SignedGrid(grid, listed, None if labels is None else tuple(labels))
-        has_slot = grid.slot_pattern().__getitem__ if full else grid.has_slot
-        where, direction = grid.bounding_ids(), grid.direction
-        slots = bytearray(3 * n) if full else defaultdict(int)
+        where, direction, has_slot = grid.bounding_ids(), grid.direction, grid.has_slot
+        slots: dict[int, int] = {}
         later = None  # the first bad sign or duplicate
     for e in raw:
         if type(e) is not list or len(e) != 3:
@@ -199,17 +195,17 @@ def graph_from_dict(d: Mapping) -> SignedGraph | SignedGrid:
                 continue
             if s != 1 and s != -1:
                 later = f"edge sign must be +1 or -1, got {s!r}"
-            elif slots[p]:
+            elif p in slots:
                 later = f"duplicate edge ({u},{v})"
             else:
-                slots[p] = s & 0xFF
+                slots[p] = s
     if grid is None:
         return SignedGraph(n, raw, labels=labels)
     if later is not None:
         raise ValueError(later)
     if labels is not None and len(labels) != n:
         raise ValueError("labels must cover every vertex")
-    if not full:
+    if len(slots) < grid.edge_count():
         # a short list (a long one repeats a slot): its first missing edge,
         # the first empty slot with an edge, lies among the first len(raw) + 1
         # edges; vertex ids keep the order of bounding ids
@@ -218,7 +214,7 @@ def graph_from_dict(d: Mapping) -> SignedGraph | SignedGrid:
         y = x + (1, cols - 1, cols)[p % 3]
         a, b = (x // cols + 1, x % cols + 1), (y // cols + 1, y % cols + 1)
         raise ValueError(f"grid edge {a}-{b} (vertices {p // 3}, {bisect_left(where, y)}) is missing")
-    signs = tuple(compress(memoryview(slots).cast("b"), slots))
+    signs = tuple(map(slots.__getitem__, sorted(slots)))
     return SignedGrid(grid, signs, None if labels is None else tuple(labels))
 
 

@@ -26,19 +26,19 @@ and :meth:`SignedGrid.graph` (a plain :class:`~signedgrids.core.SignedGraph`,
 the adjacency view the searches walk) read a grid through its columns, and
 no per-edge tuple is kept.
 
-Placing an edge by direction uses a scratch *slot* layout, three slots per
-vertex: slot ``3*v + d`` is the edge from vertex ``v`` in direction ``d``,
-0 right ``(i, j+1)``, 1 down-left ``(i+1, j-1)``, 2 down ``(i+1, j)``.
-:meth:`GridSpec.slot_pattern`, which the spec also computes once and keeps,
-has 1 in the slots that hold an edge and 0 elsewhere (off the box, a hex
-parity gap, a masked-out end, no down-left on hex).  A masked grid has slots
-for its retained cells only, so its size follows the mask, not the box.  The
-three neighbors lie at bounding ids ``b+1 < b+cols-1 < b+cols`` (on two
-columns a cell has a right or a down-left edge, never both) and vertex ids
-keep the order of bounding ids, so the slots with an edge, in order, are the
-edges in :meth:`GridSpec.edges` order.  The file loader's per-edge path
-fills a slot array by direction and keeps its non-zero slots as the sign
-column, and the colorers scatter a grid's signs into the slots of its
+Placing an edge by direction uses a *slot* layout, three slots per vertex:
+slot ``3*v + d`` is the edge from vertex ``v`` in direction ``d``, 0 right
+``(i, j+1)``, 1 down-left ``(i+1, j-1)``, 2 down ``(i+1, j)``.  For an
+unmasked grid, :meth:`GridSpec.has_slot` arithmetic alone says which slots
+hold an edge (not off the box, in a hex parity gap, or down-left on hex),
+and :meth:`GridSpec.slot_pattern`, 1 in those slots and 0 elsewhere, is
+read off it.  A masked grid has slots for its retained cells only, so its
+pattern's size follows the mask, not the box.  The three neighbors lie at
+bounding ids ``b+1 < b+cols-1 < b+cols`` (on two columns a cell has a right
+or a down-left edge, never both) and vertex ids keep the order of bounding
+ids, so the slots with an edge, in order, are the edges in
+:meth:`GridSpec.edges` order.  The file loader's per-edge path keys a dict
+by slot, and the colorers scatter a grid's signs into the slots of its
 bounding grid; :func:`make_grid` reads a cell-pair mapping in edge order.
 """
 
@@ -69,11 +69,6 @@ __all__ = [
 def is_sign_column(signs: tuple) -> bool:
     """Every entry of type exactly ``int`` (not ``True``, not ``1.0``) and +1 or -1."""
     return set(map(type, signs)) <= {int} and signs.count(1) + signs.count(-1) == len(signs)
-
-
-def _fill(buf: bytearray, start: int, stop: int, step: int, value: int = 1) -> None:
-    """Set ``buf[start:stop:step]`` to ``value``."""
-    buf[start:stop:step] = bytes([value]) * len(range(start, stop, step))
 
 
 @dataclass(frozen=True)
@@ -127,8 +122,9 @@ class GridSpec:
         return -1
 
     def slot_pattern(self) -> bytes:
-        """1 in every slot that holds an edge of the grid, 0 elsewhere;
-        computed on the first call and kept by the spec."""
+        """1 in every slot that holds an edge of the grid, 0 elsewhere, read
+        off :meth:`has_slot` for an unmasked grid; computed on the first call
+        and kept by the spec."""
         return self._slot_pattern
 
     @cached_property
@@ -147,24 +143,20 @@ class GridSpec:
                 )
             )
 
-        # slot 3*b + d for the 0-based row i and column j of bounding id b
-        pattern = bytearray(3 * rows * cols)
-        above_last = 3 * cols * (rows - 1)  # the slots of every row but the last
-        _fill(pattern, 2, above_last, 3)  # down
-        if tri:
-            _fill(pattern, 0, len(pattern), 3)  # right
-            _fill(pattern, 1, above_last, 3)  # down-left
-            _fill(pattern, 1, above_last, 3 * cols, 0)  # ... but not from column 0
-        else:
-            for i in range(rows):  # right where i + j is even
-                _fill(pattern, 3 * (i * cols + i % 2), 3 * (i + 1) * cols, 6)
-        _fill(pattern, 3 * cols - 3, len(pattern), 3 * cols, 0)  # no right from the last column
-        return bytes(pattern)
+        # has_slot reads a slot's row only through its parity and through
+        # whether it is the last row, so a box has at most four kinds of row:
+        # each is built once, and the rows are joined
+        def row(i: int) -> bytes:
+            return bytes(map(self.has_slot, range(3 * i * cols, 3 * (i + 1) * cols)))
+
+        inner = [row(i) for i in range(min(2, rows - 1))]
+        return b"".join([inner[i % 2] for i in range(rows - 1)] + [row(rows - 1)])
 
     def has_slot(self, p: int) -> bool:
         """Whether slot ``p`` holds an edge, ``slot_pattern()[p] == 1``; for
-        an unmasked grid it is read off the slot's row, column and direction,
-        and no pattern is built."""
+        an unmasked grid it is the one statement of the slot rule, read off
+        the slot's row, column and direction without a pattern, and a masked
+        grid reads its pattern."""
         if self.mask is not None:
             return self.slot_pattern()[p] == 1
         (i, j), d = divmod(p // 3, self.cols), p % 3

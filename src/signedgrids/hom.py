@@ -172,7 +172,7 @@ def _search_order(g: SignedGraph) -> tuple[list[int], list[int]]:
 def find_ec_hom(
     g: SignedGraph | SignedGrid,
     h: SignedGraph,
-    domains: Sequence[Sequence[int]] | None = None,
+    domains: Sequence[int] | None = None,
     budget: SearchBudget | None = None,
 ) -> Homomorphism | None:
     """Backtracking search for an ec homomorphism ``g -> h``.
@@ -180,17 +180,20 @@ def find_ec_hom(
     Vertices are assigned breadth-first from a maximum-degree root with
     ascending candidate order, and every assignment filters the candidate
     sets of the still-unassigned neighbors, so results are deterministic.
-    ``domains`` optionally restricts the candidates of each source vertex.
     Raises :class:`BudgetExceededError` if ``budget`` runs out; one node is
     one candidate tried.
 
-    Candidate sets are int bitmasks over the target vertices, so filtering a
-    neighbor's candidates is one ``&`` with an entry of the
-    :func:`signedgrids.core.sign_masks` table of ``h``; each candidate
-    narrows a copy of the list of bitmasks, so backtracking has nothing to
-    restore.  Candidates are tried lowest bit first, which is the ascending
-    order of a sorted candidate list, so witnesses and node counts are those
-    of a search on sorted lists.
+    Candidate sets are int bitmasks over the target vertices, bit ``c`` set
+    when target vertex ``c`` is a candidate, so filtering a neighbor's
+    candidates is one ``&`` with an entry of the
+    :func:`signedgrids.core.sign_masks` table of ``h``.  ``domains``
+    optionally restricts the candidates of each source vertex, one such
+    bitmask per vertex; a list of the wrong length, or an entry that is not
+    an exact ``int`` in ``range(1 << h.n)``, raises ``ValueError``.  Each
+    candidate narrows a copy of the list of bitmasks, so backtracking has
+    nothing to restore.  Candidates are tried lowest bit first, which is the
+    ascending order of a sorted candidate list, so witnesses and node counts
+    are those of a search on sorted lists.
     """
     g = _adjacency(g)
     n = g.n
@@ -199,14 +202,9 @@ def find_ec_hom(
     else:
         if len(domains) != n:
             raise ValueError("domains must list candidates for every vertex")
-        current = []
-        for cand in domains:
-            bits = 0
-            for c in cand:
-                if not 0 <= c < h.n:
-                    raise ValueError("candidate out of target range")
-                bits |= 1 << c
-            current.append(bits)
+        current = list(domains)
+        if not set(map(type, current)) <= {int} or (current and (min(current) < 0 or max(current) >> h.n)):
+            raise ValueError("domains must be int bitmasks over the target vertices")
 
     masks = sign_masks(h)
     order, _ = _search_order(g)
@@ -291,9 +289,9 @@ def find_signed_hom(
     """
     g = _adjacency(g)
     rho = antitwin_double(h)
-    domains = [range(rho.graph.n)] * g.n
+    domains = [(1 << rho.graph.n) - 1] * g.n
     for root in _search_order(g)[1]:
-        domains[root] = range(h.n)
+        domains[root] = (1 << h.n) - 1
     found = find_ec_hom(g, rho.graph, domains=domains, budget=budget)
     if found is None:
         return None

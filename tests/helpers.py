@@ -151,7 +151,7 @@ def verify_signed_with_mapping(
     """
     _require_total(g, mapping)
     rho = antitwin_double(h)
-    domains = [(m, m + h.n) for m in mapping]
+    domains = [1 << m | 1 << (m + h.n) for m in mapping]
     found = find_ec_hom(g, rho.graph, domains=domains, budget=budget)
     if found is None:
         return None

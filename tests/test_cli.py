@@ -469,6 +469,8 @@ def _limit_address_space():
             for name in ("tri-1000-no-edges.json", "tri-1e5-no-edges.json")
             for command, extra in (("color", ("-o", "out.json")), ("verify", ("-c", "t4-cert.json")))
         ),
+        # the answer's mapping alone has n entries: out of memory, one line
+        (("chromatic", "-i", "plain-1e8.json", "-o", "out.json"), EXIT_USAGE),
     ],
 )
 def test_a_small_file_claiming_a_large_graph_costs_its_size(tmp_path, argv, code):
@@ -480,6 +482,7 @@ def test_a_small_file_claiming_a_large_graph_costs_its_size(tmp_path, argv, code
                           capture_output=True, text=True, timeout=60)
     assert "Traceback" not in proc.stderr and "MemoryError" not in proc.stderr, proc.stderr
     assert proc.returncode == code, proc.stderr
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_main_calls_leave_no_parser_garbage(tmp_path):

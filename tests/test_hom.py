@@ -123,11 +123,21 @@ class TestFindEcHom:
     def test_domains_are_respected(self):
         c6 = all_positive_cycle(6)
         edge = SignedGraph(2, [(0, 1, POS)])
-        domains = [(v % 2,) for v in range(6)]
+        domains = [1 << v % 2 for v in range(6)]
         found = find_ec_hom(c6, edge, domains=domains)
         assert found is not None and found.mapping == (0, 1, 0, 1, 0, 1)
         # forcing both endpoints of an edge to one target vertex must fail
-        assert find_ec_hom(c6, edge, domains=[(0,)] * 6) is None
+        assert find_ec_hom(c6, edge, domains=[0b01] * 6) is None
+
+    def test_domains_must_be_bitmasks_over_the_target(self):
+        c6 = all_positive_cycle(6)
+        edge = SignedGraph(2, [(0, 1, POS)])
+        with pytest.raises(ValueError, match="every vertex"):
+            find_ec_hom(c6, edge, domains=[0b11] * 5)
+        # a candidate list, a bool, a negative int, a bit at or above h.n
+        for bad in ((0, 1), True, -1, 0b100):
+            with pytest.raises(ValueError, match="int bitmasks"):
+                find_ec_hom(c6, edge, domains=[0b11] * 5 + [bad])
 
     def test_deterministic(self):
         g = random_signed_graph(random.Random(8), 8, 0.4)
@@ -217,7 +227,8 @@ class TestAgainstListReference:
                     shuffled += cand != sorted(set(cand))
                     domains.append(cand)
             limit = rng.choice((5, 50, 10**6))
-            fast = self.spent(find_ec_hom, g, h, domains, limit)
+            masks = None if domains is None else [sum(1 << c for c in set(cand)) for cand in domains]
+            fast = self.spent(find_ec_hom, g, h, masks, limit)
             assert fast == self.spent(find_ec_hom_reference, g, h, domains, limit)
             exhausted += fast[0] == "unknown"
         assert shuffled > 100 and exhausted > 10
