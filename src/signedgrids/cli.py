@@ -59,7 +59,6 @@ build_T4 = _deferred("core", "build_T4")
 rho_sp9_plus = _deferred("core", "rho_sp9_plus")
 rho_t4 = _deferred("core", "rho_t4")
 sp5_plus = _deferred("core", "sp5_plus")
-sp9_plus = _deferred("core", "sp9_plus")
 switch = _deferred("core", "switch")  # never called here; perfbench/tracing.py patches signedgrids.cli.switch
 graph_from_dict = _deferred("graphio", "graph_from_dict")
 graph_to_dict = _deferred("graphio", "graph_to_dict")
@@ -201,11 +200,11 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-# grid kind -> (target name, base target, its antitwin doubling, colorer giving
-# a witness into the doubling); lambdas look the colorers up at call time
+# grid kind -> (target name, the doubling of the target, colorer giving a
+# witness into the doubling); lambdas look the colorers up at call time
 _GRID_KINDS = {
-    "hex": ("T4", build_T4, rho_t4, lambda g: color_hex(g)),
-    "tri": ("SP9+", sp9_plus, rho_sp9_plus, lambda g: color_tri(g)[0]),
+    "hex": ("T4", rho_t4, lambda g: color_hex(g)),
+    "tri": ("SP9+", rho_sp9_plus, lambda g: color_tri(g)[0]),
 }
 
 
@@ -216,10 +215,11 @@ def cmd_color(args) -> int:
     if not isinstance(g, SignedGrid):
         print("color: input file carries no grid metadata", file=sys.stderr)
         return EXIT_USAGE
-    target_name, base_target, doubled_target, colorer = _GRID_KINDS[g.grid.kind]
+    target_name, doubled_target, colorer = _GRID_KINDS[g.grid.kind]
     ec_hom = colorer(g)
-    base = base_target()
-    if not verify_ec(g, doubled_target().graph, ec_hom.mapping):
+    rho = doubled_target()
+    base = rho.base
+    if not verify_ec(g, rho.graph, ec_hom.mapping):
         print("color: certificate failed independent verification", file=sys.stderr)
         return EXIT_VERIFY
     signed = ec_to_signed(ec_hom, base.n)
@@ -248,7 +248,7 @@ def cmd_verify(args) -> int:
     wrapped = isinstance(cert, dict) and "certificate" in cert
     hom, target = hom_from_dict(cert["certificate"] if wrapped else cert)
     # a grid's certificate must embed the target of that grid kind, not any graph
-    pinned = not isinstance(g, SignedGrid) or target == _GRID_KINDS[g.grid.kind][1]()
+    pinned = not isinstance(g, SignedGrid) or target == _GRID_KINDS[g.grid.kind][1]().base
     # a mapping for another graph's vertices certifies nothing about this one
     ok = pinned and len(hom.mapping) == g.n and verify_signed(g, target, hom)
     print("certificate OK" if ok else "certificate REJECTED")
@@ -472,7 +472,7 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"signedgrids: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except MemoryError:  # no bound on the input fits every command
+    except (MemoryError, OverflowError):  # no bound on the input fits every command
         print("signedgrids: out of memory", file=sys.stderr)
         return EXIT_USAGE
 

@@ -202,9 +202,10 @@ def color_hex(g: SignedGrid) -> Homomorphism:
     rho = rho_t4()
     masks = _by_slot(sign_masks(rho.graph))
     everyone = (1 << rho.n) - 1
-    half = rho.n // 2  # the doubling puts the twin of c at (c + half) % rho.n
+    half = rho.base.n  # the twin of c is c + half or c - half
     excluded = pstar21_excluded_pairs(rho)
-    group_of = {0: (0, 3), 3: (0, 3), 1: (1, 2), 2: (1, 2)}
+    # an excluded pair joins the two identities of one group
+    group_of = {rho.identity(c): {rho.identity(d) for d in pair} for pair in excluded for c in pair}
     # per color of the diagonal: the colors whose identity is outside its group
     outside_group = [
         sum(1 << c for c in range(rho.n) if rho.identity(c) not in group_of[rho.identity(d)])

@@ -3,10 +3,11 @@
 A signed graph (equivalently a 2-edge-colored graph) is a simple undirected
 graph whose edges carry a sign, +1 or -1.  This module provides the immutable
 :class:`SignedGraph` value type, the switching operation, the antitwin
-doubling construction, and the fixed small target graphs (T4, the signed
-Paley graphs SP9 and SP5, and their universal-vertex extensions) that the
-coloring algorithms map into.  A signed grid has its own type,
-:class:`signedgrids.grids.SignedGrid`, whose ``graph()`` is a plain
+doubling :class:`AntitwinnedGraph` (made only from its base graph on ``n``
+vertices: plus copy ``v``, minus copy ``v + n``), and the fixed small target
+graphs (T4, the signed Paley graphs SP9 and SP5, and their universal-vertex
+extensions) that the coloring algorithms map into.  A signed grid has its own
+type, :class:`signedgrids.grids.SignedGrid`, whose ``graph()`` is a plain
 :class:`SignedGraph`.
 
 Vertex ids are dense integers ``0..n-1``.  Labels are cosmetic; every
@@ -17,7 +18,7 @@ order so results are reproducible bit for bit.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 
 POS = 1
@@ -176,64 +177,49 @@ def negate(g: SignedGraph) -> SignedGraph:
 
 @dataclass(frozen=True)
 class AntitwinnedGraph:
-    """A signed graph together with a fixpoint-free antitwin involution.
+    """The antitwin doubling of a signed graph ``base`` on ``n`` vertices.
 
-    ``antitwin[v]`` is the unique partner of ``v``: never adjacent to it, and
-    joined to every neighbor of ``v`` by an edge of the opposite sign.  The
-    constructor checks all of that and raises ``ValueError`` on violation.
+    Vertex ``v`` of ``base`` yields a plus copy ``v`` and a minus copy
+    ``v + n`` in :attr:`graph`.  For every edge ``uv`` of ``base`` all four
+    copy pairs are edges, with sign ``(copy of u) * (copy of v) * sign(uv)``
+    where a plus copy counts +1 and a minus copy -1.  So the two copies of a
+    vertex are antitwins: never adjacent, and joined to every neighbor of one
+    by an edge of the opposite sign to the other.  The doubling is made only
+    from its base, so it holds by construction; equality and hash are the
+    base's.
     """
 
-    graph: SignedGraph
-    antitwin: tuple[int, ...]
+    base: SignedGraph
+    graph: SignedGraph = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        g, at = self.graph, self.antitwin
-        if len(at) != g.n or sorted(at) != list(range(g.n)):
-            raise ValueError("antitwin map must be a permutation of the vertices")
-        for v in range(g.n):
-            if at[v] == v:
-                raise ValueError(f"antitwin map has fixpoint {v}")
-            if at[at[v]] != v:
-                raise ValueError(f"antitwin map is not an involution at {v}")
-            if g.has_edge(v, at[v]):
-                raise ValueError(f"antitwins {v},{at[v]} must not be adjacent")
+        g = self.base
+        n = g.n
+        edges = []
         for u, v, s in g.edges:
-            if g.status(u, at[v]) != -s:
-                raise ValueError(
-                    f"edge ({u},{v}) is not mirrored with opposite sign at ({u},{at[v]})"
-                )
+            edges.append((u, v, s))
+            edges.append((u + n, v + n, s))
+            edges.append((u, v + n, -s))
+            edges.append((v, u + n, -s))
+        labels = [f"{g.label(v)}+" for v in range(n)] + [f"{g.label(v)}-" for v in range(n)]
+        object.__setattr__(self, "graph", SignedGraph(2 * n, edges, labels=labels))
 
     @property
     def n(self) -> int:
         return self.graph.n
 
     def twin(self, v: int) -> int:
-        return self.antitwin[v]
+        n = self.base.n
+        return v + n if v < n else v - n
 
     def identity(self, v: int) -> int:
-        """Canonical id of the antitwin pair containing ``v``."""
-        return min(v, self.antitwin[v])
+        """Canonical id of the antitwin pair containing ``v``: its plus copy."""
+        return v % self.base.n
 
 
 def antitwin_double(g: SignedGraph) -> AntitwinnedGraph:
-    """Double ``g`` into its antitwinned extension.
-
-    Vertex ``v`` yields a plus copy ``v`` and a minus copy ``v + n``.  For
-    every edge ``uv`` of ``g`` all four copy pairs are edges, with sign
-    ``(copy of u) * (copy of v) * sign(uv)`` where a plus copy counts +1 and a
-    minus copy -1.
-    """
-    n = g.n
-    edges = []
-    for u, v, s in g.edges:
-        edges.append((u, v, s))
-        edges.append((u + n, v + n, s))
-        edges.append((u, v + n, -s))
-        edges.append((v, u + n, -s))
-    labels = [f"{g.label(v)}+" for v in range(n)] + [f"{g.label(v)}-" for v in range(n)]
-    doubled = SignedGraph(2 * n, edges, labels=labels)
-    at = tuple((v + n) % (2 * n) for v in range(2 * n))
-    return AntitwinnedGraph(doubled, at)
+    """Double ``g`` into its antitwinned extension (:class:`AntitwinnedGraph`)."""
+    return AntitwinnedGraph(g)
 
 
 def plus_universal(g: SignedGraph) -> SignedGraph:

@@ -61,7 +61,6 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_left
 from collections.abc import Mapping, Sequence
 from itertools import chain, count
 from operator import itemgetter
@@ -213,7 +212,7 @@ def graph_from_dict(d: Mapping) -> SignedGraph | SignedGrid:
         x, cols = where[p // 3], grid.cols
         y = x + (1, cols - 1, cols)[p % 3]
         a, b = (x // cols + 1, x % cols + 1), (y // cols + 1, y % cols + 1)
-        raise ValueError(f"grid edge {a}-{b} (vertices {p // 3}, {bisect_left(where, y)}) is missing")
+        raise ValueError(f"grid edge {a}-{b} (vertices {p // 3}, {where.index(y)}) is missing")
     signs = tuple(map(slots.__getitem__, sorted(slots)))
     return SignedGrid(grid, signs, None if labels is None else tuple(labels))
 

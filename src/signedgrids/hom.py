@@ -303,6 +303,7 @@ def find_signed_hom(
 # ---------------------------------------------------------------------------
 
 
+@cache  # one dict per order, shared by every caller: read it, never write it
 def _pair_index(n: int) -> dict[tuple[int, int], int]:
     idx = {}
     k = 0
@@ -319,12 +320,7 @@ def complete_signed_graph(n: int, mask: int) -> SignedGraph:
     Pairs are ordered (0,1),(0,2),...,(0,n-1),(1,2),...; a set bit makes the
     pair negative.  Mask 0 is the all-positive complete graph.
     """
-    edges = []
-    k = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            edges.append((i, j, NEG if (mask >> k) & 1 else POS))
-            k += 1
+    edges = [(i, j, NEG if mask >> k & 1 else POS) for (i, j), k in _pair_index(n).items()]
     return SignedGraph(n, edges)
 
 

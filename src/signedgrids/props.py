@@ -91,21 +91,14 @@ def check_pkn(g: SignedGraph, k: int, n: int) -> PropertyReport:
 def pstar21_excluded_pairs(atg: AntitwinnedGraph) -> frozenset[frozenset[int]]:
     """The four pairs exempt from the weak common-positive-neighbor property.
 
-    Defined for the doubled T4 target: for each of the identity pairs {1,4}
-    and {2,3}, the two mixed-copy vertex pairs are exempt.  Requires the
-    standard doubled-T4 vertex order (plus copies 0..3, minus copies 4..7).
+    Defined for the doubled T4 target only: for each of the identity groups
+    {1,4} and {2,3} of T4's labels, the two mixed-copy vertex pairs are exempt.
     """
-    if atg.graph.n != 8 or atg.graph != rho_t4().graph:
+    if atg != rho_t4():
         raise ValueError("excluded pairs are defined for the doubled T4 target")
-    n = 4
-    return frozenset(
-        {
-            frozenset({0 + n, 3}),  # 1-, 4+
-            frozenset({0, 3 + n}),  # 1+, 4-
-            frozenset({1 + n, 2}),  # 2-, 3+
-            frozenset({1, 2 + n}),  # 2+, 3-
-        }
-    )
+    # the minus copy of the first id with the plus copy of the second:
+    # 1-4+, 4-1+, 2-3+ and 3-2+
+    return frozenset(frozenset({atg.twin(a), b}) for a, b in ((0, 3), (3, 0), (1, 2), (2, 1)))
 
 
 def check_pstar21(atg: AntitwinnedGraph) -> PropertyReport:

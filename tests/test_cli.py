@@ -450,6 +450,9 @@ HOSTILE_FILES = {
     "t4-cert.json": hom_to_dict(Homomorphism((0, 1)), build_T4()),
     # the mapping is in range, but no edge touches its images
     "plain-1e8-cert.json": {"mapping": [0, 1], "switch": [], "target": {"n": 10**8, "edges": []}},
+    # counts past 2^63, which no index-sized integer holds
+    "tri-1e10-no-edges.json": {"n": 10**20, "edges": [], "grid": {"kind": "tri", "rows": 10**10, "cols": 10**10}},
+    "plain-1e20.json": {"n": 10**20, "edges": []},
 }
 ADDRESS_SPACE = 256 << 20
 
@@ -471,6 +474,14 @@ def _limit_address_space():
         ),
         # the answer's mapping alone has n entries: out of memory, one line
         (("chromatic", "-i", "plain-1e8.json", "-o", "out.json"), EXIT_USAGE),
+        # the missing edge is named by arithmetic on the bounding ids
+        *(
+            ((command, "-i", "tri-1e10-no-edges.json", *extra), EXIT_USAGE)
+            for command, extra in (("color", ("-o", "out.json")), ("verify", ("-c", "t4-cert.json")),
+                                   ("chromatic", ("-o", "out.json")))
+        ),
+        # the search's per-vertex list has more entries than an index holds
+        (("chromatic", "-i", "plain-1e20.json", "-o", "out.json"), EXIT_USAGE),
     ],
 )
 def test_a_small_file_claiming_a_large_graph_costs_its_size(tmp_path, argv, code):

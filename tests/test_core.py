@@ -147,8 +147,8 @@ class TestAntitwinDouble:
         assert antitwin_double(g).graph.edge_count == 4 * g.edge_count
 
     def test_invariants_on_random_inputs(self):
-        # the AntitwinnedGraph constructor re-validates everything; also
-        # check the complementary-neighborhood property directly
+        # the doubling is made from its base alone, so check the antitwin
+        # (complementary-neighborhood) property directly
         for i in range(100):
             g = random_signed_graph(random.Random(i), random.Random(i).randint(1, 8))
             atg = antitwin_double(g)
@@ -157,6 +157,7 @@ class TestAntitwinDouble:
             for v in range(d.n):
                 tw = atg.twin(v)
                 assert tw != v and atg.twin(tw) == v
+                assert atg.identity(v) == atg.identity(tw) == min(v, tw)
                 assert not d.has_edge(v, tw)
                 assert masks[POS][v] == masks[NEG][tw]
 
@@ -177,10 +178,12 @@ class TestAntitwinDouble:
     def test_commutes_with_negation(self, g):
         assert antitwin_double(negate(g)).graph == negate(antitwin_double(g).graph)
 
-    def test_validation_rejects_bad_involution(self):
-        g = SignedGraph(2, [])
-        with pytest.raises(ValueError):
-            AntitwinnedGraph(g, (0, 1))  # fixpoints
+    def test_equality_and_hash_are_the_base_graphs(self):
+        built = antitwin_double(build_T4())
+        assert rho_t4() == built == AntitwinnedGraph(build_T4())
+        assert hash(rho_t4()) == hash(built)
+        assert rho_t4().graph == built.graph
+        assert rho_t4() != antitwin_double(negate(build_T4()))
 
 
 class TestPlusUniversal:
