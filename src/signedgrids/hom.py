@@ -31,7 +31,10 @@ complete targets loses nothing because adding edges to a target never removes
 homomorphisms), one per isomorphism class (:func:`canonical_complete_targets`);
 :func:`switching_classes` also factors out switching.  Both mark whole orbits,
 all ``n!`` permutation images at once from lane-packed ints, in a ``bytearray``
-of ``2^(n(n-1)/2)`` bytes, so the order is at most 7.
+of ``2^(n(n-1)/2)`` bytes, so the order is at most 7.  The sweep makes one
+search per switching class per order, skipping a target whose class already
+failed; the witness is the first admitting canonical target, as before, and a
+budget counts fewer nodes.
 """
 
 from __future__ import annotations
@@ -374,7 +377,6 @@ def canonical_complete_targets(n: int) -> tuple[int, ...]:
     return tuple(sig for sig, _ in _orbit_minima(n))
 
 
-@cache
 def switching_classes(n: int) -> tuple[tuple[int, int], ...]:
     """``(least mask, class size)`` of each class of complete signed graphs
     of order ``n`` under switching and vertex permutation, in mask order.
@@ -384,19 +386,31 @@ def switching_classes(n: int) -> tuple[tuple[int, int], ...]:
     ``2^(n-1)`` cuts.  Every mask of a class admits the same signed
     homomorphisms.  ``n`` is at most 7.
     """
+    return _switching_sweep(n)[0]
+
+
+@cache  # computed on first use at each order, shared by every caller
+def _switching_sweep(n: int) -> tuple[tuple[tuple[int, int], ...], dict[int, int]]:
+    # the classes of :func:`switching_classes`, and for each canonical target
+    # the least mask of its class: the first class whose marking marks it
     idx = _pair_index(n)
     # vertex n - 1 is never switched: a set and its complement have one cut
     cuts = [
         sum(1 << k for (i, j), k in idx.items() if (s >> i ^ s >> j) & 1)
         for s in range(1 << max(n - 1, 0))
     ]
+    targets = canonical_complete_targets(n)
     classes = []
+    labels: dict[int, int] = {}
     unmarked = 1 << len(idx)
     for sig, seen in _orbit_minima(n, cuts):
         left = seen.count(0)
         classes.append((sig, unmarked - left))
         unmarked = left
-    return tuple(classes)
+        for mask in targets:
+            if seen[mask]:
+                labels.setdefault(mask, sig)
+    return tuple(classes), labels
 
 
 def signed_chromatic_number(
@@ -406,20 +420,31 @@ def signed_chromatic_number(
 
     For each order ``1..max_order`` the canonical complete targets are tried
     in increasing signature order; the first hit is returned with its witness
-    (order, target, homomorphism).  Returns None when no target of order up
-    to ``max_order`` works, i.e. the chromatic number exceeds ``max_order``,
-    and raises ``ValueError`` for a ``max_order`` below 1, which no graph's
-    chromatic number can exceed.  Exact but exponential in the order;
-    intended for ``max_order <= 6``.  Targets are enumerated up to order 7,
-    so a sweep that reaches order 8 raises ``ValueError``.
+    (order, target, homomorphism).  A target whose switching class already
+    failed at its order admits nothing either and is skipped, so there is one
+    search per switching class per order; the witness is the first admitting
+    canonical target, as before, and a budget counts fewer nodes.  The class
+    labels of an order are computed on its first sweep and then cached.
+
+    Returns None when no target of order up to ``max_order`` works, i.e. the
+    chromatic number exceeds ``max_order``, and raises ``ValueError`` for a
+    ``max_order`` below 1, which no graph's chromatic number can exceed.
+    Exact but exponential in the order; intended for ``max_order <= 6``.
+    Targets are enumerated up to order 7, so a sweep that reaches order 8
+    raises ``ValueError``.
     """
     if max_order < 1:
         raise ValueError(f"max_order must be at least 1, got {max_order}")
     g = _adjacency(g)
     for order in range(1, max_order + 1):
+        class_of = _switching_sweep(order)[1]
+        refuted = set()
         for mask in canonical_complete_targets(order):
+            if class_of[mask] in refuted:
+                continue
             h = complete_signed_graph(order, mask)
             found = find_signed_hom(g, h, budget=budget)
             if found is not None:
                 return (order, h, found)
+            refuted.add(class_of[mask])
     return None

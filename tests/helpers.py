@@ -17,6 +17,7 @@ from signedgrids import (
     SignedGraph,
     SignedGrid,
     antitwin_double,
+    make_grid,
     rho_sp9_plus,
     rho_t4,
     sign_masks,
@@ -29,9 +30,11 @@ from signedgrids.hom import (
     Homomorphism,
     SearchBudget,
     _search_order,
+    canonical_complete_targets,
     complete_signed_graph,
     ec_to_signed,
     find_ec_hom,
+    find_signed_hom,
 )
 from signedgrids.props import pstar21_excluded_pairs
 
@@ -443,10 +446,16 @@ def canonical_complete_targets_reference(n: int) -> tuple[int, ...]:
 
 
 def switching_classes_reference(n: int) -> list[tuple[int, int]]:
-    """Oracle for ``switching_classes``: a union-find over every mask of
-    order ``n``, joined along the group's generators, the adjacent
-    transpositions and the single-vertex switches.  A root is always the
-    least mask of its set; returns ``(least mask, size)`` in mask order."""
+    """Oracle for ``switching_classes``: ``(least mask, size)`` of each class
+    of :func:`switching_class_roots_reference`, in mask order."""
+    return sorted(Counter(switching_class_roots_reference(n)).items())
+
+
+def switching_class_roots_reference(n: int) -> list[int]:
+    """The least mask of each order-``n`` mask's switching class, by a
+    union-find over every mask joined along the group's generators, the
+    adjacent transpositions and the single-vertex switches.  A root is
+    always the least mask of its set."""
     idx = _pair_bits(n)
     masks = range(1 << len(idx))
     parent = list(masks)
@@ -472,7 +481,57 @@ def switching_classes_reference(n: int) -> list[tuple[int, int]]:
             a, b = find(mask), find(move(mask))
             if a != b:
                 parent[max(a, b)] = min(a, b)
-    return sorted(Counter(map(find, masks)).items())
+    return list(map(find, masks))
+
+
+def signed_chromatic_number_reference(
+    g: SignedGraph | SignedGrid, max_order: int, budget: SearchBudget | None = None
+) -> tuple[int, SignedGraph, Homomorphism] | None:
+    """Oracle for ``signed_chromatic_number``: every canonical target of
+    each order in increasing mask order, none skipped for its switching
+    class; the first that admits a signed homomorphism is returned."""
+    if max_order < 1:
+        raise ValueError(f"max_order must be at least 1, got {max_order}")
+    if isinstance(g, SignedGrid):
+        g = g.graph()
+    for order in range(1, max_order + 1):
+        for mask in canonical_complete_targets(order):
+            h = complete_signed_graph(order, mask)
+            found = find_signed_hom(g, h, budget=budget)
+            if found is not None:
+                return (order, h, found)
+    return None
+
+
+def switching_class_grid(spec: GridSpec, bits: int, switched: Iterable) -> SignedGrid:
+    """A grid of switching class ``bits``, switched at the cells ``switched``.
+
+    The edges of a spanning tree, grown in edge order, are positive before
+    the switch; the ``k``-th other edge is negative when bit ``k`` of
+    ``bits`` is set.  On a connected grid with ``V`` cells and ``E`` edges,
+    the ``2^(E - V + 1)`` values of ``bits`` give its switching classes, one
+    each.
+    """
+    parent = {c: c for c in spec.cells()}
+
+    def find(c):
+        while parent[c] != c:
+            parent[c] = c = parent[parent[c]]
+        return c
+
+    switched = set(switched)
+    signature = {}
+    k = 0
+    for a, b in spec.edges():
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+            s = POS
+        else:
+            s = NEG if bits >> k & 1 else POS
+            k += 1
+        signature[a, b] = -s if (a in switched) != (b in switched) else s
+    return make_grid(spec, signature)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Homomorphism search, verification, and the exact chromatic number."""
 
 import random
+from collections import Counter
 from itertools import permutations
 
 import pytest
 
+import signedgrids.hom
 from signedgrids import (
     NEG,
     POS,
@@ -30,6 +32,7 @@ from signedgrids import (
 from signedgrids.graphio import hom_from_dict
 from signedgrids.hom import (
     Homomorphism,
+    _switching_sweep,
     ec_to_signed,
     switching_classes,
 )
@@ -45,7 +48,10 @@ from helpers import (
     find_ec_hom_reference,
     induced_target,
     random_signed_graph,
+    signed_chromatic_number_reference,
     signed_hom_exists_brute,
+    switching_class_grid,
+    switching_class_roots_reference,
     switching_classes_reference,
     verify_ec_reference,
     verify_signed_reference,
@@ -322,6 +328,65 @@ class TestChromaticNumber:
             signed_chromatic_number(
                 unbalanced_wheel7(), 5, budget=SearchBudget(50)
             )
+
+
+def _result_key(result):
+    if result is None:
+        return None
+    order, target, hom = result
+    return order, target.edges, hom.mapping, hom.switch_set
+
+
+class TestClassSkip:
+    """The sweep skips a target whose switching class already failed at its
+    order; the first admitting canonical target, its witness, is the plain
+    sweep's."""
+
+    def assert_matches_the_plain_sweep(self, g, max_order=6):
+        budget, reference_budget = SearchBudget(10**9), SearchBudget(10**9)
+        got = signed_chromatic_number(g, max_order, budget=budget)
+        want = signed_chromatic_number_reference(g, max_order, budget=reference_budget)
+        assert _result_key(got) == _result_key(want)
+        # the skipped searches are the only difference: never more nodes
+        assert budget.remaining >= reference_budget.remaining
+
+    @pytest.mark.parametrize("kind, size, sample", [("tri", 3, None), ("tri", 4, 20), ("hex", 4, None)])
+    def test_grid_classes(self, kind, size, sample):
+        # every class of the tri 3x3 (256) and hex 4x4 (8) patches, and a
+        # sample of the tri 4x4's 2^18, each switched at a seeded vertex set
+        spec = GridSpec(kind, size, size)
+        rng = random.Random(16)
+        classes = range(1 << spec.edge_count() - len(spec.cells()) + 1)
+        for bits in rng.sample(classes, sample) if sample else classes:
+            switched = [c for c in spec.cells() if rng.random() < 0.5]
+            self.assert_matches_the_plain_sweep(switching_class_grid(spec, bits, switched))
+
+    def test_random_graphs(self):
+        rng = random.Random(19)
+        for _ in range(40):
+            g = random_signed_graph(rng, rng.randint(2, 7), rng.choice((0.3, 0.6, 0.9)))
+            self.assert_matches_the_plain_sweep(g)
+
+    def test_class_labels_match_the_union_find(self):
+        for n in range(7):
+            roots = switching_class_roots_reference(n)
+            labels = _switching_sweep(n)[1]
+            # each canonical target is labelled with the least mask of its class
+            assert labels == {mask: roots[mask] for mask in canonical_complete_targets(n)}
+            assert len(set(labels.values())) == len(switching_classes(n))
+
+    def test_one_search_per_class_on_a_no_answer(self, monkeypatch):
+        search = signedgrids.hom.find_signed_hom
+        orders = Counter()
+
+        def counted(g, h, budget=None):
+            orders[h.n] += 1
+            return search(g, h, budget=budget)
+
+        monkeypatch.setattr(signedgrids.hom, "find_signed_hom", counted)
+        assert signed_chromatic_number(unbalanced_wheel7(), 5) is None
+        # 14 searches: the switching class counts of orders 1-5
+        assert orders == {1: 1, 2: 1, 3: 2, 4: 3, 5: 7}
 
 
 class TestTargetEnumeration:
