@@ -71,7 +71,7 @@ random_signature = _deferred("grids", "random_signature")
 unbalanced_c6 = _deferred("grids", "unbalanced_c6")
 unbalanced_wheel7 = _deferred("grids", "unbalanced_wheel7")
 SearchBudget = _deferred("hom", "SearchBudget")
-canonical_complete_targets = _deferred("hom", "canonical_complete_targets")
+canonical_complete_targets = _deferred("hom", "canonical_complete_targets")  # never called here; perfbench/tracing.py patches signedgrids.cli.canonical_complete_targets
 complete_signed_graph = _deferred("hom", "complete_signed_graph")
 ec_to_signed = _deferred("hom", "ec_to_signed")
 find_signed_hom = _deferred("hom", "find_signed_hom")
@@ -363,7 +363,7 @@ def cmd_lowerbounds(args) -> int:
                 if find_signed_hom(g, complete_signed_graph(5, mask), budget=budget)
             )
             witness6 = None
-            for mask in canonical_complete_targets(6):
+            for mask, _ in switching_classes(6):
                 h = complete_signed_graph(6, mask)
                 found = find_signed_hom(g, h, budget=budget)
                 if found is not None:

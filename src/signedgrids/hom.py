@@ -28,13 +28,13 @@ The chromatic number of a signed graph is the order of its smallest target;
 :func:`signed_chromatic_number` computes it exactly on small instances by
 sweeping all complete signed targets of increasing order (restricting to
 complete targets loses nothing because adding edges to a target never removes
-homomorphisms), one per isomorphism class (:func:`canonical_complete_targets`);
-:func:`switching_classes` also factors out switching.  Both mark whole orbits,
-all ``n!`` permutation images at once from lane-packed ints, in a ``bytearray``
-of ``2^(n(n-1)/2)`` bytes, so the order is at most 7.  The sweep makes one
-search per switching class per order, skipping a target whose class already
-failed; the witness is the first admitting canonical target, as before, and a
-budget counts fewer nodes.
+homomorphisms), one per switching class (:func:`switching_classes`), since
+every target of a class admits the same signed homomorphisms.
+:func:`canonical_complete_targets` lists one target per isomorphism class
+instead.  Both mark whole orbits, all ``n!`` permutation images at once from
+lane-packed ints, in a ``bytearray`` of ``2^(n(n-1)/2)`` bytes, so the order
+is at most 7.  A class's least mask is the least of its isomorphism classes
+too, so the sweep's witness is the first admitting canonical target.
 """
 
 from __future__ import annotations
@@ -377,6 +377,7 @@ def canonical_complete_targets(n: int) -> tuple[int, ...]:
     return tuple(sig for sig, _ in _orbit_minima(n))
 
 
+@cache  # computed on first use at each order, shared by every caller
 def switching_classes(n: int) -> tuple[tuple[int, int], ...]:
     """``(least mask, class size)`` of each class of complete signed graphs
     of order ``n`` under switching and vertex permutation, in mask order.
@@ -384,33 +385,23 @@ def switching_classes(n: int) -> tuple[tuple[int, int], ...]:
     Switching at a vertex set flips the pairs with one end in it, its cut,
     so a class is the permutation images of its least mask XOR each of the
     ``2^(n-1)`` cuts.  Every mask of a class admits the same signed
-    homomorphisms.  ``n`` is at most 7.
+    homomorphisms, and a class's least mask is also the least of its
+    isomorphism class, so each is one of :func:`canonical_complete_targets`.
+    ``n`` is at most 7.
     """
-    return _switching_sweep(n)[0]
-
-
-@cache  # computed on first use at each order, shared by every caller
-def _switching_sweep(n: int) -> tuple[tuple[tuple[int, int], ...], dict[int, int]]:
-    # the classes of :func:`switching_classes`, and for each canonical target
-    # the least mask of its class: the first class whose marking marks it
     idx = _pair_index(n)
     # vertex n - 1 is never switched: a set and its complement have one cut
     cuts = [
         sum(1 << k for (i, j), k in idx.items() if (s >> i ^ s >> j) & 1)
         for s in range(1 << max(n - 1, 0))
     ]
-    targets = canonical_complete_targets(n)
     classes = []
-    labels: dict[int, int] = {}
     unmarked = 1 << len(idx)
     for sig, seen in _orbit_minima(n, cuts):
         left = seen.count(0)
         classes.append((sig, unmarked - left))
         unmarked = left
-        for mask in targets:
-            if seen[mask]:
-                labels.setdefault(mask, sig)
-    return tuple(classes), labels
+    return tuple(classes)
 
 
 def signed_chromatic_number(
@@ -418,13 +409,13 @@ def signed_chromatic_number(
 ) -> tuple[int, SignedGraph, Homomorphism] | None:
     """Smallest target order admitting a signed homomorphism from ``g``.
 
-    For each order ``1..max_order`` the canonical complete targets are tried
-    in increasing signature order; the first hit is returned with its witness
-    (order, target, homomorphism).  A target whose switching class already
-    failed at its order admits nothing either and is skipped, so there is one
-    search per switching class per order; the witness is the first admitting
-    canonical target, as before, and a budget counts fewer nodes.  The class
-    labels of an order are computed on its first sweep and then cached.
+    For each order ``1..max_order`` one target per switching class is tried,
+    the least mask of each class (:func:`switching_classes`), in increasing
+    mask order; the first hit is returned with its witness (order, target,
+    homomorphism).  Every target of a class admits the same signed
+    homomorphisms, and each class's least mask is a canonical target, so the
+    first admitting class is also the first admitting canonical target.  The
+    classes of an order are computed on its first sweep and then cached.
 
     Returns None when no target of order up to ``max_order`` works, i.e. the
     chromatic number exceeds ``max_order``, and raises ``ValueError`` for a
@@ -437,14 +428,9 @@ def signed_chromatic_number(
         raise ValueError(f"max_order must be at least 1, got {max_order}")
     g = _adjacency(g)
     for order in range(1, max_order + 1):
-        class_of = _switching_sweep(order)[1]
-        refuted = set()
-        for mask in canonical_complete_targets(order):
-            if class_of[mask] in refuted:
-                continue
+        for mask, _ in switching_classes(order):
             h = complete_signed_graph(order, mask)
             found = find_signed_hom(g, h, budget=budget)
             if found is not None:
                 return (order, h, found)
-            refuted.add(class_of[mask])
     return None

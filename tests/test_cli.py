@@ -285,7 +285,7 @@ class TestReports:
         assert data["order6_witness_mask"] is not None
         assert "no target of order 5" in capsys.readouterr().out
 
-    def test_lowerbounds_wheel7_searches_one_order5_target_per_switching_class(self, tmp_path, monkeypatch):
+    def test_lowerbounds_wheel7_searches_one_target_per_switching_class(self, tmp_path, monkeypatch):
         orders = []
         search = signedgrids.cli.find_signed_hom
 
@@ -297,7 +297,8 @@ class TestReports:
         out = tmp_path / "lb.json"
         assert run("lowerbounds", "--instance", "wheel7", "-o", str(out)) == EXIT_OK
         assert sha256(out) == "418b69981b88808f02b0bfefdcf3a4ff9b4696c770abbd2922bf6473b53fff9f"
-        assert orders.count(5) == 7 and set(orders) == {5, 6}
+        # 7 order-5 classes, and the witness, mask 37, is the 6th order-6 class
+        assert orders.count(5) == 7 and orders.count(6) == 6 and set(orders) == {5, 6}
 
     def test_lowerbounds_wheel7_budget_exhaustion(self, tmp_path, capsys):
         out = tmp_path / "lb.json"

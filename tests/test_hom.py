@@ -32,7 +32,6 @@ from signedgrids import (
 from signedgrids.graphio import hom_from_dict
 from signedgrids.hom import (
     Homomorphism,
-    _switching_sweep,
     ec_to_signed,
     switching_classes,
 )
@@ -51,7 +50,6 @@ from helpers import (
     signed_chromatic_number_reference,
     signed_hom_exists_brute,
     switching_class_grid,
-    switching_class_roots_reference,
     switching_classes_reference,
     verify_ec_reference,
     verify_signed_reference,
@@ -338,17 +336,36 @@ def _result_key(result):
 
 
 class TestClassSkip:
-    """The sweep skips a target whose switching class already failed at its
-    order; the first admitting canonical target, its witness, is the plain
-    sweep's."""
+    """The sweep tries one target per switching class, its least mask; the
+    first admitting class, its witness, is the plain sweep's first admitting
+    canonical target."""
 
     def assert_matches_the_plain_sweep(self, g, max_order=6):
+        search = signedgrids.hom.find_signed_hom
+        orders = Counter()
+
+        def counted(g, h, budget=None):
+            orders[h.n] += 1
+            return search(g, h, budget=budget)
+
         budget, reference_budget = SearchBudget(10**9), SearchBudget(10**9)
-        got = signed_chromatic_number(g, max_order, budget=budget)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(signedgrids.hom, "find_signed_hom", counted)
+            got = signed_chromatic_number(g, max_order, budget=budget)
         want = signed_chromatic_number_reference(g, max_order, budget=reference_budget)
         assert _result_key(got) == _result_key(want)
         # the skipped searches are the only difference: never more nodes
         assert budget.remaining >= reference_budget.remaining
+        # one search per class below the answer's order, and at it one per
+        # class up to the witness's
+        top = max_order if got is None else got[0]
+        for order in range(1, top + 1):
+            targets = [complete_signed_graph(order, mask).edges for mask, _ in switching_classes(order)]
+            tried = len(targets)
+            if got is not None and order == top:
+                tried = 1 + targets.index(got[1].edges)
+            assert orders[order] == tried
+        assert set(orders) <= set(range(1, top + 1))
 
     @pytest.mark.parametrize("kind, size, sample", [("tri", 3, None), ("tri", 4, 20), ("hex", 4, None)])
     def test_grid_classes(self, kind, size, sample):
@@ -366,14 +383,6 @@ class TestClassSkip:
         for _ in range(40):
             g = random_signed_graph(rng, rng.randint(2, 7), rng.choice((0.3, 0.6, 0.9)))
             self.assert_matches_the_plain_sweep(g)
-
-    def test_class_labels_match_the_union_find(self):
-        for n in range(7):
-            roots = switching_class_roots_reference(n)
-            labels = _switching_sweep(n)[1]
-            # each canonical target is labelled with the least mask of its class
-            assert labels == {mask: roots[mask] for mask in canonical_complete_targets(n)}
-            assert len(set(labels.values())) == len(switching_classes(n))
 
     def test_one_search_per_class_on_a_no_answer(self, monkeypatch):
         search = signedgrids.hom.find_signed_hom
