@@ -11,7 +11,7 @@ Library layout:
   verifier, and the exact chromatic number on small instances.
 * :mod:`signedgrids.props` -- exhaustive target-property checks (extension
   properties, transitivity, antiautomorphy).
-* :mod:`signedgrids.colorers` -- the two constructive coloring algorithms.
+* :mod:`signedgrids.colorers` -- one row pass that colors both grid kinds.
 * :mod:`signedgrids.graphio` -- JSON and DOT serialization.
 * :mod:`signedgrids.cli` -- command-line interface.
 

@@ -1,44 +1,35 @@
 """Constructive colorings of signed grids.
 
-Two linear-time algorithms, each returning a witness that an independent
-verifier can check:
+One linear-time row pass colors both grid kinds, each into its own target,
+and returns a witness that an independent verifier can check:
+:func:`color_hex` maps any signed hexagonal (brick-wall) grid into the
+antitwin doubling of T4 (at most 4 identities), and :func:`color_tri` maps
+any signed triangular grid into the antitwin doubling of SP9 plus a
+universal vertex (at most 10).  Rows are processed top to bottom; within a
+row, a forward pass propagates per-vertex candidate color sets (never
+smaller than 1 on hex and 2 on tri; the smallest size of a tri pass is its
+:class:`CandidateTrace`) and a backward pass commits choices.  No colorer
+switches the grid; :func:`normalize_hex`, the paper's hex normal form, is
+kept public but unused here.
 
-* :func:`color_hex` maps any signed hexagonal (brick-wall) grid into the
-  antitwin doubling of T4, so hexagonal grids use at most 4 identities.  The
-  grid is first switched into a normal form in which a fixed scaffold of
-  edges (all horizontal edges, plus the vertical edge above every vertex of
-  odd coordinate parity) is positive; the scaffold is then colored greedily,
-  alternating between vertices with one earlier neighbor (at least three
-  choices, never containing an antitwin pair) and vertices with two earlier
-  neighbors (a common positive neighbor always exists thanks to a restriction
-  imposed one step earlier).  Finally the normalization is undone by swapping
-  switched vertices to their antitwin images, which yields an exact
-  sign-preserving map of the original grid.
-
-* :func:`color_tri` maps any signed triangular grid into the antitwin
-  doubling of SP9 plus a universal vertex.  Rows are processed top to bottom;
-  within a row, a forward pass propagates per-vertex candidate color sets
-  (each provably of size at least 2; the smallest size is kept as the
-  :class:`CandidateTrace`) and a backward pass commits choices.
-
-Both colorers work on a scratch slot array of the bounding grid (the slot
+The pass works on a scratch slot array of the bounding grid (the slot
 layout of :mod:`signedgrids.grids`), viewed as signed bytes: the edge from
 bounding id ``b`` to its right, down-left or down neighbor is slot ``3*b``,
 ``3*b + 1`` or ``3*b + 2``, and the slot's value (+1, -1, or 0 for no edge)
 indexes a table of the target's :func:`signedgrids.core.sign_masks`, so no
-adjacency dict is built.  One scatter builds that array: it starts from the
-box's slot pattern and writes each of the grid's signs at its edge's slot.
-:func:`color_hex` colors the very array that :func:`normalize_hex` switched.
-The colorers take only a :class:`~signedgrids.grids.SignedGrid`; any
-:class:`~signedgrids.core.SignedGraph` raises ``ValueError``.
-Candidate color sets are int bitmasks over the target vertices, ``&``-ed
-from those masks.  Both algorithms are deterministic: ties break toward the
-smallest target vertex id (the lowest set bit) in the fixed target
-ordering.  Both color the bounding grid in place, on bounding ids
-``(i-1)*cols + (j-1)``, where a cell the mask drops reads as joined by
-``+`` edges (a 0 slot reads as ``+``); the mapping is then restricted to the
-retained cells, which is valid because restricting a homomorphism to an
-induced subgraph keeps it a homomorphism.
+adjacency dict is built.  A 0 slot (a hex parity gap or down-left slot)
+constrains nothing: its table row is all ones.  One scatter builds that
+array: it starts from the box's slot pattern and writes each of the grid's
+signs at its edge's slot.  The colorers take only a
+:class:`~signedgrids.grids.SignedGrid`; any
+:class:`~signedgrids.core.SignedGraph` raises ``ValueError``.  Candidate
+color sets are int bitmasks over the target vertices, ``&``-ed from those
+masks.  The pass is deterministic: ties break toward the smallest target
+vertex id (the lowest set bit).  It colors the bounding grid in place, on
+bounding ids ``(i-1)*cols + (j-1)``, where a cell the mask drops reads as
+joined by ``+`` edges; the mapping is then restricted to the retained
+cells, which is valid because restricting a homomorphism to an induced
+subgraph keeps it a homomorphism.
 """
 
 from __future__ import annotations
@@ -49,12 +40,12 @@ from functools import cache
 from itertools import compress, repeat
 from operator import setitem
 
-from .core import NEG, POS, rho_sp9_plus, rho_t4, sign_masks
+from .core import NEG, POS, SignedGraph, rho_sp9_plus, rho_t4, sign_masks
 from .core import switch  # unused here; perfbench/tracing.py patches signedgrids.colorers.switch
 from .grids import GridSpec, SignedGrid
 from .grids import make_grid  # unused here; perfbench/tracing.py patches signedgrids.colorers.make_grid
 from .hom import Homomorphism
-from .props import pstar21_excluded_pairs
+from .props import pstar21_excluded_pairs  # unused here; perfbench/tracing.py patches signedgrids.colorers.pstar21_excluded_pairs
 
 __all__ = [
     "ColoringInvariantError",
@@ -117,13 +108,79 @@ def _bounding_signs(g: SignedGrid) -> memoryview:
 
 def _by_slot(masks: dict[int, list[int]]) -> tuple[list[int], ...]:
     """Sign masks indexed by a slot's value: 1 and -1 (the last entry), and
-    0 (no edge), which reads as ``+``."""
-    return masks[POS], masks[POS], masks[NEG]
+    0 (no edge), which constrains nothing: every row is all ones."""
+    n = len(masks[POS])
+    return [(1 << n) - 1] * n, masks[POS], masks[NEG]
 
 
 def _restrict(phi: list[int], spec: GridSpec) -> tuple[int, ...]:
     """A bounding-grid mapping restricted to the retained cells, in vertex order."""
     return tuple(phi) if spec.mask is None else tuple(map(phi.__getitem__, spec.bounding_ids()))
+
+
+def _color_rows(g: SignedGrid, target: SignedGraph, floor: int) -> tuple[Homomorphism, int]:
+    """Color a signed grid into ``target`` row by row.
+
+    The forward pass builds, for each vertex of the current row, the full set
+    of target vertices compatible with its two colored neighbors in the row
+    above (up, and up-right through that vertex's down-left slot) and
+    reachable from some candidate of its left neighbor across the row edge
+    (the OR of that edge's sign masks over the left neighbor's set).  A slot
+    of 0, an edge the grid kind lacks, constrains nothing.  Every such set
+    has at least ``floor`` elements (checked, never expected to fail).  The
+    backward pass then fixes the row right to left, each vertex taking the
+    lowest candidate compatible with its right neighbor's choice.  Returns
+    the homomorphism and the smallest candidate set's size.
+    """
+    spec = g.grid
+    rows, cols = spec.rows, spec.cols
+    signs = _bounding_signs(g)
+    masks = _by_slot(sign_masks(target))
+    everyone = (1 << target.n) - 1
+
+    @cache
+    def reachable(colors: int, s: int) -> int:
+        """Colors joined by an ``s`` edge to some color of ``colors``."""
+        out = 0
+        for p in _members(colors):
+            out |= masks[s][p]
+        return out
+
+    phi = [-1] * (rows * cols)
+    smallest = everyone.bit_count()
+
+    for r in range(1, rows + 1):
+        base = (r - 1) * cols  # bounding id of (r, 1)
+        sets: list[int] = []
+        for c in range(1, cols + 1):
+            cur = base + c - 1
+            cands = everyone
+            if r >= 2:
+                up = cur - cols
+                cands &= masks[signs[3 * up + 2]][phi[up]]
+                if c < cols:
+                    cands &= masks[signs[3 * up + 4]][phi[up + 1]]  # down-left slot of (r-1, c+1)
+            if c >= 2:
+                cands &= reachable(sets[-1], signs[3 * cur - 3])
+            size = cands.bit_count()
+            if size < floor:
+                raise ColoringInvariantError(f"candidate set at ({r},{c}) has {size} < {floor} colors")
+            if size < smallest:
+                smallest = size
+            sets.append(cands)
+
+        # backward pass: commit the row right to left
+        phi[base + cols - 1] = _lowest(sets[cols - 1])
+        for c in range(cols - 1, 0, -1):
+            left = base + c - 1
+            feasible = sets[c - 1] & masks[signs[3 * left]][phi[left + 1]]
+            if not feasible:
+                raise ColoringInvariantError(
+                    f"backward pass stuck at ({r},{c}); forward filter broken"
+                )
+            phi[left] = _lowest(feasible)
+
+    return Homomorphism(_restrict(phi, spec)), smallest
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +189,7 @@ def _restrict(phi: list[int], spec: GridSpec) -> tuple[int, ...]:
 
 
 def normalize_hex(g: SignedGrid) -> tuple[memoryview, frozenset[int]]:
-    """Switch a hexagonal grid so the coloring scaffold is all positive.
+    """Switch a hexagonal grid so the paper's coloring scaffold is all positive.
 
     Works on the bounding grid (see the module docstring).  Scans positions
     ``(i, j)`` with ``i + j`` odd in row-major order, for ``i`` from 2 to one
@@ -154,6 +211,10 @@ def normalize_hex(g: SignedGrid) -> tuple[memoryview, frozenset[int]]:
     cell starts out ``+``), and the switch set (double switches cancel) as
     bounding-grid ids, which are the vertex ids of an unmasked grid.  A
     switch flips the slots of the vertex's four edges in place.
+
+    This is the paper's normal form, under which it colors hex grids through
+    property P*(2,1) of T4.  It is kept public, but no colorer calls it:
+    :func:`color_hex` colors the grid as it is.
     """
     _require_grid(g, "hex")
     rows, cols = g.grid.rows, g.grid.cols
@@ -189,78 +250,17 @@ def normalize_hex(g: SignedGrid) -> tuple[memoryview, frozenset[int]]:
 def color_hex(g: SignedGrid) -> Homomorphism:
     """Color a signed hexagonal grid into the doubled T4 target.
 
-    Returns an exact sign-preserving homomorphism of the *original* graph
-    (empty switch set, target :func:`signedgrids.core.rho_t4`).  Raises
-    :class:`ColoringInvariantError` only on an internal bug; every grid is
-    colorable.
+    Returns an exact sign-preserving homomorphism of the grid itself (empty
+    switch set, target :func:`signedgrids.core.rho_t4`).  No candidate set
+    of the row pass is empty: a forward-pass state is the candidate set, the
+    up-neighbor's color and whether the next pair of the row is joined, and
+    with the row above walking adversarially (any color across an unjoined
+    pair, a neighbor by either sign across a joined one) the reachable
+    states, 64 below row 1, are all non-empty.  Raises
+    :class:`ColoringInvariantError` only on an internal bug.
     """
-    # normalize_hex checks g; it is called through the module global, which
-    # perfbench/tracing.py wraps to count the switch set
-    signs, switched = normalize_hex(g)
-    spec = g.grid
-    rows, cols = spec.rows, spec.cols
-    rho = rho_t4()
-    masks = _by_slot(sign_masks(rho.graph))
-    everyone = (1 << rho.n) - 1
-    half = rho.base.n  # the twin of c is c + half or c - half
-    excluded = pstar21_excluded_pairs(rho)
-    # an excluded pair joins the two identities of one group
-    group_of = {rho.identity(c): {rho.identity(d) for d in pair} for pair in excluded for c in pair}
-    # per color of the diagonal: the colors whose identity is outside its group
-    outside_group = [
-        sum(1 << c for c in range(rho.n) if rho.identity(c) not in group_of[rho.identity(d)])
-        for d in range(rho.n)
-    ]
-    phi = [-1] * (rows * cols)
-
-    for i in range(1, rows + 1):
-        for j in range(1, cols + 1):
-            cur = (i - 1) * cols + (j - 1)
-            up = cur - cols
-            if (i + j) % 2 == 0:
-                # one earlier neighbor at most: the vertex straight above
-                if i == 1:
-                    cands = everyone
-                else:
-                    cands = masks[signs[3 * up + 2]][phi[up]]
-                    twins = (cands >> half | cands << half) & everyone
-                    if cands.bit_count() < 3 or cands & twins:
-                        raise ColoringInvariantError(
-                            f"single-constraint candidates degenerate at ({i},{j}): {_members(cands)}"
-                        )
-                if i >= 2 and j < cols:
-                    # keep this color's identity group disjoint from the
-                    # diagonal's, so the vertex below-right of the diagonal
-                    # later sees a pair with a common positive neighbor
-                    cands &= outside_group[phi[up + 1]]
-            else:
-                cands = everyone
-                if i >= 2:
-                    if signs[3 * up + 2] != POS:
-                        raise ColoringInvariantError(
-                            f"vertical scaffold edge above ({i},{j}) not positive"
-                        )
-                    cands &= masks[POS][phi[up]]
-                if j >= 2:
-                    if signs[3 * (cur - 1)] != POS:
-                        raise ColoringInvariantError(
-                            f"horizontal scaffold edge left of ({i},{j}) not positive"
-                        )
-                    cands &= masks[POS][phi[cur - 1]]
-                if i >= 2 and j >= 2:
-                    a, b = phi[up], phi[cur - 1]
-                    if a == b or rho.twin(a) == b or frozenset({a, b}) in excluded:
-                        raise ColoringInvariantError(
-                            f"invalid color pair {a},{b} ahead of ({i},{j})"
-                        )
-            if not cands:
-                raise ColoringInvariantError(f"no candidate at ({i},{j})")
-            phi[cur] = _lowest(cands)
-
-    # undo the normalization: switched vertices take their antitwin image
-    for k in switched:
-        phi[k] = rho.twin(phi[k])
-    return Homomorphism(_restrict(phi, spec))
+    _require_grid(g, "hex")
+    return _color_rows(g, rho_t4().graph, 1)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -271,65 +271,10 @@ def color_hex(g: SignedGrid) -> Homomorphism:
 def color_tri(g: SignedGrid) -> tuple[Homomorphism, CandidateTrace]:
     """Color a signed triangular grid into the doubled SP9-plus target.
 
-    Row by row: the forward pass builds, for each vertex of the current row,
-    the full set of target vertices compatible with its two colored neighbors
-    in the row above and reachable from some candidate of its left neighbor
-    across the row edge (the OR of that edge's sign masks over the left
-    neighbor's set).  Every such set provably has at least 2 elements
-    (checked, never expected to fail).  The backward pass then fixes the row
-    right to left, each vertex taking the lowest candidate compatible with
-    its right neighbor's choice.  Returns the homomorphism (empty switch set,
-    target :func:`signedgrids.core.rho_sp9_plus`) and the
-    :class:`CandidateTrace` of the smallest candidate set's size.
+    Returns the homomorphism (empty switch set, target
+    :func:`signedgrids.core.rho_sp9_plus`) and the :class:`CandidateTrace`
+    of the smallest candidate set's size, which is provably at least 2.
     """
     _require_grid(g, "tri")
-    spec = g.grid
-    rows, cols = spec.rows, spec.cols
-    signs = _bounding_signs(g)
-    target = rho_sp9_plus().graph
-    masks = _by_slot(sign_masks(target))
-    everyone = (1 << target.n) - 1
-
-    @cache
-    def reachable(colors: int, s: int) -> int:
-        """Colors joined by an ``s`` edge to some color of ``colors``."""
-        out = 0
-        for p in _members(colors):
-            out |= masks[s][p]
-        return out
-
-    phi = [-1] * (rows * cols)
-    smallest = everyone.bit_count()
-
-    for r in range(1, rows + 1):
-        base = (r - 1) * cols  # bounding id of (r, 1)
-        sets: list[int] = []
-        for c in range(1, cols + 1):
-            cur = base + c - 1
-            cands = everyone
-            if r >= 2:
-                up = cur - cols
-                cands &= masks[signs[3 * up + 2]][phi[up]]
-                if c < cols:
-                    cands &= masks[signs[3 * up + 4]][phi[up + 1]]  # down-left slot of (r-1, c+1)
-            if c >= 2:
-                cands &= reachable(sets[-1], signs[3 * cur - 3])
-            size = cands.bit_count()
-            if size < 2:
-                raise ColoringInvariantError(f"candidate set at ({r},{c}) has {size} < 2 colors")
-            if size < smallest:
-                smallest = size
-            sets.append(cands)
-
-        # backward pass: commit the row right to left
-        phi[base + cols - 1] = _lowest(sets[cols - 1])
-        for c in range(cols - 1, 0, -1):
-            left = base + c - 1
-            feasible = sets[c - 1] & masks[signs[3 * left]][phi[left + 1]]
-            if not feasible:
-                raise ColoringInvariantError(
-                    f"backward pass stuck at ({r},{c}); forward filter broken"
-                )
-            phi[left] = _lowest(feasible)
-
-    return Homomorphism(_restrict(phi, spec)), CandidateTrace(smallest)
+    hom, smallest = _color_rows(g, rho_sp9_plus().graph, 2)
+    return hom, CandidateTrace(smallest)

@@ -18,7 +18,6 @@ from signedgrids import (
     SignedGrid,
     antitwin_double,
     make_grid,
-    rho_sp9_plus,
     rho_t4,
     sign_masks,
     switch,
@@ -701,7 +700,9 @@ def normalize_hex_reference(g: GridGraph) -> tuple[SignedGraph, frozenset[int]]:
 
 
 def color_hex_reference(g: GridGraph) -> Homomorphism:
-    """Oracle for :func:`signedgrids.colorers.color_hex`."""
+    """The paper's hex colorer (normal form, positive scaffold, P*(2,1)):
+    a second oracle for :func:`signedgrids.colorers.color_hex`, whose maps
+    differ from it but verify on the same grids."""
     spec = g.grid
     if spec.mask is not None:
         full, restrict = fill_bounding(g)
@@ -772,22 +773,24 @@ def color_hex_reference(g: GridGraph) -> Homomorphism:
     return Homomorphism(tuple(final))
 
 
-def color_tri_reference(
-    g: GridGraph,
+def color_rows_reference(
+    g: GridGraph, target: SignedGraph, floor: int
 ) -> tuple[Homomorphism, tuple[tuple[frozenset[int], ...], ...]]:
-    """Oracle for :func:`signedgrids.colorers.color_tri`.
+    """Oracle for the row pass of :mod:`signedgrids.colorers`: ``color_hex``
+    is ``(g, rho_t4().graph, 1)`` and ``color_tri`` is
+    ``(g, rho_sp9_plus().graph, 2)``.  A pair the grid does not join
+    (``status`` 0) constrains nothing.
 
     Returns the homomorphism and the rows of candidate sets as frozensets.
     """
     spec = g.grid
     if spec.mask is not None:
         full, restrict = fill_bounding(g)
-        inner, trace = color_tri_reference(full)
+        inner, trace = color_rows_reference(full, target, floor)
         return Homomorphism(tuple(inner.mapping[k] for k in restrict)), trace
 
     rows, cols = spec.rows, spec.cols
     vid = lambda r, c: (r - 1) * cols + (c - 1)
-    target = rho_sp9_plus().graph
     phi = [-1] * g.n
     trace_rows = []
 
@@ -797,22 +800,15 @@ def color_tri_reference(
             cur = vid(r, c)
             constraints = []
             if r >= 2:
-                up = vid(r - 1, c)
-                constraints.append((phi[up], g.sign(up, cur)))
-                if c < cols:
-                    upright = vid(r - 1, c + 1)
-                    constraints.append((phi[upright], g.sign(upright, cur)))
+                above = [vid(r - 1, c)] + ([vid(r - 1, c + 1)] if c < cols else [])
+                constraints = [(phi[u], g.status(u, cur)) for u in above if g.status(u, cur)]
             cands = compatible_colors_reference(target, constraints)
-            if c >= 2:
-                left = vid(r, c - 1)
-                s_row = g.sign(left, cur)
-                prev = sets[-1]
-                cands = [
-                    t for t in cands if any(target.status(p, t) == s_row for p in prev)
-                ]
-            if len(cands) < 2:
+            s_row = g.status(vid(r, c - 1), cur) if c >= 2 else 0
+            if s_row:
+                cands = [t for t in cands if any(target.status(p, t) == s_row for p in sets[-1])]
+            if len(cands) < floor:
                 raise ColoringInvariantError(
-                    f"candidate set at ({r},{c}) has {len(cands)} < 2 colors"
+                    f"candidate set at ({r},{c}) has {len(cands)} < {floor} colors"
                 )
             sets.append(frozenset(cands))
         trace_rows.append(tuple(sets))
@@ -820,9 +816,11 @@ def color_tri_reference(
         choice = [-1] * cols
         choice[cols - 1] = min(sets[cols - 1])
         for c in range(cols - 1, 0, -1):
-            s_row = g.sign(vid(r, c), vid(r, c + 1))
+            s_row = g.status(vid(r, c), vid(r, c + 1))
             nxt = choice[c]
-            feasible = [p for p in sorted(sets[c - 1]) if target.status(p, nxt) == s_row]
+            feasible = [
+                p for p in sorted(sets[c - 1]) if s_row == 0 or target.status(p, nxt) == s_row
+            ]
             if not feasible:
                 raise ColoringInvariantError(
                     f"backward pass stuck at ({r},{c}); forward filter broken"

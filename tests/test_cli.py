@@ -532,8 +532,8 @@ def test_props_calls_leave_no_cyclic_garbage(tmp_path):
 GOLDEN = {
     "chromatic-found.json": "eb945bf9860cdeb97499c487e4c0acbf8ddb8b96192c007395b31c08133205e7",
     "chromatic-unknown.json": "76b67c10a6f85e93c1d3da8692f35484342ad20deb12698642630aba32524478",
-    "hex-cert.json": "ff276e1b75851cddb48efd6a78aab8b88e80f6a6ab4dde36c2a082973f27ee26",
-    "hex.dot": "56adf4c4c4deddc5003315a95d66b3ae5ae966e8c6e859386caf66d120916eeb",
+    "hex-cert.json": "6c15b5f8758c32bce0f5e33b4d23cb1f1e2a581e190c1de0d6d6ee4732ee4ff3",
+    "hex.dot": "94e0619b2f2f9c041c26c9db5bc94d18a2a42dc50ee458e58031a8ddadabd7fb",
     "hex.json": "90c87955835ccbd8a40f433c7ac6bf859521fa74cb43607cbaf364aeaa276d73",
     "lowerbounds-c6.json": "b80db301cb0b2aa67d74e22a908b9857ba3ba5849113f22bc19cac05ca00c4c3",
     "motif.dot": "5d28f342b24ff4eb0bdb34d05ea72df7272e887632d9c20964da07630d0dbcdc",

@@ -1,4 +1,4 @@
-"""The two constructive coloring algorithms and their normalization step."""
+"""The row pass that colors both grid kinds, and the paper's hex normal form."""
 
 import json
 import random
@@ -34,7 +34,7 @@ from signedgrids.hom import ec_to_signed
 
 from helpers import (
     color_hex_reference,
-    color_tri_reference,
+    color_rows_reference,
     compatible_colors_reference,
     fill_bounding,
     grid_graph,
@@ -45,6 +45,11 @@ from helpers import (
 
 RHO_T4 = rho_t4()
 RHO_SP9P = rho_sp9_plus()
+
+
+def color_hex_rows_reference(g):
+    """``color_hex``'s mapping by the row-pass oracle."""
+    return color_rows_reference(grid_graph(g), RHO_T4.graph, 1)[0]
 
 
 def random_grid(kind, seed, max_dim=12, p=None):
@@ -163,8 +168,7 @@ class TestColorHex:
             color_hex(SignedGraph(2, [(0, 1, POS)]))
 
     def test_makes_one_slot_array(self, monkeypatch):
-        # normalize_hex switches the one scatter of the grid's signs in place,
-        # and color_hex colors that array
+        # color_hex colors the one scatter of the grid's signs
         calls = []
         bounding_signs = colorers._bounding_signs
 
@@ -175,8 +179,46 @@ class TestColorHex:
         monkeypatch.setattr(colorers, "_bounding_signs", counted)
         for g in (random_grid("hex", 7), masked_grid("hex", 7)):
             calls.clear()
-            assert color_hex(g) == color_hex_reference(grid_graph(g))
+            assert color_hex(g) == color_hex_rows_reference(g)
             assert calls == [g]
+
+
+def hex_pass_states(target, gap=0):
+    """The reachable states of the hex row pass into ``target``, in row 1 and
+    below it, from plain sets.  A state is the candidate set, the
+    up-neighbor's color (None in row 1) and whether the next pair of the row
+    is joined.  The row above walks adversarially: past a joined pair of
+    this row the pair above is unjoined, so any color; past an unjoined one
+    it is joined, so a neighbor by either sign.  An unjoined pair reads as
+    ``gap``, which constrains nothing when 0."""
+    colors = frozenset(range(target.n))
+    up = lambda b, s: colors if b is None else frozenset(c for c in colors if target.status(b, c) == s)
+    reach = lambda S, t: frozenset(c for c in colors if any(t == 0 or target.status(p, c) == t for p in S))
+
+    def step(S, a, joined):
+        ups = [None] if a is None else colors if joined else up(a, POS) | up(a, NEG)
+        for b, s, t in product(ups, (POS, NEG), (POS, NEG) if joined else (gap,)):
+            yield up(b, s) & reach(S, t), b, not joined
+
+    def close(states):
+        todo, seen = list(states), set(states)
+        while todo:
+            for nxt in set(step(*todo.pop())) - seen:
+                seen.add(nxt)
+                todo.append(nxt)
+        return seen
+
+    below = {(up(a, s), a, j) for a in colors for s in (POS, NEG) for j in (True, False)}
+    return close({(colors, None, True)}), close(below)
+
+
+def test_hex_row_pass_closure_never_empties():
+    # color_hex's floor of 1 never raises: every reachable state is non-empty
+    row1, below = hex_pass_states(RHO_T4.graph)
+    assert (len(row1), len(below)) == (2, 64)
+    assert all(S for S, _, _ in row1 | below)
+    # reading a missing edge as + instead leaves some vertex without a color
+    assert not all(S for S, _, _ in hex_pass_states(RHO_T4.graph, POS)[1])
 
 
 class TestOnlySignedGridsAreColored:
@@ -325,16 +367,19 @@ def certificate_text(hom, base):
 class TestAgainstSignedGraphReference:
     """The sign-array colorers against the SignedGraph versions in ``helpers``.
 
-    Same mapping, same certificate bytes, same switch set (on the bounding
-    grid) and same tri candidate sets, on 300 random grids of each kind,
-    half of them masked.
+    Same mapping and same certificate bytes as the row-pass oracle, and the
+    same tri candidate sets, on 300 random grids of each kind, half of them
+    masked.  The paper's hex colorer, a second oracle, verifies on the same
+    grids, and ``normalize_hex`` gives its reference's switch set.
     """
 
     def test_color_hex(self):
         for g in differential_grids("hex"):
-            hom, expected = color_hex(g), color_hex_reference(grid_graph(g))
+            hom, expected = color_hex(g), color_hex_rows_reference(g)
             assert hom == expected
             assert certificate_text(hom, build_T4()) == certificate_text(expected, build_T4())
+            assert verify_ec(g, RHO_T4.graph, hom.mapping)
+            assert verify_ec(g, RHO_T4.graph, color_hex_reference(grid_graph(g)).mapping)
             bounding = grid_graph(g) if g.grid.mask is None else fill_bounding(grid_graph(g))[0]
             normalized, expected = normalize_hex_reference(bounding)
             slots, switched = normalize_hex(g)
@@ -344,7 +389,7 @@ class TestAgainstSignedGraphReference:
     def test_color_tri(self):
         for g in differential_grids("tri"):
             hom, trace = color_tri(g)
-            expected_hom, expected_rows = color_tri_reference(grid_graph(g))
+            expected_hom, expected_rows = color_rows_reference(grid_graph(g), RHO_SP9P.graph, 2)
             assert hom == expected_hom
             assert certificate_text(hom, sp9_plus()) == certificate_text(expected_hom, sp9_plus())
             # the trace keeps the smallest candidate set's size, not the sets
@@ -355,13 +400,16 @@ class TestAgainstSignedGraphReference:
         for g in differential_grids("hex")[::10]:
             negated = make_grid(g.grid, [s for *_, s in negate(g).edges])
             assert negated.graph() == negate(g)
-            hom = color_hex(negated)
-            assert hom == color_hex_reference(grid_graph(negated))
-            assert verify_ec(negated, RHO_T4.graph, hom.mapping)
+            sw = make_grid(g.grid, [s for *_, s in switch(g, range(0, g.n, 3)).edges])
+            for h in (negated, sw):
+                hom = color_hex(h)
+                assert hom == color_hex_rows_reference(h)
+                assert verify_ec(h, RHO_T4.graph, hom.mapping)
+                assert verify_ec(h, RHO_T4.graph, color_hex_reference(grid_graph(h)).mapping)
         for g in differential_grids("tri")[::10]:
             sw = make_grid(g.grid, [s for *_, s in switch(g, range(0, g.n, 3)).edges])
             hom, _ = color_tri(sw)
-            assert hom == color_tri_reference(grid_graph(sw))[0]
+            assert hom == color_rows_reference(grid_graph(sw), RHO_SP9P.graph, 2)[0]
             assert verify_ec(sw, RHO_SP9P.graph, hom.mapping)
 
 
