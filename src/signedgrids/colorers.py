@@ -106,11 +106,11 @@ def _bounding_signs(g: SignedGrid) -> memoryview:
     return slots
 
 
-def _by_slot(masks: dict[int, list[int]]) -> tuple[list[int], ...]:
+def _by_slot(masks: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
     """Sign masks indexed by a slot's value: 1 and -1 (the last entry), and
     0 (no edge), which constrains nothing: every row is all ones."""
     n = len(masks[POS])
-    return [(1 << n) - 1] * n, masks[POS], masks[NEG]
+    return ((1 << n) - 1,) * n, masks[POS], masks[NEG]
 
 
 def _restrict(phi: list[int], spec: GridSpec) -> tuple[int, ...]:

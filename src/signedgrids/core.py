@@ -61,6 +61,14 @@ class SignedGraph:
     no constraint.  Instances are immutable after construction and may be
     shared freely across threads.
 
+    A graph keeps three tables derived from it, each built on its first use
+    and then returned on every later one: its :func:`sign_masks` table, its
+    :func:`antitwin_double`, and the searches' vertex order
+    (``signedgrids.hom._search_order``).  The tables are tuples or frozen
+    values, so no caller can write into them.  Two threads that fill the
+    same table at once build equal values and one of them is kept, so a
+    racing first fill is benign.
+
     Attributes:
         n: Number of vertices.
         labels: Optional tuple of vertex labels (cosmetic only).
@@ -68,7 +76,7 @@ class SignedGraph:
             touches; an isolated vertex has no key.  Treat as read-only.
     """
 
-    __slots__ = ("n", "labels", "_edges", "adjacency")
+    __slots__ = ("n", "labels", "_edges", "adjacency", "_masks", "_double", "_order")
 
     def __init__(
         self,
@@ -99,6 +107,7 @@ class SignedGraph:
         self.labels = labels
         self._edges = tuple(sorted(canon))
         self.adjacency = adj
+        self._masks = self._double = self._order = None  # the kept tables, built on first use
 
     @property
     def edges(self) -> tuple[tuple[int, int, int], ...]:
@@ -142,16 +151,22 @@ class SignedGraph:
         return f"SignedGraph(n={self.n}, edges={len(self._edges)})"
 
 
-def sign_masks(h: SignedGraph) -> dict[int, list[int]]:
-    """Bit ``b`` of ``sign_masks(h)[s][a]`` is set iff ``ab`` is an edge of sign ``s``.
+def sign_masks(h: SignedGraph) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """Bit ``b`` of ``sign_masks(h)[s][a]`` is set iff ``h.status(a, b) == s``.
 
-    Built per call; nothing is cached.
+    The table is indexed by status: entry ``POS`` holds the positive
+    neighbors of each vertex, entry ``NEG`` (the last) the negative ones and
+    entry 0 the rest, the vertex itself included.  Built on first use and
+    kept on ``h``.
     """
-    masks = {POS: [0] * h.n, NEG: [0] * h.n}
-    for a, row in h.adjacency.items():
-        for b, s in row.items():
-            masks[s][a] |= 1 << b
-    return masks
+    if h._masks is None:
+        pos, neg = [0] * h.n, [0] * h.n
+        for a, row in h.adjacency.items():
+            for b, s in row.items():
+                (pos if s == POS else neg)[a] |= 1 << b
+        everyone = (1 << h.n) - 1
+        h._masks = (tuple(everyone ^ p ^ q for p, q in zip(pos, neg)), tuple(pos), tuple(neg))
+    return h._masks
 
 
 def switch(g: SignedGraph, vertices: Iterable[int]) -> SignedGraph:
@@ -218,8 +233,13 @@ class AntitwinnedGraph:
 
 
 def antitwin_double(g: SignedGraph) -> AntitwinnedGraph:
-    """Double ``g`` into its antitwinned extension (:class:`AntitwinnedGraph`)."""
-    return AntitwinnedGraph(g)
+    """Double ``g`` into its antitwinned extension (:class:`AntitwinnedGraph`).
+
+    Built on first use and kept on ``g``, so every call returns that object.
+    """
+    if g._double is None:
+        g._double = AntitwinnedGraph(g)
+    return g._double
 
 
 def plus_universal(g: SignedGraph) -> SignedGraph:

@@ -29,7 +29,11 @@ The chromatic number of a signed graph is the order of its smallest target;
 sweeping all complete signed targets of increasing order (restricting to
 complete targets loses nothing because adding edges to a target never removes
 homomorphisms), one per switching class (:func:`switching_classes`), since
-every target of a class admits the same signed homomorphisms.
+every target of a class admits the same signed homomorphisms.  The class
+targets of an order are built on its first sweep and kept for the life of
+the process, and every :class:`~signedgrids.core.SignedGraph` keeps the
+tables the searches derive from it (its antitwin doubling, its sign masks
+and its search order), so repeated sweeps rebuild none of them.
 :func:`canonical_complete_targets` lists one target per isomorphism class
 instead.  Both mark whole orbits, all ``n!`` permutation images at once from
 lane-packed ints, in a ``bytearray`` of ``2^(n(n-1)/2)`` bytes, so the order
@@ -147,9 +151,13 @@ def _adjacency(g: SignedGraph | SignedGrid) -> SignedGraph:
     return g.graph() if isinstance(g, SignedGrid) else g
 
 
-def _search_order(g: SignedGraph) -> tuple[list[int], list[int]]:
+def _search_order(g: SignedGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
     # breadth-first from a maximum-degree root, per connected component;
-    # returns the order and the root of each component, which opens its block
+    # returns the order and the root of each component, which opens its
+    # block; built on first use and kept on g, which every target's search
+    # of a sweep shares
+    if g._order is not None:
+        return g._order
     seen = [False] * g.n
     order: list[int] = []
     roots: list[int] = []
@@ -169,7 +177,8 @@ def _search_order(g: SignedGraph) -> tuple[list[int], list[int]]:
                     seen[w] = True
                     queue.append(w)
         order.extend(queue)
-    return order, roots
+    g._order = (tuple(order), tuple(roots))
+    return g._order
 
 
 def find_ec_hom(
@@ -321,9 +330,13 @@ def complete_signed_graph(n: int, mask: int) -> SignedGraph:
     """Complete signed graph on ``n`` vertices from a signature bitmask.
 
     Pairs are ordered (0,1),(0,2),...,(0,n-1),(1,2),...; a set bit makes the
-    pair negative.  Mask 0 is the all-positive complete graph.
+    pair negative.  Mask 0 is the all-positive complete graph.  A mask
+    outside ``range(2^(n(n-1)/2))`` raises ``ValueError``.
     """
-    edges = [(i, j, NEG if mask >> k & 1 else POS) for (i, j), k in _pair_index(n).items()]
+    idx = _pair_index(n)
+    if not 0 <= mask < 1 << len(idx):
+        raise ValueError(f"mask {mask} is outside range(2^{len(idx)}) for order {n}")
+    edges = [(i, j, NEG if mask >> k & 1 else POS) for (i, j), k in idx.items()]
     return SignedGraph(n, edges)
 
 
@@ -404,6 +417,12 @@ def switching_classes(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(classes)
 
 
+@cache  # one tuple per order, shared by every sweep: each target keeps its tables
+def _class_targets(order: int) -> tuple[SignedGraph, ...]:
+    """The complete target of each :func:`switching_classes` least mask."""
+    return tuple(complete_signed_graph(order, mask) for mask, _ in switching_classes(order))
+
+
 def signed_chromatic_number(
     g: SignedGraph | SignedGrid, max_order: int, budget: SearchBudget | None = None
 ) -> tuple[int, SignedGraph, Homomorphism] | None:
@@ -415,7 +434,9 @@ def signed_chromatic_number(
     homomorphism).  Every target of a class admits the same signed
     homomorphisms, and each class's least mask is a canonical target, so the
     first admitting class is also the first admitting canonical target.  The
-    classes of an order are computed on its first sweep and then cached.
+    class targets of an order are built on its first sweep and then kept, with
+    each target's doubling and sign masks, for every later sweep; the
+    returned target is that kept graph.
 
     Returns None when no target of order up to ``max_order`` works, i.e. the
     chromatic number exceeds ``max_order``, and raises ``ValueError`` for a
@@ -428,8 +449,7 @@ def signed_chromatic_number(
         raise ValueError(f"max_order must be at least 1, got {max_order}")
     g = _adjacency(g)
     for order in range(1, max_order + 1):
-        for mask, _ in switching_classes(order):
-            h = complete_signed_graph(order, mask)
+        for h in _class_targets(order):
             found = find_signed_hom(g, h, budget=budget)
             if found is not None:
                 return (order, h, found)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import copy
 import random
-from collections import Counter
+from collections import Counter, deque
 from collections.abc import Iterable, Mapping, Sequence
 from itertools import combinations, permutations, product
 
@@ -316,6 +316,57 @@ def verify_signed_reference(g: SignedGraph | SignedGrid, h: SignedGraph, hom: Ho
         if rows[mapping[u]].get(mapping[v], 0) != s:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# Oracles for the tables a graph keeps: each is built afresh from the
+# graph's adjacency on every call and reads no kept slot.
+# ---------------------------------------------------------------------------
+
+
+def sign_masks_reference(h: SignedGraph) -> tuple[tuple[int, ...], ...]:
+    """Oracle for ``sign_masks``: bit ``b`` of row ``a`` of entry ``s`` is
+    set iff the adjacency gives ``ab`` status ``s`` (0 for a non-edge or
+    ``a == b``), one pair at a time."""
+    table = {s: [0] * h.n for s in (0, POS, NEG)}
+    for a in range(h.n):
+        for b in range(h.n):
+            table[h.adjacency.get(a, {}).get(b, 0)][a] |= 1 << b
+    return tuple(tuple(table[s]) for s in (0, POS, NEG))
+
+
+def antitwin_double_reference(h: SignedGraph) -> SignedGraph:
+    """Oracle for ``antitwin_double(h).graph``: the four copy pairs of each
+    adjacency entry, signed by the copies, with the doubling's labels."""
+    n = h.n
+    edges = []
+    for u, row in h.adjacency.items():
+        for v, s in row.items():
+            if u < v:
+                edges += [(u, v, s), (u + n, v + n, s), (u, v + n, -s), (v, u + n, -s)]
+    labels = [f"{h.label(v)}{side}" for side in "+-" for v in range(n)]
+    return SignedGraph(2 * n, edges, labels=labels)
+
+
+def search_order_reference(g: SignedGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Oracle for ``hom._search_order``: breadth-first over the adjacency,
+    neighbors in ascending order, from the unvisited vertex of largest
+    degree (least id on ties) per component; the order and the roots."""
+    rows = g.adjacency
+    order: list[int] = []
+    roots: list[int] = []
+    for root in sorted(range(g.n), key=lambda v: (-len(rows.get(v, ())), v)):
+        if root in order:
+            continue
+        roots.append(root)
+        order.append(root)
+        queue = deque([root])
+        while queue:
+            for w in sorted(rows.get(queue.popleft(), ())):
+                if w not in order:
+                    order.append(w)
+                    queue.append(w)
+    return tuple(order), tuple(roots)
 
 
 def signed_hom_exists_brute(g: SignedGraph, h: SignedGraph) -> bool:

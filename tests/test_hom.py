@@ -22,6 +22,7 @@ from signedgrids import (
     find_isomorphism,
     find_signed_hom,
     rho_t4,
+    sign_masks,
     signed_chromatic_number,
     switch,
     unbalanced_c6,
@@ -32,6 +33,8 @@ from signedgrids import (
 from signedgrids.graphio import hom_from_dict
 from signedgrids.hom import (
     Homomorphism,
+    _class_targets,
+    _search_order,
     ec_to_signed,
     switching_classes,
 )
@@ -42,11 +45,14 @@ from signedgrids.grids import GridSpec, make_grid, random_signature
 
 from helpers import (
     all_complete_targets,
+    antitwin_double_reference,
     canonical_complete_targets_reference,
     ec_hom_exists_brute,
     find_ec_hom_reference,
     induced_target,
     random_signed_graph,
+    search_order_reference,
+    sign_masks_reference,
     signed_chromatic_number_reference,
     signed_hom_exists_brute,
     switching_class_grid,
@@ -398,6 +404,54 @@ class TestClassSkip:
         assert orders == {1: 1, 2: 1, 3: 2, 4: 3, 5: 7}
 
 
+class TestKeptTables:
+    """A graph's kept sign masks, doubling and search order equal tables built
+    afresh from its adjacency, before and after the searches that read them,
+    and keeping them moves no witness and no node count."""
+
+    def assert_fresh(self, graphs):
+        for h in graphs:
+            assert sign_masks(h) == sign_masks_reference(h)
+            assert all(type(row) is tuple for row in sign_masks(h))
+            assert antitwin_double(h) is antitwin_double(h)
+            double, want = antitwin_double(h).graph, antitwin_double_reference(h)
+            assert double == want and double.labels == want.labels
+            assert sign_masks(double) == sign_masks_reference(double)
+            assert _search_order(h) == search_order_reference(h)
+
+    def test_random_graphs(self):
+        rng = random.Random(29)
+        targets = [h for order in range(1, 6) for h in _class_targets(order)]
+        for _ in range(30):
+            g = random_signed_graph(rng, rng.randint(1, 7), rng.choice((0.3, 0.6, 0.9)))
+            h = random_signed_graph(rng, rng.randint(1, 5), 0.7)
+            graphs = [g, h, *targets]
+            self.assert_fresh(graphs)
+            found = signed_chromatic_number(g, 5)
+            domains = [rng.getrandbits(h.n) for _ in range(g.n)]
+            find_ec_hom(g, h, domains=domains)
+            find_signed_hom(g, h)
+            self.assert_fresh(graphs if found is None else [*graphs, found[1]])
+
+    @pytest.mark.parametrize("source, max_order, nodes", [("wheel7", 5, 674), ("tri", 6, 3818), ("hex", 6, 14684)])
+    def test_cold_and_warm_sweeps_spend_the_same_nodes(self, source, max_order, nodes):
+        # the node counts are those of the sweep that rebuilt every table per target
+        if source == "wheel7":
+            g = unbalanced_wheel7()
+        else:
+            spec = GridSpec(source, 4, 4)
+            bits = 0b101100111000101101 if source == "tri" else 0b101
+            g = switching_class_grid(spec, bits, spec.cells()[::3]).graph()
+        _class_targets.cache_clear()
+        runs = []
+        for _ in range(2):
+            budget = SearchBudget(10**9)
+            found = signed_chromatic_number(g, max_order, budget=budget)
+            runs.append((_result_key(found), 10**9 - budget.remaining))
+        assert runs[0] == runs[1]
+        assert runs[0][1] == nodes
+
+
 class TestTargetEnumeration:
     def test_all_targets_count(self):
         assert sum(1 for _ in all_complete_targets(3)) == 8
@@ -480,6 +534,12 @@ class TestTargetEnumeration:
     def test_mask_encoding(self):
         h = complete_signed_graph(3, 0b001)
         assert h.sign(0, 1) == NEG and h.sign(0, 2) == POS and h.sign(1, 2) == POS
+
+    @pytest.mark.parametrize("mask", [8, -1])
+    def test_masks_outside_the_pair_bits_are_refused(self, mask):
+        # 8 would alias mask 0 and -1 an all-negative K3
+        with pytest.raises(ValueError, match="outside"):
+            complete_signed_graph(3, mask)
 
 
 class TestInducedTarget:
