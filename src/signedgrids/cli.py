@@ -10,9 +10,10 @@ exhausted / unknown.
 Start-up: the arguments are parsed before any library module is imported,
 and a command imports only the modules it runs.  ``--version``, ``--help``
 and usage errors load none of them; ``gen`` and ``verify`` never load
-``colorers`` or ``props``.  Each library function the commands call is a
-module attribute here, a stand-in from :func:`_deferred` that imports its
-module on its first call; classes are imported where they are used.
+``colorers`` or ``props``, and ``gen`` loads no ``hom`` either.  Each
+library function the commands call is a module attribute here, a stand-in
+from :func:`_deferred` that imports its module on its first call; classes
+are imported where they are used.
 """
 
 from __future__ import annotations
@@ -23,7 +24,9 @@ import gc
 import json
 import os
 import sys
+from collections.abc import Iterable
 from importlib import import_module
+from itertools import chain
 
 from . import __version__
 
@@ -61,7 +64,7 @@ rho_t4 = _deferred("core", "rho_t4")
 sp5_plus = _deferred("core", "sp5_plus")
 switch = _deferred("core", "switch")  # never called here; perfbench/tracing.py patches signedgrids.cli.switch
 graph_from_dict = _deferred("graphio", "graph_from_dict")
-graph_to_dict = _deferred("graphio", "graph_to_dict")
+graph_to_dict = _deferred("graphio", "graph_to_dict")  # never called here; perfbench/tracing.py patches signedgrids.cli.graph_to_dict
 graph_to_dot = _deferred("graphio", "graph_to_dot")
 hom_from_dict = _deferred("graphio", "hom_from_dict")
 hom_to_dict = _deferred("graphio", "hom_to_dict")
@@ -98,7 +101,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _write_atomic(path: str, *parts: str) -> None:
+def _write_atomic(path: str, parts: Iterable[str]) -> None:
     # a fresh file created with mode 0o666 gets the umask, as with open();
     # mkstemp would fix 0o600, which os.replace keeps
     tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".signedgrids-{os.urandom(8).hex()}")
@@ -129,19 +132,19 @@ def _emit(path: str | None, payload: dict, command: str, config: dict) -> None:
         "config": config,
     }
     artifact.update(payload)
-    # the text and its final newline are written one after the other, not
-    # joined into a copy of the whole artifact
-    text = json.dumps(artifact, indent=2, sort_keys=True, cls=ArtifactEncoder)
+    # the encoder's pieces and the final newline are written one after the
+    # other, never joined into a copy of the whole artifact
+    pieces = chain(ArtifactEncoder(indent=2, sort_keys=True).iterencode(artifact), ("\n",))
     if path is None:
-        sys.stdout.writelines((text, "\n"))
+        sys.stdout.writelines(pieces)
     else:
-        _write_atomic(path, text, "\n")
+        _write_atomic(path, pieces)
 
 
 @contextlib.contextmanager
 def _collector_paused():
     # a JSON value holds no reference cycles, so the cyclic collector is
-    # paused while a grid file's many small lists are read or written
+    # paused while a grid file's many small lists are read
     collecting = gc.isenabled()
     gc.disable()
     try:
@@ -163,7 +166,7 @@ def _emit_dot(args, g, marks: list[str]) -> None:
     """Write the ``--dot`` drawing; if that fails, the run's JSON artifact
     is removed too, so that a failed run leaves none."""
     try:
-        _write_atomic(args.dot, graph_to_dot(g, annotations=marks))
+        _write_atomic(args.dot, (graph_to_dot(g, annotations=marks),))
     except BaseException:
         if args.output is not None:
             os.unlink(args.output)
@@ -195,8 +198,7 @@ def cmd_gen(args) -> int:
         "seed": args.seed,
         "p_neg": args.p_neg,
     }
-    with _collector_paused():
-        _emit(args.output, {"graph": graph_to_dict(g)}, "gen", config)
+    _emit(args.output, {"graph": g}, "gen", config)
     return EXIT_OK
 
 
@@ -393,9 +395,9 @@ def cmd_motif(args) -> int:
     target = sp5_plus()
     config = {"rows": args.rows, "cols": args.cols}
     payload = {
-        "graph": graph_to_dict(g),
+        "graph": g,
         "coloring": [coloring[v] for v in range(g.n)],
-        "target": graph_to_dict(target),
+        "target": target,
     }
     _emit(args.output, payload, "motif", config)
     if args.dot:

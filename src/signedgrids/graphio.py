@@ -43,16 +43,23 @@ direction, by :meth:`~signedgrids.grids.GridSpec.direction`, or a slot
 without an edge), or a missing grid edge (the first empty slot with an
 edge, named by bounding-id arithmetic), is named in the error.  Every
 other graph object reads as a :class:`~signedgrids.core.SignedGraph`.
-Both writers, :func:`graph_to_dict` and :func:`graph_to_dot`, read a
-grid's ``[u, v, s]`` rows from its columns and a graph's from its sorted
-edges; only a :class:`~signedgrids.grids.SignedGrid` gets a ``"grid"``.
+Every writer, :func:`graph_to_dict`, :func:`graph_to_dot` and
+:class:`ArtifactEncoder`, reads a grid's ``[u, v, s]`` rows from its
+columns and a graph's from its sorted edges; only a
+:class:`~signedgrids.grids.SignedGrid` gets a ``"grid"``.
 
-Artifacts are written as ``json.dumps(value, indent=2, sort_keys=True,
-cls=ArtifactEncoder)``.  :class:`ArtifactEncoder` gives the same text as the
-standard encoder, byte for byte, but builds it as a list of pieces joined
-once, with one %-format per chunk of :data:`ROW_CHUNK` int rows, instead of
-the standard encoder's pure-Python generators, which CPython falls back to
-whenever an indent is set.
+Artifacts are written from ``ArtifactEncoder(indent=2,
+sort_keys=True).iterencode(value)``, whose pieces are written one after the
+other and never joined.  The value may hold a
+:class:`~signedgrids.grids.SignedGrid` or a
+:class:`~signedgrids.core.SignedGraph` itself: the encoder renders its small
+fields through the dict path and its edges straight from the grid's
+columns or the graph's sorted edges, one %-format per chunk of
+:data:`EDGE_CHUNK` edges, and builds no per-edge list.  The text is the
+standard encoder's on the value with every graph replaced by its
+:func:`graph_to_dict`, byte for byte; a value the encoder does not render
+itself goes to the base class, whose :meth:`ArtifactEncoder.default` gives
+that dict.
 
 DOT output renders positive edges solid and negative edges dashed.
 """
@@ -61,13 +68,16 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Mapping, Sequence
-from itertools import chain, count
+from collections.abc import Iterable, Mapping, Sequence
+from itertools import chain, count, islice
 from operator import itemgetter
+from typing import TYPE_CHECKING
 
 from .core import SignedGraph
 from .grids import GridSpec, SignedGrid, is_sign_column
-from .hom import Homomorphism
+
+if TYPE_CHECKING:  # imported by hom_from_dict, which builds one; gen loads no hom
+    from .hom import Homomorphism
 
 
 def grid_to_dict(spec: GridSpec) -> dict:
@@ -104,14 +114,24 @@ def grid_from_dict(d: Mapping) -> GridSpec:
     return GridSpec(d.get("kind"), rows, cols, mask)
 
 
-def graph_to_dict(g: SignedGraph | SignedGrid) -> dict:
-    is_grid = isinstance(g, SignedGrid)
-    out: dict = {"n": g.n, "edges": list(map(list, zip(*g.columns) if is_grid else g.edges))}
+def _edge_rows(g: SignedGraph | SignedGrid) -> Iterable[tuple[int, int, int]]:
+    """The ``(u, v, s)`` rows a graph object lists: a grid's from its
+    columns, a graph's its sorted edges."""
+    return zip(*g.columns) if isinstance(g, SignedGrid) else g.edges
+
+
+def _graph_fields(g: SignedGraph | SignedGrid, edges) -> dict:
+    """The graph object of ``g``, with ``edges`` as its edge list."""
+    out: dict = {"n": g.n, "edges": edges}
     if g.labels is not None:
         out["labels"] = list(g.labels)
-    if is_grid:
+    if isinstance(g, SignedGrid):
         out["grid"] = grid_to_dict(g.grid)
     return out
+
+
+def graph_to_dict(g: SignedGraph | SignedGrid) -> dict:
+    return _graph_fields(g, list(map(list, _edge_rows(g))))
 
 
 def _listed_signs(raw: list, tails: tuple[int, ...], heads: tuple[int, ...]) -> tuple[int, ...] | None:
@@ -227,6 +247,8 @@ def hom_to_dict(hom: Homomorphism, target: SignedGraph) -> dict:
 
 
 def hom_from_dict(d: Mapping) -> tuple[Homomorphism, SignedGraph]:
+    from .hom import Homomorphism
+
     if not isinstance(d, Mapping):
         raise ValueError("certificate must be a JSON object")
     target = graph_from_dict(d.get("target"))
@@ -245,36 +267,52 @@ class _Unsupported(Exception):
     """A value outside the subset that :class:`ArtifactEncoder` renders itself."""
 
 
-# rows per %-format in an int-row block of ArtifactEncoder
-ROW_CHUNK = 2048
+# edges per %-format in a graph's edge list, as ArtifactEncoder renders it
+EDGE_CHUNK = 2048
+
+
+class _EdgeList:
+    """A graph's edge list in a rendering: its rows, never built as lists."""
+
+    __slots__ = ("rows", "count")
+
+    def __init__(self, rows: Iterable[tuple[int, int, int]], count: int):
+        self.rows, self.count = rows, count
 
 
 class ArtifactEncoder(json.JSONEncoder):
-    """``json.JSONEncoder`` whose indented output is built with ``str.join``.
+    """``json.JSONEncoder`` whose indented output is a list of pieces.
 
     CPython's C encoder serves only ``indent=None``; with an indent every
     value goes through the pure-Python generator encoder, one chunk per
-    token.  This class renders the same text directly, as a list of pieces
-    joined once: dicts with ``str`` keys, lists and tuples, with fast paths
-    for a list of ints and a list of non-empty int lists (a mapping, an edge
-    list), and scalars.  An int-row block is rendered :data:`ROW_CHUNK` rows
-    at a time, one %-format per chunk.  It honours ``indent``,
-    ``sort_keys``, ``separators``, ``ensure_ascii`` and ``allow_nan``.  Any
-    other value (a non-``str`` key, a type needing ``default``, a float that
-    is not finite) and a circular or deeply nested value go through the
-    base class, so the output always equals ``json.dumps`` with the same
-    arguments.
+    token.  This class renders the same text directly, as the list of
+    pieces that :meth:`iterencode` returns: dicts with ``str`` keys, lists
+    and tuples, with a fast path for a list of ints (a mapping), scalars,
+    and graphs, each rendered as its :func:`graph_to_dict`.  It honours
+    ``indent``, ``sort_keys``, ``separators``, ``ensure_ascii`` and
+    ``allow_nan``.  Any other value (a non-``str`` key, a type needing
+    ``default``, a float that is not finite, a graph with an entry not of
+    type exactly ``int``) and a circular or deeply nested value go through
+    the base class, whose :meth:`default` gives a graph's
+    :func:`graph_to_dict`.  So the output always equals ``json.dumps`` with
+    the same arguments of the value with every graph replaced by its
+    :func:`graph_to_dict`.
     """
 
-    def encode(self, o) -> str:
+    def default(self, o):
+        if isinstance(o, (SignedGraph, SignedGrid)):
+            return graph_to_dict(o)
+        return super().default(o)
+
+    def iterencode(self, o, _one_shot=False):
         if self.indent is None:
-            return super().encode(o)
+            return super().iterencode(o, _one_shot)
         text = _Rendering(self)
         try:
             text.render(o, "\n")
         except (_Unsupported, RecursionError):
-            return super().encode(o)
-        return "".join(text.pieces)
+            return super().iterencode(o, _one_shot)
+        return text.pieces
 
 
 class _Rendering:
@@ -316,15 +354,24 @@ class _Rendering:
                 return
             inner = nl + self.step
             put("[" + inner)
-            kinds = set(map(type, o))
-            if kinds == {int}:
+            if set(map(type, o)) == {int}:
                 put((self.comma + inner).join(map(str, o)))
-            elif not (kinds <= {list, tuple} and all(o) and self.int_rows(o, inner)):
+            else:
                 for k, x in enumerate(o):
                     if k:
                         put(self.comma + inner)
                     self.render(x, inner)
             put(nl + "]")
+        elif kind is SignedGrid or kind is SignedGraph:
+            # %d would print True as 1, so every entry must be of type exactly
+            # int; a grid's tails and heads are its spec's own
+            entries = o.signs if kind is SignedGrid else chain.from_iterable(o.edges)
+            if not set(map(type, entries)) <= {int}:
+                raise _Unsupported
+            count = len(o.signs) if kind is SignedGrid else o.edge_count
+            self.render(_graph_fields(o, _EdgeList(_edge_rows(o), count)), nl)
+        elif kind is _EdgeList:
+            self.edge_list(o, nl)
         elif o is None:
             put("null")
         elif kind is bool:
@@ -334,26 +381,30 @@ class _Rendering:
         else:
             raise _Unsupported
 
-    def int_rows(self, rows, inner: str) -> bool:
-        # rows of ints, a chunk at a time: one %-format over the chunk's
-        # ints, with a template per row length; False, with nothing put, if
-        # an entry is not an int
-        pieces, put, comma = self.pieces, self.put, self.comma
-        start, row = len(pieces), inner + self.step
+    def edge_list(self, edges: _EdgeList, nl: str) -> None:
+        # EDGE_CHUNK rows at a time: one %-format over the chunk's ints
+        put, comma, total = self.put, self.comma, edges.count
+        if not total:
+            put("[]")
+            return
+        inner = nl + self.step
+        row = inner + self.step
         head, sep, tail, joint = (
             t.replace("%", "%%") for t in ("[" + row, comma + row, inner + "]", comma + inner)
         )
-        templates = {n: head + sep.join(["%d"] * n) + tail for n in set(map(len, rows))}
-        for k in range(0, len(rows), ROW_CHUNK):
-            chunk = rows[k : k + ROW_CHUNK]
-            flat = tuple(chain.from_iterable(chunk))
-            if set(map(type, flat)) != {int}:
-                del pieces[start:]
-                return False
+        one = head + sep.join(["%d"] * 3) + tail
+        size = min(total, EDGE_CHUNK)
+        template = joint.join([one] * size)
+        flat = chain.from_iterable(edges.rows)
+        put("[" + inner)
+        for k in range(0, total, EDGE_CHUNK):
             if k:
                 put(comma + inner)
-            put(joint.join(map(templates.__getitem__, map(len, chunk))) % flat)
-        return True
+            if total - k < size:  # the last, shorter chunk
+                size = total - k
+                template = joint.join([one] * size)
+            put(template % tuple(islice(flat, 3 * size)))
+        put(nl + "]")
 
 
 def graph_to_dot(
@@ -371,7 +422,7 @@ def graph_to_dot(
         text = annotations[v] if annotations is not None else g.label(v)
         text = text.replace("\\", "\\\\").replace('"', '\\"')
         lines.append(f'  {v} [label="{text}"];')
-    for u, v, s in zip(*g.columns) if isinstance(g, SignedGrid) else g.edges:
+    for u, v, s in _edge_rows(g):
         style = "solid" if s == 1 else "dashed"
         lines.append(f"  {u} -- {v} [style={style}];")
     lines.append("}")

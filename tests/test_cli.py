@@ -405,6 +405,8 @@ def test_gen_and_verify_load_no_colorer_or_property_module(hex_graph, tmp_path):
     for code, modules in (gen, verify):
         assert code == EXIT_OK and "signedgrids.graphio" in modules
         assert not modules & {"signedgrids.colorers", "signedgrids.props"}
+    # only a certificate needs the search module
+    assert "signedgrids.hom" not in gen[1] and "signedgrids.hom" in verify[1]
 
 
 @pytest.mark.parametrize("kind", ["hex", "tri"])

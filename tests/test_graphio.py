@@ -19,6 +19,7 @@ from signedgrids import (
     find_signed_hom,
     make_grid,
     random_signature,
+    sp5_plus,
     sp9_plus,
     unbalanced_c6,
     verify_signed,
@@ -27,7 +28,7 @@ from signedgrids import graphio
 from signedgrids.grids import is_sign_column
 from signedgrids.hom import ec_to_signed
 from signedgrids.graphio import (
-    ROW_CHUNK,
+    EDGE_CHUNK,
     ArtifactEncoder,
     graph_from_dict,
     graph_to_dict,
@@ -503,13 +504,74 @@ def test_artifact_encoder_keeps_allow_nan():
         json.dumps({"x": [float("inf")]}, indent=2, allow_nan=False, cls=ArtifactEncoder)
 
 
-@pytest.mark.parametrize("extra", [-1, 0, 1, ROW_CHUNK + 1], ids=["chunk-1", "chunk", "chunk+1", "2chunks+1"])
+def grid_values():
+    """Graph values of every shape an artifact holds: hex and tri grids,
+    square, one row, one column, two columns, one cell, masked and
+    labelled, and plain graphs (certificate targets and the motif target)."""
+    values = {}
+    for kind in ("hex", "tri"):
+        for rows, cols in ((7, 7), (1, 9), (9, 1), (9, 2), (1, 1)):
+            spec = GridSpec(kind, rows, cols)
+            values[f"{kind}-{rows}x{cols}"] = make_grid(spec, random_signature(spec, rows + cols, 0.5))
+        rng = random.Random(len(kind))
+        full = GridSpec(kind, 8, 8)
+        spec = GridSpec(kind, 8, 8, frozenset(c for c in full.cells() if rng.random() < 0.7))
+        values[f"{kind}-masked"] = make_grid(spec, random_signature(spec, 4, 0.5))
+        g = make_grid(full, random_signature(full, 5, 0.5))
+        values[f"{kind}-labelled"] = SignedGrid(g.grid, g.signs, tuple(f"v{k}é" for k in range(g.n)))
+    values["T4"], values["SP9+"], values["SP5+"] = build_T4(), sp9_plus(), sp5_plus()
+    values["plain-labelled"] = SignedGraph(3, [(0, 1, 1), (1, 2, -1)], labels=("a", "b", '"c"'))
+    values["plain-empty"] = SignedGraph(2, [])
+    return values
+
+
+@pytest.mark.parametrize("name", sorted(grid_values()))
+def test_artifact_encoder_renders_graphs_as_their_dicts(name):
+    # the oracle: the standard encoder on graph_to_dict's view
+    g = grid_values()[name]
+    pieces = ArtifactEncoder(indent=2, sort_keys=True).iterencode({"graph": g})
+    assert type(pieces) is list  # rendered, not sent to the base class
+    assert json.dumps({"graph": g}, indent=2, sort_keys=True, cls=ArtifactEncoder) == json.dumps(
+        {"graph": graph_to_dict(g)}, indent=2, sort_keys=True
+    )
+    for options in (
+        {"indent": 3},
+        {"indent": "%\t", "separators": ("%,", ":"), "ensure_ascii": False},
+        {"indent": None},
+    ):
+        assert json.dumps([g, {"g": g}], cls=ArtifactEncoder, **options) == json.dumps(
+            [graph_to_dict(g), {"g": graph_to_dict(g)}], **options
+        )
+
+
+def test_artifact_encoder_sends_inexact_signs_to_the_base_class():
+    # a grid built directly with True among its signs: %d would print 1
+    spec = GridSpec("tri", 5, 5)
+    signs = list(random_signature(spec, 1, 0.5))
+    signs[7] = True
+    g = SignedGrid(spec, tuple(signs))
+    assert type(ArtifactEncoder(indent=2).iterencode({"graph": g})) is not list
+    text = json.dumps({"graph": g}, indent=2, sort_keys=True, cls=ArtifactEncoder)
+    assert text == json.dumps({"graph": graph_to_dict(g)}, indent=2, sort_keys=True)
+    assert "true" in text
+
+
+@pytest.mark.parametrize(
+    "extra", [-1, 0, 1, EDGE_CHUNK - 1, EDGE_CHUNK + 1], ids=["chunk-1", "chunk", "chunk+1", "2chunks-1", "2chunks+1"]
+)
 def test_artifact_encoder_at_chunk_boundaries(extra):
-    # int-row blocks are rendered ROW_CHUNK rows at a time; a non-int in the
-    # last row of a block sends the whole block to the generic path
-    rows = [[k, -k, k % 7 - 3] for k in range(ROW_CHUNK + extra)]
-    values = [{"edges": rows, "n": 3}, [rows, [[1, 2]]], {"edges": rows[:-1] + [[1, True, 2]]}]
-    values.append({"edges": rows[:-1] + [[1, 2.5]]})
-    for value in values:
+    # edge lists are rendered EDGE_CHUNK edges at a time: a tri grid of one
+    # row and a path graph with that many edges, and the same grid with a
+    # sign that is not an int in the last edge of a chunk
+    edges = EDGE_CHUNK + extra
+    spec = GridSpec("tri", 1, edges + 1)
+    grid = make_grid(spec, random_signature(spec, edges, 0.5))
+    path = SignedGraph(edges + 1, grid.edges)
+    last = min(edges, EDGE_CHUNK) - 1
+    inexact = SignedGrid(spec, grid.signs[:last] + (1.0,) + grid.signs[last + 1 :])
+    assert grid.grid.edge_count() == len(inexact.signs) == edges
+    for g in (grid, path, inexact):
         for options in ({"indent": 2, "sort_keys": True}, {"indent": "%\t", "separators": ("%,", ":")}):
-            assert json.dumps(value, cls=ArtifactEncoder, **options) == json.dumps(value, **options)
+            assert json.dumps({"graph": g, "n": 3}, cls=ArtifactEncoder, **options) == json.dumps(
+                {"graph": graph_to_dict(g), "n": 3}, **options
+            )
