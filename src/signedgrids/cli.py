@@ -133,8 +133,10 @@ def _emit(path: str | None, payload: dict, command: str, config: dict) -> None:
     }
     artifact.update(payload)
     # the encoder's pieces and the final newline are written one after the
-    # other, never joined into a copy of the whole artifact
-    pieces = chain(ArtifactEncoder(indent=2, sort_keys=True).iterencode(artifact), ("\n",))
+    # other, never joined into a copy of the whole artifact; the dump goes
+    # through json.dumps, where perfbench/tracing.py records every dump
+    text = json.dumps(artifact, indent=2, sort_keys=True, cls=ArtifactEncoder, joined=False)
+    pieces = chain(text.pieces, ("\n",))
     if path is None:
         sys.stdout.writelines(pieces)
     else:

@@ -48,9 +48,9 @@ Every writer, :func:`graph_to_dict`, :func:`graph_to_dot` and
 columns and a graph's from its sorted edges; only a
 :class:`~signedgrids.grids.SignedGrid` gets a ``"grid"``.
 
-Artifacts are written from ``ArtifactEncoder(indent=2,
-sort_keys=True).iterencode(value)``, whose pieces are written one after the
-other and never joined.  The value may hold a
+Artifacts are written from ``json.dumps(value, indent=2, sort_keys=True,
+cls=ArtifactEncoder, joined=False)``, a :class:`Text` whose pieces are
+written one after the other and never joined.  The value may hold a
 :class:`~signedgrids.grids.SignedGrid` or a
 :class:`~signedgrids.core.SignedGraph` itself: the encoder renders its small
 fields through the dict path and its edges straight from the grid's
@@ -292,17 +292,29 @@ class ArtifactEncoder(json.JSONEncoder):
     ``indent``, ``sort_keys``, ``separators``, ``ensure_ascii`` and
     ``allow_nan``.  Any other value (a non-``str`` key, a type needing
     ``default``, a float that is not finite, a graph with an entry not of
-    type exactly ``int``) and a circular or deeply nested value go through
-    the base class, whose :meth:`default` gives a graph's
-    :func:`graph_to_dict`.  So the output always equals ``json.dumps`` with
-    the same arguments of the value with every graph replaced by its
-    :func:`graph_to_dict`.
+    type exactly ``int``, a grid with more or fewer signs than its spec has
+    edges) and a circular or deeply nested value go through the base class,
+    whose :meth:`default` gives a graph's :func:`graph_to_dict`.  So the
+    output always equals ``json.dumps`` with the same arguments of the value
+    with every graph replaced by its :func:`graph_to_dict`.
+
+    With ``joined=False``, :meth:`encode`, and so ``json.dumps`` with this
+    class, returns that output as a :class:`Text`, its pieces not joined.
     """
+
+    def __init__(self, *, joined: bool = True, **options):
+        super().__init__(**options)
+        self.joined = joined
 
     def default(self, o):
         if isinstance(o, (SignedGraph, SignedGrid)):
             return graph_to_dict(o)
         return super().default(o)
+
+    def encode(self, o):
+        if self.joined:
+            return super().encode(o)
+        return Text(list(self.iterencode(o, _one_shot=True)))
 
     def iterencode(self, o, _one_shot=False):
         if self.indent is None:
@@ -313,6 +325,20 @@ class ArtifactEncoder(json.JSONEncoder):
         except (_Unsupported, RecursionError):
             return super().iterencode(o, _one_shot)
         return text.pieces
+
+
+class Text:
+    """An encoded text kept as its pieces, in order, never joined: what
+    ``json.dumps(value, cls=ArtifactEncoder, joined=False)`` returns.
+    ``len`` is the length of the text."""
+
+    __slots__ = ("pieces",)
+
+    def __init__(self, pieces: list[str]):
+        self.pieces = pieces
+
+    def __len__(self) -> int:
+        return sum(map(len, self.pieces))
 
 
 class _Rendering:
@@ -369,6 +395,8 @@ class _Rendering:
             if not set(map(type, entries)) <= {int}:
                 raise _Unsupported
             count = len(o.signs) if kind is SignedGrid else o.edge_count
+            if kind is SignedGrid and count != len(o.grid.edge_columns()[0]):
+                raise _Unsupported  # a directly built grid: zip lists the shorter count
             self.render(_graph_fields(o, _EdgeList(_edge_rows(o), count)), nl)
         elif kind is _EdgeList:
             self.edge_list(o, nl)

@@ -30,6 +30,7 @@ from signedgrids.hom import ec_to_signed
 from signedgrids.graphio import (
     EDGE_CHUNK,
     ArtifactEncoder,
+    Text,
     graph_from_dict,
     graph_to_dict,
     graph_to_dot,
@@ -544,16 +545,33 @@ def test_artifact_encoder_renders_graphs_as_their_dicts(name):
         )
 
 
-def test_artifact_encoder_sends_inexact_signs_to_the_base_class():
-    # a grid built directly with True among its signs: %d would print 1
+@pytest.mark.parametrize("change", ["true", "extra", "missing"])
+def test_artifact_encoder_sends_inexact_signs_to_the_base_class(change):
+    # grids built directly, which the constructor does not check: True
+    # among the signs (%d would print 1), and one sign more or fewer than
+    # the spec has edges (zip lists the shorter count)
     spec = GridSpec("tri", 5, 5)
     signs = list(random_signature(spec, 1, 0.5))
-    signs[7] = True
+    if change == "true":
+        signs[7] = True
+    elif change == "extra":
+        signs.append(-1)
+    else:
+        signs.pop()
     g = SignedGrid(spec, tuple(signs))
     assert type(ArtifactEncoder(indent=2).iterencode({"graph": g})) is not list
     text = json.dumps({"graph": g}, indent=2, sort_keys=True, cls=ArtifactEncoder)
     assert text == json.dumps({"graph": graph_to_dict(g)}, indent=2, sort_keys=True)
-    assert "true" in text
+    assert ("true" in text) == (change == "true")
+
+
+@pytest.mark.parametrize("value", [{"graph": build_T4(), "n": [1, 2]}, {"x": [float("nan")]}, []])
+def test_artifact_encoder_hands_back_unjoined_pieces(value):
+    text = json.dumps(value, indent=2, sort_keys=True, cls=ArtifactEncoder, joined=False)
+    assert isinstance(text, Text)
+    joined = json.dumps(value, indent=2, sort_keys=True, cls=ArtifactEncoder)
+    assert "".join(text.pieces) == joined
+    assert len(text) == len(joined)
 
 
 @pytest.mark.parametrize(
