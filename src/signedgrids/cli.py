@@ -58,7 +58,6 @@ def _deferred(module: str, name: str):
 color_hex = _deferred("colorers", "color_hex")
 color_tri = _deferred("colorers", "color_tri")
 build_SP9 = _deferred("core", "build_SP9")
-build_T4 = _deferred("core", "build_T4")
 rho_sp9_plus = _deferred("core", "rho_sp9_plus")
 rho_t4 = _deferred("core", "rho_t4")
 sp5_plus = _deferred("core", "sp5_plus")
@@ -75,11 +74,9 @@ unbalanced_c6 = _deferred("grids", "unbalanced_c6")
 unbalanced_wheel7 = _deferred("grids", "unbalanced_wheel7")
 SearchBudget = _deferred("hom", "SearchBudget")
 canonical_complete_targets = _deferred("hom", "canonical_complete_targets")  # never called here; perfbench/tracing.py patches signedgrids.cli.canonical_complete_targets
-complete_signed_graph = _deferred("hom", "complete_signed_graph")
 ec_to_signed = _deferred("hom", "ec_to_signed")
-find_signed_hom = _deferred("hom", "find_signed_hom")
+find_signed_hom = _deferred("hom", "find_signed_hom")  # never called here; perfbench/tracing.py patches signedgrids.cli.find_signed_hom
 signed_chromatic_number = _deferred("hom", "signed_chromatic_number")
-switching_classes = _deferred("hom", "switching_classes")
 verify_ec = _deferred("hom", "verify_ec")
 verify_signed = _deferred("hom", "verify_signed")
 automorphisms = _deferred("props", "automorphisms")
@@ -308,19 +305,23 @@ def cmd_props(args) -> int:
     return EXIT_OK
 
 
-def cmd_chromatic(args) -> int:
+def _sweep(args, g, max_order: int, config: dict, conclude: bool = False) -> int:
+    """Emit the sweep of ``g`` up to ``max_order`` as the artifact of
+    ``args.command``: ``found`` with the order and its witness, ``none``
+    past ``max_order``, or ``unknown`` (exit 3) once ``--budget`` runs out.
+    With ``conclude``, ``max_order`` is the expected chromatic number, and
+    a ``conclusion`` line saying whether the sweep proved it goes into the
+    artifact and to stdout."""
     from .hom import BudgetExceededError
 
-    g = _load_graph(args.input)
     budget = SearchBudget(args.budget) if args.budget is not None else None
-    config = {"input": args.input, "max_order": args.max_order, "budget": args.budget}
     try:
-        result = signed_chromatic_number(g, args.max_order, budget=budget)
+        result = signed_chromatic_number(g, max_order, budget=budget)
     except BudgetExceededError:
-        _emit(args.output, {"status": "unknown"}, "chromatic", config)
+        _emit(args.output, {"status": "unknown"}, args.command, config)
         return EXIT_UNKNOWN
     if result is None:
-        payload = {"status": "none", "max_order": args.max_order}
+        payload = {"status": "none", "max_order": max_order}
     else:
         order, target, hom = result
         payload = {
@@ -328,68 +329,37 @@ def cmd_chromatic(args) -> int:
             "order": order,
             "witness": hom_to_dict(hom, target),
         }
-    _emit(args.output, payload, "chromatic", config)
+    if conclude:
+        payload["conclusion"] = (
+            f"no target of order {max_order - 1}; order-{max_order} witness found"
+            f" => chromatic number = {max_order}"
+            if payload.get("order") == max_order
+            else "unexpected"
+        )
+    _emit(args.output, payload, args.command, config)
+    if conclude:
+        print(payload["conclusion"])
     return EXIT_OK
+
+
+def cmd_chromatic(args) -> int:
+    g = _load_graph(args.input)
+    config = {"input": args.input, "max_order": args.max_order, "budget": args.budget}
+    return _sweep(args, g, args.max_order, config)
+
+
+# --instance -> (the built-in instance, its chromatic number); lambdas look
+# the builders up at call time
+_INSTANCES = {
+    "c6": (lambda: unbalanced_c6(), 4),
+    "wheel7": (lambda: unbalanced_wheel7(), 6),
+}
 
 
 def cmd_lowerbounds(args) -> int:
-    from .hom import BudgetExceededError
-
-    budget = SearchBudget(args.budget) if args.budget is not None else None
+    build, chi = _INSTANCES[args.instance]
     config = {"instance": args.instance, "budget": args.budget}
-    try:
-        if args.instance == "c6":
-            g = unbalanced_c6().graph()  # the searches below share one conversion
-            admitting = [
-                mask
-                for mask in range(8)
-                if find_signed_hom(g, complete_signed_graph(3, mask), budget=budget)
-            ]
-            t4_hom = find_signed_hom(g, build_T4(), budget=budget)
-            conclusion = (
-                "no target of order 3; order-4 witness T4 => chromatic number = 4"
-                if not admitting and t4_hom
-                else "unexpected"
-            )
-            payload = {
-                "order3_admitting": admitting,
-                "order4_T4_admits": t4_hom is not None,
-                "conclusion": conclusion,
-            }
-            lines = [conclusion]
-        else:
-            g = unbalanced_wheel7()
-            # one search per switching class, counted with its size: every
-            # target of a class admits the same signed homomorphisms
-            admitting5 = sum(
-                size
-                for mask, size in switching_classes(5)
-                if find_signed_hom(g, complete_signed_graph(5, mask), budget=budget)
-            )
-            witness6 = None
-            for mask, _ in switching_classes(6):
-                h = complete_signed_graph(6, mask)
-                found = find_signed_hom(g, h, budget=budget)
-                if found is not None:
-                    witness6 = (mask, found)
-                    break
-            payload = {
-                "order5_admitting_count": admitting5,
-                "order6_witness_mask": witness6[0] if witness6 else None,
-                "conclusion": (
-                    "no target of order 5; order-6 witness found => chromatic number = 6"
-                    if admitting5 == 0 and witness6
-                    else "unexpected"
-                ),
-            }
-            lines = [payload["conclusion"]]
-    except BudgetExceededError:
-        _emit(args.output, {"status": "unknown"}, "lowerbounds", config)
-        return EXIT_UNKNOWN
-    _emit(args.output, payload, "lowerbounds", config)
-    for line in lines:
-        print(line)
-    return EXIT_OK
+    return _sweep(args, build(), chi, config, conclude=True)
 
 
 def cmd_motif(args) -> int:
@@ -445,8 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_chromatic)
 
-    p = sub.add_parser("lowerbounds", help="run the fixed lower-bound sweeps")
-    p.add_argument("--instance", choices=("c6", "wheel7"), required=True)
+    p = sub.add_parser("lowerbounds", help="run the chromatic sweep on a built-in lower-bound instance")
+    p.add_argument("--instance", choices=tuple(_INSTANCES), required=True)
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_lowerbounds)

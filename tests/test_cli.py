@@ -9,15 +9,28 @@ import resource
 import stat
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import signedgrids
-from signedgrids import GridSpec, Homomorphism, SignedGraph, build_T4, make_grid, random_signature
+from signedgrids import (
+    GridSpec,
+    Homomorphism,
+    SignedGraph,
+    build_T4,
+    complete_signed_graph,
+    find_isomorphism,
+    make_grid,
+    random_signature,
+    unbalanced_c6,
+    unbalanced_wheel7,
+    verify_signed,
+)
 from signedgrids.cli import EXIT_OK, EXIT_UNKNOWN, EXIT_USAGE, EXIT_VERIFY, main
-from signedgrids.graphio import graph_to_dict, hom_to_dict
+from signedgrids.graphio import graph_to_dict, hom_from_dict, hom_to_dict
 
 from helpers import mutated
 
@@ -279,32 +292,66 @@ class TestReports:
     def test_lowerbounds_wheel7(self, tmp_path, capsys):
         out = tmp_path / "lb.json"
         assert run("lowerbounds", "--instance", "wheel7", "-o", str(out)) == EXIT_OK
-        assert sha256(out) == "418b69981b88808f02b0bfefdcf3a4ff9b4696c770abbd2922bf6473b53fff9f"
+        assert sha256(out) == "18ac62c6be9bfbae4f7d54cd54f29ca4b9eef09a5c17fa5363ba58ce7f381906"
         data = read(out)
-        assert data["order5_admitting_count"] == 0
-        assert data["order6_witness_mask"] is not None
-        assert "no target of order 5" in capsys.readouterr().out
+        assert data["status"] == "found" and data["order"] == 6
+        hom, target = hom_from_dict(data["witness"])
+        assert verify_signed(unbalanced_wheel7(), target, hom)
+        # the witness target is mask 37, the least mask of the 6th order-6 class
+        assert target == complete_signed_graph(6, 37)
+        assert capsys.readouterr().out == (
+            "no target of order 5; order-6 witness found => chromatic number = 6\n"
+        )
 
-    def test_lowerbounds_wheel7_searches_one_target_per_switching_class(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize(
+        "instance, searches",
+        [
+            ("c6", {1: 1, 2: 1, 3: 2, 4: 2}),
+            # 7 order-5 classes, and the witness, mask 37, is the 6th order-6 class
+            ("wheel7", {1: 1, 2: 1, 3: 2, 4: 3, 5: 7, 6: 6}),
+        ],
+        ids=["c6", "wheel7"],
+    )
+    def test_lowerbounds_searches_one_target_per_switching_class(self, tmp_path, monkeypatch, instance, searches):
         orders = []
-        search = signedgrids.cli.find_signed_hom
+        search = signedgrids.hom.find_signed_hom
 
         def counted(g, h, budget=None):
             orders.append(h.n)
             return search(g, h, budget=budget)
 
-        monkeypatch.setattr(signedgrids.cli, "find_signed_hom", counted)
+        monkeypatch.setattr(signedgrids.hom, "find_signed_hom", counted)
         out = tmp_path / "lb.json"
-        assert run("lowerbounds", "--instance", "wheel7", "-o", str(out)) == EXIT_OK
-        assert sha256(out) == "418b69981b88808f02b0bfefdcf3a4ff9b4696c770abbd2922bf6473b53fff9f"
-        # 7 order-5 classes, and the witness, mask 37, is the 6th order-6 class
-        assert orders.count(5) == 7 and orders.count(6) == 6 and set(orders) == {5, 6}
+        assert run("lowerbounds", "--instance", instance, "-o", str(out)) == EXIT_OK
+        assert Counter(orders) == searches
 
-    def test_lowerbounds_wheel7_budget_exhaustion(self, tmp_path, capsys):
+    @pytest.mark.parametrize("instance", ["c6", "wheel7"])
+    def test_lowerbounds_budget_exhaustion(self, tmp_path, capsys, instance):
         out = tmp_path / "lb.json"
-        assert run("lowerbounds", "--instance", "wheel7", "--budget", "0", "-o", str(out)) == EXIT_UNKNOWN
+        assert run("lowerbounds", "--instance", instance, "--budget", "0", "-o", str(out)) == EXIT_UNKNOWN
         assert read(out)["status"] == "unknown"
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("chi, status", [(3, "none"), (5, "found")])
+    def test_lowerbounds_concludes_unexpected_off_the_claimed_order(self, tmp_path, capsys, monkeypatch, chi, status):
+        # c6 needs 4: a claim of 3 finds nothing, one of 5 finds order 4
+        monkeypatch.setitem(signedgrids.cli._INSTANCES, "c6", (unbalanced_c6, chi))
+        out = tmp_path / "lb.json"
+        assert run("lowerbounds", "--instance", "c6", "-o", str(out)) == EXIT_OK
+        data = read(out)
+        assert data["status"] == status and data["conclusion"] == "unexpected"
+        assert capsys.readouterr().out == "unexpected\n"
+
+    @pytest.mark.parametrize(
+        "instance, build, chi", [("c6", unbalanced_c6, 4), ("wheel7", unbalanced_wheel7, 6)], ids=["c6", "wheel7"]
+    )
+    def test_lowerbounds_is_the_chromatic_sweep_on_the_instance(self, tmp_path, instance, build, chi):
+        graph, lb, chrom = tmp_path / "g.json", tmp_path / "lb.json", tmp_path / "chrom.json"
+        graph.write_text(json.dumps(graph_to_dict(build())))
+        assert run("lowerbounds", "--instance", instance, "-o", str(lb)) == EXIT_OK
+        assert run("chromatic", "-i", str(graph), "--max-order", str(chi), "-o", str(chrom)) == EXIT_OK
+        a, b = read(lb), read(chrom)
+        assert (a["order"], a["witness"]) == (b["order"], b["witness"])
 
     def test_chromatic_c6_grid(self, tmp_path):
         graph = tmp_path / "c6.json"
@@ -342,9 +389,14 @@ class TestReports:
         out = tmp_path / "lb.json"
         assert run("lowerbounds", "--instance", "c6", "-o", str(out)) == EXIT_OK
         data = read(out)
-        assert data["order3_admitting"] == []
-        assert data["order4_T4_admits"] is True
-        assert "order-4 witness T4" in capsys.readouterr().out
+        assert data["status"] == "found" and data["order"] == 4
+        hom, target = hom_from_dict(data["witness"])
+        assert verify_signed(unbalanced_c6(), target, hom)
+        # the least mask of its class, one negative edge: T4 up to relabeling
+        assert find_isomorphism(target, build_T4()) is not None
+        assert capsys.readouterr().out == (
+            "no target of order 3; order-4 witness found => chromatic number = 4\n"
+        )
 
     def test_motif_artifact(self, tmp_path):
         out = tmp_path / "motif.json"
@@ -537,7 +589,7 @@ GOLDEN = {
     "hex-cert.json": "6c15b5f8758c32bce0f5e33b4d23cb1f1e2a581e190c1de0d6d6ee4732ee4ff3",
     "hex.dot": "94e0619b2f2f9c041c26c9db5bc94d18a2a42dc50ee458e58031a8ddadabd7fb",
     "hex.json": "90c87955835ccbd8a40f433c7ac6bf859521fa74cb43607cbaf364aeaa276d73",
-    "lowerbounds-c6.json": "b80db301cb0b2aa67d74e22a908b9857ba3ba5849113f22bc19cac05ca00c4c3",
+    "lowerbounds-c6.json": "862a0aa58efa12142016d4940e99d85b835481c704d64a040a1fb5340208a631",
     "motif.dot": "5d28f342b24ff4eb0bdb34d05ea72df7272e887632d9c20964da07630d0dbcdc",
     "motif.json": "05408e35c8d21d33b5f48d39c3ab0c82c38f8b870a1110d6e929cf2b34450887",
     "props-SP9.json": "5d4dbb73d5b5358be0cea4cfe6c1fe6cb4cff214e6de4624f019cb2408734131",
@@ -571,7 +623,7 @@ def test_artifacts_are_byte_identical(tmp_path, monkeypatch, capsys):
     assert codes == [EXIT_OK] * 8 + [EXIT_UNKNOWN] + [EXIT_OK] * 4
     assert capsys.readouterr().out == (
         "certificate OK\ncertificate OK\n"
-        "no target of order 3; order-4 witness T4 => chromatic number = 4\n"
+        "no target of order 3; order-4 witness found => chromatic number = 4\n"
     )
     assert {p.name: sha256(p) for p in tmp_path.iterdir()} == GOLDEN
 
