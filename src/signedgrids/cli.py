@@ -2,10 +2,10 @@
 
 Subcommands: ``gen``, ``color``, ``verify``, ``props``, ``chromatic``,
 ``lowerbounds``, ``motif``.  Every artifact embeds the tool version and the
-full configuration that produced it, and identical invocations write
-byte-identical files.  Exit codes: 0 success, 1 usage error or input too
-large to process (out of memory), 2 verification failure, 3 budget
-exhausted / unknown.
+full configuration that produced it, every argument but ``-o`` and
+``--dot``, and identical invocations write byte-identical files.  Exit
+codes: 0 success, 1 usage error or input too large to process (out of
+memory), 2 verification failure, 3 budget exhausted / unknown.
 
 Start-up: the arguments are parsed before any library module is imported,
 and a command imports only the modules it runs.  ``--version``, ``--help``
@@ -119,13 +119,17 @@ def _write_atomic(path: str, parts: Iterable[str]) -> None:
         raise OSError(exc.errno, exc.strerror, path) from None
 
 
-def _emit(path: str | None, payload: dict, command: str, config: dict) -> None:
+def _emit(args, payload: dict) -> None:
+    """Write the artifact of ``args.command`` to ``args.output``, or to
+    stdout without one.  Its ``config`` is every parsed argument but the
+    command and the destinations ``-o`` and ``--dot``."""
     from .graphio import ArtifactEncoder
 
+    config = {k: v for k, v in vars(args).items() if k not in ("command", "func", "output", "dot")}
     artifact = {
         "tool": "signedgrids",
         "version": __version__,
-        "command": command,
+        "command": args.command,
         "config": config,
     }
     artifact.update(payload)
@@ -134,10 +138,10 @@ def _emit(path: str | None, payload: dict, command: str, config: dict) -> None:
     # through json.dumps, where perfbench/tracing.py records every dump
     text = json.dumps(artifact, indent=2, sort_keys=True, cls=ArtifactEncoder, joined=False)
     pieces = chain(text.pieces, ("\n",))
-    if path is None:
+    if args.output is None:
         sys.stdout.writelines(pieces)
     else:
-        _write_atomic(path, pieces)
+        _write_atomic(args.output, pieces)
 
 
 @contextlib.contextmanager
@@ -190,14 +194,7 @@ def cmd_gen(args) -> int:
     spec = GridSpec(args.kind, args.rows, args.cols)
     sig = random_signature(spec, args.seed, args.p_neg)
     g = make_grid(spec, sig)
-    config = {
-        "kind": args.kind,
-        "rows": args.rows,
-        "cols": args.cols,
-        "seed": args.seed,
-        "p_neg": args.p_neg,
-    }
-    _emit(args.output, {"graph": g}, "gen", config)
+    _emit(args, {"graph": g})
     return EXIT_OK
 
 
@@ -225,13 +222,12 @@ def cmd_color(args) -> int:
         return EXIT_VERIFY
     signed = ec_to_signed(ec_hom, base.n)
     identities = len(set(signed.mapping))
-    config = {"input": args.input}
     payload = {
         "target_name": target_name,
         "identities_used": identities,
         "certificate": hom_to_dict(signed, base),
     }
-    _emit(args.output, payload, "color", config)
+    _emit(args, payload)
     if args.dot:
         marks = [
             f"{base.label(signed.mapping[v])}{'*' if v in signed.switch_set else ''}"
@@ -301,24 +297,24 @@ def cmd_props(args) -> int:
         payload["antiautomorphic"] = check_antiautomorphic(anti_graph) is not None
         holds = holds and payload["antiautomorphic"]
     payload["all_hold"] = holds
-    _emit(args.output, payload, "props", {"target": args.target})
+    _emit(args, payload)
     return EXIT_OK
 
 
-def _sweep(args, g, max_order: int, config: dict, conclude: bool = False) -> int:
+def _sweep(args, g, max_order: int, conclude: bool = False) -> int:
     """Emit the sweep of ``g`` up to ``max_order`` as the artifact of
     ``args.command``: ``found`` with the order and its witness, ``none``
     past ``max_order``, or ``unknown`` (exit 3) once ``--budget`` runs out.
     With ``conclude``, ``max_order`` is the expected chromatic number, and
     a ``conclusion`` line saying whether the sweep proved it goes into the
-    artifact and to stdout."""
+    artifact and to stdout; a sweep that did not prove it exits 2."""
     from .hom import BudgetExceededError
 
     budget = SearchBudget(args.budget) if args.budget is not None else None
     try:
         result = signed_chromatic_number(g, max_order, budget=budget)
     except BudgetExceededError:
-        _emit(args.output, {"status": "unknown"}, args.command, config)
+        _emit(args, {"status": "unknown"})
         return EXIT_UNKNOWN
     if result is None:
         payload = {"status": "none", "max_order": max_order}
@@ -329,23 +325,22 @@ def _sweep(args, g, max_order: int, config: dict, conclude: bool = False) -> int
             "order": order,
             "witness": hom_to_dict(hom, target),
         }
+    proved = payload.get("order") == max_order
     if conclude:
         payload["conclusion"] = (
             f"no target of order {max_order - 1}; order-{max_order} witness found"
             f" => chromatic number = {max_order}"
-            if payload.get("order") == max_order
+            if proved
             else "unexpected"
         )
-    _emit(args.output, payload, args.command, config)
+    _emit(args, payload)
     if conclude:
         print(payload["conclusion"])
-    return EXIT_OK
+    return EXIT_VERIFY if conclude and not proved else EXIT_OK
 
 
 def cmd_chromatic(args) -> int:
-    g = _load_graph(args.input)
-    config = {"input": args.input, "max_order": args.max_order, "budget": args.budget}
-    return _sweep(args, g, args.max_order, config)
+    return _sweep(args, _load_graph(args.input), args.max_order)
 
 
 # --instance -> (the built-in instance, its chromatic number); lambdas look
@@ -358,20 +353,17 @@ _INSTANCES = {
 
 def cmd_lowerbounds(args) -> int:
     build, chi = _INSTANCES[args.instance]
-    config = {"instance": args.instance, "budget": args.budget}
-    return _sweep(args, build(), chi, config, conclude=True)
+    return _sweep(args, build(), chi, conclude=True)
 
 
 def cmd_motif(args) -> int:
     g, coloring = all_c4_unbalanced_grid(args.rows, args.cols)
-    target = sp5_plus()
-    config = {"rows": args.rows, "cols": args.cols}
     payload = {
         "graph": g,
         "coloring": [coloring[v] for v in range(g.n)],
-        "target": target,
+        "target": sp5_plus(),
     }
-    _emit(args.output, payload, "motif", config)
+    _emit(args, payload)
     if args.dot:
         _emit_dot(args, g, [str(coloring[v]) for v in range(g.n)])
     return EXIT_OK

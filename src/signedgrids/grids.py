@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, compress, islice, product
 
-from .core import NEG, POS, SignedGraph
+from .core import NEG, POS, SignedGraph, sp5_plus
 
 Cell = tuple[int, int]
 CellEdge = tuple[Cell, Cell]
@@ -314,43 +314,14 @@ def random_signature(spec: GridSpec, seed: int, p_negative: float) -> tuple[int,
 
 # ---------------------------------------------------------------------------
 # Fixture: a doubly periodic triangular-grid signature in which every 4-cycle
-# is unbalanced, together with a 6-coloring of it.  The six-vertex motif
-# repeats with period 3 in the row direction and period 2 in the column
-# direction.  Rows cycle through the color pairs {0,1}, {3,4}, {2,5}; the
-# induced 6-vertex target is isomorphic to SP5 plus a universal vertex.
+# is unbalanced, stated as its 6-coloring into SP5+ (SP5 on 0..4 plus the
+# universal vertex 5).  Cell (i, j) gets _MOTIF_COLORS[i % 3][j % 2], so the
+# motif repeats with period 3 in the row direction and period 2 in the column
+# direction, and each edge takes the sign of the SP5+ edge between its ends'
+# colors: the coloring is a homomorphism into SP5+ with no switching.
 # ---------------------------------------------------------------------------
 
-
-def _motif_row_sign(r: int) -> int:
-    # row edge (r,c)-(r,c+1)
-    return NEG if r % 3 == 2 else POS
-
-
-def _motif_down_sign(r: int, c: int) -> int:
-    # cross edge (r,c)-(r-1,c); alternates along every third row gap
-    if (r - 1) % 3 == 0:
-        return POS if c % 2 == 0 else NEG
-    return POS
-
-
-def _motif_diag_sign(r: int, c: int) -> int:
-    # cross edge (r,c)-(r-1,c+1)
-    m = (r - 1) % 3
-    if m == 1:
-        return NEG
-    if m == 2:
-        return POS
-    return POS if c % 2 == 1 else NEG
-
-
-def _motif_color(r: int, c: int) -> int:
-    m = r % 3
-    odd = c % 2 == 1
-    if m == 0:
-        return 1 if odd else 0
-    if m == 1:
-        return 3 if odd else 4
-    return 2 if odd else 5
+_MOTIF_COLORS = ((5, 0), (3, 2), (4, 1))
 
 
 def all_c4_unbalanced_grid(rows: int, cols: int) -> tuple[SignedGrid, dict[int, int]]:
@@ -358,24 +329,17 @@ def all_c4_unbalanced_grid(rows: int, cols: int) -> tuple[SignedGrid, dict[int, 
 
     Any window of the periodic motif keeps both properties, so any
     ``rows x cols`` size is available.  Returns the signed grid and a map
-    vertex -> color in ``0..5``; the coloring is a valid edge-sign-preserving
-    map onto a 6-vertex target isomorphic to SP5 with a universal vertex.
+    vertex -> color in ``0..5``, the vertex ids of :func:`~signedgrids.core.sp5_plus`;
+    every edge's sign is that of the SP5+ edge between its ends' colors, so
+    the coloring maps the grid into SP5+ with an empty switch set.
     """
     if rows < 2 or cols < 2:
         raise ValueError("need rows, cols >= 2")
     spec = GridSpec("tri", rows, cols)
-    signature = {}
-    for a, b in spec.edges():
-        (i1, j1), (i2, j2) = a, b
-        if i1 == i2:
-            signature[(a, b)] = _motif_row_sign(i1)
-        elif j2 == j1:
-            signature[(a, b)] = _motif_down_sign(i2, j2)
-        else:  # (i,j)-(i+1,j-1) is the diag edge (r,c)-(r-1,c+1) seen from below
-            signature[(a, b)] = _motif_diag_sign(i2, j2)
-    g = make_grid(spec, signature)
-    cells = spec.cells()
-    coloring = {k: _motif_color(i, j) for k, (i, j) in enumerate(cells)}
+    coloring = {v: _MOTIF_COLORS[i % 3][j % 2] for v, (i, j) in enumerate(spec.cells())}
+    status = sp5_plus().status
+    # make_grid rejects the 0 of two adjacent cells with one color
+    g = make_grid(spec, [status(coloring[u], coloring[v]) for u, v in zip(*spec.edge_columns())])
     return g, coloring
 
 

@@ -27,10 +27,11 @@ from signedgrids import (
     random_signature,
     unbalanced_c6,
     unbalanced_wheel7,
+    verify_ec,
     verify_signed,
 )
 from signedgrids.cli import EXIT_OK, EXIT_UNKNOWN, EXIT_USAGE, EXIT_VERIFY, main
-from signedgrids.graphio import graph_to_dict, hom_from_dict, hom_to_dict
+from signedgrids.graphio import graph_from_dict, graph_to_dict, hom_from_dict, hom_to_dict
 
 from helpers import mutated
 
@@ -334,10 +335,11 @@ class TestReports:
 
     @pytest.mark.parametrize("chi, status", [(3, "none"), (5, "found")])
     def test_lowerbounds_concludes_unexpected_off_the_claimed_order(self, tmp_path, capsys, monkeypatch, chi, status):
-        # c6 needs 4: a claim of 3 finds nothing, one of 5 finds order 4
+        # c6 needs 4: a claim of 3 finds nothing, one of 5 finds order 4;
+        # neither proves the claim, so the run fails verification
         monkeypatch.setitem(signedgrids.cli._INSTANCES, "c6", (unbalanced_c6, chi))
         out = tmp_path / "lb.json"
-        assert run("lowerbounds", "--instance", "c6", "-o", str(out)) == EXIT_OK
+        assert run("lowerbounds", "--instance", "c6", "-o", str(out)) == EXIT_VERIFY
         data = read(out)
         assert data["status"] == status and data["conclusion"] == "unexpected"
         assert capsys.readouterr().out == "unexpected\n"
@@ -405,9 +407,35 @@ class TestReports:
         assert data["graph"]["n"] == 25
         assert sorted(set(data["coloring"])) == [0, 1, 2, 3, 4, 5]
         assert data["target"]["n"] == 6
+        # the coloring maps the artifact's own graph into its own target
+        assert verify_ec(graph_from_dict(data["graph"]), graph_from_dict(data["target"]), data["coloring"])
+        # the grid's bytes are those the motif has always written
+        graph = json.dumps(data["graph"], sort_keys=True).encode()
+        assert hashlib.sha256(graph).hexdigest() == "7a3d61f0c44fd32d72d6921317ee72c5ae0913cbb6ec70a6e32dc183efe62c52"
 
     def test_missing_input_file(self, tmp_path):
         assert run("color", "-i", str(tmp_path / "nope.json")) == EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (("gen", "--kind", "tri", "--rows", "3", "--cols", "2"),
+         {"kind": "tri", "rows": 3, "cols": 2, "seed": 0, "p_neg": 0.5}),
+        (("color", "-i", "hex.json", "--dot", "out.dot"), {"input": "hex.json"}),
+        (("props", "--target", "rhoT4"), {"target": "rhoT4"}),
+        (("chromatic", "-i", "hex.json", "--max-order", "4"), {"input": "hex.json", "max_order": 4, "budget": None}),
+        (("lowerbounds", "--instance", "c6"), {"instance": "c6", "budget": None}),
+        (("motif", "--rows", "3", "--cols", "2", "--dot", "out.dot"), {"rows": 3, "cols": 2}),
+    ],
+    ids=["gen", "color", "props", "chromatic", "lowerbounds", "motif"],
+)
+def test_config_is_every_argument_but_the_destinations(hex_graph, tmp_path, monkeypatch, argv, config):
+    monkeypatch.chdir(tmp_path)
+    assert run(*argv, "-o", "out.json") == EXIT_OK
+    written = read(tmp_path / "out.json")["config"]
+    assert written == config
+    assert "output" not in written and "dot" not in written
 
 
 def test_an_unwritable_output_is_named_as_given(tmp_path, capsys):
@@ -590,8 +618,8 @@ GOLDEN = {
     "hex.dot": "94e0619b2f2f9c041c26c9db5bc94d18a2a42dc50ee458e58031a8ddadabd7fb",
     "hex.json": "90c87955835ccbd8a40f433c7ac6bf859521fa74cb43607cbaf364aeaa276d73",
     "lowerbounds-c6.json": "862a0aa58efa12142016d4940e99d85b835481c704d64a040a1fb5340208a631",
-    "motif.dot": "5d28f342b24ff4eb0bdb34d05ea72df7272e887632d9c20964da07630d0dbcdc",
-    "motif.json": "05408e35c8d21d33b5f48d39c3ab0c82c38f8b870a1110d6e929cf2b34450887",
+    "motif.dot": "c887bdbdea1f0aaaad54c48554c1c077896d59eae7d7cf82670b6d0fa114cc91",
+    "motif.json": "9fc694b2f27c897d26d7324125b557e09ae4a4b069680a12868fdc7fb9146fad",
     "props-SP9.json": "5d4dbb73d5b5358be0cea4cfe6c1fe6cb4cff214e6de4624f019cb2408734131",
     "props-rhoT4.json": "e6a9caa3b9b954306d3685df97d2c4b22861e372a208264d08b9a2af3268d32e",
     "tri-cert.json": "b6e69d3ea2870ac8036356dcf616972669367fdf12a4c4f57e15b26f45bb7fc7",

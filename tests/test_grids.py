@@ -20,6 +20,7 @@ from signedgrids import (
     switch,
     unbalanced_c6,
     unbalanced_wheel7,
+    verify_ec,
 )
 from signedgrids.graphio import graph_to_dict
 
@@ -351,6 +352,13 @@ class TestFixtures:
         cycles = enumerate_c4(g)
         assert cycles and all(is_unbalanced(g, c) for c in cycles)
         assert set(coloring.values()) == set(range(6))
+
+    def test_periodic_grid_coloring_maps_every_window_into_sp5_plus(self):
+        # the signs are read off the coloring, so it needs no switching
+        for rows in range(2, 14):
+            for cols in range(2, 14):
+                g, coloring = all_c4_unbalanced_grid(rows, cols)
+                assert verify_ec(g, sp5_plus(), [coloring[v] for v in range(g.n)]), (rows, cols)
 
     def test_periodic_grid_windows_stay_unbalanced(self):
         g, _ = all_c4_unbalanced_grid(12, 12)
