@@ -434,6 +434,10 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        # --dot over -o would replace the artifact with the drawing
+        dot = getattr(args, "dot", None)
+        if dot is not None and args.output is not None and os.path.realpath(dot) == os.path.realpath(args.output):
+            raise ValueError(f"--dot {dot} names the same file as -o {args.output}")
         return args.func(args)
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"signedgrids: {exc}", file=sys.stderr)

@@ -49,7 +49,7 @@ __all__ = [
 
 
 def _check_sign(s: int) -> int:
-    if s != POS and s != NEG:
+    if type(s) is not int or (s != POS and s != NEG):  # exact type: True == 1, but is no sign
         raise ValueError(f"edge sign must be +1 or -1, got {s!r}")
     return s
 
@@ -57,8 +57,9 @@ def _check_sign(s: int) -> int:
 class SignedGraph:
     """Simple undirected graph with a +1/-1 sign on every edge.
 
-    No loops and no parallel edges.  An absent pair is a non-edge and imposes
-    no constraint.  Instances are immutable after construction and may be
+    No loops and no parallel edges, and every vertex id and sign of type
+    exactly ``int``.  An absent pair is a non-edge and imposes no
+    constraint.  Instances are immutable after construction and may be
     shared freely across threads.
 
     A graph keeps three tables derived from it, each built on its first use
@@ -89,6 +90,8 @@ class SignedGraph:
         adj: dict[int, dict[int, int]] = {}
         canon = []
         for u, v, s in edges:
+            if type(u) is not int or type(v) is not int:
+                raise ValueError(f"edge ({u!r},{v!r}) has a vertex id that is not an int")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) has an endpoint out of range [0,{n})")
             if u == v:

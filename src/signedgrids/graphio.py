@@ -25,11 +25,12 @@ A graph object with a ``"grid"`` reads as a
 checks in bulk, with C-level iterators and no per-edge Python code, that
 they are exactly the grid's edges in their own order
 (:meth:`~signedgrids.grids.GridSpec.edge_columns`): every entry a list of
-three values of type exactly ``int``, the tails and heads the grid's
-columns, every sign +1 or -1.  The grid then keeps the file's sign column,
-the tuple that check read, as its signs.  Every other edge list goes
-through a per-edge loop, the one path that accepts a permuted file and the
-one that words every error: each edge is keyed by its slot ``3*u + d``
+three values, the tails and heads of type exactly ``int`` and the grid's
+columns.  The file's sign column goes to the
+:class:`~signedgrids.grids.SignedGrid` constructor, whose check is the
+load's one check of the signs, and the grid keeps it as its signs.  A bad
+sign, and every other edge list, goes through a per-edge loop, the one
+path that accepts a permuted file and the one that words every error: each edge is keyed by its slot ``3*u + d``
 (see :mod:`signedgrids.grids`), for its smaller end ``u`` and the direction
 ``d`` of the step, in one dict from slot to sign, and each slot is tested
 by :meth:`~signedgrids.grids.GridSpec.has_slot`.  If every slot with an
@@ -46,20 +47,22 @@ other graph object reads as a :class:`~signedgrids.core.SignedGraph`.
 Every writer, :func:`graph_to_dict`, :func:`graph_to_dot` and
 :class:`ArtifactEncoder`, reads a grid's ``[u, v, s]`` rows from its
 columns and a graph's from its sorted edges; only a
-:class:`~signedgrids.grids.SignedGrid` gets a ``"grid"``.
+:class:`~signedgrids.grids.SignedGrid` gets a ``"grid"``.  Both graph types
+check their entries when built, so a writer meets only valid graphs.
 
 Artifacts are written from ``json.dumps(value, indent=2, sort_keys=True,
 cls=ArtifactEncoder, joined=False)``, a :class:`Text` whose pieces are
-written one after the other and never joined.  The value may hold a
-:class:`~signedgrids.grids.SignedGrid` or a
-:class:`~signedgrids.core.SignedGraph` itself: the encoder renders its small
-fields through the dict path and its edges straight from the grid's
+written one after the other and never joined.  That is the one format
+:class:`ArtifactEncoder` writes; built with any other options it raises
+``ValueError``.  The value may hold a :class:`~signedgrids.grids.SignedGrid`
+or a :class:`~signedgrids.core.SignedGraph` itself: the encoder renders its
+small fields through the dict path and its edges straight from the grid's
 columns or the graph's sorted edges, one %-format per chunk of
 :data:`EDGE_CHUNK` edges, and builds no per-edge list.  The text is the
 standard encoder's on the value with every graph replaced by its
-:func:`graph_to_dict`, byte for byte; a value the encoder does not render
-itself goes to the base class, whose :meth:`ArtifactEncoder.default` gives
-that dict.
+:func:`graph_to_dict`, byte for byte.  A value it cannot render (a
+non-``str`` key, another type, a float that is not finite) raises, as the
+standard encoder would without a ``default``.
 
 DOT output renders positive edges solid and negative edges dashed.
 """
@@ -74,7 +77,7 @@ from operator import itemgetter
 from typing import TYPE_CHECKING
 
 from .core import SignedGraph
-from .grids import GridSpec, SignedGrid, is_sign_column
+from .grids import GridSpec, SignedGrid
 
 if TYPE_CHECKING:  # imported by hom_from_dict, which builds one; gen loads no hom
     from .hom import Homomorphism
@@ -134,9 +137,10 @@ def graph_to_dict(g: SignedGraph | SignedGrid) -> dict:
     return _graph_fields(g, list(map(list, _edge_rows(g))))
 
 
-def _listed_signs(raw: list, tails: tuple[int, ...], heads: tuple[int, ...]) -> tuple[int, ...] | None:
-    """The signs of ``raw`` if it is exactly ``[[tails[k], heads[k], s_k], ...]``
-    with every entry of type ``int`` and every ``s_k`` +1 or -1, else None.
+def _listed_signs(raw: list, tails: tuple[int, ...], heads: tuple[int, ...]) -> tuple | None:
+    """The third entries of ``raw`` if it is exactly ``[[tails[k], heads[k],
+    s_k], ...]`` with every tail and head of type ``int``, else None; the
+    signs are left to :class:`SignedGrid` to check.
 
     Checked in bulk, a column at a time, by C-level iterators; no per-edge
     Python code runs, and no more than one column is copied at once.
@@ -147,8 +151,7 @@ def _listed_signs(raw: list, tails: tuple[int, ...], heads: tuple[int, ...]) -> 
         column = tuple(map(itemgetter(k), raw))
         if column != expected or not set(map(type, column)) <= {int}:
             return None
-    signs = tuple(map(itemgetter(2), raw))
-    return signs if is_sign_column(signs) else None
+    return tuple(map(itemgetter(2), raw))
 
 
 def graph_from_dict(d: Mapping) -> SignedGraph | SignedGrid:
@@ -189,10 +192,11 @@ def graph_from_dict(d: Mapping) -> SignedGraph | SignedGrid:
         # every other list fills a dict from slot to sign, and no pattern is
         # built for an unmasked grid
         listed = _listed_signs(raw, *grid.edge_columns()) if len(raw) == grid.edge_count() else None
-        if listed is not None:
-            if labels is not None and len(labels) != n:
-                raise ValueError("labels must cover every vertex")
-            return SignedGrid(grid, listed, None if labels is None else tuple(labels))
+        if listed is not None and (labels is None or len(labels) == n):
+            try:
+                return SignedGrid(grid, listed, None if labels is None else tuple(labels))
+            except ValueError:
+                pass  # a bad sign: the per-edge loop words the error
         where, direction, has_slot = grid.bounding_ids(), grid.direction, grid.has_slot
         slots: dict[int, int] = {}
         later = None  # the first bad sign or duplicate
@@ -263,12 +267,15 @@ def hom_from_dict(d: Mapping) -> tuple[Homomorphism, SignedGraph]:
     return Homomorphism(mapping, frozenset(_int_list(d.get("switch", []), "certificate 'switch'"))), target
 
 
-class _Unsupported(Exception):
-    """A value outside the subset that :class:`ArtifactEncoder` renders itself."""
-
-
 # edges per %-format in a graph's edge list, as ArtifactEncoder renders it
 EDGE_CHUNK = 2048
+
+# the options json.dumps(value, indent=2, sort_keys=True) builds its encoder
+# with: the one format ArtifactEncoder writes
+_ARTIFACT_FORMAT = dict(
+    skipkeys=False, ensure_ascii=True, check_circular=True, allow_nan=True,
+    indent=2, separators=None, default=None, sort_keys=True,
+)
 
 
 class _EdgeList:
@@ -280,50 +287,39 @@ class _EdgeList:
         self.rows, self.count = rows, count
 
 
-class ArtifactEncoder(json.JSONEncoder):
-    """``json.JSONEncoder`` whose indented output is a list of pieces.
+class ArtifactEncoder:
+    """The artifact writer: a ``cls`` for ``json.dumps(value, indent=2,
+    sort_keys=True, cls=ArtifactEncoder)``, the one format it writes.
 
     CPython's C encoder serves only ``indent=None``; with an indent every
     value goes through the pure-Python generator encoder, one chunk per
-    token.  This class renders the same text directly, as the list of
-    pieces that :meth:`iterencode` returns: dicts with ``str`` keys, lists
-    and tuples, with a fast path for a list of ints (a mapping), scalars,
-    and graphs, each rendered as its :func:`graph_to_dict`.  It honours
-    ``indent``, ``sort_keys``, ``separators``, ``ensure_ascii`` and
-    ``allow_nan``.  Any other value (a non-``str`` key, a type needing
-    ``default``, a float that is not finite, a graph with an entry not of
-    type exactly ``int``, a grid with more or fewer signs than its spec has
-    edges) and a circular or deeply nested value go through the base class,
-    whose :meth:`default` gives a graph's :func:`graph_to_dict`.  So the
-    output always equals ``json.dumps`` with the same arguments of the value
-    with every graph replaced by its :func:`graph_to_dict`.
+    token.  This class renders the same text directly, as a list of
+    pieces: dicts with ``str`` keys, lists and tuples, with a fast path for
+    a list of ints (a mapping), ``None``, bools, ints, finite floats,
+    strings, and graphs, each rendered as its :func:`graph_to_dict`.  Built
+    with any other options it raises ``ValueError``.  A non-``str`` key or a
+    value of any other type raises ``TypeError``, and a float that is not
+    finite ``ValueError``.  So the text equals the standard encoder's with
+    those options on the value with every graph replaced by its
+    :func:`graph_to_dict`, or there is no text.
 
     With ``joined=False``, :meth:`encode`, and so ``json.dumps`` with this
-    class, returns that output as a :class:`Text`, its pieces not joined.
+    class, returns that text as a :class:`Text`, its pieces not joined.
     """
 
     def __init__(self, *, joined: bool = True, **options):
-        super().__init__(**options)
+        other = {k: v for k, v in options.items() if k not in _ARTIFACT_FORMAT or _ARTIFACT_FORMAT[k] != v}
+        if other:
+            raise ValueError(f"ArtifactEncoder writes indent=2 and sorted keys only, not {other}")
         self.joined = joined
 
-    def default(self, o):
-        if isinstance(o, (SignedGraph, SignedGrid)):
-            return graph_to_dict(o)
-        return super().default(o)
-
     def encode(self, o):
-        if self.joined:
-            return super().encode(o)
-        return Text(list(self.iterencode(o, _one_shot=True)))
+        pieces = self.iterencode(o)
+        return "".join(pieces) if self.joined else Text(pieces)
 
-    def iterencode(self, o, _one_shot=False):
-        if self.indent is None:
-            return super().iterencode(o, _one_shot)
-        text = _Rendering(self)
-        try:
-            text.render(o, "\n")
-        except (_Unsupported, RecursionError):
-            return super().iterencode(o, _one_shot)
+    def iterencode(self, o) -> list[str]:
+        text = _Rendering()
+        text.render(o, "\n")
         return text.pieces
 
 
@@ -341,16 +337,15 @@ class Text:
         return sum(map(len, self.pieces))
 
 
-class _Rendering:
-    """One indented rendering by :class:`ArtifactEncoder`: its options and
-    the pieces of text put so far.  Methods, not closures, so that a
-    rendering leaves no reference cycle behind."""
+_string = json.encoder.encode_basestring_ascii
 
-    def __init__(self, encoder: ArtifactEncoder):
-        indent = encoder.indent
-        self.step = indent if isinstance(indent, str) else " " * indent
-        self.string = json.encoder.encode_basestring_ascii if encoder.ensure_ascii else json.encoder.encode_basestring
-        self.comma, self.colon, self.sort_keys = encoder.item_separator, encoder.key_separator, encoder.sort_keys
+
+class _Rendering:
+    """One rendering by :class:`ArtifactEncoder`: the pieces of text put so
+    far.  Methods, not closures, so that a rendering leaves no reference
+    cycle behind."""
+
+    def __init__(self):
         self.pieces: list[str] = []
         self.put = self.pieces.append
 
@@ -358,7 +353,7 @@ class _Rendering:
         # ``nl`` is a newline plus the indent of the line that holds ``o``
         put, kind = self.put, type(o)
         if kind is str:
-            put(self.string(o))
+            put(_string(o))
         elif kind is int:
             put(str(o))
         elif kind is dict:
@@ -366,37 +361,31 @@ class _Rendering:
                 put("{}")
                 return
             if set(map(type, o)) != {str}:
-                raise _Unsupported
-            inner = nl + self.step
+                raise TypeError(f"keys must be str, not {sorted({type(k).__name__ for k in o})}")
+            inner = nl + "  "
             lead = "{" + inner
-            for k, v in sorted(o.items()) if self.sort_keys else o.items():
-                put(lead + self.string(k) + self.colon)
+            for k, v in sorted(o.items()):
+                put(lead + _string(k) + ": ")
                 self.render(v, inner)
-                lead = self.comma + inner
+                lead = "," + inner
             put(nl + "}")
         elif kind is list or kind is tuple:
             if not o:
                 put("[]")
                 return
-            inner = nl + self.step
+            inner = nl + "  "
             put("[" + inner)
             if set(map(type, o)) == {int}:
-                put((self.comma + inner).join(map(str, o)))
+                put(("," + inner).join(map(str, o)))
             else:
                 for k, x in enumerate(o):
                     if k:
-                        put(self.comma + inner)
+                        put("," + inner)
                     self.render(x, inner)
             put(nl + "]")
         elif kind is SignedGrid or kind is SignedGraph:
-            # %d would print True as 1, so every entry must be of type exactly
-            # int; a grid's tails and heads are its spec's own
-            entries = o.signs if kind is SignedGrid else chain.from_iterable(o.edges)
-            if not set(map(type, entries)) <= {int}:
-                raise _Unsupported
+            # valid as built: every entry an int, and a grid one sign per edge
             count = len(o.signs) if kind is SignedGrid else o.edge_count
-            if kind is SignedGrid and count != len(o.grid.edge_columns()[0]):
-                raise _Unsupported  # a directly built grid: zip lists the shorter count
             self.render(_graph_fields(o, _EdgeList(_edge_rows(o), count)), nl)
         elif kind is _EdgeList:
             self.edge_list(o, nl)
@@ -404,30 +393,30 @@ class _Rendering:
             put("null")
         elif kind is bool:
             put("true" if o else "false")
-        elif kind is float and math.isfinite(o):
+        elif kind is float:
+            if not math.isfinite(o):
+                raise ValueError(f"Out of range float values are not JSON compliant: {o!r}")
             put(float.__repr__(o))
         else:
-            raise _Unsupported
+            raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
     def edge_list(self, edges: _EdgeList, nl: str) -> None:
         # EDGE_CHUNK rows at a time: one %-format over the chunk's ints
-        put, comma, total = self.put, self.comma, edges.count
+        put, total = self.put, edges.count
         if not total:
             put("[]")
             return
-        inner = nl + self.step
-        row = inner + self.step
-        head, sep, tail, joint = (
-            t.replace("%", "%%") for t in ("[" + row, comma + row, inner + "]", comma + inner)
-        )
-        one = head + sep.join(["%d"] * 3) + tail
+        inner = nl + "  "
+        row = inner + "  "
+        one = f"[{row}%d,{row}%d,{row}%d{inner}]"
+        joint = "," + inner
         size = min(total, EDGE_CHUNK)
         template = joint.join([one] * size)
         flat = chain.from_iterable(edges.rows)
         put("[" + inner)
         for k in range(0, total, EDGE_CHUNK):
             if k:
-                put(comma + inner)
+                put(joint)
             if total - k < size:  # the last, shorter chunk
                 size = total - k
                 template = joint.join([one] * size)
@@ -435,17 +424,14 @@ class _Rendering:
         put(nl + "]")
 
 
-def graph_to_dot(
-    g: SignedGraph | SignedGrid,
-    name: str = "G",
-    annotations: Sequence[str] | None = None,
-) -> str:
-    """Render as graphviz source: solid edges positive, dashed negative.
+def graph_to_dot(g: SignedGraph | SignedGrid, annotations: Sequence[str] | None = None) -> str:
+    """Render as graphviz source, the graph ``G``: solid edges positive,
+    dashed negative.
 
     ``annotations``, when given, override the node labels (one per vertex).
     A ``\\`` or ``"`` in a label is escaped in the quoted DOT string.
     """
-    lines = [f"graph {name} {{"]
+    lines = ["graph G {"]
     for v in range(g.n):
         text = annotations[v] if annotations is not None else g.label(v)
         text = text.replace("\\", "\\\\").replace('"', '\\"')

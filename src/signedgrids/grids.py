@@ -16,13 +16,14 @@ Adjacency:
   ``j+1`` of the row above.  Interior degree 6.
 
 A signed grid has one type, :class:`SignedGrid`: its :class:`GridSpec` plus
-one sign per edge, a ``tuple`` of +1 and -1 in :meth:`GridSpec.edges` order.
-That order is the edges sorted by vertex pair ``(u, v)``, ``u < v``, and it
-is the order of a grid file's ``"edges"`` list.  The tails and heads of the
-edges depend on the spec alone: :meth:`GridSpec.edge_columns` computes them
-once per spec and keeps them, and :attr:`SignedGrid.columns` is those two
-columns plus the signs.  The writers, the verifiers, :attr:`SignedGrid.edges`
-and :meth:`SignedGrid.graph` (a plain :class:`~signedgrids.core.SignedGraph`,
+one sign per edge, a ``tuple`` of +1 and -1 in :meth:`GridSpec.edges` order,
+which its constructor checks.  That order is the edges sorted by vertex
+pair ``(u, v)``, ``u < v``, and it is the order of a grid file's
+``"edges"`` list.  The tails and heads of the edges depend on the spec
+alone: :meth:`GridSpec.edge_columns` computes them once per spec and keeps
+them, and :attr:`SignedGrid.columns` is those two columns plus the signs.
+The writers, the verifiers, :attr:`SignedGrid.edges` and
+:meth:`SignedGrid.graph` (a plain :class:`~signedgrids.core.SignedGraph`,
 the adjacency view the searches walk) read a grid through its columns, and
 no per-edge tuple is kept.
 
@@ -64,11 +65,6 @@ __all__ = [
     "unbalanced_wheel7",
     "unbalanced_c6",
 ]
-
-
-def is_sign_column(signs: tuple) -> bool:
-    """Every entry of type exactly ``int`` (not ``True``, not ``1.0``) and +1 or -1."""
-    return set(map(type, signs)) <= {int} and signs.count(1) + signs.count(-1) == len(signs)
 
 
 @dataclass(frozen=True)
@@ -166,7 +162,12 @@ class GridSpec:
         return i < self.rows - 1 and (d == 2 or (self.kind == "tri" and j > 0))
 
     def edge_count(self) -> int:
-        """``len(self.edges())``, in closed form for an unmasked grid."""
+        """``len(self.edges())``, in closed form for an unmasked grid;
+        computed on the first call and kept by the spec."""
+        return self._edge_count
+
+    @cached_property
+    def _edge_count(self) -> int:
         if self.mask is not None:
             return self.slot_pattern().count(1)
         r, c = self.rows, self.cols
@@ -219,11 +220,12 @@ class SignedGrid:
     """A signed grid: its :class:`GridSpec` and one sign per edge.
 
     ``signs`` is a tuple of +1 and -1, one per edge in
-    :meth:`GridSpec.edges` order.  Build one with :func:`make_grid` (or read
-    one with :func:`signedgrids.graphio.graph_from_dict`), which checks the
-    signs; this constructor does not.  The verifiers, the writers and the
-    colorers read a grid as it is; the searches need adjacency dicts and
-    convert it through :meth:`graph`.
+    :meth:`GridSpec.edges` order.  The constructor checks it: a tuple of
+    :meth:`GridSpec.edge_count` entries, each of type exactly ``int`` (not
+    ``True``, not ``1.0``) and +1 or -1, else ``ValueError``.  So every grid
+    is valid as built, and the verifiers, the writers and the colorers read
+    it as it is; the searches need adjacency dicts and convert it through
+    :meth:`graph`.
     """
 
     grid: GridSpec
@@ -232,7 +234,17 @@ class SignedGrid:
     n: int = field(init=False, compare=False)
 
     def __post_init__(self):
-        spec = self.grid
+        spec, signs = self.grid, self.signs
+        if not (
+            type(signs) is tuple
+            and len(signs) == spec.edge_count()
+            and set(map(type, signs)) <= {int}
+            and signs.count(1) + signs.count(-1) == len(signs)
+        ):
+            raise ValueError(
+                f"sign column does not fit the {spec.kind} {spec.rows}x{spec.cols} grid: "
+                f"it needs {spec.edge_count()} entries, each the int +1 or -1"
+            )
         object.__setattr__(self, "n", spec.rows * spec.cols if spec.mask is None else len(spec.mask))
 
     @property
@@ -264,23 +276,13 @@ def make_grid(spec: GridSpec, signature: Sequence[int] | Mapping[CellEdge, int])
 
     ``signature`` is either a sign column, a sequence of one sign per edge
     in :meth:`GridSpec.edges` order (as :func:`random_signature` returns),
-    or a mapping from exactly those cell pairs to signs.  A column must have
-    :meth:`GridSpec.edge_count` entries, each of type exactly ``int`` (not
-    ``True``, not ``1.0``) and equal to +1 or -1.  A mapping is read in edge
-    order, and only when it has one key per edge; otherwise, or if an edge
-    has no key, ``ValueError`` names how many edges are missing and extra.
-    Then the first value in edge order that is not ``== +1`` or ``== -1`` is
-    named; the others are stored as the ints, so ``True`` and ``1.0`` read
-    as ``1``.
+    or a mapping from exactly those cell pairs to signs, read in edge order.
+    A mapping without one key per edge raises ``ValueError`` naming how many
+    edges are missing and extra; the signs are then the constructor's to
+    check, as :class:`SignedGrid` states.
     """
     if not isinstance(signature, Mapping):
-        signs = tuple(signature)
-        if len(signs) != spec.edge_count() or not is_sign_column(signs):
-            raise ValueError(
-                f"sign column does not fit the {spec.kind} {spec.rows}x{spec.cols} grid: "
-                f"it needs {spec.edge_count()} entries, each the int +1 or -1"
-            )
-        return SignedGrid(spec, signs)
+        return SignedGrid(spec, tuple(signature))
     edges = spec.edges()
     try:
         signs = tuple(map(signature.__getitem__, edges)) if len(signature) == len(edges) else None
@@ -292,11 +294,6 @@ def make_grid(spec: GridSpec, signature: Sequence[int] | Mapping[CellEdge, int])
             f"signature domain mismatch: {len(expected - set(signature))} missing, "
             f"{len(set(signature) - expected)} extra edges"
         )
-    if not is_sign_column(signs):
-        for s in signs:
-            if not (s == POS or s == NEG):
-                raise ValueError(f"edge sign must be +1 or -1, got {s!r}")
-        signs = tuple([POS if s == POS else NEG for s in signs])
     return SignedGrid(spec, signs)
 
 

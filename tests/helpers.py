@@ -924,3 +924,55 @@ def mutated(draw, doc):
         else:
             container[key] = copy.deepcopy(draw(st.sampled_from(REPLACEMENTS)))
     return holder["root"]
+
+
+def certifies(graph_doc, cert_doc) -> bool:
+    """Oracle for ``verify`` from the definition, on the JSON it reads:
+    switch the source, map each edge, compare its sign with its image's."""
+    g = graph_doc["graph"] if isinstance(graph_doc, dict) and "graph" in graph_doc else graph_doc
+    c = cert_doc["certificate"] if isinstance(cert_doc, dict) and "certificate" in cert_doc else cert_doc
+    mapping, h = c["mapping"], c["target"]
+    switched = set() if c.get("kind") == "ec" else set(c.get("switch", []))  # ec: no switch set
+    if len(mapping) != g["n"] or not set(mapping) <= set(range(h["n"])) or not switched <= set(range(g["n"])):
+        return False
+    image = {(a, b): t for a, b, t in h["edges"]} | {(b, a): t for a, b, t in h["edges"]}
+    switch = {v: -1 if v in switched else 1 for v in range(g["n"])}
+    return all(image.get((mapping[u], mapping[v])) == switch[u] * s * switch[v] for u, v, s in g["edges"])
+
+
+def single_edits(cert: dict) -> list[dict]:
+    """``cert`` with one edit each: every mapping entry set to every other
+    target vertex, every switch membership toggled, every target edge sign
+    flipped."""
+    mapping, switched, target = cert["mapping"], set(cert.get("switch", [])), cert["target"]
+    out = [
+        dict(cert, mapping=mapping[:v] + [y] + mapping[v + 1 :])
+        for v, x in enumerate(mapping)
+        for y in range(target["n"])
+        if y != x
+    ]
+    out += [dict(cert, switch=sorted(switched ^ {v})) for v in range(len(mapping))]
+    edges = target["edges"]
+    out += [
+        dict(cert, target=dict(target, edges=edges[:k] + [[a, b, -t]] + edges[k + 1 :]))
+        for k, (a, b, t) in enumerate(edges)
+    ]
+    return out
+
+
+def random_edits(cert: dict, rng: random.Random, count: int) -> dict:
+    """``cert`` after ``count`` edits of the kinds :func:`single_edits`
+    makes, drawn from ``rng``."""
+    cert = copy.deepcopy(cert)
+    mapping, switched, edges = cert["mapping"], set(cert.get("switch", [])), cert["target"]["edges"]
+    for _ in range(count):
+        kind = rng.randrange(3)
+        if kind == 0:
+            v = rng.randrange(len(mapping))
+            mapping[v] = rng.choice([y for y in range(cert["target"]["n"]) if y != mapping[v]])
+        elif kind == 1:
+            switched ^= {rng.randrange(len(mapping))}
+        else:
+            edges[rng.randrange(len(edges))][2] *= -1
+    cert["switch"] = sorted(switched)
+    return cert

@@ -5,6 +5,7 @@ import gc
 import hashlib
 import json
 import os
+import random
 import resource
 import stat
 import subprocess
@@ -33,7 +34,7 @@ from signedgrids import (
 from signedgrids.cli import EXIT_OK, EXIT_UNKNOWN, EXIT_USAGE, EXIT_VERIFY, main
 from signedgrids.graphio import graph_from_dict, graph_to_dict, hom_from_dict, hom_to_dict
 
-from helpers import mutated
+from helpers import certifies, mutated, random_edits, single_edits
 
 
 def run(*argv):
@@ -453,6 +454,24 @@ def test_a_failed_dot_write_leaves_no_artifact(hex_graph, tmp_path, capsys, comm
     assert sorted(p.name for p in tmp_path.iterdir()) == ["hex.json"]
 
 
+@pytest.mark.parametrize("command", ["color", "motif"])
+def test_a_dot_over_the_artifact_is_a_usage_error(hex_graph, tmp_path, capsys, monkeypatch, command):
+    # --dot naming the file of -o, by another path or through a symlink,
+    # would replace the artifact with the drawing: refused before any write
+    monkeypatch.chdir(tmp_path)
+    source = ("-i", str(hex_graph)) if command == "color" else ("--rows", "3", "--cols", "3")
+    (tmp_path / "out.json").write_text("kept\n")
+    (tmp_path / "link.json").symlink_to("out.json")
+    for dot in ("out.json", "./out.json", str(tmp_path / "out.json"), "link.json"):
+        assert run(command, *source, "-o", "out.json", "--dot", dot) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("signedgrids: ") and err.count("\n") == 1 and "same file" in err
+        assert (tmp_path / "out.json").read_text() == "kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["hex.json", "link.json", "out.json"]
+    assert run(command, *source, "-o", "out.json", "--dot", "out.dot") == EXIT_OK
+    assert (tmp_path / "out.dot").read_text().startswith("graph G {")
+
+
 # a command's exit code and the signedgrids modules it imported, in a fresh process
 FOOTPRINT = (
     "import sys\n"
@@ -654,6 +673,10 @@ def test_artifacts_are_byte_identical(tmp_path, monkeypatch, capsys):
         "no target of order 3; order-4 witness found => chromatic number = 4\n"
     )
     assert {p.name: sha256(p) for p in tmp_path.iterdir()} == GOLDEN
+    # the artifact writer gives the standard encoder's text, byte for byte
+    for p in tmp_path.glob("*.json"):
+        text = p.read_text()
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", p.name
 
 
 # ---------------------------------------------------------------------------
@@ -694,4 +717,25 @@ def test_mutated_loader_inputs_end_in_an_exit_code(valid_files, data):
     graph.write_text(json.dumps(grid_doc))
     cert.write_text(json.dumps(cert_doc))
     assert run("color", "-i", str(graph), "-o", str(out)) in (EXIT_OK, EXIT_USAGE, EXIT_VERIFY)
-    assert run("verify", "-i", str(graph), "-c", str(cert)) in (EXIT_OK, EXIT_USAGE, EXIT_VERIFY)
+    code = run("verify", "-i", str(graph), "-c", str(cert))
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_VERIFY)
+    # an accepted certificate is a signed homomorphism by the definition
+    assert code != EXIT_OK or certifies(read(graph), read(cert))
+
+
+@pytest.mark.parametrize("kind", ["hex", "tri"])
+def test_verify_signed_agrees_with_the_oracle_on_edited_certificates(valid_files, kind):
+    # every single edit of the certificate, then seeded runs of two to four
+    # edits: verify_signed's verdict is the definition's on each
+    _, docs = valid_files
+    grid_doc, cert_doc = docs[kind]
+    g, cert = graph_from_dict(grid_doc["graph"]), cert_doc["certificate"]
+    rng = random.Random(29)
+    edits = single_edits(cert) + [random_edits(cert, rng, rng.randint(2, 4)) for _ in range(6000)]
+    verdicts = Counter()
+    for edit in edits:
+        hom, target = hom_from_dict(edit)
+        verdict = verify_signed(g, target, hom)
+        assert verdict == certifies(grid_doc, {"certificate": edit}), edit
+        verdicts[verdict] += 1
+    assert verdicts[True] and verdicts[False]

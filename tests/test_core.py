@@ -1,6 +1,7 @@
 """Data model, switching, doubling, and the fixed target constructions."""
 
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -40,6 +41,24 @@ from helpers import (
 
 def all_positive_cycle(k):
     return SignedGraph(k, [(t, (t + 1) % k, POS) for t in range(k)])
+
+
+class TestSignedGraph:
+    @pytest.mark.parametrize(
+        "edge, message",
+        [
+            ((0, 1, True), "edge sign must be +1 or -1, got True"),
+            ((0, 1, 1.0), "edge sign must be +1 or -1, got 1.0"),
+            ((0, 1, 0), "edge sign must be +1 or -1, got 0"),
+            ((True, 1, 1), "edge (True,1) has a vertex id that is not an int"),
+            ((0, 1.0, -1), "edge (0,1.0) has a vertex id that is not an int"),
+            ((0, "1", -1), "edge (0,'1') has a vertex id that is not an int"),
+        ],
+    )
+    def test_ids_and_signs_are_exact_ints(self, edge, message):
+        # True == 1 and 1.0 == 1, but a writer's %d would print True as 1
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SignedGraph(3, [(1, 2, 1), edge])
 
 
 class TestSwitch:

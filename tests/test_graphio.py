@@ -25,7 +25,6 @@ from signedgrids import (
     verify_signed,
 )
 from signedgrids import graphio
-from signedgrids.grids import is_sign_column
 from signedgrids.hom import ec_to_signed
 from signedgrids.graphio import (
     EDGE_CHUNK,
@@ -345,21 +344,33 @@ def test_a_permuted_full_edge_list_loads_as_the_canonical_one(kind, masked):
         assert load_outcome(graph_from_dict, doc) == load_outcome(graph_from_dict_reference, doc)
 
 
-def test_make_grid_and_the_loader_share_one_sign_check():
-    # the same columns are rejected by make_grid and by the loader's bulk
-    # check; True == 1 and 1.0 == 1, but neither is an int sign
+def test_make_grid_and_the_loader_share_one_sign_check(monkeypatch):
+    # the SignedGrid constructor checks the signs, once per make_grid and
+    # once per canonical load; True == 1 and 1.0 == 1, but neither is an
+    # int sign, and a bad sign in a file is worded by the per-edge loop
     spec = GridSpec("tri", 2, 3)
     signs = random_signature(spec, 2, 0.5)
     doc = graph_to_dict(make_grid(spec, signs))
-    assert is_sign_column(signs) and is_sign_column(())
-    assert graphio._listed_signs(doc["edges"], *spec.edge_columns()) == signs
-    for bad in (True, 1.0, None, 0, 2):
+    checks = []
+    post_init = SignedGrid.__post_init__
+    monkeypatch.setattr(SignedGrid, "__post_init__", lambda self: checks.append(post_init(self)))
+    assert make_grid(spec, signs).signs == signs and len(checks) == 1
+    assert graph_from_dict(doc).signs == signs and len(checks) == 2
+    for bad, message in (
+        (True, "has an entry that is not an integer"),
+        (1.0, "has an entry that is not an integer"),
+        (None, "has an entry that is not an integer"),
+        (0, "edge sign must be +1 or -1, got 0"),
+        (2, "edge sign must be +1 or -1, got 2"),
+    ):
         column = signs[:-1] + (bad,)
-        assert not is_sign_column(column)
         with pytest.raises(ValueError, match="sign column does not fit"):
             make_grid(spec, column)
+        with pytest.raises(ValueError, match="sign column does not fit"):
+            SignedGrid(spec, column)
         rows = [[u, v, s] for u, v, s in zip(*spec.edge_columns(), column)]
-        assert graphio._listed_signs(rows, *spec.edge_columns()) is None
+        with pytest.raises(ValueError, match=re.escape(message)):
+            graph_from_dict(dict(doc, edges=rows))
 
 
 def one_defect_docs(doc):
@@ -454,7 +465,7 @@ def test_a_canonical_load_and_its_verification_share_the_edge_columns(monkeypatc
 # must tell apart: bools among ints, empty rows, int rows of mixed lengths.
 ints = st.integers(-(2**70), 2**70)
 json_values = st.recursive(
-    st.none() | st.booleans() | ints | st.floats() | st.text(),
+    st.none() | st.booleans() | ints | st.floats(allow_nan=False, allow_infinity=False) | st.text(),
     lambda children: (
         st.lists(children)
         | st.lists(children).map(tuple)
@@ -486,23 +497,39 @@ def test_artifact_encoder_writes_the_standard_text(value):
     ids=["indent0", "unsorted", "odd_separators", "no_indent"],
 )
 def test_artifact_encoder_honours_the_encoder_options(options):
+    # honoured, never ignored: the encoder writes the artifact format only,
+    # so any other option is refused before anything is rendered
     value = {"b": [[1, -2], [3]], "a": [0, True, None, 1.5, "é"], "c": {"z": [], "y": {}}, "d": (1, 2)}
-    assert json.dumps(value, cls=ArtifactEncoder, **options) == json.dumps(value, **options)
+    with pytest.raises(ValueError, match="writes indent=2 and sorted keys only"):
+        json.dumps(value, cls=ArtifactEncoder, **options)
+    with pytest.raises(ValueError, match="writes indent=2 and sorted keys only"):
+        ArtifactEncoder(**options)
+    # the same value in the artifact format is written
+    artifact = json.dumps(value, indent=2, sort_keys=True, cls=ArtifactEncoder)
+    assert artifact == json.dumps(value, indent=2, sort_keys=True)
 
 
 @pytest.mark.parametrize(
-    "value",
-    [{1: "int key"}, {"s": frozenset({2, 1})}, {"nan": float("nan")}],
+    "value, error",
+    [({1: "int key"}, TypeError), ({"s": frozenset({2, 1})}, TypeError), ({"nan": float("nan")}, ValueError)],
     ids=["int_key", "needs_default", "nan"],
 )
-def test_artifact_encoder_defers_other_values_to_the_base_class(value):
-    options = {"indent": 2, "sort_keys": True, "default": sorted}
-    assert json.dumps(value, cls=ArtifactEncoder, **options) == json.dumps(value, **options)
+def test_artifact_encoder_rejects_other_values(value, error):
+    # no artifact holds a non-str key (the standard encoder would write it
+    # as a string), a type that needs a default, or a float that is not
+    # finite: each raises, and nothing is handed to another encoder
+    with pytest.raises(error):
+        json.dumps(value, indent=2, sort_keys=True, cls=ArtifactEncoder)
 
 
 def test_artifact_encoder_keeps_allow_nan():
-    with pytest.raises(ValueError):
-        json.dumps({"x": [float("inf")]}, indent=2, allow_nan=False, cls=ArtifactEncoder)
+    # no float that is not finite is written, and allow_nan=False is an
+    # option of another format
+    for x in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            json.dumps({"x": [x]}, indent=2, sort_keys=True, cls=ArtifactEncoder)
+    with pytest.raises(ValueError, match="allow_nan"):
+        json.dumps({"x": [1.5]}, indent=2, sort_keys=True, allow_nan=False, cls=ArtifactEncoder)
 
 
 def grid_values():
@@ -528,28 +555,23 @@ def grid_values():
 
 @pytest.mark.parametrize("name", sorted(grid_values()))
 def test_artifact_encoder_renders_graphs_as_their_dicts(name):
-    # the oracle: the standard encoder on graph_to_dict's view
+    # the oracle: the standard encoder on graph_to_dict's view, the graph
+    # at the top, in a list and in a dict
     g = grid_values()[name]
-    pieces = ArtifactEncoder(indent=2, sort_keys=True).iterencode({"graph": g})
-    assert type(pieces) is list  # rendered, not sent to the base class
-    assert json.dumps({"graph": g}, indent=2, sort_keys=True, cls=ArtifactEncoder) == json.dumps(
-        {"graph": graph_to_dict(g)}, indent=2, sort_keys=True
-    )
-    for options in (
-        {"indent": 3},
-        {"indent": "%\t", "separators": ("%,", ":"), "ensure_ascii": False},
-        {"indent": None},
+    for value, view in (
+        ({"graph": g}, {"graph": graph_to_dict(g)}),
+        ([g, {"g": g}], [graph_to_dict(g), {"g": graph_to_dict(g)}]),
     ):
-        assert json.dumps([g, {"g": g}], cls=ArtifactEncoder, **options) == json.dumps(
-            [graph_to_dict(g), {"g": graph_to_dict(g)}], **options
+        assert json.dumps(value, indent=2, sort_keys=True, cls=ArtifactEncoder) == json.dumps(
+            view, indent=2, sort_keys=True
         )
 
 
 @pytest.mark.parametrize("change", ["true", "extra", "missing"])
-def test_artifact_encoder_sends_inexact_signs_to_the_base_class(change):
-    # grids built directly, which the constructor does not check: True
-    # among the signs (%d would print 1), and one sign more or fewer than
-    # the spec has edges (zip lists the shorter count)
+def test_a_grid_with_inexact_signs_cannot_be_built(change):
+    # True among the signs (%d would print 1), and one sign more or fewer
+    # than the spec has edges (zip would list the shorter count): the
+    # constructor refuses each, so the encoder never meets one
     spec = GridSpec("tri", 5, 5)
     signs = list(random_signature(spec, 1, 0.5))
     if change == "true":
@@ -558,14 +580,13 @@ def test_artifact_encoder_sends_inexact_signs_to_the_base_class(change):
         signs.append(-1)
     else:
         signs.pop()
-    g = SignedGrid(spec, tuple(signs))
-    assert type(ArtifactEncoder(indent=2).iterencode({"graph": g})) is not list
-    text = json.dumps({"graph": g}, indent=2, sort_keys=True, cls=ArtifactEncoder)
-    assert text == json.dumps({"graph": graph_to_dict(g)}, indent=2, sort_keys=True)
-    assert ("true" in text) == (change == "true")
+    with pytest.raises(ValueError, match="sign column does not fit the tri 5x5 grid: it needs 56 entries"):
+        SignedGrid(spec, tuple(signs))
+    with pytest.raises(ValueError, match="sign column does not fit"):
+        SignedGrid(spec, signs)  # a list, not a tuple
 
 
-@pytest.mark.parametrize("value", [{"graph": build_T4(), "n": [1, 2]}, {"x": [float("nan")]}, []])
+@pytest.mark.parametrize("value", [{"graph": build_T4(), "n": [1, 2]}, {"x": [1.5, -0.0]}, []])
 def test_artifact_encoder_hands_back_unjoined_pieces(value):
     text = json.dumps(value, indent=2, sort_keys=True, cls=ArtifactEncoder, joined=False)
     assert isinstance(text, Text)
@@ -579,17 +600,12 @@ def test_artifact_encoder_hands_back_unjoined_pieces(value):
 )
 def test_artifact_encoder_at_chunk_boundaries(extra):
     # edge lists are rendered EDGE_CHUNK edges at a time: a tri grid of one
-    # row and a path graph with that many edges, and the same grid with a
-    # sign that is not an int in the last edge of a chunk
+    # row and a path graph with that many edges
     edges = EDGE_CHUNK + extra
     spec = GridSpec("tri", 1, edges + 1)
     grid = make_grid(spec, random_signature(spec, edges, 0.5))
     path = SignedGraph(edges + 1, grid.edges)
-    last = min(edges, EDGE_CHUNK) - 1
-    inexact = SignedGrid(spec, grid.signs[:last] + (1.0,) + grid.signs[last + 1 :])
-    assert grid.grid.edge_count() == len(inexact.signs) == edges
-    for g in (grid, path, inexact):
-        for options in ({"indent": 2, "sort_keys": True}, {"indent": "%\t", "separators": ("%,", ":")}):
-            assert json.dumps({"graph": g, "n": 3}, cls=ArtifactEncoder, **options) == json.dumps(
-                {"graph": graph_to_dict(g), "n": 3}, **options
-            )
+    for g in (grid, path):
+        assert json.dumps({"graph": g, "n": 3}, indent=2, sort_keys=True, cls=ArtifactEncoder) == json.dumps(
+            {"graph": graph_to_dict(g), "n": 3}, indent=2, sort_keys=True
+        )

@@ -123,20 +123,20 @@ class TestSignatures:
                     make_grid(spec, column)
 
     def test_mapping_values_are_read_in_edge_order(self):
-        # a mapping's values need only equal +1 or -1, and are stored as the
-        # ints; the first other value in edge order is named, after any
-        # domain mismatch
+        # a mapping with its keys in any order is read in edge order, and
+        # its values go to the constructor as they are: True and 1.0 equal
+        # 1 but are no int sign; a domain mismatch is named first
         spec = GridSpec("tri", 4, 3, mask=frozenset(GridSpec("tri", 4, 3).cells()) - {(2, 2)})
         signs = random_signature(spec, 4, 0.5)
         edges = spec.edges()
-        loose = {e: (True, 1.0)[k % 2] if s == POS else (-1.0, s)[k % 2] for k, (e, s) in enumerate(zip(edges, signs))}
-        grid = make_grid(spec, loose)
-        assert grid == make_grid(spec, signs) and set(map(type, grid.signs)) == {int}
+        shuffled = dict(reversed(list(zip(edges, signs))))  # keys out of edge order
+        grid = make_grid(spec, shuffled)
+        assert grid.signs == signs and grid == make_grid(spec, signs)
         assert json.dumps(graph_to_dict(grid)) == json.dumps(graph_to_dict(make_grid(spec, signs)))
-        for first, second in ((0, None), (None, 0)):
-            sig = dict(reversed(list(zip(edges, signs))))  # keys out of edge order
-            sig[edges[3]], sig[edges[7]] = first, second
-            with pytest.raises(ValueError, match=f"got {first!r}$"):
+        for bad in (True, 1.0, -1.0, 0, None):
+            sig = dict(shuffled)
+            sig[edges[3]] = bad
+            with pytest.raises(ValueError, match="sign column does not fit the tri 4x3 grid"):
                 make_grid(spec, sig)
             del sig[edges[-1]]
             with pytest.raises(ValueError, match="signature domain mismatch: 1 missing, 0 extra edges"):
