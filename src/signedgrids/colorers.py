@@ -35,12 +35,11 @@ subgraph keeps it a homomorphism.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import cache
 from itertools import compress, repeat
 from operator import setitem
 
-from .core import NEG, POS, SignedGraph, rho_sp9_plus, rho_t4, sign_masks
+from .core import NEG, POS, FrozenValue, SignedGraph, rho_sp9_plus, rho_t4, sign_masks
 from .core import switch  # unused here; perfbench/tracing.py patches signedgrids.colorers.switch
 from .grids import GridSpec, SignedGrid
 from .grids import make_grid  # unused here; perfbench/tracing.py patches signedgrids.colorers.make_grid
@@ -64,12 +63,14 @@ class ColoringInvariantError(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
-class CandidateTrace:
+class CandidateTrace(FrozenValue):
     """The size of the triangular forward pass's smallest candidate set over
     the bounding grid, which its invariant keeps at least 2."""
 
-    smallest: int
+    __slots__ = _fields = ("smallest",)
+
+    def __init__(self, smallest: int):
+        self._set(smallest)
 
     def min_size(self) -> int:
         return self.smallest

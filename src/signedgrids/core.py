@@ -13,12 +13,19 @@ type, :class:`signedgrids.grids.SignedGrid`, whose ``graph()`` is a plain
 Vertex ids are dense integers ``0..n-1``.  Labels are cosmetic; every
 algorithm operates on ids, and the target builders pin a documented label
 order so results are reproducible bit for bit.
+
+The package's immutable value classes (:class:`AntitwinnedGraph`,
+:class:`F9Element`, ``GridSpec``, ``SignedGrid``, ``Homomorphism``,
+``CandidateTrace``, ``PropertyReport``) are slotted classes on one base,
+:class:`FrozenValue`, not frozen dataclasses: ``dataclasses`` loads
+``inspect`` and builds methods with ``exec``, about 10 ms of every process
+that imports the package.  ``dataclasses.fields``, ``replace`` and
+``asdict`` do not apply to them.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
 from functools import cache
 
 POS = 1
@@ -193,8 +200,51 @@ def negate(g: SignedGraph) -> SignedGraph:
     return SignedGraph(g.n, [(u, v, -s) for u, v, s in g.edges], labels=g.labels)
 
 
-@dataclass(frozen=True)
-class AntitwinnedGraph:
+class FrozenValue:
+    """Base of the immutable value classes: a frozen dataclass's equality,
+    hash and ``repr``, over the ``_fields`` of a subclass's ``__slots__``,
+    which its constructor sets once through :meth:`_set`.  Assignment raises
+    ``AttributeError``.  ``pickle`` and ``copy`` restore the slots through
+    :meth:`__setstate__`, not the constructor, so a value in a reference
+    cycle (a base graph keeps its :func:`antitwin_double`) round-trips too."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _set(self, *values) -> None:
+        """Set the slots, in ``__slots__`` order."""
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state: tuple) -> None:
+        # a slotted object's state: its __dict__ (or None) and its slots
+        for part in state:
+            for name, value in (part or {}).items():
+                object.__setattr__(self, name, value)
+
+
+class AntitwinnedGraph(FrozenValue):
     """The antitwin doubling of a signed graph ``base`` on ``n`` vertices.
 
     Vertex ``v`` of ``base`` yields a plus copy ``v`` and a minus copy
@@ -207,20 +257,19 @@ class AntitwinnedGraph:
     base's.
     """
 
-    base: SignedGraph
-    graph: SignedGraph = field(init=False, repr=False, compare=False)
+    __slots__ = ("base", "graph")
+    _fields = ("base",)
 
-    def __post_init__(self):
-        g = self.base
-        n = g.n
+    def __init__(self, base: SignedGraph):
+        n = base.n
         edges = []
-        for u, v, s in g.edges:
+        for u, v, s in base.edges:
             edges.append((u, v, s))
             edges.append((u + n, v + n, s))
             edges.append((u, v + n, -s))
             edges.append((v, u + n, -s))
-        labels = [f"{g.label(v)}+" for v in range(n)] + [f"{g.label(v)}-" for v in range(n)]
-        object.__setattr__(self, "graph", SignedGraph(2 * n, edges, labels=labels))
+        labels = [f"{base.label(v)}+" for v in range(n)] + [f"{base.label(v)}-" for v in range(n)]
+        self._set(base, SignedGraph(2 * n, edges, labels=labels))
 
     @property
     def n(self) -> int:
@@ -261,16 +310,15 @@ def plus_universal(g: SignedGraph) -> SignedGraph:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class F9Element:
+class F9Element(FrozenValue):
     """Element ``a + b*x`` of the nine-element field, with ``a, b`` mod 3."""
 
-    a: int
-    b: int
+    __slots__ = _fields = ("a", "b")
 
-    def __post_init__(self):
-        if not (0 <= self.a < 3 and 0 <= self.b < 3):
+    def __init__(self, a: int, b: int):
+        if not (0 <= a < 3 and 0 <= b < 3):
             raise ValueError("coefficients must already be reduced mod 3")
+        self._set(a, b)
 
     def __add__(self, other: "F9Element") -> "F9Element":
         return F9Element((self.a + other.a) % 3, (self.b + other.b) % 3)

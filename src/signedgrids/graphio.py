@@ -74,13 +74,9 @@ import math
 from collections.abc import Iterable, Mapping, Sequence
 from itertools import chain, count, islice
 from operator import itemgetter
-from typing import TYPE_CHECKING
 
 from .core import SignedGraph
 from .grids import GridSpec, SignedGrid
-
-if TYPE_CHECKING:  # imported by hom_from_dict, which builds one; gen loads no hom
-    from .hom import Homomorphism
 
 
 def grid_to_dict(spec: GridSpec) -> dict:

@@ -45,13 +45,11 @@ bounding grid; :func:`make_grid` reads a cell-pair mapping in edge order.
 
 from __future__ import annotations
 
-import random
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, compress, islice, product
 
-from .core import NEG, POS, SignedGraph, sp5_plus
+from .core import NEG, POS, FrozenValue, SignedGraph, sp5_plus
 
 Cell = tuple[int, int]
 CellEdge = tuple[Cell, Cell]
@@ -67,25 +65,28 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Shape of a grid: kind (``"hex"`` or ``"tri"``), dimensions, optional mask."""
+class GridSpec(FrozenValue):
+    """Shape of a grid: kind (``"hex"`` or ``"tri"``), dimensions, optional mask.
 
-    kind: str
-    rows: int
-    cols: int
-    mask: frozenset[Cell] | None = None
+    Dimensions are of type exactly ``int`` and at least 1, and mask cells
+    pairs of such ints in the box.  The spec keeps its tables in its ``__dict__``.
+    """
 
-    def __post_init__(self):
-        if self.kind not in ("hex", "tri"):
-            raise ValueError(f"unknown grid kind {self.kind!r}")
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError("rows and cols must be positive")
-        if self.mask is not None:
-            object.__setattr__(self, "mask", frozenset(self.mask))
-            for i, j in self.mask:
-                if not (1 <= i <= self.rows and 1 <= j <= self.cols):
-                    raise ValueError(f"mask cell ({i},{j}) outside the grid")
+    __slots__ = ("kind", "rows", "cols", "mask", "__dict__")
+    _fields = ("kind", "rows", "cols", "mask")
+
+    def __init__(self, kind: str, rows: int, cols: int, mask: frozenset[Cell] | None = None):
+        if kind not in ("hex", "tri"):
+            raise ValueError(f"unknown grid kind {kind!r}")
+        if not (type(rows) is type(cols) is int and rows >= 1 and cols >= 1):
+            raise ValueError(f"rows and cols must be ints of at least 1, got {rows!r} and {cols!r}")
+        if mask is not None:
+            mask = frozenset(mask)
+            for cell in mask:
+                i, j = cell if type(cell) is tuple and len(cell) == 2 else (None, None)
+                if not (type(i) is type(j) is int and 1 <= i <= rows and 1 <= j <= cols):
+                    raise ValueError(f"mask cell {cell!r} is not a pair of ints inside the {rows}x{cols} grid")
+        self._set(kind, rows, cols, mask)
 
     def cells(self) -> tuple[Cell, ...]:
         """Retained cells in row-major order."""
@@ -215,8 +216,7 @@ class GridSpec:
         return tuple(compress(tails, slots)), tuple(compress(heads, slots))
 
 
-@dataclass(frozen=True)
-class SignedGrid:
+class SignedGrid(FrozenValue):
     """A signed grid: its :class:`GridSpec` and one sign per edge.
 
     ``signs`` is a tuple of +1 and -1, one per edge in
@@ -225,27 +225,27 @@ class SignedGrid:
     ``True``, not ``1.0``) and +1 or -1, else ``ValueError``.  So every grid
     is valid as built, and the verifiers, the writers and the colorers read
     it as it is; the searches need adjacency dicts and convert it through
-    :meth:`graph`.
+    :meth:`graph`.  ``n``, the spec's vertex count, is not compared.
     """
 
-    grid: GridSpec
-    signs: tuple[int, ...] = field(repr=False)
-    labels: tuple[str, ...] | None = field(default=None, repr=False)
-    n: int = field(init=False, compare=False)
+    __slots__ = ("grid", "signs", "labels", "n")
+    _fields = ("grid", "signs", "labels")
 
-    def __post_init__(self):
-        spec, signs = self.grid, self.signs
+    def __init__(self, grid: GridSpec, signs: tuple[int, ...], labels: tuple[str, ...] | None = None):
         if not (
             type(signs) is tuple
-            and len(signs) == spec.edge_count()
+            and len(signs) == grid.edge_count()
             and set(map(type, signs)) <= {int}
             and signs.count(1) + signs.count(-1) == len(signs)
         ):
             raise ValueError(
-                f"sign column does not fit the {spec.kind} {spec.rows}x{spec.cols} grid: "
-                f"it needs {spec.edge_count()} entries, each the int +1 or -1"
+                f"sign column does not fit the {grid.kind} {grid.rows}x{grid.cols} grid: "
+                f"it needs {grid.edge_count()} entries, each the int +1 or -1"
             )
-        object.__setattr__(self, "n", spec.rows * spec.cols if spec.mask is None else len(spec.mask))
+        self._set(grid, signs, labels, grid.rows * grid.cols if grid.mask is None else len(grid.mask))
+
+    def __repr__(self) -> str:
+        return f"SignedGrid(grid={self.grid!r}, n={self.n!r})"
 
     @property
     def columns(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
@@ -305,7 +305,8 @@ def random_signature(spec: GridSpec, seed: int, p_negative: float) -> tuple[int,
     """
     if not 0.0 <= p_negative <= 1.0:
         raise ValueError("p_negative must lie in [0, 1]")
-    draw = random.Random(seed).random
+    from random import Random  # here, not at module load: only gen draws signs
+    draw = Random(seed).random
     return tuple([-1 if draw() < p_negative else 1 for _ in range(spec.edge_count())])
 
 

@@ -22,7 +22,8 @@ shares no code with the searches; :func:`verify_ec` is its check with an
 empty switch set.  The searches walk adjacency dicts:
 :func:`find_ec_hom`, :func:`find_signed_hom` and
 :func:`signed_chromatic_number` convert a grid source through
-:meth:`~signedgrids.grids.SignedGrid.graph` once on entry.
+:meth:`~signedgrids.grids.SignedGrid.graph` once on entry; a source that is
+no ``SignedGraph`` is taken for a grid, so ``grids`` is not imported here.
 
 The chromatic number of a signed graph is the order of its smallest target;
 :func:`signed_chromatic_number` computes it exactly on small instances by
@@ -46,14 +47,12 @@ from __future__ import annotations
 import sys
 from collections import deque
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import cache
 from itertools import permutations, repeat
 from operator import setitem
 
-from .core import NEG, POS, SignedGraph, antitwin_double, sign_masks
+from .core import NEG, POS, FrozenValue, SignedGraph, antitwin_double, sign_masks
 from .core import switch  # unused here; perfbench/tracing.py patches signedgrids.hom.switch
-from .grids import SignedGrid
 
 __all__ = [
     "Homomorphism",
@@ -92,16 +91,17 @@ class SearchBudget:
             raise BudgetExceededError("search node budget exhausted")
 
 
-@dataclass(frozen=True)
-class Homomorphism:
+class Homomorphism(FrozenValue):
     """A vertex mapping witness: switching the source at ``switch_set`` makes
     ``mapping`` send every source edge to a target edge of equal sign.
 
     An exact (ec) homomorphism is the case of an empty switch set.
     """
 
-    mapping: tuple[int, ...]
-    switch_set: frozenset[int] = frozenset()
+    __slots__ = _fields = ("mapping", "switch_set")
+
+    def __init__(self, mapping: tuple[int, ...], switch_set: frozenset[int] = frozenset()):
+        self._set(mapping, switch_set)
 
 
 def verify_ec(g: SignedGraph | SignedGrid, h: SignedGraph, mapping: Sequence[int]) -> bool:
@@ -135,7 +135,7 @@ def verify_signed(g: SignedGraph | SignedGrid, h: SignedGraph, hom: Homomorphism
     flip = [False] * g.n
     for v in flipped:
         flip[v] = True
-    for u, v, s in zip(*g.columns) if isinstance(g, SignedGrid) else g.edges:
+    for u, v, s in g.edges if isinstance(g, SignedGraph) else zip(*g.columns):
         if flip[u] is not flip[v]:
             s = -s
         try:  # a subscript, not .get: cheaper per edge, and a miss is rare
@@ -148,7 +148,7 @@ def verify_signed(g: SignedGraph | SignedGrid, h: SignedGraph, hom: Homomorphism
 
 def _adjacency(g: SignedGraph | SignedGrid) -> SignedGraph:
     """The source as a graph with adjacency dicts, which the searches walk."""
-    return g.graph() if isinstance(g, SignedGrid) else g
+    return g if isinstance(g, SignedGraph) else g.graph()
 
 
 def _search_order(g: SignedGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:

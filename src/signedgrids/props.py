@@ -11,10 +11,9 @@ and antiautomorphy from them.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field
 from itertools import product
 
-from .core import AntitwinnedGraph, NEG, POS, SignedGraph, negate, rho_t4, sign_masks
+from .core import AntitwinnedGraph, NEG, POS, FrozenValue, SignedGraph, negate, rho_t4, sign_masks
 
 __all__ = [
     "PropertyReport",
@@ -28,21 +27,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PropertyReport:
+class PropertyReport(FrozenValue):
     """Outcome of an exhaustive property check.
 
     ``counterexamples`` is nonempty exactly when ``holds`` is false; its entry
     shape depends on the property (documented per check).
     """
 
-    name: str
-    holds: bool
-    counterexamples: tuple = field(default_factory=tuple)
+    __slots__ = _fields = ("name", "holds", "counterexamples")
 
-    def __post_init__(self):
-        if self.holds != (len(self.counterexamples) == 0):
+    def __init__(self, name: str, holds: bool, counterexamples: tuple = ()):
+        if holds != (len(counterexamples) == 0):
             raise ValueError("counterexamples must be nonempty iff the property fails")
+        self._set(name, holds, counterexamples)
 
 
 def _ordered_cliques(g: SignedGraph, k: int, tup: tuple[int, ...] = ()) -> Iterator[tuple[int, ...]]:

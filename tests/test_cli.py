@@ -472,21 +472,35 @@ def test_a_dot_over_the_artifact_is_a_usage_error(hex_graph, tmp_path, capsys, m
     assert (tmp_path / "out.dot").read_text().startswith("graph G {")
 
 
-# a command's exit code and the signedgrids modules it imported, in a fresh process
+# a command's exit code and the modules it loaded, in a fresh process: those
+# loaded after the interpreter's start (without `site`, and minus what it had
+# loaded by then), so that only what the package itself imports is counted
 FOOTPRINT = (
     "import sys\n"
-    "from signedgrids.cli import main\n"
-    "print(main(sys.argv[1:]), *sorted(m for m in sys.modules if m.startswith('signedgrids')))\n"
+    "before = set(sys.modules)\n"
+    "if sys.argv[1:] == ['import']:\n"
+    "    import signedgrids.hom\n"
+    "    code = 0\n"
+    "else:\n"
+    "    from signedgrids.cli import main\n"
+    "    code = main(sys.argv[1:])\n"
+    "print(code, *sorted(set(sys.modules) - before))\n"
 )
 
 
 def loaded_modules(*argv, cwd):
+    """Run ``cli.main(argv)`` (or, for ``import``, import ``signedgrids.hom``)
+    in a fresh process; its exit code and the modules it newly loaded."""
     src = os.path.dirname(os.path.dirname(signedgrids.__file__))
-    proc = subprocess.run([sys.executable, "-c", FOOTPRINT, *argv], cwd=cwd, env=dict(os.environ, PYTHONPATH=src),
-                          capture_output=True, text=True, timeout=60)
+    proc = subprocess.run([sys.executable, "-S", "-c", FOOTPRINT, *argv], cwd=cwd,
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     code, *modules = proc.stdout.splitlines()[-1].split()
     return int(code), set(modules)
+
+
+def library(modules):
+    return {m for m in modules if m.startswith("signedgrids")}
 
 
 @pytest.mark.parametrize(
@@ -494,7 +508,8 @@ def loaded_modules(*argv, cwd):
     [(("--version",), EXIT_OK), (("--help",), EXIT_OK), (("gen", "--kind", "hex"), EXIT_USAGE), (("nosuchcommand",), EXIT_USAGE)],
 )
 def test_version_help_and_usage_errors_load_no_library_module(tmp_path, argv, code):
-    assert loaded_modules(*argv, cwd=tmp_path) == (code, {"signedgrids", "signedgrids.cli"})
+    got, modules = loaded_modules(*argv, cwd=tmp_path)
+    assert (got, library(modules)) == (code, {"signedgrids", "signedgrids.cli"})
 
 
 def test_gen_and_verify_load_no_colorer_or_property_module(hex_graph, tmp_path):
@@ -506,6 +521,24 @@ def test_gen_and_verify_load_no_colorer_or_property_module(hex_graph, tmp_path):
         assert not modules & {"signedgrids.colorers", "signedgrids.props"}
     # only a certificate needs the search module
     assert "signedgrids.hom" not in gen[1] and "signedgrids.hom" in verify[1]
+
+
+def test_commands_and_the_library_load_no_dataclasses_inspect_or_typing(hex_graph, tmp_path):
+    # the value classes are plain slotted classes, and random is loaded by
+    # the one command that draws signs
+    runs = {
+        "gen": loaded_modules("gen", "--kind", "tri", "--rows", "3", "--cols", "3", "-o", "g.json", cwd=tmp_path),
+        "color": loaded_modules("color", "-i", "hex.json", "-o", "cert.json", cwd=tmp_path),
+        "verify": loaded_modules("verify", "-i", "hex.json", "-c", "cert.json", cwd=tmp_path),
+        "import": loaded_modules("import", cwd=tmp_path),
+    }
+    for name, (code, modules) in runs.items():
+        assert code == EXIT_OK and library(modules), name
+        assert not modules & {"dataclasses", "inspect", "typing"}, name
+    # the search module tells a grid by type without loading the grid module
+    assert "signedgrids.hom" in runs["import"][1] and "signedgrids.grids" not in runs["import"][1]
+    assert "random" in runs["gen"][1]
+    assert "random" not in runs["color"][1] | runs["verify"][1]
 
 
 @pytest.mark.parametrize("kind", ["hex", "tri"])
@@ -721,6 +754,37 @@ def test_mutated_loader_inputs_end_in_an_exit_code(valid_files, data):
     assert code in (EXIT_OK, EXIT_USAGE, EXIT_VERIFY)
     # an accepted certificate is a signed homomorphism by the definition
     assert code != EXIT_OK or certifies(read(graph), read(cert))
+
+
+def test_every_byte_mutant_of_the_files_ends_in_an_exit_code(valid_files, tmp_path, capsys):
+    # each non-blank byte of the tri and hex grid files and certificates,
+    # replaced by a seeded token or deleted: verify exits 0, 1 or 2, a
+    # usage error says so in one line, and an accepted certificate is a
+    # signed homomorphism by the definition
+    work, _ = valid_files
+    rng = random.Random(31)
+    tokens = ("", "0", "1", "5", "-", "]", '"')
+    graph, cert = tmp_path / "graph.json", tmp_path / "cert.json"
+    codes = Counter()
+    for kind in ("hex", "tri"):
+        texts = {graph: (work / f"{kind}.json").read_text(), cert: (work / f"{kind}-cert.json").read_text()}
+        for path, text in texts.items():
+            other = cert if path == graph else graph
+            other.write_text(texts[other])
+            for k, byte in enumerate(text):
+                if byte.isspace():
+                    continue
+                path.write_text(text[:k] + rng.choice(tokens) + text[k + 1 :])
+                code = run("verify", "-i", str(graph), "-c", str(cert))
+                err = capsys.readouterr().err
+                assert code in (EXIT_OK, EXIT_USAGE, EXIT_VERIFY), (path.name, k)
+                if code == EXIT_USAGE:
+                    assert len(err.splitlines()) == 1 and err.startswith("signedgrids: "), (path.name, k, err)
+                if code == EXIT_OK:
+                    assert certifies(read(graph), read(cert)), (path.name, k)
+                codes[code] += 1
+    # enough mutants are accepted that the oracle clause is exercised
+    assert codes[EXIT_OK] >= 100 and codes[EXIT_USAGE] and codes[EXIT_VERIFY], codes
 
 
 @pytest.mark.parametrize("kind", ["hex", "tri"])

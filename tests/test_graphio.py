@@ -352,8 +352,8 @@ def test_make_grid_and_the_loader_share_one_sign_check(monkeypatch):
     signs = random_signature(spec, 2, 0.5)
     doc = graph_to_dict(make_grid(spec, signs))
     checks = []
-    post_init = SignedGrid.__post_init__
-    monkeypatch.setattr(SignedGrid, "__post_init__", lambda self: checks.append(post_init(self)))
+    init = SignedGrid.__init__  # the check is the constructor's
+    monkeypatch.setattr(SignedGrid, "__init__", lambda self, *args: checks.append(init(self, *args)))
     assert make_grid(spec, signs).signs == signs and len(checks) == 1
     assert graph_from_dict(doc).signs == signs and len(checks) == 2
     for bad, message in (

@@ -264,6 +264,31 @@ def test_slot_arithmetic_is_the_slot_pattern():
                     assert [s.has_slot(p) for p in range(len(pattern))] == [x == 1 for x in pattern]
 
 
+class TestSpecChecks:
+    @pytest.mark.parametrize(
+        "rows, cols",
+        [(2.0, 3), (2, 3.0), (True, 3), (2, True), (0, 3), (2, -1), ("2", 3), (None, 3)],
+    )
+    def test_rows_and_cols_are_exact_ints_of_at_least_one(self, rows, cols):
+        # a float once built a grid whose n was a float
+        with pytest.raises(ValueError, match="rows and cols must be ints of at least 1"):
+            GridSpec("tri", rows, cols)
+
+    @pytest.mark.parametrize(
+        "cell",
+        [(1, 1.0), (1.0, 2), (True, 2), (1, True), (0, 1), (3, 1), (1, 4), (1, -1), (1, 2, 3), (1,), "ab", None],
+    )
+    def test_mask_cells_are_pairs_of_exact_ints_inside_the_box(self, cell):
+        # a float cell once built a grid whose own file the loader refused
+        with pytest.raises(ValueError, match="is not a pair of ints inside the 2x3 grid"):
+            GridSpec("hex", 2, 3, {cell, (1, 2)})
+
+    def test_a_checked_spec_keeps_its_values(self):
+        spec = GridSpec("hex", 2, 3, [(1, 2), (2, 2), (1, 2)])
+        assert spec.mask == frozenset({(1, 2), (2, 2)}) and GridSpec("tri", 1, 1).rows == 1
+        assert make_grid(spec, (1,)).n == 2
+
+
 class TestMasks:
     def test_masked_grid_is_induced_subgraph(self):
         for i in range(20):
