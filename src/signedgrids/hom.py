@@ -75,7 +75,12 @@ class BudgetExceededError(Exception):
 
 
 class SearchBudget:
-    """Shared countdown of search nodes across one logical operation."""
+    """Shared countdown of search nodes across one logical operation.
+
+    :func:`find_ec_hom` counts its nodes in a local variable and writes
+    ``remaining`` back on every exit, where one :meth:`spend` per node
+    would leave it; once it is below 0, every later node raises.
+    """
 
     __slots__ = ("remaining",)
 
@@ -232,9 +237,12 @@ def find_ec_hom(
                 later[v].append((w, masks[s]))
 
     assignment = [-1] * n
-    spend = budget.spend if budget is not None else None
     if n == 0:
         return Homomorphism(())
+    # the nodes are counted here and written back to the budget on each
+    # exit; without a budget, no search reaches the limit
+    limit = budget.remaining if budget is not None else sys.maxsize
+    spent = 0
     # depth-first with an explicit stack, so deep sources cannot exhaust the
     # interpreter's recursion limit; ``frames`` holds, per assigned search
     # position, its candidate masks and its untried candidates
@@ -244,6 +252,8 @@ def find_ec_hom(
     while True:
         if not rest:
             if not frames:
+                if budget is not None:
+                    budget.remaining = limit - spent
                 return None
             current, rest = frames.pop()
             k -= 1
@@ -253,8 +263,10 @@ def find_ec_hom(
         low = rest & -rest
         rest ^= low
         c = low.bit_length() - 1
-        if spend is not None:
-            spend()
+        spent += 1
+        if spent > limit:  # where SearchBudget.spend raises
+            budget.remaining = limit - spent
+            raise BudgetExceededError("search node budget exhausted")
         narrowed = current[:]
         for w, mask in nbrs:
             new = narrowed[w] & mask[c]
@@ -265,6 +277,8 @@ def find_ec_hom(
             assignment[v] = c
             k += 1
             if k == n:
+                if budget is not None:
+                    budget.remaining = limit - spent
                 return Homomorphism(tuple(assignment))
             frames.append((current, rest))
             current, v = narrowed, order[k]

@@ -35,7 +35,7 @@ from signedgrids.hom import (
     find_ec_hom,
     find_signed_hom,
 )
-from signedgrids.props import pstar21_excluded_pairs
+from signedgrids.props import PropertyReport, automorphisms, pstar21_excluded_pairs
 
 
 def random_signed_graph(rng: random.Random, n: int, p_edge: float = 0.4) -> SignedGraph:
@@ -447,6 +447,61 @@ def find_ec_hom_reference(
     if extend(0):
         return Homomorphism(tuple(assignment))
     return None
+
+
+# ---------------------------------------------------------------------------
+# Oracles for the property checks: every tuple against every sign vector,
+# and orbits from the whole automorphism group.
+# ---------------------------------------------------------------------------
+
+
+def ordered_cliques_reference(g: SignedGraph, k: int) -> list[tuple[int, ...]]:
+    """Every ordered k-tuple of distinct, pairwise adjacent vertices, in
+    lexicographic order: the k-permutations that pass a pair check."""
+    return [t for t in permutations(range(g.n), k) if all(g.has_edge(a, b) for a, b in combinations(t, 2))]
+
+
+def check_pkn_reference(g: SignedGraph, k: int, n: int) -> PropertyReport:
+    """Oracle for ``check_pkn``: each ordered k-clique and each sign vector
+    on its own, the witnesses narrowed one vertex at a time."""
+    if k < 1 or n < 1:
+        raise ValueError("need k >= 1 and n >= 1")
+    masks = sign_masks(g)
+    everyone = (1 << g.n) - 1
+    bad = []
+    for tup in ordered_cliques_reference(g, k):
+        for alpha in product((POS, NEG), repeat=k):
+            witnesses = everyone
+            for v, a in zip(tup, alpha):
+                witnesses &= masks[a][v]
+                if not witnesses:
+                    break
+            count = witnesses.bit_count()
+            if count < n:
+                bad.append((tup, alpha, count))
+    return PropertyReport(f"P({k},{n})", not bad, tuple(bad))
+
+
+def check_transitivity_reference(g: SignedGraph, n: int) -> PropertyReport:
+    """Oracle for ``check_transitivity``: every automorphism enumerated,
+    and each pattern's orbit as the images of its first tuple under all
+    of them."""
+    autos = list(automorphisms(g))
+    groups: dict[tuple, list[tuple[int, ...]]] = {}
+    for tup in ordered_cliques_reference(g, n):
+        pattern = tuple(
+            g.sign(tup[i], tup[j]) for i in range(n) for j in range(i + 1, n)
+        )
+        groups.setdefault(pattern, []).append(tup)
+    bad = []
+    for pattern, tuples in sorted(groups.items()):
+        seed = tuples[0]
+        orbit = {tuple(perm[v] for v in seed) for perm in autos}
+        for tup in tuples:
+            if tup not in orbit:
+                bad.append((tup, pattern, 0))
+    names = {1: "vertex-transitive", 2: "edge-transitive"}
+    return PropertyReport(names.get(n, f"K{n}-transitive"), not bad, tuple(bad))
 
 
 # ---------------------------------------------------------------------------

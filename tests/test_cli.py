@@ -214,24 +214,34 @@ class TestColorAndVerify:
 
     @pytest.mark.parametrize("command", ["color", "verify"])
     def test_malformed_graph_is_a_usage_error(self, tmp_path, capsys, command):
-        # color on a grid whose "edges" is 5; verify on a certificate whose target is [1, 2]
+        # color on a grid whose "edges" is 5; verify on a certificate whose
+        # target is [1, 2]; both on a grid with an edge naming vertex n at
+        # either end, with integer labels, and with null labels
         graph, cert = tmp_path / "grid.json", tmp_path / "cert.json"
         run("gen", "--kind", "hex", "--rows", "2", "--cols", "2", "-o", str(graph))
         run("color", "-i", str(graph), "-o", str(cert))
+        good_graph, good_cert = read(graph), read(cert)
+        n = good_graph["graph"]["n"]
+        (u, v, s), *rest = good_graph["graph"]["edges"]
+        forged_graphs = [
+            {"edges": [[n, v, s], *rest]},
+            {"edges": [[u, n, s], *rest]},
+            {"labels": list(range(n))},
+            {"labels": None},
+        ]
         if command == "color":
-            data = read(graph)
-            data["graph"]["edges"] = 5
-            graph.write_text(json.dumps(data))
-            argv = ("color", "-i", str(graph))
-        else:
-            data = read(cert)
-            data["certificate"]["target"] = [1, 2]
-            cert.write_text(json.dumps(data))
-            argv = ("verify", "-i", str(graph), "-c", str(cert))
-        capsys.readouterr()
-        assert run(*argv) == EXIT_USAGE
-        out, err = capsys.readouterr()
-        assert out == "" and err.startswith("signedgrids: ") and "Traceback" not in err
+            forged_graphs.append({"edges": 5})
+        cases = [(dict(good_graph, graph=dict(good_graph["graph"], **f)), good_cert) for f in forged_graphs]
+        if command == "verify":
+            cases.append((good_graph, {"certificate": dict(good_cert["certificate"], target=[1, 2])}))
+        for forged_graph, forged_cert in cases:
+            graph.write_text(json.dumps(forged_graph))
+            cert.write_text(json.dumps(forged_cert))
+            argv = ("color", "-i", str(graph)) if command == "color" else ("verify", "-i", str(graph), "-c", str(cert))
+            capsys.readouterr()
+            assert run(*argv) == EXIT_USAGE, forged_graph
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("signedgrids: ") and "Traceback" not in err
 
     @pytest.mark.parametrize("nested", ["graph", "certificate"])
     def test_deeply_nested_json_is_a_usage_error(self, hex_graph, tmp_path, capsys, nested):
@@ -673,6 +683,7 @@ GOLDEN = {
     "motif.dot": "c887bdbdea1f0aaaad54c48554c1c077896d59eae7d7cf82670b6d0fa114cc91",
     "motif.json": "9fc694b2f27c897d26d7324125b557e09ae4a4b069680a12868fdc7fb9146fad",
     "props-SP9.json": "5d4dbb73d5b5358be0cea4cfe6c1fe6cb4cff214e6de4624f019cb2408734131",
+    "props-rhoSP9plus.json": "2790febd00adf709a82625c12bad27b960af7d13e73a94468a6b70fbe9d2850a",
     "props-rhoT4.json": "e6a9caa3b9b954306d3685df97d2c4b22861e372a208264d08b9a2af3268d32e",
     "tri-cert.json": "b6e69d3ea2870ac8036356dcf616972669367fdf12a4c4f57e15b26f45bb7fc7",
     "tri.dot": "8111123f64f1a18b9d8879037064569d86b6efb589041a54b0f2b6107df6bec2",
@@ -696,11 +707,12 @@ def test_artifacts_are_byte_identical(tmp_path, monkeypatch, capsys):
         ("chromatic", "-i", "hex.json", "--max-order", "4", "--budget", "3", "-o", "chromatic-unknown.json"),
         ("props", "--target", "rhoT4", "-o", "props-rhoT4.json"),
         ("props", "--target", "SP9", "-o", "props-SP9.json"),
+        ("props", "--target", "rhoSP9plus", "-o", "props-rhoSP9plus.json"),
         ("lowerbounds", "--instance", "c6", "-o", "lowerbounds-c6.json"),
         ("motif", "--rows", "5", "--cols", "5", "-o", "motif.json", "--dot", "motif.dot"),
     ]
     codes = [run(*argv) for argv in steps]
-    assert codes == [EXIT_OK] * 8 + [EXIT_UNKNOWN] + [EXIT_OK] * 4
+    assert codes == [EXIT_OK] * 8 + [EXIT_UNKNOWN] + [EXIT_OK] * 5
     assert capsys.readouterr().out == (
         "certificate OK\ncertificate OK\n"
         "no target of order 3; order-4 witness found => chromatic number = 4\n"

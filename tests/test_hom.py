@@ -243,6 +243,70 @@ class TestAgainstListReference:
             exhausted += fast[0] == "unknown"
         assert shuffled > 100 and exhausted > 10
 
+    def test_remaining_counts_the_nodes_on_every_exit(self):
+        # found, none and exhausted: the budget ends where one spend() per
+        # node of the reference leaves it
+        rng = random.Random(606)
+        seen = Counter()
+        for _ in range(150):
+            g = random_signed_graph(rng, rng.randint(2, 9), rng.choice((0.3, 0.6)))
+            h = random_signed_graph(rng, rng.randint(2, 6), 0.7)
+            limit = rng.choice((3, 20, 10**6))
+            budget, reference = SearchBudget(limit), SearchBudget(limit)
+            try:
+                got = find_ec_hom(g, h, budget=budget)
+            except BudgetExceededError:
+                got = "unknown"
+                assert budget.remaining == -1
+            try:
+                want = find_ec_hom_reference(g, h, budget=reference)
+            except BudgetExceededError:
+                want = "unknown"
+            assert got == want
+            assert budget.remaining == reference.remaining
+            seen["unknown" if got == "unknown" else got is None] += 1
+        assert seen["unknown"] > 10 and seen[True] > 10 and seen[False] > 10
+
+    def test_shared_budget_runs_out_at_the_reference_node(self):
+        # a sweep of searches on one budget: the same search raises, with
+        # the same nodes spent, as on the reference
+        rng = random.Random(707)
+        ran_out = 0
+        for _ in range(40):
+            g = random_signed_graph(rng, rng.randint(4, 9), 0.5)
+            targets = [random_signed_graph(rng, rng.randint(2, 5), 0.6) for _ in range(6)]
+            limit = rng.randint(5, 60)
+            runs = []
+            for search in (find_ec_hom, find_ec_hom_reference):
+                budget, results = SearchBudget(limit), []
+                try:
+                    for h in targets:
+                        results.append(search(g, h, budget=budget))
+                except BudgetExceededError:
+                    results.append("unknown")
+                runs.append((results, budget.remaining))
+            assert runs[0] == runs[1]
+            ran_out += runs[0][0][-1] == "unknown"
+        assert ran_out > 10
+
+    def test_exhausted_budget_raises_at_the_first_node(self):
+        g, h = all_positive_cycle(6), rho_t4().graph
+        for search in (find_ec_hom, find_ec_hom_reference):
+            budget = SearchBudget(1)
+            with pytest.raises(BudgetExceededError):
+                search(g, h, budget=budget)
+            assert budget.remaining == -1
+            with pytest.raises(BudgetExceededError):
+                search(g, h, budget=budget)
+            assert budget.remaining == -2
+        # spent to exactly 0, the budget still holds; the next node raises
+        budget = SearchBudget(1)
+        assert find_ec_hom(SignedGraph(1, []), h, budget=budget) is not None
+        assert budget.remaining == 0
+        with pytest.raises(BudgetExceededError):
+            find_ec_hom(SignedGraph(1, []), h, budget=budget)
+        assert budget.remaining == -1
+
     def test_signed_witness_matches_projected_reference(self):
         rng = random.Random(31337)
         split = 0

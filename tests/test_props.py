@@ -10,6 +10,7 @@ from signedgrids import (
     POS,
     PropertyReport,
     SignedGraph,
+    antitwin_double,
     automorphisms,
     build_SP9,
     build_T4,
@@ -24,9 +25,15 @@ from signedgrids import (
     sign_masks,
 )
 from signedgrids.core import F9Element, f9_elements, f9_squares
+from signedgrids.hom import _class_targets
 from signedgrids.props import pstar21_excluded_pairs
 
-from helpers import common_positive_neighbors, random_signed_graph
+from helpers import (
+    check_pkn_reference,
+    check_transitivity_reference,
+    common_positive_neighbors,
+    random_signed_graph,
+)
 
 
 def brute_automorphisms(g):
@@ -77,6 +84,30 @@ class TestPkn:
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             check_pkn(rho_t4().graph, 0, 1)
+
+    def test_matches_per_tuple_reference_on_the_targets(self):
+        # the same entries in the same order as one tuple and one sign
+        # vector at a time, on holding and failing (k, n)
+        failing = 0
+        for g in (build_T4(), rho_t4().graph, build_SP9(), rho_sp9_plus().graph):
+            for k in (1, 2, 3):
+                for n in (1, 2, 4, 9):
+                    report = check_pkn(g, k, n)
+                    assert report == check_pkn_reference(g, k, n), (g, k, n)
+                    failing += not report.holds
+        assert failing > 10
+
+    def test_matches_per_tuple_reference_on_random_graphs(self):
+        rng = random.Random(4242)
+        held = failed = 0
+        for _ in range(60):
+            g = random_signed_graph(rng, rng.randint(1, 9), rng.choice((0.3, 0.6, 0.9)))
+            k, n = rng.randint(1, 3), rng.randint(1, 3)
+            report = check_pkn(g, k, n)
+            assert report == check_pkn_reference(g, k, n), (g.edges, k, n)
+            held += report.holds
+            failed += not report.holds and len(report.counterexamples) > 1
+        assert held > 5 and failed > 20
 
 
 class TestCommonPositiveNeighbors:
@@ -168,10 +199,39 @@ class TestTransitivity:
         report = check_transitivity(build_T4(), 1)
         assert not report.holds
 
-    def test_shared_automorphism_list(self):
-        g = build_T4()
-        autos = list(automorphisms(g))
-        assert check_transitivity(g, 2, autos=autos).holds is check_transitivity(g, 2).holds
+    def test_counterexamples_in_pattern_then_tuple_order(self):
+        g = SignedGraph(5, [(0, 1, POS), (1, 2, POS), (2, 3, NEG), (3, 4, POS), (0, 4, POS), (1, 3, NEG)])
+        assert check_transitivity(g, 1).counterexamples == tuple(((v,), (), 0) for v in (1, 2, 3, 4))
+        assert check_transitivity(g, 2).counterexamples == (
+            ((2, 3), (NEG,), 0), ((3, 1), (NEG,), 0), ((3, 2), (NEG,), 0),
+            ((0, 4), (POS,), 0), ((1, 0), (POS,), 0), ((1, 2), (POS,), 0), ((2, 1), (POS,), 0),
+            ((3, 4), (POS,), 0), ((4, 0), (POS,), 0), ((4, 3), (POS,), 0),
+        )
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_matches_enumerated_group_on_the_targets(self, n):
+        graphs = [rho_t4().graph, rho_sp9_plus().graph, build_T4(), build_SP9()]
+        for order in range(1, 6):
+            for h in _class_targets(order):
+                graphs += [h, antitwin_double(h).graph]
+        failing = 0
+        for g in graphs:
+            report = check_transitivity(g, n)
+            assert report == check_transitivity_reference(g, n), g.edges
+            failing += not report.holds
+        assert check_transitivity(rho_sp9_plus().graph, n).holds
+        assert failing >= 1
+
+    def test_matches_enumerated_group_on_random_graphs(self):
+        rng = random.Random(515)
+        failing = 0
+        for _ in range(40):
+            g = random_signed_graph(rng, rng.randint(1, 7), rng.choice((0.4, 0.8)))
+            for n in (1, 2, 3):
+                report = check_transitivity(g, n)
+                assert report == check_transitivity_reference(g, n), (g.edges, n)
+                failing += len(report.counterexamples) > 1
+        assert failing > 10
 
 
 class TestAntiautomorphic:
