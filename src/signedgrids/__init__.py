@@ -30,7 +30,7 @@ _EXPORTS = {
     name: module
     for module, names in (
         ("core", "NEG POS AntitwinnedGraph SignedGraph antitwin_double build_SP5 build_SP9 build_T4 "
-                 "f9_squares negate plus_universal rho_sp9_plus rho_t4 sign_masks sp5_plus sp9_plus switch"),
+                 "negate plus_universal rho_sp9_plus rho_t4 sign_masks sp5_plus sp9_plus switch"),
         ("colorers", "CandidateTrace ColoringInvariantError color_hex color_tri normalize_hex"),
         ("grids", "GridSpec SignedGrid all_c4_unbalanced_grid make_grid random_signature "
                   "unbalanced_c6 unbalanced_wheel7"),

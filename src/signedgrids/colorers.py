@@ -16,9 +16,9 @@ The pass works on a scratch slot array of the bounding grid (the slot
 layout of :mod:`signedgrids.grids`), viewed as signed bytes: the edge from
 bounding id ``b`` to its right, down-left or down neighbor is slot ``3*b``,
 ``3*b + 1`` or ``3*b + 2``, and the slot's value (+1, -1, or 0 for no edge)
-indexes a table of the target's :func:`signedgrids.core.sign_masks`, so no
+indexes the target's :func:`signedgrids.core.sign_masks` table, so no
 adjacency dict is built.  A 0 slot (a hex parity gap or down-left slot)
-constrains nothing: its table row is all ones.  One scatter builds that
+constrains nothing: the table's entry 0 is all ones.  One scatter builds that
 array: it starts from the box's slot pattern and writes each of the grid's
 signs at its edge's slot.  The colorers take only a
 :class:`~signedgrids.grids.SignedGrid`; any
@@ -39,7 +39,7 @@ from functools import cache
 from itertools import compress, repeat
 from operator import setitem
 
-from .core import NEG, POS, FrozenValue, SignedGraph, rho_sp9_plus, rho_t4, sign_masks
+from .core import NEG, FrozenValue, SignedGraph, rho_sp9_plus, rho_t4, sign_masks
 from .core import switch  # unused here; perfbench/tracing.py patches signedgrids.colorers.switch
 from .grids import GridSpec, SignedGrid
 from .grids import make_grid  # unused here; perfbench/tracing.py patches signedgrids.colorers.make_grid
@@ -107,13 +107,6 @@ def _bounding_signs(g: SignedGrid) -> memoryview:
     return slots
 
 
-def _by_slot(masks: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-    """Sign masks indexed by a slot's value: 1 and -1 (the last entry), and
-    0 (no edge), which constrains nothing: every row is all ones."""
-    n = len(masks[POS])
-    return ((1 << n) - 1,) * n, masks[POS], masks[NEG]
-
-
 def _restrict(phi: list[int], spec: GridSpec) -> tuple[int, ...]:
     """A bounding-grid mapping restricted to the retained cells, in vertex order."""
     return tuple(phi) if spec.mask is None else tuple(map(phi.__getitem__, spec.bounding_ids()))
@@ -136,7 +129,7 @@ def _color_rows(g: SignedGrid, target: SignedGraph, floor: int) -> tuple[Homomor
     spec = g.grid
     rows, cols = spec.rows, spec.cols
     signs = _bounding_signs(g)
-    masks = _by_slot(sign_masks(target))
+    masks = sign_masks(target)
     everyone = (1 << target.n) - 1
 
     @cache

@@ -15,8 +15,8 @@ algorithm operates on ids, and the target builders pin a documented label
 order so results are reproducible bit for bit.
 
 The package's immutable value classes (:class:`AntitwinnedGraph`,
-:class:`F9Element`, ``GridSpec``, ``SignedGrid``, ``Homomorphism``,
-``CandidateTrace``, ``PropertyReport``) are slotted classes on one base,
+``GridSpec``, ``SignedGrid``, ``Homomorphism``, ``CandidateTrace``,
+``PropertyReport``) are slotted classes on one base,
 :class:`FrozenValue`, not frozen dataclasses: ``dataclasses`` loads
 ``inspect`` and builds methods with ``exec``, about 10 ms of every process
 that imports the package.  ``dataclasses.fields``, ``replace`` and
@@ -42,9 +42,6 @@ __all__ = [
     "negate",
     "antitwin_double",
     "plus_universal",
-    "F9Element",
-    "f9_elements",
-    "f9_squares",
     "build_T4",
     "build_SP9",
     "build_SP5",
@@ -162,20 +159,17 @@ class SignedGraph:
 
 
 def sign_masks(h: SignedGraph) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """Bit ``b`` of ``sign_masks(h)[s][a]`` is set iff ``h.status(a, b) == s``.
-
-    The table is indexed by status: entry ``POS`` holds the positive
-    neighbors of each vertex, entry ``NEG`` (the last) the negative ones and
-    entry 0 the rest, the vertex itself included.  Built on first use and
-    kept on ``h``.
+    """Bit ``b`` of ``sign_masks(h)[s][a]`` is set iff ``h.status(a, b) == s``,
+    for ``s`` of ``POS`` and of ``NEG`` (the last entry).  Entry 0, for a
+    non-edge, is all ones in every row: a non-edge constrains nothing.
+    Built on first use and kept on ``h``.
     """
     if h._masks is None:
         pos, neg = [0] * h.n, [0] * h.n
         for a, row in h.adjacency.items():
             for b, s in row.items():
                 (pos if s == POS else neg)[a] |= 1 << b
-        everyone = (1 << h.n) - 1
-        h._masks = (tuple(everyone ^ p ^ q for p, q in zip(pos, neg)), tuple(pos), tuple(neg))
+        h._masks = (((1 << h.n) - 1,) * h.n, tuple(pos), tuple(neg))
     return h._masks
 
 
@@ -302,67 +296,6 @@ def plus_universal(g: SignedGraph) -> SignedGraph:
     return SignedGraph(n + 1, edges, labels=labels)
 
 
-# ---------------------------------------------------------------------------
-# The field with nine elements, modeled as F3[x]/(x^2 + 1), i.e. x*x = 2.
-# This model makes the nonzero squares come out as {1, 2, x, 2x}, so the
-# positive part of SP9 is the two families of triangles (rows and columns of
-# the 3x3 element layout) used throughout.
-# ---------------------------------------------------------------------------
-
-
-class F9Element(FrozenValue):
-    """Element ``a + b*x`` of the nine-element field, with ``a, b`` mod 3."""
-
-    __slots__ = _fields = ("a", "b")
-
-    def __init__(self, a: int, b: int):
-        if not (0 <= a < 3 and 0 <= b < 3):
-            raise ValueError("coefficients must already be reduced mod 3")
-        self._set(a, b)
-
-    def __add__(self, other: "F9Element") -> "F9Element":
-        return F9Element((self.a + other.a) % 3, (self.b + other.b) % 3)
-
-    def __sub__(self, other: "F9Element") -> "F9Element":
-        return F9Element((self.a - other.a) % 3, (self.b - other.b) % 3)
-
-    def __neg__(self) -> "F9Element":
-        return F9Element(-self.a % 3, -self.b % 3)
-
-    def __mul__(self, other: "F9Element") -> "F9Element":
-        # (a + bx)(c + dx) = ac + 2bd + (ad + bc)x   since x*x = 2
-        a, b, c, d = self.a, self.b, other.a, other.b
-        return F9Element((a * c + 2 * b * d) % 3, (a * d + b * c) % 3)
-
-    @property
-    def index(self) -> int:
-        """Position in the fixed label order 0,1,2,x,x+1,x+2,2x,2x+1,2x+2."""
-        return self.a + 3 * self.b
-
-    @classmethod
-    def from_index(cls, i: int) -> "F9Element":
-        return cls(i % 3, i // 3)
-
-    @property
-    def label(self) -> str:
-        if self.b == 0:
-            return str(self.a)
-        xs = "x" if self.b == 1 else "2x"
-        return xs if self.a == 0 else f"{xs}+{self.a}"
-
-
-def f9_elements() -> tuple[F9Element, ...]:
-    """All nine field elements in the fixed label order."""
-    return tuple(F9Element.from_index(i) for i in range(9))
-
-
-@cache
-def f9_squares() -> frozenset[F9Element]:
-    """The set of nonzero squares, computed by squaring every nonzero element."""
-    zero = F9Element(0, 0)
-    return frozenset(e * e for e in f9_elements() if e != zero)
-
-
 def build_T4() -> SignedGraph:
     """Complete graph on labels 1..4 with the single negative edge 1-4."""
     edges = []
@@ -374,19 +307,21 @@ def build_T4() -> SignedGraph:
 
 
 def build_SP9() -> SignedGraph:
-    """Complete signed Paley graph on the nine-element field.
+    """Complete signed Paley graph on the nine-element field F3[x]/(x^2 + 1).
 
-    A pair is positive exactly when its difference is a nonzero square.
-    Vertex ids follow the fixed label order 0,1,2,x,x+1,x+2,2x,2x+1,2x+2.
+    Vertex ``a + 3b`` is the element ``a + bx``, so ids follow the label
+    order 0,1,2,x,x+1,x+2,2x,2x+1,2x+2.  A pair is positive exactly when its
+    difference is a nonzero square: as ``(a + bx)^2 = a^2 + 2b^2 + 2abx``,
+    one of 1, 2, x and 2x, so the rows and columns of the ids' 3x3 layout
+    are the all-positive triangles.
     """
-    elems = f9_elements()
-    squares = f9_squares()
+    squares = {(a * a + 2 * b * b) % 3 + 3 * (2 * a * b % 3) for a in range(3) for b in range(3)} - {0}
     edges = []
     for u in range(9):
         for v in range(u + 1, 9):
-            s = POS if (elems[u] - elems[v]) in squares else NEG
+            s = POS if (u - v) % 3 + 3 * ((u // 3 - v // 3) % 3) in squares else NEG
             edges.append((u, v, s))
-    return SignedGraph(9, edges, labels=[e.label for e in elems])
+    return SignedGraph(9, edges, labels=["0", "1", "2", "x", "x+1", "x+2", "2x", "2x+1", "2x+2"])
 
 
 def build_SP5() -> SignedGraph:

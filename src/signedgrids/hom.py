@@ -78,8 +78,8 @@ class SearchBudget:
     """Shared countdown of search nodes across one logical operation.
 
     :func:`find_ec_hom` counts its nodes in a local variable and writes
-    ``remaining`` back on every exit, where one :meth:`spend` per node
-    would leave it; once it is below 0, every later node raises.
+    ``remaining`` back once, when it returns or raises; once ``remaining``
+    is below 0, the next node of any search raises.
     """
 
     __slots__ = ("remaining",)
@@ -88,12 +88,6 @@ class SearchBudget:
         if limit < 0:
             raise ValueError("budget must be non-negative")
         self.remaining = limit
-
-    def spend(self) -> None:
-        """Count one node; raise :class:`BudgetExceededError` past the limit."""
-        self.remaining -= 1
-        if self.remaining < 0:
-            raise BudgetExceededError("search node budget exhausted")
 
 
 class Homomorphism(FrozenValue):
@@ -198,7 +192,8 @@ def find_ec_hom(
     ascending candidate order, and every assignment filters the candidate
     sets of the still-unassigned neighbors, so results are deterministic.
     Raises :class:`BudgetExceededError` if ``budget`` runs out; one node is
-    one candidate tried.
+    one candidate tried, counted locally and written back to
+    ``budget.remaining`` once, on return or raise.
 
     Candidate sets are int bitmasks over the target vertices, bit ``c`` set
     when target vertex ``c`` is a candidate, so filtering a neighbor's
@@ -239,8 +234,7 @@ def find_ec_hom(
     assignment = [-1] * n
     if n == 0:
         return Homomorphism(())
-    # the nodes are counted here and written back to the budget on each
-    # exit; without a budget, no search reaches the limit
+    # without a budget, no search reaches the limit
     limit = budget.remaining if budget is not None else sys.maxsize
     spent = 0
     # depth-first with an explicit stack, so deep sources cannot exhaust the
@@ -249,40 +243,39 @@ def find_ec_hom(
     frames: list[tuple[list[int], int]] = []
     k, v = 0, order[0]
     nbrs, rest = later[v], current[v]
-    while True:
-        if not rest:
-            if not frames:
-                if budget is not None:
-                    budget.remaining = limit - spent
-                return None
-            current, rest = frames.pop()
-            k -= 1
-            v = order[k]
-            nbrs = later[v]
-            continue
-        low = rest & -rest
-        rest ^= low
-        c = low.bit_length() - 1
-        spent += 1
-        if spent > limit:  # where SearchBudget.spend raises
+    try:
+        while True:
+            if not rest:
+                if not frames:
+                    return None
+                current, rest = frames.pop()
+                k -= 1
+                v = order[k]
+                nbrs = later[v]
+                continue
+            low = rest & -rest
+            rest ^= low
+            c = low.bit_length() - 1
+            spent += 1
+            if spent > limit:
+                raise BudgetExceededError("search node budget exhausted")
+            narrowed = current[:]
+            for w, mask in nbrs:
+                new = narrowed[w] & mask[c]
+                if not new:
+                    break
+                narrowed[w] = new
+            else:
+                assignment[v] = c
+                k += 1
+                if k == n:
+                    return Homomorphism(tuple(assignment))
+                frames.append((current, rest))
+                current, v = narrowed, order[k]
+                nbrs, rest = later[v], current[v]
+    finally:
+        if budget is not None:
             budget.remaining = limit - spent
-            raise BudgetExceededError("search node budget exhausted")
-        narrowed = current[:]
-        for w, mask in nbrs:
-            new = narrowed[w] & mask[c]
-            if not new:
-                break
-            narrowed[w] = new
-        else:
-            assignment[v] = c
-            k += 1
-            if k == n:
-                if budget is not None:
-                    budget.remaining = limit - spent
-                return Homomorphism(tuple(assignment))
-            frames.append((current, rest))
-            current, v = narrowed, order[k]
-            nbrs, rest = later[v], current[v]
 
 
 def ec_to_signed(hom: Homomorphism, base_n: int) -> Homomorphism:

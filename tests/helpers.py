@@ -26,6 +26,7 @@ from signedgrids import (
 from signedgrids.colorers import ColoringInvariantError
 from signedgrids.graphio import grid_from_dict
 from signedgrids.hom import (
+    BudgetExceededError,
     Homomorphism,
     SearchBudget,
     _search_order,
@@ -158,6 +159,14 @@ def verify_signed_with_mapping(
     if found is None:
         return None
     return ec_to_signed(found, h.n).switch_set
+
+
+def f9_product(u: int, v: int) -> int:
+    """Product in F3[x]/(x^2 + 1) of SP9 vertices ``u`` and ``v``, where
+    vertex ``a + 3b`` is the element ``a + bx``:
+    ``(a + bx)(c + dx) = ac + 2bd + (ad + bc)x``, since ``x*x = 2``."""
+    a, b, c, d = u % 3, u // 3, v % 3, v // 3
+    return (a * c + 2 * b * d) % 3 + 3 * ((a * d + b * c) % 3)
 
 
 def common_positive_neighbors(g: SignedGraph, u: int, v: int) -> frozenset[int]:
@@ -326,13 +335,15 @@ def verify_signed_reference(g: SignedGraph | SignedGrid, h: SignedGraph, hom: Ho
 
 def sign_masks_reference(h: SignedGraph) -> tuple[tuple[int, ...], ...]:
     """Oracle for ``sign_masks``: bit ``b`` of row ``a`` of entry ``s`` is
-    set iff the adjacency gives ``ab`` status ``s`` (0 for a non-edge or
-    ``a == b``), one pair at a time."""
-    table = {s: [0] * h.n for s in (0, POS, NEG)}
+    set iff the adjacency gives ``ab`` sign ``s``, one pair at a time; every
+    bit of entry 0, a non-edge, is set."""
+    table = {s: [0] * h.n for s in (POS, NEG)}
     for a in range(h.n):
         for b in range(h.n):
-            table[h.adjacency.get(a, {}).get(b, 0)][a] |= 1 << b
-    return tuple(tuple(table[s]) for s in (0, POS, NEG))
+            s = h.adjacency.get(a, {}).get(b, 0)
+            if s:
+                table[s][a] |= 1 << b
+    return (((1 << h.n) - 1,) * h.n, tuple(table[POS]), tuple(table[NEG]))
 
 
 def antitwin_double_reference(h: SignedGraph) -> SignedGraph:
@@ -422,8 +433,10 @@ def find_ec_hom_reference(
             return True
         v = order[k]
         for c in current[v]:
-            if budget is not None:
-                budget.spend()
+            if budget is not None:  # one node per candidate, counted on the budget itself
+                budget.remaining -= 1
+                if budget.remaining < 0:
+                    raise BudgetExceededError("search node budget exhausted")
             assignment[v] = c
             saved = []
             ok = True

@@ -31,6 +31,7 @@ from signedgrids import (
     verify_ec,
     verify_signed,
 )
+from signedgrids import cli
 from signedgrids.cli import EXIT_OK, EXIT_UNKNOWN, EXIT_USAGE, EXIT_VERIFY, main
 from signedgrids.graphio import graph_from_dict, graph_to_dict, hom_from_dict, hom_to_dict
 
@@ -207,10 +208,11 @@ class TestColorAndVerify:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("signedgrids: ") and "Traceback" not in err
 
-    def test_color_without_grid_metadata(self, tmp_path):
+    def test_color_without_grid_metadata(self, tmp_path, capsys):
         path = tmp_path / "plain.json"
         path.write_text(json.dumps({"n": 2, "edges": [[0, 1, 1]]}))
         assert run("color", "-i", str(path)) == EXIT_USAGE
+        assert capsys.readouterr().err == "signedgrids: input file carries no grid metadata\n"
 
     @pytest.mark.parametrize("command", ["color", "verify"])
     def test_malformed_graph_is_a_usage_error(self, tmp_path, capsys, command):
@@ -551,6 +553,53 @@ def test_commands_and_the_library_load_no_dataclasses_inspect_or_typing(hex_grap
     assert "random" not in runs["color"][1] | runs["verify"][1]
 
 
+def test_the_commands_load_no_shutil(hex_graph, tmp_path):
+    # argparse's stock help formatter imports shutil, and with it bz2, lzma,
+    # zlib and fnmatch, for the terminal width; the parser's own does not
+    assert run("color", "-i", str(hex_graph), "-o", str(tmp_path / "cert.json")) == EXIT_OK
+    for argv in (
+        ("--version",),
+        ("gen", "--kind", "tri", "--rows", "3", "--cols", "3", "-o", "g.json"),
+        ("color", "-i", "hex.json", "-o", "cert.json"),
+        ("verify", "-i", "hex.json", "-c", "cert.json"),
+    ):
+        code, modules = loaded_modules(*argv, cwd=tmp_path)
+        assert code == EXIT_OK and not modules & {"shutil", "bz2", "lzma"}, argv
+
+
+def test_help_and_usage_errors_are_the_stock_formatters_text(monkeypatch, capsys):
+    # at every terminal width, each command's --help and usage error read
+    # as argparse's stock HelpFormatter writes them
+    ours = cli.build_parser()
+    commands = next(a.choices for a in ours._actions if isinstance(a, argparse._SubParsersAction))
+    # an option of each command without its value: that command's usage error
+    valueless = {"gen": "--rows", "color": "-i", "verify": "-c", "props": "--target",
+                 "chromatic": "--budget", "lowerbounds": "--instance", "motif": "--cols"}
+    assert sorted(commands) == sorted(valueless) and len(commands) == 7
+    argvs = [["--help"], [], ["--bogus"], *([c, "--help"] for c in commands), *([c, o] for c, o in valueless.items())]
+    helps = {}
+    for columns in (None, "40", "80", "200"):
+        with monkeypatch.context() as patch:
+            if columns is None:
+                patch.delenv("COLUMNS", raising=False)
+            else:
+                patch.setenv("COLUMNS", columns)
+            ours = cli.build_parser()
+            patch.setattr(cli, "_formatter", argparse.HelpFormatter)
+            stock = cli.build_parser()
+            for argv in argvs:
+                texts = []
+                for parser in (ours, stock):
+                    with pytest.raises(SystemExit):
+                        parser.parse_args(argv)
+                    texts.append(capsys.readouterr())
+                assert texts[0] == texts[1] and texts[0].out + texts[0].err, (columns, argv)
+                if argv == ["--help"]:
+                    helps[columns] = texts[0].out
+    # the width reaches the text
+    assert helps["40"] != helps["200"]
+
+
 @pytest.mark.parametrize("kind", ["hex", "tri"])
 def test_the_pipeline_builds_no_signed_graph_of_grid_size(tmp_path, monkeypatch, kind):
     # a grid stays a sign column from gen to verify; only targets (at most
@@ -768,16 +817,13 @@ def test_mutated_loader_inputs_end_in_an_exit_code(valid_files, data):
     assert code != EXIT_OK or certifies(read(graph), read(cert))
 
 
-def test_every_byte_mutant_of_the_files_ends_in_an_exit_code(valid_files, tmp_path, capsys):
-    # each non-blank byte of the tri and hex grid files and certificates,
-    # replaced by a seeded token or deleted: verify exits 0, 1 or 2, a
-    # usage error says so in one line, and an accepted certificate is a
-    # signed homomorphism by the definition
-    work, _ = valid_files
+def byte_mutants(work, graph, cert):
+    """Each non-blank byte of the tri and hex grid files and certificates,
+    replaced by a seeded token or deleted: writes the mutant to ``graph`` or
+    ``cert``, the other file intact beside it, and yields its path and the
+    byte's index."""
     rng = random.Random(31)
     tokens = ("", "0", "1", "5", "-", "]", '"')
-    graph, cert = tmp_path / "graph.json", tmp_path / "cert.json"
-    codes = Counter()
     for kind in ("hex", "tri"):
         texts = {graph: (work / f"{kind}.json").read_text(), cert: (work / f"{kind}-cert.json").read_text()}
         for path, text in texts.items():
@@ -787,16 +833,48 @@ def test_every_byte_mutant_of_the_files_ends_in_an_exit_code(valid_files, tmp_pa
                 if byte.isspace():
                     continue
                 path.write_text(text[:k] + rng.choice(tokens) + text[k + 1 :])
-                code = run("verify", "-i", str(graph), "-c", str(cert))
-                err = capsys.readouterr().err
-                assert code in (EXIT_OK, EXIT_USAGE, EXIT_VERIFY), (path.name, k)
-                if code == EXIT_USAGE:
-                    assert len(err.splitlines()) == 1 and err.startswith("signedgrids: "), (path.name, k, err)
-                if code == EXIT_OK:
-                    assert certifies(read(graph), read(cert)), (path.name, k)
-                codes[code] += 1
+                yield path, k
+
+
+def test_every_byte_mutant_of_the_files_ends_in_an_exit_code(valid_files, tmp_path, capsys):
+    # verify exits 0, 1 or 2, a usage error says so in one line, and an
+    # accepted certificate is a signed homomorphism by the definition
+    work, _ = valid_files
+    graph, cert = tmp_path / "graph.json", tmp_path / "cert.json"
+    codes = Counter()
+    for path, k in byte_mutants(work, graph, cert):
+        code = run("verify", "-i", str(graph), "-c", str(cert))
+        err = capsys.readouterr().err
+        assert code in (EXIT_OK, EXIT_USAGE, EXIT_VERIFY), (path.name, k)
+        if code == EXIT_USAGE:
+            assert len(err.splitlines()) == 1 and err.startswith("signedgrids: "), (path.name, k, err)
+        if code == EXIT_OK:
+            assert certifies(read(graph), read(cert)), (path.name, k)
+        codes[code] += 1
     # enough mutants are accepted that the oracle clause is exercised
     assert codes[EXIT_OK] >= 100 and codes[EXIT_USAGE] and codes[EXIT_VERIFY], codes
+
+
+def test_every_byte_mutant_of_a_grid_file_colors_or_is_a_usage_error(valid_files, tmp_path, capsys):
+    # the same mutants of the grid files (color reads no certificate): color
+    # exits 0 with a certificate that is a signed homomorphism by the
+    # definition, or 1 with a one-line message
+    work, _ = valid_files
+    graph, out = tmp_path / "graph.json", tmp_path / "out.json"
+    codes = Counter()
+    for path, k in byte_mutants(work, graph, tmp_path / "cert.json"):
+        if path != graph:
+            continue
+        code = run("color", "-i", str(graph), "-o", str(out))
+        err = capsys.readouterr().err
+        assert code in (EXIT_OK, EXIT_USAGE), (k, code, err)
+        if code == EXIT_USAGE:
+            assert len(err.splitlines()) == 1 and err.startswith("signedgrids: "), (k, err)
+        else:
+            assert certifies(read(graph), read(out)), k
+            out.unlink()
+        codes[code] += 1
+    assert codes[EXIT_OK] >= 100 and codes[EXIT_USAGE] >= 100, codes
 
 
 @pytest.mark.parametrize("kind", ["hex", "tri"])

@@ -17,7 +17,6 @@ from signedgrids import (
     build_SP5,
     build_SP9,
     build_T4,
-    f9_squares,
     negate,
     plus_universal,
     rho_t4,
@@ -26,10 +25,10 @@ from signedgrids import (
     sp9_plus,
     switch,
 )
-from signedgrids.core import F9Element, f9_elements
 
 from helpers import (
     cycle_sign,
+    f9_product,
     induced_subgraph,
     mask_members,
     random_signed_graph,
@@ -230,24 +229,14 @@ class TestTargets:
         assert mask_members(masks[POS][3]) == frozenset({1, 2})
         assert sum(1 for *_, s in t4.edges if s == NEG) == 1
 
-    def test_f9_squares(self):
-        squares = f9_squares()
-        assert {e.label for e in squares} == {"1", "2", "x", "2x"}
-        assert F9Element(2, 0) in squares  # -1 = 2 is a square
-        assert {-e for e in squares} == set(squares)
-
-    def test_f9_field_structure(self):
-        elems = f9_elements()
-        assert len(set(elems)) == 9
-        zero, one = F9Element(0, 0), F9Element(1, 0)
-        for a in elems:
-            for b in elems:
-                assert a + b == b + a and a * b == b * a
-                for c in elems:
-                    assert (a * b) * c == a * (b * c)
-                    assert a * (b + c) == a * b + a * c
-            if a != zero:  # multiplicative inverses exist
-                assert any(a * b == one for b in elems)
+    def test_sp9_positive_neighbors_of_zero_are_the_squares(self):
+        # squaring every nonzero element gives the nonzero squares, and the
+        # positive neighbors of 0 are exactly those: 1, 2, x and 2x
+        sp9 = build_SP9()
+        squares = frozenset(f9_product(v, v) for v in range(1, 9))
+        assert mask_members(sign_masks(sp9)[POS][0]) == squares
+        assert [sp9.label(v) for v in sorted(squares)] == ["1", "2", "x", "2x"]
+        assert sp9.labels == ("0", "1", "2", "x", "x+1", "x+2", "2x", "2x+1", "2x+2")
 
     def test_sp9_positive_triangles_match_grid_layout(self):
         # rows and columns of the 3x3 element layout are all-positive triangles

@@ -244,8 +244,8 @@ class TestAgainstListReference:
         assert shuffled > 100 and exhausted > 10
 
     def test_remaining_counts_the_nodes_on_every_exit(self):
-        # found, none and exhausted: the budget ends where one spend() per
-        # node of the reference leaves it
+        # found, none and exhausted: the budget ends where the reference's
+        # countdown of one per node leaves it
         rng = random.Random(606)
         seen = Counter()
         for _ in range(150):

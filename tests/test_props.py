@@ -24,7 +24,6 @@ from signedgrids import (
     rho_t4,
     sign_masks,
 )
-from signedgrids.core import F9Element, f9_elements, f9_squares
 from signedgrids.hom import _class_targets
 from signedgrids.props import pstar21_excluded_pairs
 
@@ -32,6 +31,7 @@ from helpers import (
     check_pkn_reference,
     check_transitivity_reference,
     common_positive_neighbors,
+    f9_product,
     random_signed_graph,
 )
 
@@ -239,14 +239,13 @@ class TestAntiautomorphic:
         assert check_antiautomorphic(build_SP9()) is not None
 
     def test_sp9_nonsquare_multiplication_witness(self):
-        # multiplying by a fixed non-square swaps squares and non-squares,
-        # hence flips every edge sign; confirm it is a witness
+        # multiplying by a fixed non-square, here 1 + x (vertex 4), swaps
+        # squares and non-squares, hence flips every edge sign; confirm it
+        # is a witness
         sp9 = build_SP9()
-        elems = f9_elements()
-        nonsquare = next(
-            e for e in elems if e != F9Element(0, 0) and e not in f9_squares()
-        )
-        perm = [(elems[v] * nonsquare).index for v in range(9)]
+        assert not sign_masks(sp9)[POS][0] >> 4 & 1
+        perm = [f9_product(v, 4) for v in range(9)]
+        assert sorted(perm) == list(range(9))
         neg = negate(sp9)
         for u, v, s in sp9.edges:
             assert neg.sign(perm[u], perm[v]) == s
