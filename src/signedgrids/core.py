@@ -68,11 +68,11 @@ class SignedGraph:
 
     A graph keeps three tables derived from it, each built on its first use
     and then returned on every later one: its :func:`sign_masks` table, its
-    :func:`antitwin_double`, and the searches' vertex order
-    (``signedgrids.hom._search_order``).  The tables are tuples or frozen
-    values, so no caller can write into them.  Two threads that fill the
-    same table at once build equal values and one of them is kept, so a
-    racing first fill is benign.
+    :func:`antitwin_double`, and the searches' plan of it
+    (``signedgrids.hom._search_plan``; a grid keeps one too).  The tables
+    are tuples or frozen values, so no caller can write into them.  Two
+    threads that fill the same table at once build equal values and one of
+    them is kept, so a racing first fill is benign.
 
     Attributes:
         n: Number of vertices.
@@ -81,7 +81,7 @@ class SignedGraph:
             touches; an isolated vertex has no key.  Treat as read-only.
     """
 
-    __slots__ = ("n", "labels", "_edges", "adjacency", "_masks", "_double", "_order")
+    __slots__ = ("n", "labels", "_edges", "adjacency", "_masks", "_double", "_plan")
 
     def __init__(
         self,
@@ -114,7 +114,7 @@ class SignedGraph:
         self.labels = labels
         self._edges = tuple(sorted(canon))
         self.adjacency = adj
-        self._masks = self._double = self._order = None  # the kept tables, built on first use
+        self._masks = self._double = self._plan = None  # the kept tables, built on first use
 
     @property
     def edges(self) -> tuple[tuple[int, int, int], ...]:

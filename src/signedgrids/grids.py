@@ -22,10 +22,10 @@ pair ``(u, v)``, ``u < v``, and it is the order of a grid file's
 ``"edges"`` list.  The tails and heads of the edges depend on the spec
 alone: :meth:`GridSpec.edge_columns` computes them once per spec and keeps
 them, and :attr:`SignedGrid.columns` is those two columns plus the signs.
-The writers, the verifiers, :attr:`SignedGrid.edges` and
-:meth:`SignedGrid.graph` (a plain :class:`~signedgrids.core.SignedGraph`,
-the adjacency view the searches walk) read a grid through its columns, and
-no per-edge tuple is kept.
+The writers, the verifiers, the searches, :attr:`SignedGrid.edges` and
+:meth:`SignedGrid.graph` (a plain :class:`~signedgrids.core.SignedGraph`
+with adjacency dicts) read a grid through its columns, and no per-edge
+tuple is kept.
 
 Placing an edge by direction uses a *slot* layout, three slots per vertex:
 slot ``3*v + d`` is the edge from vertex ``v`` in direction ``d``, 0 right
@@ -223,12 +223,13 @@ class SignedGrid(FrozenValue):
     :meth:`GridSpec.edges` order.  The constructor checks it: a tuple of
     :meth:`GridSpec.edge_count` entries, each of type exactly ``int`` (not
     ``True``, not ``1.0``) and +1 or -1, else ``ValueError``.  So every grid
-    is valid as built, and the verifiers, the writers and the colorers read
-    it as it is; the searches need adjacency dicts and convert it through
-    :meth:`graph`.  ``n``, the spec's vertex count, is not compared.
+    is valid as built, and the verifiers, the writers, the colorers and the
+    searches read it as it is.  ``n``, the spec's vertex count, is not
+    compared, nor is the searches' plan of the grid, which it keeps once
+    built (``signedgrids.hom._search_plan``).
     """
 
-    __slots__ = ("grid", "signs", "labels", "n")
+    __slots__ = ("grid", "signs", "labels", "n", "_plan")
     _fields = ("grid", "signs", "labels")
 
     def __init__(self, grid: GridSpec, signs: tuple[int, ...], labels: tuple[str, ...] | None = None):
@@ -242,7 +243,7 @@ class SignedGrid(FrozenValue):
                 f"sign column does not fit the {grid.kind} {grid.rows}x{grid.cols} grid: "
                 f"it needs {grid.edge_count()} entries, each the int +1 or -1"
             )
-        self._set(grid, signs, labels, grid.rows * grid.cols if grid.mask is None else len(grid.mask))
+        self._set(grid, signs, labels, grid.rows * grid.cols if grid.mask is None else len(grid.mask), None)
 
     def __repr__(self) -> str:
         return f"SignedGrid(grid={self.grid!r}, n={self.n!r})"
@@ -266,8 +267,8 @@ class SignedGrid(FrozenValue):
         return self.labels[v] if self.labels is not None else str(v)
 
     def graph(self) -> SignedGraph:
-        """The grid's adjacency view, a plain :class:`SignedGraph` with the
-        same vertices, edges and labels, for the searches to walk."""
+        """The grid as a plain :class:`SignedGraph` with the same vertices,
+        edges and labels, and its adjacency dicts."""
         return SignedGraph(self.n, zip(*self.columns), labels=self.labels)
 
 

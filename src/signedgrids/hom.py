@@ -19,11 +19,12 @@ its spec keeps, and its sign column), or a
 :class:`~signedgrids.core.SignedGraph`'s ``edges``.  It applies a switch
 set by negating the sign of each edge with exactly one switched end, and
 shares no code with the searches; :func:`verify_ec` is its check with an
-empty switch set.  The searches walk adjacency dicts:
-:func:`find_ec_hom`, :func:`find_signed_hom` and
-:func:`signed_chromatic_number` convert a grid source through
-:meth:`~signedgrids.grids.SignedGrid.graph` once on entry; a source that is
-no ``SignedGraph`` is taken for a grid, so ``grids`` is not imported here.
+empty switch set.  The searches read a source as it is too, through its
+search plan (:func:`_search_plan`): the vertex order, the component roots
+and each vertex's later neighbors with the signs of the joining edges,
+built once from the same rows and kept on the source.  Each search only
+binds those signs to its target's sign masks.  A source that is no
+``SignedGraph`` is taken for a grid, so ``grids`` is not imported here.
 
 The chromatic number of a signed graph is the order of its smallest target;
 :func:`signed_chromatic_number` computes it exactly on small instances by
@@ -32,9 +33,9 @@ complete targets loses nothing because adding edges to a target never removes
 homomorphisms), one per switching class (:func:`switching_classes`), since
 every target of a class admits the same signed homomorphisms.  The class
 targets of an order are built on its first sweep and kept for the life of
-the process, and every :class:`~signedgrids.core.SignedGraph` keeps the
-tables the searches derive from it (its antitwin doubling, its sign masks
-and its search order), so repeated sweeps rebuild none of them.
+the process; every target keeps the tables the searches derive from it
+(its antitwin doubling and its sign masks), and every source its search
+plan, so repeated sweeps rebuild none of them.
 :func:`canonical_complete_targets` lists one target per isomorphism class
 instead.  Both mark whole orbits, all ``n!`` permutation images at once from
 lane-packed ints, in a ``bytearray`` of ``2^(n(n-1)/2)`` bytes, so the order
@@ -145,39 +146,43 @@ def verify_signed(g: SignedGraph | SignedGrid, h: SignedGraph, hom: Homomorphism
     return True
 
 
-def _adjacency(g: SignedGraph | SignedGrid) -> SignedGraph:
-    """The source as a graph with adjacency dicts, which the searches walk."""
-    return g if isinstance(g, SignedGraph) else g.graph()
+def _search_plan(g: SignedGraph | SignedGrid) -> tuple[tuple[int, ...], tuple[int, ...], tuple]:
+    """The order in which the searches assign the vertices of ``g``, the
+    root of each connected component, which opens its block of the order,
+    and per vertex its later neighbors in the order, each with the sign of
+    the joining edge.
 
-
-def _search_order(g: SignedGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    # breadth-first from a maximum-degree root, per connected component;
-    # returns the order and the root of each component, which opens its
-    # block; built on first use and kept on g, which every target's search
-    # of a sweep shares
-    if g._order is not None:
-        return g._order
-    seen = [False] * g.n
+    Breadth-first per component from a maximum-degree root, least id on
+    ties, neighbors ascending.  Built on first use from the ``(u, v, s)``
+    rows of ``g``, a graph's ``edges`` or a grid's zipped ``columns``, and
+    kept on ``g``, which every target's search of a sweep shares.
+    """
+    if g._plan is not None:
+        return g._plan
+    n = g.n
+    rows: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    # the rows are sorted by (u, v), so each vertex's neighbors arrive ascending
+    for u, v, s in g.edges if isinstance(g, SignedGraph) else zip(*g.columns):
+        rows[u].append((v, s))
+        rows[v].append((u, s))
+    position = [-1] * n
     order: list[int] = []
     roots: list[int] = []
-    by_degree = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    for root in by_degree:
-        if seen[root]:
+    for root in sorted(range(n), key=lambda v: -len(rows[v])):  # stable: least id on ties
+        if position[root] >= 0:
             continue
-        seen[root] = True
         roots.append(root)
-        queue = [root]
-        qi = 0
-        while qi < len(queue):
-            u = queue[qi]
-            qi += 1
-            for w in sorted(g.neighbors(u)):
-                if not seen[w]:
-                    seen[w] = True
-                    queue.append(w)
-        order.extend(queue)
-    g._order = (tuple(order), tuple(roots))
-    return g._order
+        k = position[root] = len(order)
+        order.append(root)
+        while k < len(order):  # the order's tail is the queue
+            for w, _ in rows[order[k]]:
+                if position[w] < 0:
+                    position[w] = len(order)
+                    order.append(w)
+            k += 1
+    later = tuple(tuple((w, s) for w, s in rows[v] if position[w] > position[v]) for v in range(n))
+    object.__setattr__(g, "_plan", (tuple(order), tuple(roots), later))
+    return g._plan
 
 
 def find_ec_hom(
@@ -207,7 +212,6 @@ def find_ec_hom(
     ascending order of a sorted candidate list, so witnesses and node counts
     are those of a search on sorted lists.
     """
-    g = _adjacency(g)
     n = g.n
     if domains is None:
         current = [(1 << h.n) - 1] * n
@@ -219,17 +223,10 @@ def find_ec_hom(
             raise ValueError("domains must be int bitmasks over the target vertices")
 
     masks = sign_masks(h)
-    order, _ = _search_order(g)
-    position = [0] * n
-    for k, v in enumerate(order):
-        position[v] = k
-    # per search vertex: neighbors that come later in the order, with the
-    # masks of the sign of the joining edge
-    later: list[list[tuple[int, list[int]]]] = [[] for _ in range(n)]
-    for v in range(n):
-        for w, s in g.neighbors(v).items():
-            if position[w] > position[v]:
-                later[v].append((w, masks[s]))
+    order, _, signed = _search_plan(g)
+    # per search vertex: its later neighbors, with the masks of the sign of
+    # the joining edge
+    later = [[(w, masks[s]) for w, s in row] for row in signed]
 
     assignment = [-1] * n
     if n == 0:
@@ -306,10 +303,9 @@ def find_signed_hom(
     subtrees under minus roots, about half of a "no" answer, are skipped.
     Fixing any other vertex could change the witness.
     """
-    g = _adjacency(g)
     rho = antitwin_double(h)
     domains = [(1 << rho.graph.n) - 1] * g.n
-    for root in _search_order(g)[1]:
+    for root in _search_plan(g)[1]:
         domains[root] = (1 << h.n) - 1
     found = find_ec_hom(g, rho.graph, domains=domains, budget=budget)
     if found is None:
@@ -454,7 +450,6 @@ def signed_chromatic_number(
     """
     if max_order < 1:
         raise ValueError(f"max_order must be at least 1, got {max_order}")
-    g = _adjacency(g)
     for order in range(1, max_order + 1):
         for h in _class_targets(order):
             found = find_signed_hom(g, h, budget=budget)

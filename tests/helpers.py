@@ -29,7 +29,6 @@ from signedgrids.hom import (
     BudgetExceededError,
     Homomorphism,
     SearchBudget,
-    _search_order,
     canonical_complete_targets,
     complete_signed_graph,
     ec_to_signed,
@@ -360,9 +359,9 @@ def antitwin_double_reference(h: SignedGraph) -> SignedGraph:
 
 
 def search_order_reference(g: SignedGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Oracle for ``hom._search_order``: breadth-first over the adjacency,
-    neighbors in ascending order, from the unvisited vertex of largest
-    degree (least id on ties) per component; the order and the roots."""
+    """Oracle for the order and roots of ``hom._search_plan``: breadth-first
+    over the adjacency, neighbors in ascending order, from the unvisited
+    vertex of largest degree (least id on ties) per component."""
     rows = g.adjacency
     order: list[int] = []
     roots: list[int] = []
@@ -413,7 +412,7 @@ def find_ec_hom_reference(
                 raise ValueError("candidate out of target range")
             doms.append(dom)
 
-    order, _ = _search_order(g)
+    order, _ = search_order_reference(g)
     position = [0] * n
     for k, v in enumerate(order):
         position[v] = k

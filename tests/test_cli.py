@@ -400,6 +400,30 @@ class TestReports:
         assert not out.exists()
         assert "max_order must be at least 1" in capsys.readouterr().err
 
+    def test_sweeps_build_no_graph_from_a_grid(self, hex_graph, tmp_path, monkeypatch):
+        # chromatic on hex and tri grid files, lowerbounds on the c6 grid:
+        # no grid is converted, and every SignedGraph built is smaller than
+        # the 16-vertex grids
+        tri = tmp_path / "tri.json"
+        assert run("gen", "--kind", "tri", "--rows", "4", "--cols", "4", "--seed", "7", "-o", str(tri)) == EXIT_OK
+
+        def refused(self):
+            raise AssertionError("a sweep converted a grid to a SignedGraph")
+
+        init, sizes = SignedGraph.__init__, []
+
+        def counted(self, n, edges, labels=None):
+            sizes.append(n)
+            init(self, n, edges, labels)
+
+        monkeypatch.setattr(signedgrids.grids.SignedGrid, "graph", refused)
+        monkeypatch.setattr(SignedGraph, "__init__", counted)
+        for path in (hex_graph, tri):
+            assert run("chromatic", "-i", str(path), "-o", str(tmp_path / "chrom.json")) == EXIT_OK
+            assert read(tmp_path / "chrom.json")["status"] == "found"
+        assert max(sizes, default=0) < 16
+        assert run("lowerbounds", "--instance", "c6", "-o", str(tmp_path / "lb.json")) == EXIT_OK
+
     def test_lowerbounds_c6(self, tmp_path, capsys):
         out = tmp_path / "lb.json"
         assert run("lowerbounds", "--instance", "c6", "-o", str(out)) == EXIT_OK

@@ -34,14 +34,14 @@ from signedgrids.graphio import hom_from_dict
 from signedgrids.hom import (
     Homomorphism,
     _class_targets,
-    _search_order,
+    _search_plan,
     ec_to_signed,
     switching_classes,
 )
 
 from signedgrids.colorers import color_hex, color_tri
 from signedgrids.core import rho_sp9_plus, sp9_plus
-from signedgrids.grids import GridSpec, make_grid, random_signature
+from signedgrids.grids import GridSpec, SignedGrid, make_grid, random_signature
 
 from helpers import (
     all_complete_targets,
@@ -469,7 +469,7 @@ class TestClassSkip:
 
 
 class TestKeptTables:
-    """A graph's kept sign masks, doubling and search order equal tables built
+    """A graph's kept sign masks, doubling and search plan equal tables built
     afresh from its adjacency, before and after the searches that read them,
     and keeping them moves no witness and no node count."""
 
@@ -481,7 +481,7 @@ class TestKeptTables:
             double, want = antitwin_double(h).graph, antitwin_double_reference(h)
             assert double == want and double.labels == want.labels
             assert sign_masks(double) == sign_masks_reference(double)
-            assert _search_order(h) == search_order_reference(h)
+            assert _search_plan(h)[:2] == search_order_reference(h)
 
     def test_random_graphs(self):
         rng = random.Random(29)
@@ -514,6 +514,84 @@ class TestKeptTables:
             runs.append((_result_key(found), 10**9 - budget.remaining))
         assert runs[0] == runs[1]
         assert runs[0][1] == nodes
+
+
+def seeded_grids(seed, count):
+    """Seeded signed hex and tri grids of up to 4x4 cells, half of them
+    masked; a mask may split a grid into several components."""
+    rng = random.Random(seed)
+    for k in range(count):
+        kind, rows, cols = rng.choice(("hex", "tri")), rng.randint(2, 4), rng.randint(3, 4)
+        mask = None
+        if k % 2:
+            mask = frozenset(c for c in GridSpec(kind, rows, cols).cells() if rng.random() < 0.7) or None
+        spec = GridSpec(kind, rows, cols, mask)
+        yield make_grid(spec, random_signature(spec, rng.randrange(10**6), 0.5))
+
+
+class TestSearchPlan:
+    """The plan the searches keep of a source: the reference order and roots,
+    each vertex's later neighbors with their signs, and the same searches on
+    a grid as on its ``graph()``."""
+
+    def test_order_roots_and_later_neighbors_match_the_reference(self):
+        rng = random.Random(43)
+        graphs = [random_signed_graph(rng, rng.randint(0, 9), rng.choice((0.2, 0.5))) for _ in range(40)]
+        split = 0
+        for g in [*graphs, *seeded_grids(44, 80)]:
+            ref = g.graph() if isinstance(g, SignedGrid) else g
+            order, roots, later = _search_plan(g)
+            assert (order, roots) == search_order_reference(ref)
+            position = {v: k for k, v in enumerate(order)}
+            for v in range(g.n):
+                want = {(w, s) for w, s in ref.neighbors(v).items() if position[w] > position[v]}
+                assert set(later[v]) == want and len(later[v]) == len(want)
+            assert _search_plan(g) is _search_plan(g)
+            if isinstance(g, SignedGrid):  # the kept plan is no part of the grid's value
+                twin = make_grid(g.grid, g.signs)
+                assert g == twin and hash(g) == hash(twin) and repr(g) == repr(twin)
+                split += g.grid.mask is not None and len(roots) > 1
+        assert split >= 5
+
+    @staticmethod
+    def outcome(search, limit):
+        # the answer, or "unknown", and the nodes spent
+        budget = SearchBudget(limit)
+        try:
+            return search(budget), limit - budget.remaining
+        except BudgetExceededError:
+            return "unknown", limit - budget.remaining
+
+    def test_a_grid_searches_as_its_graph(self):
+        rng = random.Random(46)
+        seen, split = Counter(), 0
+        for g in seeded_grids(47, 60):
+            limit = rng.choice((40, 400, 10**9))
+            runs = [
+                self.outcome(lambda budget: _result_key(signed_chromatic_number(source, 6, budget)), limit)
+                for source in (g, g.graph())
+            ]
+            assert runs[0] == runs[1]
+            seen[runs[0][0] == "unknown"] += 1
+            h = random_signed_graph(rng, rng.randint(2, 6), 0.8)
+            for domains in (None, [rng.getrandbits(h.n) for _ in range(g.n)]):
+                runs = [
+                    self.outcome(lambda budget: find_ec_hom(source, h, domains=domains, budget=budget), limit)
+                    for source in (g, g.graph())
+                ]
+                assert runs[0] == runs[1]
+            split += len(_search_plan(g)[1]) > 1
+        assert seen[True] >= 5 and seen[False] >= 30 and split >= 5
+
+    def test_a_sweep_never_converts_a_grid(self, monkeypatch):
+        def refused(self):
+            raise AssertionError("a search converted a grid to a SignedGraph")
+
+        monkeypatch.setattr(SignedGrid, "graph", refused)
+        for g in seeded_grids(48, 20):
+            signed_chromatic_number(g, 6)
+            find_signed_hom(g, build_T4())
+            find_ec_hom(g, rho_t4().graph)
 
 
 class TestTargetEnumeration:
