@@ -38,9 +38,13 @@ the process; every target keeps the tables the searches derive from it
 plan, so repeated sweeps rebuild none of them.
 :func:`canonical_complete_targets` lists one target per isomorphism class
 instead.  Both mark whole orbits, all ``n!`` permutation images at once from
-lane-packed ints, in a ``bytearray`` of ``2^(n(n-1)/2)`` bytes, so the order
-is at most 7.  A class's least mask is the least of its isomorphism classes
-too, so the sweep's witness is the first admitting canonical target.
+lane-packed ints, in a ``bytearray``: one byte per mask, ``2^(n(n-1)/2)``,
+for the isomorphism classes, and one per normal form, ``2^((n-1)(n-2)/2)``,
+for the switching classes.  A normal form has no negative pair at vertex
+``n - 1`` and is the least mask of its switchings.  Both stop at order 7,
+where the first array holds ``2^21`` bytes.  A class's least mask is the
+least of its isomorphism classes too, so the sweep's witness is the first
+admitting canonical target.
 """
 
 from __future__ import annotations
@@ -343,41 +347,42 @@ def complete_signed_graph(n: int, mask: int) -> SignedGraph:
     return SignedGraph(n, edges)
 
 
-def _orbit_minima(n: int, cuts: Sequence[int] = (0,)):
-    """Yield the least mask of each orbit of the complete signed graphs of
-    order ``n`` (a mask's images under every vertex permutation, each XORed
-    with every mask in ``cuts``) in increasing order, each with the marking
+def _orbit_minima(n: int, pairs: dict[tuple[int, int], int], image: dict[tuple[int, int], int]):
+    """Yield the least mask over ``pairs`` of each orbit under the vertex
+    permutations of order ``n``, in increasing order, each with the marking
     array once its orbit is marked.
 
-    Lane ``p`` of ``lanes[k]``, 16 bits wide for ``n <= 6`` and 32 for
-    ``n = 7``, holds the bit that pair ``k`` moves to under the ``p``-th
-    permutation, so the OR of ``lanes[k]`` over a mask's set bits holds all
-    its images.  One ``to_bytes`` and a C-level pass mark them, and
-    ``bytearray.find`` jumps to the next unmarked mask.
+    A permutation ``p`` sends the bit of pair ``(i, j)`` to the mask
+    ``image[p[i], p[j]]`` and a mask to the XOR of its bits' images.  Lane
+    ``p`` of ``lanes[k]``, 16 bits wide up to 16 pairs and 32 above, holds
+    the image of pair ``k`` under the ``p``-th permutation, so the XOR of
+    ``lanes[k]`` over a mask's set bits holds all its images.  One
+    ``to_bytes`` and a C-level pass mark them, and ``bytearray.find`` jumps
+    to the next unmarked mask.  ``n`` is 0 to 7.
     """
-    if n > 7:
-        raise ValueError(f"complete targets are enumerated up to order 7, not {n}")
-    idx = _pair_index(n)
-    width, code = (2, "H") if len(idx) <= 16 else (4, "I")
-    bit = {}
-    for (i, j), k in idx.items():
-        bit[i, j] = bit[j, i] = (1 << k).to_bytes(width, sys.byteorder)
+    if not 0 <= n <= 7:
+        raise ValueError(f"complete targets are enumerated from order 0 up to order 7, not {n}")
+    width, code = (2, "H") if len(pairs) <= 16 else (4, "I")
+    entry = {key: mask.to_bytes(width, sys.byteorder) for key, mask in image.items()}
     perms = list(permutations(range(n)))
-    lanes = [int.from_bytes(b"".join([bit[p[i], p[j]] for p in perms]), sys.byteorder) for i, j in idx]
-    every_lane = int.from_bytes((1).to_bytes(width, sys.byteorder) * len(perms), sys.byteorder)
+    lanes = [int.from_bytes(b"".join([entry[p[i], p[j]] for p in perms]), sys.byteorder) for i, j in pairs]
     size = len(perms) * width
-    seen = bytearray(1 << len(idx))
+    seen = bytearray(1 << len(pairs))
     sig = 0
     while sig >= 0:
         packed = 0
         for k in range(sig.bit_length()):
             if sig >> k & 1:
-                packed |= lanes[k]
-        for cut in cuts:
-            images = memoryview((packed ^ cut * every_lane).to_bytes(size, sys.byteorder)).cast(code)
-            deque(map(setitem, repeat(seen), images, repeat(1)), 0)
+                packed ^= lanes[k]
+        images = memoryview(packed.to_bytes(size, sys.byteorder)).cast(code)
+        deque(map(setitem, repeat(seen), images, repeat(1)), 0)
         yield sig, seen
         sig = seen.find(0, sig + 1)
+
+
+def _pair_bits(n: int) -> dict[tuple[int, int], int]:
+    """The bit of each pair of order ``n``, under both orientations."""
+    return {key: 1 << k for (i, j), k in _pair_index(n).items() for key in ((i, j), (j, i))}
 
 
 @cache
@@ -388,9 +393,10 @@ def canonical_complete_targets(n: int) -> tuple[int, ...]:
     permutations (negation and switching are *not* factored out; differently
     switched targets are distinct): the first unmarked mask of a sweep in
     increasing order, whose orbit is then marked (:func:`_orbit_minima`).
-    The marking array holds ``2^(n(n-1)/2)`` bytes, so ``n`` is at most 7.
+    The marking array holds ``2^(n(n-1)/2)`` bytes, so ``n`` is at most 7;
+    a negative ``n`` raises ``ValueError``.
     """
-    return tuple(sig for sig, _ in _orbit_minima(n))
+    return tuple(sig for sig, _ in _orbit_minima(n, _pair_index(n), _pair_bits(n)))
 
 
 @cache  # computed on first use at each order, shared by every caller
@@ -398,24 +404,29 @@ def switching_classes(n: int) -> tuple[tuple[int, int], ...]:
     """``(least mask, class size)`` of each class of complete signed graphs
     of order ``n`` under switching and vertex permutation, in mask order.
 
-    Switching at a vertex set flips the pairs with one end in it, its cut,
-    so a class is the permutation images of its least mask XOR each of the
-    ``2^(n-1)`` cuts.  Every mask of a class admits the same signed
-    homomorphisms, and a class's least mask is also the least of its
-    isomorphism class, so each is one of :func:`canonical_complete_targets`.
-    ``n`` is at most 7.
+    Switching at a vertex set flips the pairs with one end in it.  Switching
+    a mask at the vertices of its negative pairs with ``n - 1`` gives its
+    normal form, the least of its ``2^(n-1)`` switchings: every bit above
+    pair ``(i, n - 1)`` joins two vertices above ``i``, so the least
+    switching clears each ``(i, n - 1)`` in turn.  A normal form is a mask
+    over the pairs of ``0..n-2``, and the normal form of its permutation
+    images is linear in it: a pair sent to ``{a, n - 1}`` becomes the star
+    of ``a`` among ``0..n-2``.  So a class is an orbit of normal forms,
+    ``2^(n-1)`` masks each, and its least mask is the orbit's least normal
+    form.  Every mask of a class admits the same signed homomorphisms, and a
+    class's least mask is also the least of its isomorphism class, so each
+    is one of :func:`canonical_complete_targets`.  ``n`` is 0 to 7.
     """
-    idx = _pair_index(n)
-    # vertex n - 1 is never switched: a set and its complement have one cut
-    cuts = [
-        sum(1 << k for (i, j), k in idx.items() if (s >> i ^ s >> j) & 1)
-        for s in range(1 << max(n - 1, 0))
-    ]
+    pairs, image = _pair_index(n - 1), _pair_bits(n - 1)
+    for a in range(n - 1):
+        image[a, n - 1] = image[n - 1, a] = sum(bit for (i, _), bit in image.items() if i == a)
     classes = []
-    unmarked = 1 << len(idx)
-    for sig, seen in _orbit_minima(n, cuts):
+    unmarked = 1 << len(pairs)
+    for sig, seen in _orbit_minima(n, pairs, image):
         left = seen.count(0)
-        classes.append((sig, unmarked - left))
+        # pair (i, j) of 0..n-2 has bit k at order n - 1 and bit k + i at order n
+        least = sum(1 << (k + i) for (i, _), k in pairs.items() if sig >> k & 1)
+        classes.append((least, (unmarked - left) << max(n - 1, 0)))
         unmarked = left
     return tuple(classes)
 

@@ -671,6 +671,8 @@ HOSTILE_FILES = {
     # counts past 2^63, which no index-sized integer holds
     "tri-1e10-no-edges.json": {"n": 10**20, "edges": [], "grid": {"kind": "tri", "rows": 10**10, "cols": 10**10}},
     "plain-1e20.json": {"n": 10**20, "edges": []},
+    # text, not a value: a nest deeper than the decoder's recursion limit
+    "nest.json": "[" * 100000,
 }
 ADDRESS_SPACE = 256 << 20
 
@@ -700,17 +702,23 @@ def _limit_address_space():
         ),
         # the search's per-vertex list has more entries than an index holds
         (("chromatic", "-i", "plain-1e20.json", "-o", "out.json"), EXIT_USAGE),
+        (("color", "-i", "nest.json", "-o", "out.json"), EXIT_USAGE),
+        (("verify", "-i", "nest.json", "-c", "t4-cert.json"), EXIT_USAGE),
+        (("verify", "-i", "edge.json", "-c", "nest.json"), EXIT_USAGE),
+        (("chromatic", "-i", "nest.json", "-o", "out.json"), EXIT_USAGE),
     ],
 )
 def test_a_small_file_claiming_a_large_graph_costs_its_size(tmp_path, argv, code):
     for name, payload in HOSTILE_FILES.items():
-        (tmp_path / name).write_text(json.dumps(payload))
+        (tmp_path / name).write_text(payload if isinstance(payload, str) else json.dumps(payload))
     src = os.path.dirname(os.path.dirname(signedgrids.__file__))
     proc = subprocess.run([sys.executable, "-m", "signedgrids.cli", *argv], cwd=tmp_path,
                           env=dict(os.environ, PYTHONPATH=src), preexec_fn=_limit_address_space,
                           capture_output=True, text=True, timeout=60)
     assert "Traceback" not in proc.stderr and "MemoryError" not in proc.stderr, proc.stderr
     assert proc.returncode == code, proc.stderr
+    if code == EXIT_USAGE:
+        assert proc.stderr.startswith("signedgrids: ") and proc.stderr.count("\n") == 1, proc.stderr
     assert not (tmp_path / "out.json").exists()
 
 

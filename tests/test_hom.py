@@ -2,7 +2,7 @@
 
 import random
 from collections import Counter
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -397,6 +397,16 @@ class TestChromaticNumber:
                 unbalanced_wheel7(), 5, budget=SearchBudget(50)
             )
 
+    def test_all_positive_k7_sweeps_to_order_7(self):
+        # every class of orders 1-6 is searched and refused before the
+        # all-positive K7, mask 0, the first class of order 7
+        k7 = complete_signed_graph(7, 0)
+        budget = SearchBudget(10**9)
+        order, target, hom = signed_chromatic_number(k7, 7, budget=budget)
+        assert order == 7 and target.edges == k7.edges
+        assert hom == Homomorphism(tuple(range(7)))
+        assert 10**9 - budget.remaining == 5305
+
 
 def _result_key(result):
     if result is None:
@@ -624,6 +634,39 @@ class TestTargetEnumeration:
             assert {mask for mask, _ in classes} <= set(canonical_complete_targets(n))
             counts.append(len(classes))
         assert counts == [1, 1, 1, 2, 3, 7, 16]
+
+    def test_least_masks_are_normal_forms(self):
+        # no negative pair at vertex n - 1: the class is kept as a graph on
+        # the other n - 1 vertices
+        for n in range(8):
+            for mask, _ in switching_classes(n):
+                h = complete_signed_graph(n, mask)
+                assert all(h.sign(i, n - 1) == POS for i in range(n - 1))
+
+    def test_least_masks_are_the_least_of_their_switchings(self):
+        for n in range(6):
+            pairs = list(combinations(range(n), 2))
+            cuts = [
+                sum(1 << k for k, (i, j) in enumerate(pairs) if (s >> i ^ s >> j) & 1)
+                for s in range(1 << max(n - 1, 0))
+            ]
+            for mask, _ in switching_classes(n):
+                assert mask == min(mask ^ cut for cut in cuts)
+
+    def test_order_seven_classes(self):
+        classes = switching_classes(7)
+        assert len(classes) == 54
+        assert sum(size for _, size in classes) == 1 << 21
+        assert {mask for mask, _ in classes} <= set(canonical_complete_targets(7))
+
+    @pytest.mark.parametrize("n", [-1, -3])
+    def test_negative_orders_are_refused(self, n):
+        # as complete_signed_graph refuses them; no class of a negative order
+        with pytest.raises(ValueError):
+            complete_signed_graph(n, 0)
+        for enumerate_order in (canonical_complete_targets, switching_classes):
+            with pytest.raises(ValueError, match=f"not {n}"):
+                enumerate_order(n)
 
     def test_a_class_admits_as_each_of_its_targets(self):
         # a signed homomorphism into one target of a switching class gives one
