@@ -84,12 +84,15 @@ class SearchBudget:
 
     :func:`find_ec_hom` counts its nodes in a local variable and writes
     ``remaining`` back once, when it returns or raises; once ``remaining``
-    is below 0, the next node of any search raises.
+    is below 0, the next node of any search raises.  A ``limit`` of a type
+    other than ``int``, or below 0, raises ``ValueError``.
     """
 
     __slots__ = ("remaining",)
 
     def __init__(self, limit: int):
+        if type(limit) is not int:  # exact type: True is a bool, and 2.5 would leave 0.5
+            raise ValueError(f"budget {limit!r} is not an integer")
         if limit < 0:
             raise ValueError("budget must be non-negative")
         self.remaining = limit
@@ -189,6 +192,17 @@ def _search_plan(g: SignedGraph | SignedGrid) -> tuple[tuple[int, ...], tuple[in
     return g._plan
 
 
+@cache  # built on the first search, not at import
+def _lowest_bits() -> bytes:
+    """The index of the lowest set bit of every 16-bit mask, by doubling:
+    the upper half of a table over ``k + 1`` bits is its lower half with
+    entry 0 replaced by ``k``."""
+    table = b"\0"
+    for k in range(16):
+        table += bytes((k,)) + table[1:]
+    return table
+
+
 def find_ec_hom(
     g: SignedGraph | SignedGrid,
     h: SignedGraph,
@@ -210,11 +224,20 @@ def find_ec_hom(
     :func:`signedgrids.core.sign_masks` table of ``h``.  ``domains``
     optionally restricts the candidates of each source vertex, one such
     bitmask per vertex; a list of the wrong length, or an entry that is not
-    an exact ``int`` in ``range(1 << h.n)``, raises ``ValueError``.  Each
-    candidate narrows a copy of the list of bitmasks, so backtracking has
-    nothing to restore.  Candidates are tried lowest bit first, which is the
-    ascending order of a sorted candidate list, so witnesses and node counts
-    are those of a search on sorted lists.
+    an exact ``int`` in ``range(1 << h.n)``, raises ``ValueError``.
+    Candidates are tried lowest bit first, which is the ascending order of a
+    sorted candidate list, so witnesses and node counts are those of a
+    search on sorted lists.  On a target of at most 16 vertices the lowest
+    bit is read from a table of all 16-bit masks (:func:`_lowest_bits`),
+    on a larger one it is ``(rest & -rest).bit_length() - 1``.
+
+    A candidate narrows the candidates of its later neighbors in a copy of
+    the list of bitmasks, so backtracking has nothing to restore.  The copy
+    is made once the first neighbor keeps a candidate, so a candidate
+    refused at its first later neighbor costs no copy; at a vertex without
+    later neighbors the list is handed on as it is, since no list is
+    written after it is handed on, and a source without edges holds one
+    list, not one per vertex.
     """
     n = g.n
     if domains is None:
@@ -227,6 +250,7 @@ def find_ec_hom(
             raise ValueError("domains must be int bitmasks over the target vertices")
 
     masks = sign_masks(h)
+    lowest = _lowest_bits() if h.n <= 16 else b""
     order, _, signed = _search_plan(g)
     # per search vertex: its later neighbors, with the masks of the sign of
     # the joining edge
@@ -254,17 +278,18 @@ def find_ec_hom(
                 v = order[k]
                 nbrs = later[v]
                 continue
-            low = rest & -rest
-            rest ^= low
-            c = low.bit_length() - 1
+            c = lowest[rest] if lowest else (rest & -rest).bit_length() - 1
+            rest &= rest - 1
             spent += 1
             if spent > limit:
                 raise BudgetExceededError("search node budget exhausted")
-            narrowed = current[:]
+            narrowed = current
             for w, mask in nbrs:
-                new = narrowed[w] & mask[c]
+                new = current[w] & mask[c]
                 if not new:
                     break
+                if narrowed is current:
+                    narrowed = current[:]
                 narrowed[w] = new
             else:
                 assignment[v] = c
@@ -454,11 +479,14 @@ def signed_chromatic_number(
 
     Returns None when no target of order up to ``max_order`` works, i.e. the
     chromatic number exceeds ``max_order``, and raises ``ValueError`` for a
-    ``max_order`` below 1, which no graph's chromatic number can exceed.
+    ``max_order`` below 1, which no graph's chromatic number can exceed, or
+    of a type other than ``int``.
     Exact but exponential in the order; intended for ``max_order <= 6``.
     Targets are enumerated up to order 7, so a sweep that reaches order 8
     raises ``ValueError``.
     """
+    if type(max_order) is not int:  # exact type: True would sweep order 1
+        raise ValueError(f"max_order {max_order!r} is not an integer")
     if max_order < 1:
         raise ValueError(f"max_order must be at least 1, got {max_order}")
     for order in range(1, max_order + 1):

@@ -662,6 +662,8 @@ def test_verify_and_chromatic_on_a_tiny_mask_in_a_huge_box(tmp_path, capsys):
 # under which each must be rejected in proportion to its own size
 HOSTILE_FILES = {
     "plain-1e8.json": {"n": 10**8, "edges": []},
+    # small enough to search: one candidate list per vertex would not fit
+    "plain-8000.json": {"n": 8000, "edges": []},
     "tri-1000-no-edges.json": {"n": 10**6, "edges": [], "grid": {"kind": "tri", "rows": 1000, "cols": 1000}},
     "tri-1e5-no-edges.json": {"n": 10**10, "edges": [], "grid": {"kind": "tri", "rows": 10**5, "cols": 10**5}},
     "edge.json": {"n": 2, "edges": [[0, 1, 1]]},
@@ -679,6 +681,17 @@ ADDRESS_SPACE = 256 << 20
 
 def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
+
+
+def _run_with_limited_address_space(tmp_path, argv):
+    """Write the hostile files into ``tmp_path`` and run the CLI there on
+    ``argv`` in a child under the address-space limit."""
+    for name, payload in HOSTILE_FILES.items():
+        (tmp_path / name).write_text(payload if isinstance(payload, str) else json.dumps(payload))
+    src = os.path.dirname(os.path.dirname(signedgrids.__file__))
+    return subprocess.run([sys.executable, "-m", "signedgrids.cli", *argv], cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=src), preexec_fn=_limit_address_space,
+                          capture_output=True, text=True, timeout=60)
 
 
 @pytest.mark.parametrize(
@@ -709,17 +722,21 @@ def _limit_address_space():
     ],
 )
 def test_a_small_file_claiming_a_large_graph_costs_its_size(tmp_path, argv, code):
-    for name, payload in HOSTILE_FILES.items():
-        (tmp_path / name).write_text(payload if isinstance(payload, str) else json.dumps(payload))
-    src = os.path.dirname(os.path.dirname(signedgrids.__file__))
-    proc = subprocess.run([sys.executable, "-m", "signedgrids.cli", *argv], cwd=tmp_path,
-                          env=dict(os.environ, PYTHONPATH=src), preexec_fn=_limit_address_space,
-                          capture_output=True, text=True, timeout=60)
+    proc = _run_with_limited_address_space(tmp_path, argv)
     assert "Traceback" not in proc.stderr and "MemoryError" not in proc.stderr, proc.stderr
     assert proc.returncode == code, proc.stderr
     if code == EXIT_USAGE:
         assert proc.stderr.startswith("signedgrids: ") and proc.stderr.count("\n") == 1, proc.stderr
     assert not (tmp_path / "out.json").exists()
+
+
+def test_chromatic_on_an_edgeless_graph_shares_its_candidate_list(tmp_path):
+    # no vertex has a later neighbor, so the search hands one candidate list
+    # from vertex to vertex; a copy per vertex, 8000 lists of 8000 entries,
+    # would not fit under the limit
+    proc = _run_with_limited_address_space(tmp_path, ("chromatic", "-i", "plain-8000.json", "-o", "out.json"))
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert read(tmp_path / "out.json")["order"] == 1
 
 
 def test_main_calls_leave_no_parser_garbage(tmp_path):

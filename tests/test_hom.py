@@ -307,6 +307,62 @@ class TestAgainstListReference:
             find_ec_hom(SignedGraph(1, []), h, budget=budget)
         assert budget.remaining == -1
 
+    @staticmethod
+    def with_leaves(rng, g, pendant, isolated):
+        """``g`` with ``pendant`` new vertices of degree 1, each joined to a
+        random earlier vertex, then ``isolated`` vertices of degree 0."""
+        edges, n = list(g.edges), g.n
+        for v in range(n, n + pendant):
+            edges.append((rng.randrange(v), v, rng.choice((POS, NEG))))
+        return SignedGraph(n + pendant + isolated, edges)
+
+    def assert_same_at_every_budget(self, g, h, masks):
+        """The fast search and the reference at every budget up to the
+        reference's whole search, one node more and one node less."""
+        domains = None if masks is None else [[c for c in range(h.n) if m >> c & 1] for m in masks]
+        nodes = self.spent(find_ec_hom_reference, g, h, domains, 10**6)[1]
+        for limit in range(nodes + 2) if nodes < 150 else (0, 1, nodes // 2, nodes - 1, nodes, nodes + 1):
+            assert self.spent(find_ec_hom, g, h, masks, limit) == self.spent(find_ec_hom_reference, g, h, domains, limit)
+        return nodes
+
+    @pytest.mark.parametrize("target_n", [15, 16, 17])
+    def test_targets_at_the_ends_of_the_lowest_bit_table(self, target_n):
+        # 16 vertices is the table's last size, 17 the first without it;
+        # half the cases narrow each domain, one of its top three bits up to
+        # bit 15 set, the table's last
+        rng = random.Random(target_n)
+        high = min(target_n, 16) - 1
+        top = hits = 0
+        for case in range(30):
+            g = self.with_leaves(rng, random_signed_graph(rng, rng.randint(1, 6), 0.5), rng.randint(0, 3), rng.randint(0, 2))
+            h = random_signed_graph(rng, target_n, rng.choice((0.3, 0.6, 0.9)))
+            masks = None
+            if case % 2:
+                masks = [rng.getrandbits(target_n) & rng.getrandbits(target_n) | 1 << rng.randint(high - 2, high) for _ in range(g.n)]
+                top += any(m >> high & 1 for m in masks)
+            self.assert_same_at_every_budget(g, h, masks)
+            hits += find_ec_hom(g, h, domains=masks) is not None
+        assert top > 10 and 5 < hits < 30
+
+    @pytest.mark.parametrize("shape", ["edgeless", "star", "pendants"])
+    def test_vertices_without_later_neighbors(self, shape):
+        # each search vertex of an edgeless source, each leaf of a star and
+        # most pendant vertices have no later neighbor: their lists are
+        # handed on as they are, and a budget runs out at them
+        rng = random.Random(len(shape))
+        for _ in range(12):
+            if shape == "edgeless":
+                g = SignedGraph(rng.randint(2, 7), [])
+            elif shape == "star":
+                g = self.with_leaves(rng, SignedGraph(1, []), rng.randint(2, 6), 0)
+            else:
+                g = self.with_leaves(rng, random_signed_graph(rng, rng.randint(2, 5), 0.6), rng.randint(2, 5), rng.randint(0, 2))
+            h = random_signed_graph(rng, rng.randint(1, 6), 0.5)
+            masks = [rng.getrandbits(h.n) | 1 << rng.randrange(h.n) for _ in range(g.n)] if rng.random() < 0.5 else None
+            assert self.assert_same_at_every_budget(g, h, masks) > 0
+            order, _, later = _search_plan(g)
+            assert not later[order[-1]] and sum(not later[v] for v in order) > 1
+
     def test_signed_witness_matches_projected_reference(self):
         rng = random.Random(31337)
         split = 0
@@ -397,6 +453,17 @@ class TestChromaticNumber:
                 unbalanced_wheel7(), 5, budget=SearchBudget(50)
             )
 
+    @pytest.mark.parametrize("max_order", [True, 2.0, 2.5, "2", None])
+    def test_max_order_must_be_an_int(self, max_order):
+        with pytest.raises(ValueError, match="is not an integer"):
+            signed_chromatic_number(unbalanced_c6(), max_order)
+
+    @pytest.mark.parametrize("limit", [True, False, 2.5, 2.0, "2", None])
+    def test_budget_limit_must_be_an_int(self, limit):
+        # a float limit would count down to a fraction, and True read as 1
+        with pytest.raises(ValueError, match="is not an integer"):
+            SearchBudget(limit)
+
     def test_all_positive_k7_sweeps_to_order_7(self):
         # every class of orders 1-6 is searched and refused before the
         # all-positive K7, mask 0, the first class of order 7
@@ -457,6 +524,19 @@ class TestClassSkip:
         for bits in rng.sample(classes, sample) if sample else classes:
             switched = [c for c in spec.cells() if rng.random() < 0.5]
             self.assert_matches_the_plain_sweep(switching_class_grid(spec, bits, switched))
+
+    @pytest.mark.parametrize("kind, size, nodes, chi", [
+        ("tri", 3, 108095, {3: 2, 4: 64, 5: 182, 6: 8}),
+        ("hex", 4, 971746, {2: 1, 4: 7}),
+    ])
+    def test_whole_patch_sweeps_keep_their_nodes(self, kind, size, nodes, chi):
+        # every switching class of the patch, unswitched, on one budget: the
+        # nodes and chromatic numbers of the search on sorted candidate lists
+        spec = GridSpec(kind, size, size)
+        budget, found = SearchBudget(10**9), Counter()
+        for bits in range(1 << spec.edge_count() - len(spec.cells()) + 1):
+            found[signed_chromatic_number(switching_class_grid(spec, bits, ()), 6, budget=budget)[0]] += 1
+        assert (10**9 - budget.remaining, found) == (nodes, chi)
 
     def test_random_graphs(self):
         rng = random.Random(19)
