@@ -8,25 +8,28 @@ vertices: plus copy ``v``, minus copy ``v + n``), and the fixed small target
 graphs (T4, the signed Paley graphs SP9 and SP5, and their universal-vertex
 extensions) that the coloring algorithms map into.  A signed grid has its own
 type, :class:`signedgrids.grids.SignedGrid`, whose ``graph()`` is a plain
-:class:`SignedGraph`.
+:class:`SignedGraph`.  Both keep their edges as sorted ``columns`` (tails,
+heads, signs), which every reader zips, whichever type it has.
 
 Vertex ids are dense integers ``0..n-1``.  Labels are cosmetic; every
 algorithm operates on ids, and the target builders pin a documented label
 order so results are reproducible bit for bit.
 
-The package's immutable value classes (:class:`AntitwinnedGraph`,
-``GridSpec``, ``SignedGrid``, ``Homomorphism``, ``CandidateTrace``,
-``PropertyReport``) are slotted classes on one base,
+The package's immutable value classes (:class:`SignedGraph`,
+:class:`AntitwinnedGraph`, ``GridSpec``, ``SignedGrid``, ``Homomorphism``,
+``CandidateTrace``, ``PropertyReport``) are slotted classes on one base,
 :class:`FrozenValue`, not frozen dataclasses: ``dataclasses`` loads
 ``inspect`` and builds methods with ``exec``, about 10 ms of every process
 that imports the package.  ``dataclasses.fields``, ``replace`` and
-``asdict`` do not apply to them.
+``asdict`` do not apply to them.  A table derived from a value is built on
+first use and kept in a slot of its own by :meth:`FrozenValue._keep`.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from functools import cache
+from operator import itemgetter
 
 POS = 1
 NEG = -1
@@ -58,157 +61,35 @@ def _check_sign(s: int) -> int:
     return s
 
 
-class SignedGraph:
-    """Simple undirected graph with a +1/-1 sign on every edge.
-
-    No loops and no parallel edges, and every vertex id and sign of type
-    exactly ``int``.  An absent pair is a non-edge and imposes no
-    constraint.  Instances are immutable after construction and may be
-    shared freely across threads.
-
-    A graph keeps three tables derived from it, each built on its first use
-    and then returned on every later one: its :func:`sign_masks` table, its
-    :func:`antitwin_double`, and the searches' plan of it
-    (``signedgrids.hom._search_plan``; a grid keeps one too).  The tables
-    are tuples or frozen values, so no caller can write into them.  Two
-    threads that fill the same table at once build equal values and one of
-    them is kept, so a racing first fill is benign.
-
-    Attributes:
-        n: Number of vertices.
-        labels: Optional tuple of vertex labels (cosmetic only).
-        adjacency: The row (neighbor -> sign) of each vertex that an edge
-            touches; an isolated vertex has no key.  Treat as read-only.
-    """
-
-    __slots__ = ("n", "labels", "_edges", "adjacency", "_masks", "_double", "_plan")
-
-    def __init__(
-        self,
-        n: int,
-        edges: Iterable[tuple[int, int, int]],
-        labels: Sequence[str] | None = None,
-    ):
-        if n < 0:
-            raise ValueError("vertex count must be non-negative")
-        adj: dict[int, dict[int, int]] = {}
-        canon = []
-        for u, v, s in edges:
-            if type(u) is not int or type(v) is not int:
-                raise ValueError(f"edge ({u!r},{v!r}) has a vertex id that is not an int")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) has an endpoint out of range [0,{n})")
-            if u == v:
-                raise ValueError(f"loop at vertex {u} is not allowed")
-            _check_sign(s)
-            if v in adj.setdefault(u, {}):
-                raise ValueError(f"duplicate edge ({u},{v})")
-            adj[u][v] = s
-            adj.setdefault(v, {})[u] = s
-            canon.append((u, v, s) if u < v else (v, u, s))
-        if labels is not None:
-            labels = tuple(labels)
-            if len(labels) != n:
-                raise ValueError("labels must cover every vertex")
-        self.n = n
-        self.labels = labels
-        self._edges = tuple(sorted(canon))
-        self.adjacency = adj
-        self._masks = self._double = self._plan = None  # the kept tables, built on first use
-
-    @property
-    def edges(self) -> tuple[tuple[int, int, int], ...]:
-        """All edges as ``(u, v, sign)`` with ``u < v``, sorted."""
-        return self._edges
-
-    @property
-    def edge_count(self) -> int:
-        return len(self._edges)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adjacency.get(u, _EMPTY_ROW)
-
-    def sign(self, u: int, v: int) -> int:
-        """Sign of edge ``uv``; raises ``KeyError`` if the pair is a non-edge."""
-        return self.adjacency[u][v]
-
-    def status(self, u: int, v: int) -> int:
-        """+1/-1 for an edge, 0 for a non-edge (or ``u == v``)."""
-        return self.adjacency.get(u, _EMPTY_ROW).get(v, 0)
-
-    def neighbors(self, v: int) -> dict[int, int]:
-        """Mapping neighbor -> sign.  Treat as read-only."""
-        return self.adjacency.get(v, _EMPTY_ROW)
-
-    def degree(self, v: int) -> int:
-        return len(self.adjacency.get(v, _EMPTY_ROW))
-
-    def label(self, v: int) -> str:
-        return self.labels[v] if self.labels is not None else str(v)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SignedGraph):
-            return NotImplemented
-        return self.n == other.n and self._edges == other._edges
-
-    def __hash__(self) -> int:
-        return hash((self.n, self._edges))
-
-    def __repr__(self) -> str:
-        return f"SignedGraph(n={self.n}, edges={len(self._edges)})"
-
-
-def sign_masks(h: SignedGraph) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """Bit ``b`` of ``sign_masks(h)[s][a]`` is set iff ``h.status(a, b) == s``,
-    for ``s`` of ``POS`` and of ``NEG`` (the last entry).  Entry 0, for a
-    non-edge, is all ones in every row: a non-edge constrains nothing.
-    Built on first use and kept on ``h``.
-    """
-    if h._masks is None:
-        pos, neg = [0] * h.n, [0] * h.n
-        for a, row in h.adjacency.items():
-            for b, s in row.items():
-                (pos if s == POS else neg)[a] |= 1 << b
-        h._masks = (((1 << h.n) - 1,) * h.n, tuple(pos), tuple(neg))
-    return h._masks
-
-
-def switch(g: SignedGraph, vertices: Iterable[int]) -> SignedGraph:
-    """Switch ``g`` at a vertex set: flip every edge with exactly one endpoint in it.
-
-    The underlying graph and labels are unchanged.  Switching at the same
-    set twice returns the original signature.
-    """
-    sw = set(vertices)
-    for v in sw:
-        if not (0 <= v < g.n):
-            raise ValueError(f"switch vertex {v} out of range [0,{g.n})")
-    edges = [
-        (u, v, -s if (u in sw) != (v in sw) else s) for u, v, s in g.edges
-    ]
-    return SignedGraph(g.n, edges, labels=g.labels)
-
-
-def negate(g: SignedGraph) -> SignedGraph:
-    """Flip the sign of every edge."""
-    return SignedGraph(g.n, [(u, v, -s) for u, v, s in g.edges], labels=g.labels)
-
-
 class FrozenValue:
     """Base of the immutable value classes: a frozen dataclass's equality,
     hash and ``repr``, over the ``_fields`` of a subclass's ``__slots__``,
     which its constructor sets once through :meth:`_set`.  Assignment raises
-    ``AttributeError``.  ``pickle`` and ``copy`` restore the slots through
-    :meth:`__setstate__`, not the constructor, so a value in a reference
-    cycle (a base graph keeps its :func:`antitwin_double`) round-trips too."""
+    ``AttributeError``.  A table derived from a value is kept in a slot of
+    its own, written once through :meth:`_keep`, and is no field.  ``pickle``
+    and ``copy`` restore the slots through :meth:`__setstate__`, not the
+    constructor, so a value in a reference cycle (a base graph keeps its
+    :func:`antitwin_double`) round-trips too."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _slot_order: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        # a base class's slots first, so a subclass that adds slots keeps its base's constructor
+        cls._slot_order = tuple(name for c in reversed(cls.__mro__) for name in vars(c).get("__slots__", ()))
 
     def _set(self, *values) -> None:
-        """Set the slots, in ``__slots__`` order."""
-        for name, value in zip(self.__slots__, values):
+        """Set the slots, in ``_slot_order``."""
+        for name, value in zip(self._slot_order, values):
             object.__setattr__(self, name, value)
+
+    def _keep(self, name: str, table):
+        """Keep ``table``, derived from the value, in the slot ``name``, and
+        return it: the one writer of kept tables."""
+        object.__setattr__(self, name, table)
+        return table
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -236,6 +117,139 @@ class FrozenValue:
         for part in state:
             for name, value in (part or {}).items():
                 object.__setattr__(self, name, value)
+
+
+class SignedGraph(FrozenValue):
+    """Simple undirected graph with a +1/-1 sign on every edge.
+
+    No loops and no parallel edges, and every vertex id and sign of type
+    exactly ``int``.  An absent pair is a non-edge and imposes no
+    constraint.  A frozen value, shared freely across threads; equality and
+    hash are over ``(n, columns)``, across subclasses too.
+
+    A graph keeps three tables derived from it, each built on its first use
+    through :meth:`FrozenValue._keep`: its :func:`sign_masks`, its
+    :func:`antitwin_double`, and the searches' plan of it
+    (``signedgrids.hom._search_plan``; a grid keeps one too).  Each is a
+    tuple or a frozen value, so no caller can write into it; two threads
+    that fill one at once build equal values, so a racing first fill is
+    benign.
+
+    Attributes:
+        n: Number of vertices.
+        labels: Optional tuple of vertex labels (cosmetic only).
+        columns: The edges as tails, heads and signs, ``tails[k] <
+            heads[k]``, sorted, as :attr:`signedgrids.grids.SignedGrid.columns`.
+        adjacency: The row (neighbor -> sign) of each vertex that an edge
+            touches; an isolated vertex has no key.  Treat as read-only.
+    """
+
+    __slots__ = ("n", "labels", "columns", "adjacency", "_masks", "_double", "_plan")
+
+    def __init__(self, n: int, edges: Iterable[tuple[int, int, int]], labels: Sequence[str] | None = None):
+        if n < 0:
+            raise ValueError("vertex count must be non-negative")
+        adj: dict[int, dict[int, int]] = {}
+        canon = []
+        for u, v, s in edges:
+            if type(u) is not int or type(v) is not int:
+                raise ValueError(f"edge ({u!r},{v!r}) has a vertex id that is not an int")
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge ({u},{v}) has an endpoint out of range [0,{n})")
+            if u == v:
+                raise ValueError(f"loop at vertex {u} is not allowed")
+            _check_sign(s)
+            if v in adj.setdefault(u, {}):
+                raise ValueError(f"duplicate edge ({u},{v})")
+            adj[u][v] = s
+            adj.setdefault(v, {})[u] = s
+            canon.append((u, v, s) if u < v else (v, u, s))
+        if labels is not None:
+            labels = tuple(labels)
+            if len(labels) != n:
+                raise ValueError("labels must cover every vertex")
+        canon.sort()
+        # a column at a time: zip(*canon) would hold an iterator per edge
+        columns = tuple(tuple(map(itemgetter(k), canon)) for k in range(3))
+        self._set(n, labels, columns, adj, None, None, None)  # the kept tables, built on first use
+
+    @property
+    def edges(self) -> tuple[tuple[int, int, int], ...]:
+        """All edges as ``(u, v, sign)`` with ``u < v``, sorted; built from
+        :attr:`columns` on each access."""
+        return tuple(zip(*self.columns))
+
+    @property
+    def edge_count(self) -> int:
+        return len(self.columns[0])
+
+    def has_edge(self, u: int, v: int) -> bool:
+        return v in self.adjacency.get(u, _EMPTY_ROW)
+
+    def sign(self, u: int, v: int) -> int:
+        """Sign of edge ``uv``; raises ``KeyError`` if the pair is a non-edge."""
+        return self.adjacency[u][v]
+
+    def status(self, u: int, v: int) -> int:
+        """+1/-1 for an edge, 0 for a non-edge (or ``u == v``)."""
+        return self.adjacency.get(u, _EMPTY_ROW).get(v, 0)
+
+    def neighbors(self, v: int) -> dict[int, int]:
+        """Mapping neighbor -> sign.  Treat as read-only."""
+        return self.adjacency.get(v, _EMPTY_ROW)
+
+    def degree(self, v: int) -> int:
+        return len(self.adjacency.get(v, _EMPTY_ROW))
+
+    def label(self, v: int) -> str:
+        return self.labels[v] if self.labels is not None else str(v)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SignedGraph):
+            return NotImplemented
+        return self.n == other.n and self.columns == other.columns
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.columns))
+
+    def __repr__(self) -> str:
+        return f"SignedGraph(n={self.n}, edges={self.edge_count})"
+
+
+def sign_masks(h: SignedGraph) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """Bit ``b`` of ``sign_masks(h)[s][a]`` is set iff ``h.status(a, b) == s``,
+    for ``s`` of ``POS`` and of ``NEG`` (the last entry).  Entry 0, for a
+    non-edge, is all ones in every row: a non-edge constrains nothing.
+    Built on first use and kept on ``h``.
+    """
+    if h._masks is not None:
+        return h._masks
+    pos, neg = [0] * h.n, [0] * h.n
+    for a, row in h.adjacency.items():
+        for b, s in row.items():
+            (pos if s == POS else neg)[a] |= 1 << b
+    return h._keep("_masks", (((1 << h.n) - 1,) * h.n, tuple(pos), tuple(neg)))
+
+
+def switch(g: SignedGraph, vertices: Iterable[int]) -> SignedGraph:
+    """Switch ``g`` at a vertex set: flip every edge with exactly one endpoint in it.
+
+    The underlying graph and labels are unchanged.  Switching at the same
+    set twice returns the original signature.
+    """
+    sw = set(vertices)
+    for v in sw:
+        if not (0 <= v < g.n):
+            raise ValueError(f"switch vertex {v} out of range [0,{g.n})")
+    edges = [
+        (u, v, -s if (u in sw) != (v in sw) else s) for u, v, s in g.edges
+    ]
+    return SignedGraph(g.n, edges, labels=g.labels)
+
+
+def negate(g: SignedGraph) -> SignedGraph:
+    """Flip the sign of every edge."""
+    return SignedGraph(g.n, [(u, v, -s) for u, v, s in g.edges], labels=g.labels)
 
 
 class AntitwinnedGraph(FrozenValue):
@@ -283,9 +297,7 @@ def antitwin_double(g: SignedGraph) -> AntitwinnedGraph:
 
     Built on first use and kept on ``g``, so every call returns that object.
     """
-    if g._double is None:
-        g._double = AntitwinnedGraph(g)
-    return g._double
+    return g._double if g._double is not None else g._keep("_double", AntitwinnedGraph(g))
 
 
 def plus_universal(g: SignedGraph) -> SignedGraph:

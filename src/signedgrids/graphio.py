@@ -45,8 +45,8 @@ without an edge), or a missing grid edge (the first empty slot with an
 edge, named by bounding-id arithmetic), is named in the error.  Every
 other graph object reads as a :class:`~signedgrids.core.SignedGraph`.
 Every writer, :func:`graph_to_dict`, :func:`graph_to_dot` and
-:class:`ArtifactEncoder`, reads a grid's ``[u, v, s]`` rows from its
-columns and a graph's from its sorted edges; only a
+:class:`ArtifactEncoder`, reads the ``[u, v, s]`` rows of either graph type
+from its sorted ``columns``, which a grid and a graph keep alike; only a
 :class:`~signedgrids.grids.SignedGrid` gets a ``"grid"``.  Both graph types
 check their entries when built, so a writer meets only valid graphs.
 
@@ -56,13 +56,12 @@ written one after the other and never joined.  That is the one format
 :class:`ArtifactEncoder` writes; built with any other options it raises
 ``ValueError``.  The value may hold a :class:`~signedgrids.grids.SignedGrid`
 or a :class:`~signedgrids.core.SignedGraph` itself: the encoder renders its
-small fields through the dict path and its edges straight from the grid's
-columns or the graph's sorted edges, one %-format per chunk of
-:data:`EDGE_CHUNK` edges, and builds no per-edge list.  The text is the
-standard encoder's on the value with every graph replaced by its
-:func:`graph_to_dict`, byte for byte.  A value it cannot render (a
-non-``str`` key, another type, a float that is not finite) raises, as the
-standard encoder would without a ``default``.
+small fields through the dict path and its edges straight from its
+columns, one %-format per chunk of :data:`EDGE_CHUNK` edges, and builds no
+per-edge list.  The text is the standard encoder's on the value with every
+graph replaced by its :func:`graph_to_dict`, byte for byte.  A value it
+cannot render (a non-``str`` key, another type, a float that is not
+finite) raises, as the standard encoder would without a ``default``.
 
 DOT output renders positive edges solid and negative edges dashed.
 """
@@ -71,7 +70,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from itertools import chain, count, islice
 from operator import itemgetter
 
@@ -113,12 +112,6 @@ def grid_from_dict(d: Mapping) -> GridSpec:
     return GridSpec(d.get("kind"), rows, cols, mask)
 
 
-def _edge_rows(g: SignedGraph | SignedGrid) -> Iterable[tuple[int, int, int]]:
-    """The ``(u, v, s)`` rows a graph object lists: a grid's from its
-    columns, a graph's its sorted edges."""
-    return zip(*g.columns) if isinstance(g, SignedGrid) else g.edges
-
-
 def _graph_fields(g: SignedGraph | SignedGrid, edges) -> dict:
     """The graph object of ``g``, with ``edges`` as its edge list."""
     out: dict = {"n": g.n, "edges": edges}
@@ -130,7 +123,7 @@ def _graph_fields(g: SignedGraph | SignedGrid, edges) -> dict:
 
 
 def graph_to_dict(g: SignedGraph | SignedGrid) -> dict:
-    return _graph_fields(g, list(map(list, _edge_rows(g))))
+    return _graph_fields(g, list(map(list, zip(*g.columns))))
 
 
 def _listed_signs(raw: list, tails: tuple[int, ...], heads: tuple[int, ...]) -> tuple | None:
@@ -274,13 +267,11 @@ _ARTIFACT_FORMAT = dict(
 )
 
 
-class _EdgeList:
-    """A graph's edge list in a rendering: its rows, never built as lists."""
+class _EdgeList(tuple):
+    """A graph's edge list in a rendering: its three columns, rendered as
+    rows that are never built as lists."""
 
-    __slots__ = ("rows", "count")
-
-    def __init__(self, rows: Iterable[tuple[int, int, int]], count: int):
-        self.rows, self.count = rows, count
+    __slots__ = ()
 
 
 class ArtifactEncoder:
@@ -381,8 +372,7 @@ class _Rendering:
             put(nl + "]")
         elif kind is SignedGrid or kind is SignedGraph:
             # valid as built: every entry an int, and a grid one sign per edge
-            count = len(o.signs) if kind is SignedGrid else o.edge_count
-            self.render(_graph_fields(o, _EdgeList(_edge_rows(o), count)), nl)
+            self.render(_graph_fields(o, _EdgeList(o.columns)), nl)
         elif kind is _EdgeList:
             self.edge_list(o, nl)
         elif o is None:
@@ -398,7 +388,7 @@ class _Rendering:
 
     def edge_list(self, edges: _EdgeList, nl: str) -> None:
         # EDGE_CHUNK rows at a time: one %-format over the chunk's ints
-        put, total = self.put, edges.count
+        put, total = self.put, len(edges[0])
         if not total:
             put("[]")
             return
@@ -408,7 +398,7 @@ class _Rendering:
         joint = "," + inner
         size = min(total, EDGE_CHUNK)
         template = joint.join([one] * size)
-        flat = chain.from_iterable(edges.rows)
+        flat = chain.from_iterable(zip(*edges))
         put("[" + inner)
         for k in range(0, total, EDGE_CHUNK):
             if k:
@@ -432,7 +422,7 @@ def graph_to_dot(g: SignedGraph | SignedGrid, annotations: Sequence[str] | None 
         text = annotations[v] if annotations is not None else g.label(v)
         text = text.replace("\\", "\\\\").replace('"', '\\"')
         lines.append(f'  {v} [label="{text}"];')
-    for u, v, s in _edge_rows(g):
+    for u, v, s in zip(*g.columns):
         style = "solid" if s == 1 else "dashed"
         lines.append(f"  {u} -- {v} [style={style}];")
     lines.append("}")

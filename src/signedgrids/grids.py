@@ -22,10 +22,13 @@ pair ``(u, v)``, ``u < v``, and it is the order of a grid file's
 ``"edges"`` list.  The tails and heads of the edges depend on the spec
 alone: :meth:`GridSpec.edge_columns` computes them once per spec and keeps
 them, and :attr:`SignedGrid.columns` is those two columns plus the signs.
-The writers, the verifiers, the searches, :attr:`SignedGrid.edges` and
+These are the columns in which a :class:`~signedgrids.core.SignedGraph`
+keeps its edges too, so the writers, the verifiers and the searches zip
+the columns of either type.  :attr:`SignedGrid.edges` and
 :meth:`SignedGrid.graph` (a plain :class:`~signedgrids.core.SignedGraph`
-with adjacency dicts) read a grid through its columns, and no per-edge
-tuple is kept.
+with adjacency dicts) are built from them, and no per-edge tuple is kept.
+A spec's tables (its slot pattern, edge count and edge columns) are kept
+in slots of their own through :meth:`~signedgrids.core.FrozenValue._keep`.
 
 Placing an edge by direction uses a *slot* layout, three slots per vertex:
 slot ``3*v + d`` is the edge from vertex ``v`` in direction ``d``, 0 right
@@ -46,7 +49,6 @@ bounding grid; :func:`make_grid` reads a cell-pair mapping in edge order.
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from functools import cached_property
 from itertools import chain, compress, islice, product
 
 from .core import NEG, POS, FrozenValue, SignedGraph, sp5_plus
@@ -69,10 +71,11 @@ class GridSpec(FrozenValue):
     """Shape of a grid: kind (``"hex"`` or ``"tri"``), dimensions, optional mask.
 
     Dimensions are of type exactly ``int`` and at least 1, and mask cells
-    pairs of such ints in the box.  The spec keeps its tables in its ``__dict__``.
+    pairs of such ints in the box.  The spec keeps three tables, each built
+    on its first use: its slot pattern, edge count and edge columns.
     """
 
-    __slots__ = ("kind", "rows", "cols", "mask", "__dict__")
+    __slots__ = ("kind", "rows", "cols", "mask", "_pattern", "_count", "_columns")
     _fields = ("kind", "rows", "cols", "mask")
 
     def __init__(self, kind: str, rows: int, cols: int, mask: frozenset[Cell] | None = None):
@@ -86,7 +89,7 @@ class GridSpec(FrozenValue):
                 i, j = cell if type(cell) is tuple and len(cell) == 2 else (None, None)
                 if not (type(i) is type(j) is int and 1 <= i <= rows and 1 <= j <= cols):
                     raise ValueError(f"mask cell {cell!r} is not a pair of ints inside the {rows}x{cols} grid")
-        self._set(kind, rows, cols, mask)
+        self._set(kind, rows, cols, mask, None, None, None)  # the kept tables, built on first use
 
     def cells(self) -> tuple[Cell, ...]:
         """Retained cells in row-major order."""
@@ -122,15 +125,13 @@ class GridSpec(FrozenValue):
         """1 in every slot that holds an edge of the grid, 0 elsewhere, read
         off :meth:`has_slot` for an unmasked grid; computed on the first call
         and kept by the spec."""
-        return self._slot_pattern
-
-    @cached_property
-    def _slot_pattern(self) -> bytes:
+        if self._pattern is not None:
+            return self._pattern
         rows, cols, tri, mask = self.rows, self.cols, self.kind == "tri", self.mask
         if mask is not None:
             # a retained cell keeps the box's edges to retained cells; the
             # work is per retained cell, however large the box
-            return bytes(
+            pattern = bytes(
                 x
                 for i, j in sorted(mask)
                 for x in (
@@ -139,15 +140,16 @@ class GridSpec(FrozenValue):
                     (i + 1, j) in mask,
                 )
             )
+        else:
+            # has_slot reads a slot's row only through its parity and through
+            # whether it is the last row, so a box has at most four kinds of
+            # row: each is built once, and the rows are joined
+            def row(i: int) -> bytes:
+                return bytes(map(self.has_slot, range(3 * i * cols, 3 * (i + 1) * cols)))
 
-        # has_slot reads a slot's row only through its parity and through
-        # whether it is the last row, so a box has at most four kinds of row:
-        # each is built once, and the rows are joined
-        def row(i: int) -> bytes:
-            return bytes(map(self.has_slot, range(3 * i * cols, 3 * (i + 1) * cols)))
-
-        inner = [row(i) for i in range(min(2, rows - 1))]
-        return b"".join([inner[i % 2] for i in range(rows - 1)] + [row(rows - 1)])
+            inner = [row(i) for i in range(min(2, rows - 1))]
+            pattern = b"".join([inner[i % 2] for i in range(rows - 1)] + [row(rows - 1)])
+        return self._keep("_pattern", pattern)
 
     def has_slot(self, p: int) -> bool:
         """Whether slot ``p`` holds an edge, ``slot_pattern()[p] == 1``; for
@@ -165,17 +167,16 @@ class GridSpec(FrozenValue):
     def edge_count(self) -> int:
         """``len(self.edges())``, in closed form for an unmasked grid;
         computed on the first call and kept by the spec."""
-        return self._edge_count
-
-    @cached_property
-    def _edge_count(self) -> int:
-        if self.mask is not None:
-            return self.slot_pattern().count(1)
+        if self._count is not None:
+            return self._count
         r, c = self.rows, self.cols
-        if self.kind == "tri":  # right; down-left and down
-            return r * (c - 1) + (r - 1) * (2 * c - 1)
-        # down; right from (i, j) with i + j even: odd j on odd rows, even j on even rows
-        return (r - 1) * c + (r + 1) // 2 * (c // 2) + r // 2 * ((c - 1) // 2)
+        if self.mask is not None:
+            count = self.slot_pattern().count(1)
+        elif self.kind == "tri":  # right; down-left and down
+            count = r * (c - 1) + (r - 1) * (2 * c - 1)
+        else:  # down; right from (i, j) with i + j even: odd j on odd rows, even j on even rows
+            count = (r - 1) * c + (r + 1) // 2 * (c // 2) + r // 2 * ((c - 1) // 2)
+        return self._keep("_count", count)
 
     def edges(self) -> tuple[CellEdge, ...]:
         """Grid edges between retained cells, in a fixed row-major order.
@@ -191,10 +192,8 @@ class GridSpec(FrozenValue):
     def edge_columns(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """The vertex ids of :meth:`edges`: a column of tails and a column of
         heads, computed on the first call and kept by the spec."""
-        return self._edge_columns
-
-    @cached_property
-    def _edge_columns(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        if self._columns is not None:
+            return self._columns
         slots = self.slot_pattern()
         cols = self.cols
         if self.mask is not None:
@@ -202,18 +201,18 @@ class GridSpec(FrozenValue):
             vertex = {b: v for v, b in enumerate(where)}
             step = (1, cols - 1, cols)
             positions = list(compress(range(len(slots)), slots))
-            return (
-                tuple(p // 3 for p in positions),
-                tuple(vertex[where[p // 3] + step[p % 3]] for p in positions),
-            )
-        # per slot, the vertex at its tail and at its head, each slot's three
-        # heads read off the id list shifted by 1, cols - 1 and cols; compress
-        # keeps the slots with an edge.  A list, not a range, so that every
-        # edge of a vertex shares one int object.
-        ids = list(range(self.rows * cols + cols))
-        tails = chain.from_iterable(zip(ids, ids, ids))
-        heads = chain.from_iterable(zip(islice(ids, 1, None), islice(ids, cols - 1, None), islice(ids, cols, None)))
-        return tuple(compress(tails, slots)), tuple(compress(heads, slots))
+            tails = tuple(p // 3 for p in positions)
+            heads = tuple(vertex[where[p // 3] + step[p % 3]] for p in positions)
+        else:
+            # per slot, the vertex at its tail and at its head, each slot's
+            # three heads read off the id list shifted by 1, cols - 1 and
+            # cols; compress keeps the slots with an edge.  A list, not a
+            # range, so that every edge of a vertex shares one int object.
+            ids = list(range(self.rows * cols + cols))
+            tails = chain.from_iterable(zip(ids, ids, ids))
+            heads = chain.from_iterable(zip(islice(ids, 1, None), islice(ids, cols - 1, None), islice(ids, cols, None)))
+            tails, heads = tuple(compress(tails, slots)), tuple(compress(heads, slots))
+        return self._keep("_columns", (tails, heads))
 
 
 class SignedGrid(FrozenValue):

@@ -12,19 +12,17 @@ Two notions of mapping are handled:
 Both are witnessed by one :class:`Homomorphism` type, a mapping plus a switch
 set; an ec witness has an empty switch set.
 
-One verifier, :func:`verify_signed`, makes one pass over a source's edges:
-a :class:`~signedgrids.grids.SignedGrid`'s
-:attr:`~signedgrids.grids.SignedGrid.columns` zipped (the tails and heads
-its spec keeps, and its sign column), or a
-:class:`~signedgrids.core.SignedGraph`'s ``edges``.  It applies a switch
-set by negating the sign of each edge with exactly one switched end, and
-shares no code with the searches; :func:`verify_ec` is its check with an
-empty switch set.  The searches read a source as it is too, through its
-search plan (:func:`_search_plan`): the vertex order, the component roots
-and each vertex's later neighbors with the signs of the joining edges,
-built once from the same rows and kept on the source.  Each search only
-binds those signs to its target's sign masks.  A source that is no
-``SignedGraph`` is taken for a grid, so ``grids`` is not imported here.
+One verifier, :func:`verify_signed`, makes one pass over a source's edges,
+its ``columns`` zipped: the tails, heads and signs that a
+:class:`~signedgrids.core.SignedGraph` and a
+:class:`~signedgrids.grids.SignedGrid` both keep, sorted.  It applies a
+switch set by negating the sign of each edge with exactly one switched
+end, and shares no code with the searches; :func:`verify_ec` is its check
+with an empty switch set.  The searches read a source as it is too,
+through its search plan (:func:`_search_plan`): the vertex order, the
+component roots and each vertex's later neighbors with the signs of the
+joining edges, built once from the same rows and kept on the source.
+Each search only binds those signs to its target's sign masks.
 
 The chromatic number of a signed graph is the order of its smallest target;
 :func:`signed_chromatic_number` computes it exactly on small instances by
@@ -142,7 +140,7 @@ def verify_signed(g: SignedGraph | SignedGrid, h: SignedGraph, hom: Homomorphism
     flip = [False] * g.n
     for v in flipped:
         flip[v] = True
-    for u, v, s in g.edges if isinstance(g, SignedGraph) else zip(*g.columns):
+    for u, v, s in zip(*g.columns):
         if flip[u] is not flip[v]:
             s = -s
         try:  # a subscript, not .get: cheaper per edge, and a miss is rare
@@ -161,15 +159,15 @@ def _search_plan(g: SignedGraph | SignedGrid) -> tuple[tuple[int, ...], tuple[in
 
     Breadth-first per component from a maximum-degree root, least id on
     ties, neighbors ascending.  Built on first use from the ``(u, v, s)``
-    rows of ``g``, a graph's ``edges`` or a grid's zipped ``columns``, and
-    kept on ``g``, which every target's search of a sweep shares.
+    rows of ``g``, its zipped ``columns``, and kept on ``g``, which every
+    target's search of a sweep shares.
     """
     if g._plan is not None:
         return g._plan
     n = g.n
     rows: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     # the rows are sorted by (u, v), so each vertex's neighbors arrive ascending
-    for u, v, s in g.edges if isinstance(g, SignedGraph) else zip(*g.columns):
+    for u, v, s in zip(*g.columns):
         rows[u].append((v, s))
         rows[v].append((u, s))
     position = [-1] * n
@@ -188,8 +186,7 @@ def _search_plan(g: SignedGraph | SignedGrid) -> tuple[tuple[int, ...], tuple[in
                     order.append(w)
             k += 1
     later = tuple(tuple((w, s) for w, s in rows[v] if position[w] > position[v]) for v in range(n))
-    object.__setattr__(g, "_plan", (tuple(order), tuple(roots), later))
-    return g._plan
+    return g._keep("_plan", (tuple(order), tuple(roots), later))
 
 
 @cache  # built on the first search, not at import
@@ -227,9 +224,9 @@ def find_ec_hom(
     an exact ``int`` in ``range(1 << h.n)``, raises ``ValueError``.
     Candidates are tried lowest bit first, which is the ascending order of a
     sorted candidate list, so witnesses and node counts are those of a
-    search on sorted lists.  On a target of at most 16 vertices the lowest
-    bit is read from a table of all 16-bit masks (:func:`_lowest_bits`),
-    on a larger one it is ``(rest & -rest).bit_length() - 1``.
+    search on sorted lists.  The lowest bit of a mask below ``2**16`` is
+    read from a table of all 16-bit masks (:func:`_lowest_bits`), on any
+    target; of a larger mask it is ``(rest & -rest).bit_length() - 1``.
 
     A candidate narrows the candidates of its later neighbors in a copy of
     the list of bitmasks, so backtracking has nothing to restore.  The copy
@@ -250,7 +247,7 @@ def find_ec_hom(
             raise ValueError("domains must be int bitmasks over the target vertices")
 
     masks = sign_masks(h)
-    lowest = _lowest_bits() if h.n <= 16 else b""
+    lowest = _lowest_bits()
     order, _, signed = _search_plan(g)
     # per search vertex: its later neighbors, with the masks of the sign of
     # the joining edge
@@ -278,7 +275,7 @@ def find_ec_hom(
                 v = order[k]
                 nbrs = later[v]
                 continue
-            c = lowest[rest] if lowest else (rest & -rest).bit_length() - 1
+            c = lowest[rest] if rest < 65536 else (rest & -rest).bit_length() - 1
             rest &= rest - 1
             spent += 1
             if spent > limit:

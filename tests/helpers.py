@@ -666,7 +666,7 @@ class GridGraph(SignedGraph):
 
     def __init__(self, n, edges, labels=None, grid=None):
         super().__init__(n, edges, labels=labels)
-        self.grid = grid
+        self._keep("grid", grid)
 
 
 def grid_graph(g: SignedGrid) -> GridGraph:

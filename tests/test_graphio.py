@@ -25,7 +25,7 @@ from signedgrids import (
     verify_signed,
 )
 from signedgrids import graphio
-from signedgrids.hom import ec_to_signed
+from signedgrids.hom import _search_plan, ec_to_signed
 from signedgrids.graphio import (
     EDGE_CHUNK,
     ArtifactEncoder,
@@ -59,6 +59,25 @@ def test_only_a_signed_grid_is_written_with_its_grid():
     written = graph_to_dict(g.graph())
     assert "grid" not in written and written == {k: v for k, v in graph_to_dict(g).items() if k != "grid"}
     assert graph_from_dict(written) == g.graph()
+
+
+@pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
+def test_a_grid_and_its_graph_read_alike(masked):
+    # both types keep their edges as sorted columns, and every reader zips
+    # them: the search plan, the dict view's rows and the DOT text agree.
+    # verify_signed on honest and forged maps is compared for both types in
+    # test_hom.py::TestVerifiersMatchTheReference::test_grids_and_their_certificates
+    rng = random.Random(61 + masked)
+    for _ in range(30):
+        kind, rows, cols = rng.choice(("hex", "tri")), rng.randint(1, 6), rng.randint(1, 6)
+        mask = frozenset(c for c in GridSpec(kind, rows, cols).cells() if rng.random() < 0.7) if masked else None
+        spec = GridSpec(kind, rows, cols, mask or None)
+        g = make_grid(spec, random_signature(spec, rng.randrange(1000), 0.5))
+        graph = g.graph()
+        assert graph.columns == g.columns and graph.edges == g.edges
+        assert _search_plan(graph) == _search_plan(g)
+        assert graph_to_dict(graph)["edges"] == graph_to_dict(g)["edges"]
+        assert graph_to_dot(graph) == graph_to_dot(g)
 
 
 def test_graph_dict_is_json_serializable():

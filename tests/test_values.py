@@ -6,9 +6,18 @@ import pickle
 import pytest
 
 from signedgrids.colorers import CandidateTrace
-from signedgrids.core import AntitwinnedGraph, build_SP5, build_T4, rho_sp9_plus, rho_t4
+from signedgrids.core import (
+    AntitwinnedGraph,
+    SignedGraph,
+    build_SP5,
+    build_T4,
+    negate,
+    rho_sp9_plus,
+    rho_t4,
+    sign_masks,
+)
 from signedgrids.grids import GridSpec, SignedGrid, make_grid, unbalanced_c6
-from signedgrids.hom import Homomorphism
+from signedgrids.hom import Homomorphism, _search_plan
 from signedgrids.props import PropertyReport
 
 
@@ -16,7 +25,11 @@ def cases():
     """Per class: an instance, an equal one built apart, an unequal one of
     the same class, its repr, and the fields that make up its value."""
     c6 = unbalanced_c6()
+    t4 = build_T4()
     return [
+        # built apart from its edges reversed, each turned around
+        (t4, SignedGraph(4, [(v, u, s) for u, v, s in reversed(t4.edges)]), negate(t4),
+         "SignedGraph(n=4, edges=6)", ("n", "columns")),
         (rho_t4(), AntitwinnedGraph(build_T4()), AntitwinnedGraph(build_SP5()),
          "AntitwinnedGraph(base=SignedGraph(n=4, edges=6))", ("base",)),
         (GridSpec("tri", 2, 3, frozenset({(1, 1)})), GridSpec("tri", 2, 3, {(1, 1)}), GridSpec("tri", 2, 3),
@@ -31,7 +44,7 @@ def cases():
     ]
 
 
-NAMES = ["AntitwinnedGraph", "GridSpec", "SignedGrid", "Homomorphism", "CandidateTrace", "PropertyReport"]
+NAMES = ["SignedGraph", "AntitwinnedGraph", "GridSpec", "SignedGrid", "Homomorphism", "CandidateTrace", "PropertyReport"]
 
 
 @pytest.mark.parametrize("case", cases(), ids=NAMES)
@@ -106,7 +119,53 @@ def test_a_spec_survives_copies_with_its_kept_tables(how):
     spec = GridSpec("tri", 3, 4, frozenset({(1, 1), (1, 2), (2, 2), (3, 4)}))
     tables = spec.edge_columns(), spec.edge_count(), spec.slot_pattern()
     twin = how(spec)
-    assert twin == spec and twin.__dict__ == spec.__dict__
-    assert {"_edge_columns", "_edge_count", "_slot_pattern"} <= twin.__dict__.keys()
+    kept = ("_columns", "_count", "_pattern")
+    assert twin == spec and all(getattr(twin, name) is not None for name in kept)
+    assert [getattr(twin, name) for name in kept] == [getattr(spec, name) for name in kept]
     assert (twin.edge_columns(), twin.edge_count(), twin.slot_pattern()) == tables
     assert make_grid(twin, (1,) * twin.edge_count()).grid == spec
+
+
+def test_a_graph_is_frozen_and_keeps_its_hash():
+    # a graph used as a dict key must stay where it was put
+    g = SignedGraph(3, [(0, 1, 1), (1, 2, -1)], labels=("a", "b", "c"))
+    key, table = hash(g), {g: "kept"}
+    for name in ("n", "columns", "adjacency", "labels"):
+        with pytest.raises(AttributeError):
+            setattr(g, name, 99)
+        with pytest.raises(AttributeError):
+            delattr(g, name)
+    assert hash(g) == key and table[g] == "kept"
+    assert (g.n, g.columns, g.labels) == (3, ((0, 1), (1, 2), (1, -1)), ("a", "b", "c"))
+
+
+@pytest.mark.parametrize("how", [lambda v: pickle.loads(pickle.dumps(v)), copy.deepcopy], ids=["pickle", "deepcopy"])
+def test_a_graph_survives_copies_with_its_kept_tables(how):
+    base = rho_sp9_plus().base  # keeps its doubling; fill its other two tables
+    sign_masks(base)
+    _search_plan(base)
+    twin = how(base)
+    assert twin is not base and twin == base and hash(twin) == hash(base)
+    assert twin.columns == base.columns and twin.adjacency == base.adjacency and twin.labels == base.labels
+    assert twin._masks == base._masks and twin._plan == base._plan
+    assert twin._double == base._double and twin._double.base is twin and twin._double is not base._double
+    assert sign_masks(twin) is twin._masks and _search_plan(twin) is twin._plan
+
+
+def test_a_subclass_that_adds_a_slot_keeps_every_field_in_its_own_slot():
+    class Tagged(SignedGraph):
+        __slots__ = ("tag",)
+
+        def __init__(self, n, edges, labels, tag):
+            super().__init__(n, edges, labels)
+            self._keep("tag", tag)
+
+    g = Tagged(3, [(2, 1, -1), (0, 1, 1)], ("a", "b", "c"), "t")
+    assert (g.n, g.labels, g.tag) == (3, ("a", "b", "c"), "t")
+    assert g.columns == ((0, 1), (1, 2), (1, -1)) and g.adjacency == {0: {1: 1}, 1: {0: 1, 2: -1}, 2: {1: -1}}
+    assert g._masks is g._double is g._plan is None
+    # equal to the plain graph of its edges, either way round
+    plain = SignedGraph(3, [(0, 1, 1), (1, 2, -1)])
+    assert g == plain and plain == g and hash(g) == hash(plain)
+    with pytest.raises(AttributeError):
+        g.tag = "u"
